@@ -5,15 +5,27 @@ The recoil double sum multiplies wave numbers (~1e7) with time separations
 pair terms are expanded into exact float tuples (Dekker's algorithm) and fed
 to math.fsum.  The result is the correctly rounded value of the real sum over
 the stored inputs.
+
+Every step is a plain IEEE multiply or add with no fused multiply-add, and
+numpy applies the same operations element by element.  So the scalar
+functions also take float64 arrays, and triple_product_rows, the array form
+of triple_product_terms, yields the same bits on every element.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+Real = float | np.ndarray
+
 _SPLIT = 134217729.0  # 2**27 + 1, splits a 53-bit significand into two halves
 
 
-def two_product(a: float, b: float) -> tuple[float, float]:
-    """Return (p, e) with p = fl(a*b) and p + e == a*b exactly."""
+def two_product(a: Real, b: Real) -> tuple[Real, Real]:
+    """Return (p, e) with p = fl(a*b) and p + e == a*b exactly.
+
+    a and b are floats or arrays; p and e have their broadcast shape.
+    """
     p = a * b
     ac = _SPLIT * a
     ah = ac - (ac - a)
@@ -25,9 +37,50 @@ def two_product(a: float, b: float) -> tuple[float, float]:
     return p, e
 
 
-def triple_product_terms(a: float, b: float, c: float) -> tuple[float, float, float, float]:
-    """Four floats whose exact sum equals the real product a*b*c."""
+def triple_product_terms(a: Real, b: Real, c: Real) -> tuple[Real, Real, Real, Real]:
+    """Four terms whose exact sum equals the real product a*b*c.
+
+    a, b and c are floats or arrays; each term is a float or an array of
+    their broadcast shape, and the exactness holds element by element.
+    """
     p, e = two_product(a, b)
     q, f = two_product(p, c)
     g, h = two_product(e, c)
     return q, f, g, h
+
+
+# The two steps of two_product, for the array form.  two_product keeps them
+# inline: on Python floats the extra calls would make it half as slow again.
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: (hi, lo) with hi + lo == a exactly."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _product_error(p, ah, al, bh, bl) -> np.ndarray:
+    """Exact a*b - p for p = fl(a*b), from the splits of a and b."""
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def triple_product_rows(x: np.ndarray) -> np.ndarray:
+    """triple_product_terms(x[0], x[1], x[2]) for a C-contiguous (3, n) float64 array.
+
+    Returns a new (4, n) array whose rows are the terms q, g, f, h, bit for
+    bit.  One split serves both first-stage factors and one the two
+    first-stage terms together with c, so a call costs about thirty numpy
+    operations on contiguous rows whatever n is.
+    """
+    n = x.shape[1]
+    ab_hi, ab_lo = _split(x[:2].reshape(-1))
+    y = np.empty(4 * n)  # p, e, then c once for each of them
+    pe, cc = y[: 2 * n], y[2 * n :]
+    np.multiply(x[0], x[1], out=pe[:n])
+    pe[n:] = _product_error(pe[:n], ab_hi[:n], ab_lo[:n], ab_hi[n:], ab_lo[n:])
+    cc.reshape(2, n)[...] = x[2]
+    hi, lo = _split(y)
+    terms = np.empty(4 * n)  # q, g, then f, h
+    products, errors = terms[: 2 * n], terms[2 * n :]
+    np.multiply(pe, cc, out=products)
+    errors[...] = _product_error(products, hi[: 2 * n], lo[: 2 * n], hi[2 * n :], lo[2 * n :])
+    return terms.reshape(4, n)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -426,7 +427,10 @@ def cmd_oracle(args) -> int:
             payload = {
                 "widths": list(study.widths),
                 "residuals": list(study.residuals),
-                "fitted_exponent": study.fitted_exponent,
+                # nan (fewer than two residuals above the floor) is not JSON
+                "fitted_exponent": (
+                    study.fitted_exponent if math.isfinite(study.fitted_exponent) else None
+                ),
                 "floor": study.floor,
             }
             _emit(_json_block(manifest, payload), args.output)

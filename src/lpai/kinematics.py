@@ -18,6 +18,11 @@ import numpy as np
 from . import constants
 from .core import GravityEnv, InitialConditions, PulseSequence, Species, require_valid
 
+# Row budget of trajectory_table, checked before anything is allocated.  A
+# CLI dump of 1e6 rows of the 3-pulse mzi is ~136 MB of CSV and peaks at
+# ~0.8 GB resident; memory grows linearly in rows and in pulses.
+MAX_TRAJECTORY_ROWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class TrajectorySegment:
@@ -132,12 +137,19 @@ def trajectory_table(
     """Sampled trajectories as columns (t, z1, v1, z2, v2, zg).
 
     Rows run over multiples of dt from 0 to t_end, with a final row at t_end
-    when the grid does not land on it exactly.
+    when the grid does not land on it exactly.  Raises ValueError, before
+    anything is allocated, when the grid needs more than MAX_TRAJECTORY_ROWS
+    rows.
     """
     require_valid(seq, structural_only=True)
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     t_end = seq.duration
+    if not t_end / dt < MAX_TRAJECTORY_ROWS:
+        raise ValueError(
+            f"dt={dt!r} over a duration of {t_end!r} s needs more than "
+            f"{MAX_TRAJECTORY_ROWS} rows; use a coarser step"
+        )
     n = int(np.floor(t_end / dt))
     ts = np.arange(n + 1, dtype=float) * dt
     if ts[-1] < t_end:

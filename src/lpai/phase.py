@@ -20,10 +20,13 @@ cancelling pulse pairs (a pause inserted in a symmetric geometry, say).
 
 from __future__ import annotations
 
+import functools
 import math
 
+import numpy as np
+
 from . import constants
-from ._exactsum import triple_product_terms, two_product
+from ._exactsum import triple_product_rows, two_product
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -38,27 +41,54 @@ from .geometry import ClosureReport, closure_check
 from .kinematics import gravity_trajectory
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_gather(n: int) -> np.ndarray:
+    """Read-only indices into the flat (t, k_upper, k_lower) x n pulse table.
+
+    The gathered values form three rows of 2 * pairs entries, over the pairs
+    ell < n in one fixed order: k_n for the upper branch then for the lower
+    one, k_ell likewise, and t_n for every pair followed by t_ell.
+    """
+    later, earlier = np.tril_indices(n, -1)
+    t, k_upper, k_lower = 0, n, 2 * n  # row offsets in the flat table
+    index = np.concatenate(
+        (
+            k_upper + later, k_lower + later,
+            k_upper + earlier, k_lower + earlier,
+            t + later, t + earlier,
+        )
+    )
+    index.flags.writeable = False
+    return index
+
+
 def recoil_double_sum(seq: PulseSequence) -> float:
     """Branch-differential sum of k_n*k_ell*(t_n - t_ell) over pulse pairs.
 
-    Returns S = sum over n, sum over ell <= n of
+    Returns S = sum over n, sum over ell < n of
     [k_n^(1) k_ell^(1) - k_n^(2) k_ell^(2)] (t_n - t_ell) in s/m^2.  The
-    diagonal ell = n terms are kept (they vanish identically, and the loop
-    stays uniform).  Each triple product enters as an exact four-term float
-    expansion and the whole pile goes through fsum, so the return value is
-    the correctly rounded sum given the rounded time differences.
+    diagonal ell = n terms vanish and are left out.  Each triple product
+    enters as an exact four-term float expansion, formed for all pairs and
+    both branches in one array pass, and the whole pile goes through fsum, so
+    the return value is the correctly rounded sum given the rounded time
+    differences.
     """
-    terms: list[float] = []
     pulses = seq.pulses
-    for n, pn in enumerate(pulses):
-        for pl in pulses[: n + 1]:
-            dt = pn.t - pl.t
-            for kn, kl, sign in (
-                (pn.k_upper, pl.k_upper, 1.0),
-                (pn.k_lower, pl.k_lower, -1.0),
-            ):
-                terms.extend(sign * v for v in triple_product_terms(kn, kl, dt))
-    return math.fsum(terms)
+    table = np.array(
+        [p.t for p in pulses] + [p.k_upper for p in pulses] + [p.k_lower for p in pulses],
+        dtype=float,
+    )
+    factors = table[_pair_gather(len(pulses))].reshape(3, -1)
+    # The last row holds t_n, t_ell; it becomes dt for the upper branch and
+    # -dt, an exact negation, for the lower one in place of negating terms.
+    t_n, t_ell = factors[2].reshape(2, -1)
+    np.subtract(t_n, t_ell, out=t_n)
+    np.negative(t_n, out=t_ell)
+    # Products beyond the float range become inf/nan terms and fsum reports
+    # them; numpy's warnings would only repeat that on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = triple_product_rows(factors)
+    return math.fsum(memoryview(terms.reshape(-1)))
 
 
 def require_closed(seq: PulseSequence, species: Species) -> ClosureReport:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from lpai import ClockPair, Pulse, PulseSequence, constants
+from lpai._exactsum import triple_product_terms
 
 
 def random_closed_sequence(
@@ -73,6 +76,25 @@ def random_clock(
     ratio = rng.uniform(min_ratio, max_ratio)
     omega = ratio * m * constants.C**2 / constants.HBAR
     return ClockPair(mean_mass=m, splitting_omega=omega)
+
+
+def recoil_double_sum_loop(seq: PulseSequence) -> float:
+    """Pair-by-pair reference for lpai.recoil_double_sum on Python floats.
+
+    The same exact triple-product expansions and fsum as the array pass, one
+    pair and one branch at a time, with the vanishing ell = n terms kept.
+    """
+    terms: list[float] = []
+    pulses = seq.pulses
+    for n, pn in enumerate(pulses):
+        for pl in pulses[: n + 1]:
+            dt = pn.t - pl.t
+            for kn, kl, sign in (
+                (pn.k_upper, pl.k_upper, 1.0),
+                (pn.k_lower, pl.k_lower, -1.0),
+            ):
+                terms.extend(sign * v for v in triple_product_terms(kn, kl, dt))
+    return math.fsum(terms)
 
 
 def float_bits(x: float) -> bytes:

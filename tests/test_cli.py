@@ -165,6 +165,16 @@ class TestSimulate:
         assert rows[0][0] == 0.0
         assert rows[-1][0] == pytest.approx(0.8)
 
+    def test_trajectory_dump_over_the_row_budget_is_an_error(self, capsys, tmp_path):
+        dump = tmp_path / "t.csv"
+        code, out, err = run(
+            capsys, *self.BASE, "--dump-trajectory", str(dump), "--dump-dt", "1e-12"
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "rows" in err
+        assert out == ""
+        assert not dump.exists()
+
     def test_trajectory_dump_needs_a_step(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.BASE, "--dump-trajectory", str(tmp_path / "t.csv"))
         assert code == 1
@@ -314,6 +324,23 @@ class TestOracle:
         )
         assert code == 0
         assert "# fitted_exponent = " in out
+
+    def test_sweep_without_a_fit_prints_strict_json(self, capsys):
+        # all but one residual sit below the floor, so no exponent is fitted
+        argv = (
+            "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1",
+            "--mass", SR_MASS, "--g", "9.81", "--sweep-sigma", "1e-4", "5e-5", "2.5e-5",
+        )
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert json.loads(out, parse_constant=reject)["fitted_exponent"] is None
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "# fitted_exponent = nan" in out
 
     def test_increasing_sweep_is_rejected(self, capsys):
         code, _, err = run(capsys, *self.BASE, "--sweep-sigma", "1e-6", "1e-5")

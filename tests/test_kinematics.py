@@ -19,6 +19,7 @@ from lpai import (
     sample,
     trajectory_table,
 )
+from lpai import kinematics
 
 ATOM = Species(1.443157e-25)
 FLAT = GravityEnv(0.0)
@@ -170,6 +171,18 @@ class TestTrajectoryTable:
         table = trajectory_table(seq, ATOM, FLAT, REST, 0.3)
         assert table[-1, 0] == seq.duration
         assert table[-2, 0] == pytest.approx(0.6)
+
+    def test_row_budget_is_checked_before_allocating(self):
+        with pytest.raises(ValueError, match="rows"):
+            trajectory_table(build_mzi(1e7, 0.4), ATOM, FLAT, REST, 1e-12)
+
+    def test_row_budget_boundary(self, monkeypatch):
+        seq = build_mzi(1e7, 0.4)  # 0.8 / 0.1 gives 9 rows
+        monkeypatch.setattr(kinematics, "MAX_TRAJECTORY_ROWS", 9)
+        assert trajectory_table(seq, ATOM, FLAT, REST, 0.1).shape == (9, 6)
+        monkeypatch.setattr(kinematics, "MAX_TRAJECTORY_ROWS", 8)
+        with pytest.raises(ValueError, match="more than 8 rows"):
+            trajectory_table(seq, ATOM, FLAT, REST, 0.1)
 
     def test_rows_match_scalar_sampling(self):
         seq = build_rbi_double_loop(1e7, 0.25)

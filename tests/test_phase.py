@@ -1,6 +1,7 @@
 """Closed-form phase decomposition against exact rational arithmetic."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from lpai import (
     total_phase,
 )
 
-from _helpers import float_bits, random_closed_sequence
+from _helpers import float_bits, random_closed_sequence, recoil_double_sum_loop
 
 SR = Species(1.443157e-25)
 FLAT = GravityEnv(0.0)
@@ -56,6 +57,23 @@ def delta_tau_by_fractions(seq: PulseSequence, species: Species) -> float:
     return float(hbar * hbar * s / (2 * m * m * c * c))
 
 
+EDGE_SEQUENCES = {
+    "no pulses": PulseSequence(()),
+    "one pulse": PulseSequence((Pulse(0.0, 1.8e10, -3.3e6),)),
+    "two pulses": PulseSequence((Pulse(0.0, 1e7, 0.0), Pulse(0.3, -1e7, 0.0))),
+    "three signed zeros": PulseSequence(
+        (Pulse(0.0, 0.0, -0.0), Pulse(0.1, -0.0, 0.0), Pulse(0.2, -0.0, -0.0))
+    ),
+    "three pulses": PulseSequence(
+        (Pulse(0.0, 1e7, 2e7), Pulse(0.1, -2e7, -2e7), Pulse(0.3, 1e7, 0.0))
+    ),
+    "mzi": build_mzi(1.8e10, 0.325),
+    "rbi-sym": build_rbi_symmetric(1.8e10, 0.1, 0.3),
+    "rbi-asym": build_rbi_asymmetric(1.8e10, 0.325, 0.07),
+    "rbi-double": build_rbi_double_loop(8.7e9, 0.35),
+}
+
+
 def swap_branches(seq: PulseSequence) -> PulseSequence:
     return PulseSequence(
         tuple(Pulse(p.t, p.k_lower, p.k_upper, p.phi_lower, p.phi_upper) for p in seq.pulses),
@@ -81,6 +99,44 @@ class TestRecoilDoubleSum:
         for _ in range(25):
             seq = random_closed_sequence(rng, with_common_mode=True, with_phases=True)
             assert recoil_double_sum(seq) == float(double_sum_by_fractions(seq))
+
+    @pytest.mark.parametrize(
+        "n_pulses,k_scale,seed", [(40, 1e3, 17), (90, 1e7, 19), (150, 1e11, 23)]
+    )
+    def test_long_sequences_match_the_rational_reference(self, n_pulses, k_scale, seed):
+        rng = np.random.default_rng(seed)
+        seq = random_closed_sequence(
+            rng, n_pulses, k_scale=k_scale, with_common_mode=True, with_phases=True
+        )
+        assert recoil_double_sum(seq) == float(double_sum_by_fractions(seq))
+
+    @pytest.mark.parametrize("name", EDGE_SEQUENCES)
+    def test_array_pass_matches_the_pair_loop_bit_for_bit(self, name):
+        seq = EDGE_SEQUENCES[name]
+        assert float_bits(recoil_double_sum(seq)) == float_bits(recoil_double_sum_loop(seq))
+
+    def test_overflow_raises_the_loop_error_without_numpy_warnings(self):
+        seq = build_rbi_asymmetric(1e200, 0.1)
+        with pytest.raises(ValueError) as expected:
+            recoil_double_sum_loop(seq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                recoil_double_sum(seq)
+        assert str(got.value) == str(expected.value) == "-inf + inf in fsum"
+
+    def test_an_overflowing_square_on_the_diagonal_does_not_poison_the_sum(self):
+        # k^2 overflows on the middle pulse, but it only meets itself in the
+        # vanishing ell = n term; every pair term is finite.
+        seq = PulseSequence(
+            (
+                Pulse(0.0, 1.0, 0.0),
+                Pulse(0.5, 1e160, 1e160),
+                Pulse(1.0, -2.0, 0.0),
+                Pulse(2.0, 1.0, 0.0),
+            )
+        )
+        assert recoil_double_sum(seq) == float(double_sum_by_fractions(seq))
 
     def test_pause_does_not_change_the_asymmetric_sum_for_dyadic_times(self):
         k, T = 1.8e10, 0.25
