@@ -25,6 +25,12 @@ Accuracy notes, which the tests lean on:
   space the common sigma/2 centroid shift drops out of every closed-form
   quantity, so no recentering is needed.
 
+Each array is built once per call, and only what a result reads is marched.
+Top-hat windows leave the three RK4 stage accelerations equal, so one array
+serves all three; cosine windows compute their profile once per window and
+stage.  oracle_report and proper_time_numeric march the branches for velocity
+only.  A grid over MAX_ORACLE_NODES is refused before anything is allocated.
+
 A nonzero gravity gradient switches integrate_branch to a slower,
 state-dependent stepper with acceleration -g - gradient*z + pulses; that path
 is exploratory (the closed forms assume a uniform field) and the quadrature
@@ -55,6 +61,10 @@ from .phase import proper_time_difference as proper_time_closed
 _SHAPES = ("tophat", "cosine")
 _IMPULSE_HARD_LIMIT = 1e-6
 _RESIDUAL_FLOOR = 1e-12
+# Grid nodes one call may allocate.  A call peaks at about 100 bytes per node
+# (cosine oracle_report, resident set at 2e6 nodes), so this keeps the
+# largest allowed grid near 0.8 GB.
+MAX_ORACLE_NODES = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -164,36 +174,63 @@ def _check_config(seq: PulseSequence, cfg: OracleConfig) -> None:
 @dataclass(frozen=True)
 class _Grid:
     ts: np.ndarray
-    t_mid: np.ndarray
     h: np.ndarray
     windows: tuple[tuple[int, int], ...]  # node index span of each pulse window
+    widths: tuple[float, ...]  # realized width ts[i1] - ts[i0] of each window
+    profiles: tuple[tuple[np.ndarray, ...], ...] | None  # cosine: per window and stage
+
+
+def _breakpoints(seq: PulseSequence, sigma: float) -> tuple[list[float], list[float]]:
+    """Window end times, and the sorted grid breakpoints."""
+    times = seq.times
+    window_ends = [t + sigma for t in times]
+    t_stop = max([seq.duration, *window_ends])
+    return window_ends, sorted({min([0.0, *times]), t_stop, *times, *window_ends})
+
+
+def _require_budget(breakpoints: Sequence[float], steps_per_segment: int) -> int:
+    """Even step count per segment, once the grid fits in MAX_ORACLE_NODES."""
+    n = steps_per_segment + (steps_per_segment % 2)
+    nodes = (len(breakpoints) - 1) * n + 1
+    if nodes > MAX_ORACLE_NODES:
+        raise OracleConfigError(
+            f"{len(breakpoints) - 1} segments of {n} steps need {nodes} grid nodes, "
+            f"more than {MAX_ORACLE_NODES}; lower steps_per_segment"
+        )
+    return n
+
+
+def _cosine(t: np.ndarray, start: float, width: float) -> np.ndarray:
+    """Raised-cosine window profile 1 - cos(2 pi x / width), x = t - start clipped to the window."""
+    return 1.0 - np.cos(2.0 * np.pi * np.clip(t - start, 0.0, width) / width)
 
 
 def _build_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
-    times = seq.times
-    sigma = cfg.pulse_width
-    window_ends = [t + sigma for t in times]
-    t_lo = min([0.0, *times])
-    t_stop = max([seq.duration, *window_ends]) if times else seq.duration
-    breakpoints = sorted({t_lo, t_stop, *times, *window_ends})
-
-    n = cfg.steps_per_segment + (cfg.steps_per_segment % 2)
+    window_ends, breakpoints = _breakpoints(seq, cfg.pulse_width)
+    n = _require_budget(breakpoints, cfg.steps_per_segment)
     pieces = [np.linspace(a, b, n + 1)[:-1] for a, b in zip(breakpoints[:-1], breakpoints[1:])]
     pieces.append(np.array([breakpoints[-1]]))
     ts = np.concatenate(pieces)
+    h = np.diff(ts)
 
     position = {bp: i for i, bp in enumerate(breakpoints)}
     windows = tuple(
-        (position[t] * n, position[end] * n) for t, end in zip(times, window_ends)
+        (position[t] * n, position[end] * n) for t, end in zip(seq.times, window_ends)
     )
-    h = np.diff(ts)
-    t_mid = ts[:-1] + 0.5 * h
-    return _Grid(ts=ts, t_mid=t_mid, h=h, windows=windows)
+    widths = tuple(float(ts[i1] - ts[i0]) for i0, i1 in windows)
+    profiles = None
+    if cfg.pulse_shape == "cosine":
+        profiles = tuple(
+            tuple(
+                _cosine(stage_t, t, width)
+                for stage_t in (ts[i0:i1], ts[i0:i1] + 0.5 * h[i0:i1], ts[i0 + 1 : i1 + 1])
+            )
+            for t, (i0, i1), width in zip(seq.times, windows, widths)
+        )
+    return _Grid(ts=ts, h=h, windows=windows, widths=widths, profiles=profiles)
 
 
-def _stage_accels(
-    grid: _Grid, seq: PulseSequence, ks: Sequence[float], cfg: OracleConfig, mass: float, g: float
-):
+def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
     """Acceleration arrays (left, mid, right) for one forcing: -g plus windows.
 
     Steps are assigned to windows by index through grid.windows rather than
@@ -203,35 +240,25 @@ def _stage_accels(
     amplitude is normalized by the realized width ts[i1] - ts[i0] instead of
     the nominal one; otherwise every kick is off by a relative eps * t/sigma
     and gravity couples to the broken closure.
+
+    Top-hat windows, and a forcing without kicks, leave the three stages
+    equal, so one array is returned three times.
     """
-    n_steps = grid.h.size
-    a_left = np.full(n_steps, -float(g))
-    a_mid = np.full(n_steps, -float(g))
-    a_right = np.full(n_steps, -float(g))
-    for (i0, i1), p, k in zip(grid.windows, seq.pulses, ks):
-        if k == 0.0:
-            continue
-        width = grid.ts[i1] - grid.ts[i0]
-        amp = constants.HBAR * k / (mass * width)
-        steps = slice(i0, i1)
-        if cfg.pulse_shape == "tophat":
-            a_left[steps] += amp
-            a_mid[steps] += amp
-            a_right[steps] += amp
-        else:
-            for stage_t, arr in (
-                (grid.ts[:-1], a_left),
-                (grid.t_mid, a_mid),
-                (grid.ts[1:], a_right),
-            ):
-                x = np.clip(stage_t[steps] - p.t, 0.0, width)
-                arr[steps] += amp * (1.0 - np.cos(2.0 * np.pi * x / width))
-    return a_left, a_mid, a_right
-
-
-def _march(grid: _Grid, accels, z0: float, v0: float):
-    a_left, a_mid, a_right = accels
-    return _kernels.march_rk4(grid.h, a_left, a_mid, a_right, z0, v0)
+    base = np.full(grid.h.size, -float(g))
+    kicks = [
+        (i, constants.HBAR * k / (mass * grid.widths[i])) for i, k in enumerate(ks) if k != 0.0
+    ]
+    if grid.profiles is None or not kicks:
+        for i, amp in kicks:
+            i0, i1 = grid.windows[i]
+            base[i0:i1] += amp
+        return base, base, base
+    stages = (base, base.copy(), base.copy())
+    for i, amp in kicks:
+        i0, i1 = grid.windows[i]
+        for arr, profile in zip(stages, grid.profiles[i]):
+            arr[i0:i1] += amp * profile
+    return stages
 
 
 def _simpson(f: np.ndarray, ts: np.ndarray) -> float:
@@ -240,7 +267,7 @@ def _simpson(f: np.ndarray, ts: np.ndarray) -> float:
         return 0.0
     widths = ts[2::2] - ts[:-2:2]
     terms = (widths / 6.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
-    return math.fsum(terms)
+    return math.fsum(memoryview(terms))
 
 
 def _branch_ks(seq: PulseSequence, branch: int) -> list[float]:
@@ -251,20 +278,12 @@ def _branch_ks(seq: PulseSequence, branch: int) -> list[float]:
     raise ValueError(f"branch must be 1 or 2, got {branch!r}")
 
 
-def _impulse_check(
-    grid: _Grid,
-    v: np.ndarray,
-    ks: Sequence[float],
-    mass: float,
-    g: float,
-    cfg: OracleConfig,
-) -> None:
+def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float, g: float) -> None:
     scale = max((constants.HBAR * abs(k) / mass for k in ks), default=0.0)
     if scale == 0.0:
         return
     worst = 0.0
-    for (i0, i1), k in zip(grid.windows, ks):
-        width = grid.ts[i1] - grid.ts[i0]
+    for (i0, i1), k, width in zip(grid.windows, ks, grid.widths):
         expected = constants.HBAR * k / mass - g * width
         worst = max(worst, abs((v[i1] - v[i0]) - expected))
     if worst > _IMPULSE_HARD_LIMIT * scale:
@@ -272,6 +291,17 @@ def _impulse_check(
             f"velocity change per pulse off by {worst / scale:.3e} relative "
             f"(limit {_IMPULSE_HARD_LIMIT:.0e}); raise steps_per_segment"
         )
+
+
+def _march_branch(grid: _Grid, ks, mass: float, env: GravityEnv, ics, *, positions: bool):
+    """One impulse-checked branch: (z, v), with z None unless positions are asked for."""
+    accels = _stage_accels(grid, ks, mass, env.g)
+    if positions:
+        z, v = _kernels.march_rk4(grid.h, *accels, ics.z0, ics.v0)
+    else:
+        z, v = None, _kernels.march_velocity(grid.h, *accels, float(ics.v0))
+    _impulse_check(grid, v, ks, mass, env.g)
+    return z, v
 
 
 def integrate_branch(
@@ -292,54 +322,36 @@ def integrate_branch(
     _check_config(seq, cfg)
     grid = _build_grid(seq, cfg)
     ks = _branch_ks(seq, branch)
-    accels = _stage_accels(grid, seq, ks, cfg, species.mass, env.g)
     if env.gradient != 0.0:
-        z, v = _kernels.march_gradient(
-            grid.h, accels[0], accels[1], accels[2], env.gradient, ics.z0, ics.v0
-        )
+        accels = _stage_accels(grid, ks, species.mass, env.g)
+        z, v = _kernels.march_gradient(grid.h, *accels, env.gradient, ics.z0, ics.v0)
     else:
-        z, v = _march(grid, accels, ics.z0, ics.v0)
-        _impulse_check(grid, v, ks, species.mass, env.g, cfg)
+        z, v = _march_branch(grid, ks, species.mass, env, ics, positions=True)
     return SampledTrajectory(t=grid.ts, z=z, v=v)
 
 
-@dataclass(frozen=True)
-class _RunBundle:
-    grid: _Grid
-    z1: np.ndarray
-    v1: np.ndarray
-    z2: np.ndarray
-    v2: np.ndarray
-    dz: np.ndarray
-    dv: np.ndarray
-    zg: np.ndarray
-    vg: np.ndarray
-
-
-def _run(seq, species, env, ics, cfg) -> _RunBundle:
+def _quadrature_grid(seq: PulseSequence, env: GravityEnv, cfg: OracleConfig) -> _Grid:
     require_valid(seq, structural_only=True)
     env.require_uniform()
     _check_config(seq, cfg)
-    grid = _build_grid(seq, cfg)
+    return _build_grid(seq, cfg)
+
+
+def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, float]:
+    """Numeric delta_tau, and the end point (dz, dv) of the branch-difference system.
+
+    The integrand -dv*(v1+v2)/2 + g*dz reads no branch position, so the
+    branches are marched for velocity only.
+    """
     m = species.mass
     k1 = _branch_ks(seq, 1)
     k2 = _branch_ks(seq, 2)
+    _, v1 = _march_branch(grid, k1, m, env, ics, positions=False)
+    _, v2 = _march_branch(grid, k2, m, env, ics, positions=False)
     dk = [a - b for a, b in zip(k1, k2)]
-
-    acc1 = _stage_accels(grid, seq, k1, cfg, m, env.g)
-    acc2 = _stage_accels(grid, seq, k2, cfg, m, env.g)
-    accd = _stage_accels(grid, seq, dk, cfg, m, 0.0)
-
-    z1, v1 = _march(grid, acc1, ics.z0, ics.v0)
-    z2, v2 = _march(grid, acc2, ics.z0, ics.v0)
-    dz, dv = _march(grid, accd, 0.0, 0.0)
-
-    _impulse_check(grid, v1, k1, m, env.g, cfg)
-    _impulse_check(grid, v2, k2, m, env.g, cfg)
-
-    accg = _stage_accels(grid, seq, [0.0] * len(k1), cfg, m, env.g)
-    zg, vg = _march(grid, accg, ics.z0, ics.v0)
-    return _RunBundle(grid, z1, v1, z2, v2, dz, dv, zg, vg)
+    dz, dv = _kernels.march_rk4(grid.h, *_stage_accels(grid, dk, m, 0.0), 0.0, 0.0)
+    f = (-0.5 * dv * (v1 + v2) + env.g * dz) / constants.C**2
+    return _simpson(f, grid.ts), float(dz[-1]), float(dv[-1])
 
 
 def proper_time_numeric(
@@ -350,21 +362,34 @@ def proper_time_numeric(
     cfg: OracleConfig,
 ) -> float:
     """Branch proper-time difference by quadrature on the integrated motion."""
-    run = _run(seq, species, env, ics, cfg)
-    f = (-0.5 * run.dv * (run.v1 + run.v2) + env.g * run.dz) / constants.C**2
-    return _simpson(f, run.grid.ts)
+    return _proper_time(_quadrature_grid(seq, env, cfg), seq, species, env, ics)[0]
 
 
-def _window_integral(grid: _Grid, cfg: OracleConfig, pulse_t: float, span, values) -> float:
-    i0, i1 = span
-    ts = grid.ts[i0 : i1 + 1]
-    width = ts[-1] - ts[0]
-    if cfg.pulse_shape == "tophat":
-        w = np.full(ts.shape, 1.0 / width)
-    else:
-        x = np.clip(ts - pulse_t, 0.0, width)
-        w = (1.0 - np.cos(2.0 * np.pi * x / width)) / width
-    return _simpson(w * values[i0 : i1 + 1], ts)
+def _launch(grid: _Grid, env: GravityEnv, ics: InitialConditions) -> np.ndarray:
+    """Pulse-free trajectory z_g on the grid nodes."""
+    a = np.full(grid.h.size, -float(env.g))
+    return _kernels.march_rk4(grid.h, a, a, a, ics.z0, ics.v0)[0]
+
+
+def _window_terms(grid: _Grid, seq: PulseSequence, *forcings) -> list[list[float]]:
+    """Per (ks, z) forcing, k * (window average of z) for every window with k != 0.
+
+    Each window's weights are built once and shared by the forcings.
+    """
+    terms: list[list[float]] = [[] for _ in forcings]
+    for i, (p, (i0, i1), width) in enumerate(zip(seq.pulses, grid.windows, grid.widths)):
+        ts = grid.ts[i0 : i1 + 1]
+        w = None
+        for out, (ks, z) in zip(terms, forcings):
+            if ks[i] != 0.0:
+                if w is None:
+                    w = 1.0 / width if grid.profiles is None else _cosine(ts, p.t, width) / width
+                out.append(ks[i] * _simpson(w * z[i0 : i1 + 1], ts))
+    return terms
+
+
+def _laser_sum(seq: PulseSequence) -> float:
+    return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
 
 
 def action_numeric(
@@ -385,21 +410,18 @@ def action_numeric(
     the two natural scales, and is nan when the closed form refuses the
     input (open or degenerate sequences).
     """
-    run = _run(seq, species, env, ics, cfg)
-    grid = run.grid
-
-    kick_terms: list[float] = []
-    gravito_terms: list[float] = []
-    for p, span in zip(seq.pulses, grid.windows):
-        if p.k_upper != 0.0:
-            kick_terms.append(p.k_upper * _window_integral(grid, cfg, p.t, span, run.z1))
-        if p.k_lower != 0.0:
-            kick_terms.append(-p.k_lower * _window_integral(grid, cfg, p.t, span, run.z2))
-        if p.delta_k != 0.0:
-            gravito_terms.append(p.delta_k * _window_integral(grid, cfg, p.t, span, run.zg))
-    kick_total = math.fsum(kick_terms)
-    gravito_part = math.fsum(gravito_terms)
-    laser_part = math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
+    grid = _quadrature_grid(seq, env, cfg)
+    k1 = _branch_ks(seq, 1)
+    k2 = _branch_ks(seq, 2)
+    z1, _ = _march_branch(grid, k1, species.mass, env, ics, positions=True)
+    z2, _ = _march_branch(grid, k2, species.mass, env, ics, positions=True)
+    dk = [p.delta_k for p in seq.pulses]
+    upper, lower, gravito = _window_terms(
+        grid, seq, (k1, z1), ([-k for k in k2], z2), (dk, _launch(grid, env, ics))
+    )
+    kick_total = math.fsum(upper + lower)
+    gravito_part = math.fsum(gravito)
+    laser_part = _laser_sum(seq)
     total = kick_total + laser_part
     recoil_part = kick_total - gravito_part
 
@@ -458,28 +480,28 @@ def oracle_report(
     env: GravityEnv,
     ics: InitialConditions,
     cfg: OracleConfig,
+    *,
+    delta_tau_closed: float | None = None,
 ) -> OracleResult:
-    """Full numeric-versus-closed-form comparison for a closed sequence."""
-    run = _run(seq, species, env, ics, cfg)
-    grid = run.grid
+    """Full numeric-versus-closed-form comparison for a closed sequence.
 
-    f = (-0.5 * run.dv * (run.v1 + run.v2) + env.g * run.dz) / constants.C**2
-    dtau_num = _simpson(f, grid.ts)
-
-    gravito_terms = [
-        p.delta_k * _window_integral(grid, cfg, p.t, span, run.zg)
-        for p, span in zip(seq.pulses, grid.windows)
-        if p.delta_k != 0.0
-    ]
+    delta_tau_closed, when given, stands in for proper_time_difference(seq,
+    species), which convergence_study evaluates once for all widths.
+    """
+    grid = _quadrature_grid(seq, env, cfg)
+    dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
+    (gravito_terms,) = _window_terms(
+        grid, seq, ([p.delta_k for p in seq.pulses], _launch(grid, env, ics))
+    )
     gravito_num = math.fsum(gravito_terms)
-    laser_part = math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
 
-    dtau_closed = proper_time_closed(seq, species)
+    if delta_tau_closed is None:
+        delta_tau_closed = proper_time_closed(seq, species)
     omega_c = species.mass * constants.C**2 / constants.HBAR
-    total_num = omega_c * dtau_num + gravito_num + laser_part
+    total_num = omega_c * dtau_num + gravito_num + _laser_sum(seq)
 
-    diff = abs(dtau_num - dtau_closed)
-    denom = max(abs(dtau_closed), _delta_tau_scale(seq, species))
+    diff = abs(dtau_num - delta_tau_closed)
+    denom = max(abs(delta_tau_closed), _delta_tau_scale(seq, species))
     residual = diff / denom if denom > 0.0 else (0.0 if diff == 0.0 else math.inf)
 
     return OracleResult(
@@ -487,11 +509,11 @@ def oracle_report(
         steps_per_segment=cfg.steps_per_segment,
         pulse_shape=cfg.pulse_shape,
         delta_tau_numeric=dtau_num,
-        delta_tau_closed=dtau_closed,
+        delta_tau_closed=delta_tau_closed,
         residual_vs_closed_form=residual,
         gravito_recoil_numeric=gravito_num,
         total_phase_numeric=total_num,
-        closure_residuals=(float(run.dz[-1]), float(run.dv[-1])),
+        closure_residuals=(dz_end, dv_end),
     )
 
 
@@ -518,10 +540,16 @@ def convergence_study(
     if any(b >= a for a, b in zip(widths[:-1], widths[1:])):
         raise OracleConfigError(f"widths must be strictly decreasing, got {widths!r}")
 
+    for w in widths:
+        _require_budget(_breakpoints(seq, w)[1], steps_per_segment)
+
     residuals = []
+    closed = None  # the closed form does not depend on the width
     for w in widths:
         cfg = OracleConfig(pulse_width=w, steps_per_segment=steps_per_segment, pulse_shape=pulse_shape)
-        residuals.append(oracle_report(seq, species, env, ics, cfg).residual_vs_closed_form)
+        report = oracle_report(seq, species, env, ics, cfg, delta_tau_closed=closed)
+        closed = report.delta_tau_closed
+        residuals.append(report.residual_vs_closed_form)
 
     for (w_a, r_a), (w_b, r_b) in zip(zip(widths, residuals), zip(widths[1:], residuals[1:])):
         if r_a > _RESIDUAL_FLOOR and r_b > _RESIDUAL_FLOOR and r_b >= r_a:

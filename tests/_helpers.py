@@ -101,3 +101,186 @@ def float_bits(x: float) -> bytes:
     import struct
 
     return struct.pack("<d", x)
+
+
+# --- frozen oracle pipeline ---------------------------------------------------
+#
+# The finite-width oracle as it stood before its stage arrays were shared and
+# its branch marches cut to velocity only: a separate stage array per stage
+# and forcing, four full marches per run, numpy scalars into fsum.  The tests
+# hold lpai.oracle to these values bit for bit.
+
+
+def _ref_grid(seq: PulseSequence, sigma: float, steps: int):
+    times = seq.times
+    window_ends = [t + sigma for t in times]
+    t_lo = min([0.0, *times])
+    t_stop = max([seq.duration, *window_ends]) if times else seq.duration
+    breakpoints = sorted({t_lo, t_stop, *times, *window_ends})
+    n = steps + (steps % 2)
+    pieces = [np.linspace(a, b, n + 1)[:-1] for a, b in zip(breakpoints[:-1], breakpoints[1:])]
+    pieces.append(np.array([breakpoints[-1]]))
+    ts = np.concatenate(pieces)
+    position = {bp: i for i, bp in enumerate(breakpoints)}
+    windows = [(position[t] * n, position[end] * n) for t, end in zip(times, window_ends)]
+    h = np.diff(ts)
+    return ts, ts[:-1] + 0.5 * h, h, windows
+
+
+def ref_stage_accels(grid, seq: PulseSequence, ks, shape: str, mass: float, g: float):
+    """Acceleration arrays (left, mid, right) of one forcing, one array per stage."""
+    ts, t_mid, h, windows = grid
+    a_left = np.full(h.size, -float(g))
+    a_mid = np.full(h.size, -float(g))
+    a_right = np.full(h.size, -float(g))
+    for (i0, i1), p, k in zip(windows, seq.pulses, ks):
+        if k == 0.0:
+            continue
+        width = ts[i1] - ts[i0]
+        amp = constants.HBAR * k / (mass * width)
+        steps = slice(i0, i1)
+        if shape == "tophat":
+            a_left[steps] += amp
+            a_mid[steps] += amp
+            a_right[steps] += amp
+        else:
+            for stage_t, arr in ((ts[:-1], a_left), (t_mid, a_mid), (ts[1:], a_right)):
+                x = np.clip(stage_t[steps] - p.t, 0.0, width)
+                arr[steps] += amp * (1.0 - np.cos(2.0 * np.pi * x / width))
+    return a_left, a_mid, a_right
+
+
+def _ref_march(h, accels, z0: float, v0: float):
+    a_left, a_mid, a_right = accels
+    dv = (h / 6.0) * (a_left + 4.0 * a_mid + a_right)
+    v = np.concatenate(([v0], dv)).cumsum()
+    dz = h * v[:-1] + (h * h / 6.0) * (a_left + 2.0 * a_mid)
+    z = np.concatenate(([z0], dz)).cumsum()
+    return z, v
+
+
+def _ref_simpson(f, ts) -> float:
+    if f.size < 3:
+        return 0.0
+    widths = ts[2::2] - ts[:-2:2]
+    return math.fsum((widths / 6.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2]))
+
+
+def _ref_window_integral(grid, shape: str, pulse_t: float, span, values) -> float:
+    i0, i1 = span
+    ts = grid[0][i0 : i1 + 1]
+    width = ts[-1] - ts[0]
+    if shape == "tophat":
+        w = np.full(ts.shape, 1.0 / width)
+    else:
+        x = np.clip(ts - pulse_t, 0.0, width)
+        w = (1.0 - np.cos(2.0 * np.pi * x / width)) / width
+    return _ref_simpson(w * values[i0 : i1 + 1], ts)
+
+
+def ref_run(seq: PulseSequence, species, env, ics, cfg) -> dict:
+    """Grid and all four marches (branches, difference system, launch) of one oracle run."""
+    grid = _ref_grid(seq, cfg.pulse_width, cfg.steps_per_segment)
+    m, shape = species.mass, cfg.pulse_shape
+    k1 = [p.k_upper for p in seq.pulses]
+    k2 = [p.k_lower for p in seq.pulses]
+    dk = [a - b for a, b in zip(k1, k2)]
+    run = {"grid": grid}
+    run["z1"], run["v1"] = _ref_march(grid[2], ref_stage_accels(grid, seq, k1, shape, m, env.g), ics.z0, ics.v0)
+    run["z2"], run["v2"] = _ref_march(grid[2], ref_stage_accels(grid, seq, k2, shape, m, env.g), ics.z0, ics.v0)
+    run["dz"], run["dv"] = _ref_march(grid[2], ref_stage_accels(grid, seq, dk, shape, m, 0.0), 0.0, 0.0)
+    zero = [0.0] * len(k1)
+    run["zg"], run["vg"] = _ref_march(grid[2], ref_stage_accels(grid, seq, zero, shape, m, env.g), ics.z0, ics.v0)
+    return run
+
+
+def ref_proper_time_numeric(seq: PulseSequence, species, env, ics, cfg) -> float:
+    run = ref_run(seq, species, env, ics, cfg)
+    f = (-0.5 * run["dv"] * (run["v1"] + run["v2"]) + env.g * run["dz"]) / constants.C**2
+    return _ref_simpson(f, run["grid"][0])
+
+
+def _ref_laser(seq: PulseSequence) -> float:
+    return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
+
+
+def _ref_time_span(seq: PulseSequence) -> float:
+    times = seq.times
+    if not times:
+        return seq.duration
+    return max(seq.duration, times[-1]) - min(0.0, times[0])
+
+
+def _ref_k_max(seq: PulseSequence) -> float:
+    return max((max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses), default=0.0)
+
+
+def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg) -> dict:
+    """OracleResult fields, as the frozen pipeline computes them."""
+    from lpai import proper_time_difference
+
+    run = ref_run(seq, species, env, ics, cfg)
+    grid = run["grid"]
+    f = (-0.5 * run["dv"] * (run["v1"] + run["v2"]) + env.g * run["dz"]) / constants.C**2
+    dtau_num = _ref_simpson(f, grid[0])
+    gravito_num = math.fsum(
+        p.delta_k * _ref_window_integral(grid, cfg.pulse_shape, p.t, span, run["zg"])
+        for p, span in zip(seq.pulses, grid[3])
+        if p.delta_k != 0.0
+    )
+    dtau_closed = proper_time_difference(seq, species)
+    omega_c = species.mass * constants.C**2 / constants.HBAR
+    vr = constants.HBAR * _ref_k_max(seq) / (species.mass * constants.C)
+    diff = abs(dtau_num - dtau_closed)
+    denom = max(abs(dtau_closed), vr * vr * _ref_time_span(seq))
+    return {
+        "sigma": cfg.pulse_width,
+        "steps_per_segment": cfg.steps_per_segment,
+        "pulse_shape": cfg.pulse_shape,
+        "delta_tau_numeric": dtau_num,
+        "delta_tau_closed": dtau_closed,
+        "residual_vs_closed_form": (
+            diff / denom if denom > 0.0 else (0.0 if diff == 0.0 else math.inf)
+        ),
+        "gravito_recoil_numeric": gravito_num,
+        "total_phase_numeric": omega_c * dtau_num + gravito_num + _ref_laser(seq),
+        "closure_residuals": (float(run["dz"][-1]), float(run["dv"][-1])),
+    }
+
+
+def ref_action_numeric(seq: PulseSequence, species, env, ics, cfg) -> dict:
+    """OracleActions fields, as the frozen pipeline computes them."""
+    from lpai import gravito_recoil_phase, laser_phase, recoil_phase
+
+    run = ref_run(seq, species, env, ics, cfg)
+    grid, shape = run["grid"], cfg.pulse_shape
+    kick_terms: list[float] = []
+    gravito_terms: list[float] = []
+    for p, span in zip(seq.pulses, grid[3]):
+        if p.k_upper != 0.0:
+            kick_terms.append(p.k_upper * _ref_window_integral(grid, shape, p.t, span, run["z1"]))
+        if p.k_lower != 0.0:
+            kick_terms.append(-p.k_lower * _ref_window_integral(grid, shape, p.t, span, run["z2"]))
+        if p.delta_k != 0.0:
+            gravito_terms.append(p.delta_k * _ref_window_integral(grid, shape, p.t, span, run["zg"]))
+    kick_total = math.fsum(kick_terms)
+    gravito_part = math.fsum(gravito_terms)
+    laser_part = _ref_laser(seq)
+    total = kick_total + laser_part
+    try:
+        closed = 2.0 * recoil_phase(seq, species) + gravito_recoil_phase(seq, env, ics) + laser_phase(seq)
+    except ValueError:
+        identity_residual = math.nan
+    else:
+        kmax, span = _ref_k_max(seq), _ref_time_span(seq)
+        z_scale = abs(ics.z0) + abs(ics.v0) * span + 0.5 * abs(env.g) * span * span
+        scale = max(abs(closed), constants.HBAR * kmax * kmax * span / species.mass + kmax * z_scale)
+        diff = abs(total - closed)
+        identity_residual = diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
+    return {
+        "total": total,
+        "recoil_part": kick_total - gravito_part,
+        "gravito_recoil_part": gravito_part,
+        "laser_part": laser_part,
+        "identity_residual": identity_residual,
+    }

@@ -347,6 +347,14 @@ class TestOracle:
         assert code == 1
         assert "decreasing" in err
 
+    @pytest.mark.parametrize("width", [("--sigma", "3.25e-7"), ("--sweep-sigma", "1e-4", "1e-5")])
+    def test_grid_over_the_node_budget_is_refused(self, capsys, width):
+        # 5 segments of 4e6 steps: 2e7 nodes, about 2 GB
+        code, out, err = run(capsys, *self.BASE, "--steps", "4000000", *width)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "grid nodes" in err
+
 
 class TestHarness:
     def test_no_subcommand_is_a_usage_error(self, capsys):

@@ -29,7 +29,15 @@ from lpai import (
     proper_time_difference,
     proper_time_numeric,
 )
-from lpai import _kernels
+from lpai import Pulse, _kernels, oracle
+
+from _helpers import (
+    random_closed_sequence,
+    ref_action_numeric,
+    ref_oracle_report,
+    ref_proper_time_numeric,
+    ref_run,
+)
 
 SR = Species(1.443157e-25)
 FLAT = GravityEnv(0.0)
@@ -62,6 +70,41 @@ class TestConfig:
         cfg = OracleConfig(pulse_width=0.06)
         with pytest.raises(OracleConfigError, match="half the minimum"):
             integrate_branch(build_rbi_asymmetric(1e7, 0.1), 1, SR, FLAT, REST, cfg)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            oracle_report,
+            proper_time_numeric,
+            action_numeric,
+            lambda seq, *rest: integrate_branch(seq, 1, *rest),
+        ],
+    )
+    def test_grid_over_the_node_budget_is_refused_before_allocating(self, entry):
+        # 1e12 steps per segment would need petabytes
+        cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=10**12)
+        with pytest.raises(OracleConfigError, match="grid nodes"):
+            entry(build_rbi_asymmetric(1e7, 0.1), SR, FLAT, REST, cfg)
+
+    def test_node_budget_boundary(self, monkeypatch):
+        seq = build_rbi_asymmetric(1e7, 0.1)  # 3 windows: 5 segments
+        cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=101)  # rounds up to 102
+        nodes = 5 * 102 + 1
+        monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes)
+        assert integrate_branch(seq, 1, SR, FLAT, REST, cfg).t.size == nodes
+        monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes - 1)
+        with pytest.raises(OracleConfigError, match=f"need {nodes} grid nodes, more than {nodes - 1}"):
+            integrate_branch(seq, 1, SR, FLAT, REST, cfg)
+
+    def test_study_checks_the_budget_before_the_first_width(self, monkeypatch):
+        def report(*args, **kwargs):
+            raise AssertionError("a width ran before the budget check")
+
+        monkeypatch.setattr(oracle, "oracle_report", report)
+        with pytest.raises(OracleConfigError, match="grid nodes"):
+            convergence_study(
+                build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 1e-6], steps_per_segment=10**9
+            )
 
 
 class TestImpulseInvariant:
@@ -231,6 +274,26 @@ class TestConvergence:
         assert 0.9 < study.fitted_exponent < 1.1
         assert study.floor == 1e-12
 
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    @pytest.mark.parametrize("k_scale", [1e3, 1e7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_closed_sequences_converge_at_first_order(self, shape, k_scale, seed):
+        rng = np.random.default_rng(seed)
+        seq = random_closed_sequence(rng, k_scale=k_scale, with_common_mode=True, with_phases=True)
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        w = spacing / 50.0
+        study = convergence_study(
+            seq,
+            SR,
+            GravityEnv(9.81),
+            InitialConditions(0.4, -1.3),
+            [w, w / 2.0, w / 4.0],
+            steps_per_segment=100,
+            pulse_shape=shape,
+        )
+        assert all(a > b for a, b in zip(study.residuals, study.residuals[1:]))
+        assert abs(study.fitted_exponent - 1.0) <= 0.1
+
     def test_non_decreasing_widths_are_rejected(self):
         with pytest.raises(OracleConfigError, match="strictly decreasing"):
             convergence_study(build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 1e-4])
@@ -252,6 +315,7 @@ class TestKernels:
         z_py, v_py = _kernels._march_rk4_loop(h, al, am, ar, z0, v0)
         np.testing.assert_array_equal(z_np, z_py)
         np.testing.assert_array_equal(v_np, v_py)
+        np.testing.assert_array_equal(_kernels.march_velocity(h, al, am, ar, v0), v_py)
 
     def test_dispatcher_matches_the_numpy_reference_bitwise(self):
         h, al, am, ar, z0, v0 = self.rand_problem(seed=4)
@@ -290,3 +354,64 @@ class TestKernels:
         lines = out.stdout.strip().splitlines()
         assert lines[0] == "False"
         assert lines[1] == repr(here)
+
+
+def _hex(value):
+    if isinstance(value, (tuple, list)):
+        return [_hex(v) for v in value]
+    return float.hex(value) if isinstance(value, float) else value
+
+
+def _frozen_cases():
+    env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+    cases = []
+    for seed in range(3):
+        rng = np.random.default_rng(100 + seed)
+        seq = random_closed_sequence(rng, k_scale=1e7, with_common_mode=True, with_phases=True)
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        for shape in ("tophat", "cosine"):
+            for steps in (100, 101):
+                cfg = OracleConfig(spacing / 50.0, steps, shape)
+                cases.append(pytest.param(seq, env, ics, cfg, id=f"random{seed}-{shape}-{steps}"))
+    # the lower branch is addressed by no pulse
+    upper_only = PulseSequence(
+        (Pulse(0.0, 1e7, 0.0), Pulse(0.1, -2e7, 0.0, 0.3, 0.0), Pulse(0.2, 1e7, 0.0))
+    )
+    empty = PulseSequence((), duration=1.0)
+    for shape in ("tophat", "cosine"):
+        cfg = OracleConfig(1e-5, 200, shape)
+        cases.append(pytest.param(upper_only, env, ics, cfg, id=f"upper-only-{shape}"))
+        cases.append(pytest.param(empty, env, ics, cfg, id=f"empty-{shape}"))
+    return cases
+
+
+@pytest.mark.parametrize("seq, env, ics, cfg", _frozen_cases())
+class TestFrozenPipeline:
+    """The oracle reproduces the frozen pipeline in tests/_helpers.py bit for bit."""
+
+    def test_report(self, seq, env, ics, cfg):
+        if len(seq.pulses) < 2:
+            with pytest.raises(ValueError, match="too few pulses"):
+                ref_oracle_report(seq, SR, env, ics, cfg)
+            with pytest.raises(ValueError, match="too few pulses"):
+                oracle_report(seq, SR, env, ics, cfg)
+            return
+        report = oracle_report(seq, SR, env, ics, cfg).as_dict()
+        ref = ref_oracle_report(seq, SR, env, ics, cfg)
+        assert {k: _hex(v) for k, v in report.items()} == {k: _hex(v) for k, v in ref.items()}
+
+    def test_proper_time_and_action(self, seq, env, ics, cfg):
+        assert float.hex(proper_time_numeric(seq, SR, env, ics, cfg)) == float.hex(
+            ref_proper_time_numeric(seq, SR, env, ics, cfg)
+        )
+        actions = action_numeric(seq, SR, env, ics, cfg)
+        ref = ref_action_numeric(seq, SR, env, ics, cfg)
+        assert {k: _hex(getattr(actions, k)) for k in ref} == {k: _hex(v) for k, v in ref.items()}
+
+    def test_branch_arrays(self, seq, env, ics, cfg):
+        run = ref_run(seq, SR, env, ics, cfg)
+        for branch in (1, 2):
+            traj = integrate_branch(seq, branch, SR, env, ics, cfg)
+            assert traj.t.tobytes() == run["grid"][0].tobytes()
+            assert traj.z.tobytes() == run[f"z{branch}"].tobytes()
+            assert traj.v.tobytes() == run[f"v{branch}"].tobytes()
