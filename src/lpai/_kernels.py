@@ -12,8 +12,6 @@ loop compiled on import, and a pure-numpy cumulative-sum formulation.  Both
 apply the same floating-point operations in the same order, so their outputs
 match bit for bit; the environment variable LPAI_DISABLE_NUMBA=1 forces the
 numpy path (and any import failure of numba falls back to it silently).
-The numpy path is a velocity step followed by a position step; a caller that
-reads only velocities runs march_velocity alone.
 
 A second, state-dependent stepper handles a linear restoring term
 a = a_stage(t) - gradient * z for exploratory runs with a nonzero gravity
@@ -38,14 +36,19 @@ else:
     njit = None
 
 
-def march_velocity(
-    h: np.ndarray, a_left: np.ndarray, a_mid: np.ndarray, a_right: np.ndarray, v0: float
-) -> np.ndarray:
-    """Velocity half of the reduced RK4: v on the n+1 grid points.
+def march_rk4_numpy(
+    h: np.ndarray,
+    a_left: np.ndarray,
+    a_mid: np.ndarray,
+    a_right: np.ndarray,
+    z0: float,
+    v0: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced RK4 as cumulative sums; returns (z, v) on the n+1 grid points.
 
-    Computes (h/6) (aL + 4 aM + aR) into the tail of the output and sums it
-    up in place; the operands commute, so the bits are those of the plain
-    expression.
+    Each increment is computed in place into the tail of its output and then
+    summed up in place; the operands commute, so the bits are those of the
+    plain expressions above.
     """
     v = np.empty(h.size + 1)
     v[0] = v0
@@ -54,16 +57,8 @@ def march_velocity(
     np.add(a_left, dv, out=dv)
     dv += a_right
     np.multiply(h / 6.0, dv, out=dv)
-    return np.cumsum(v, out=v)
+    np.cumsum(v, out=v)
 
-
-def march_position(
-    h: np.ndarray, a_left: np.ndarray, a_mid: np.ndarray, v: np.ndarray, z0: float
-) -> np.ndarray:
-    """Position half of the reduced RK4, given the velocities v from march_velocity.
-
-    Computes h v[:-1] + (h^2/6) (aL + 2 aM) in place like march_velocity.
-    """
     z = np.empty(h.size + 1)
     z[0] = z0
     dz = z[1:]
@@ -74,20 +69,7 @@ def march_position(
     np.multiply(scratch, dz, out=dz)
     np.multiply(h, v[:-1], out=scratch)
     np.add(scratch, dz, out=dz)
-    return np.cumsum(z, out=z)
-
-
-def march_rk4_numpy(
-    h: np.ndarray,
-    a_left: np.ndarray,
-    a_mid: np.ndarray,
-    a_right: np.ndarray,
-    z0: float,
-    v0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced RK4 as cumulative sums; returns (z, v) on the n+1 grid points."""
-    v = march_velocity(h, a_left, a_mid, a_right, v0)
-    return march_position(h, a_left, a_mid, v, z0), v
+    return np.cumsum(z, out=z), v
 
 
 def _march_rk4_loop(h, a_left, a_mid, a_right, z0, v0):

@@ -28,8 +28,8 @@ Accuracy notes, which the tests lean on:
 Each array is built once per call, and only what a result reads is marched.
 Top-hat windows leave the three RK4 stage accelerations equal, so one array
 serves all three; cosine windows compute their profile once per window and
-stage.  oracle_report and proper_time_numeric march the branches for velocity
-only.  A grid over MAX_ORACLE_NODES is refused before anything is allocated.
+stage, and the window quadrature reuses it.  A grid over MAX_ORACLE_NODES is
+refused before anything is allocated.
 
 A nonzero gravity gradient switches integrate_branch to a slower,
 state-dependent stepper with acceleration -g - gradient*z + pulses; that path
@@ -61,9 +61,10 @@ from .phase import proper_time_difference as proper_time_closed
 _SHAPES = ("tophat", "cosine")
 _IMPULSE_HARD_LIMIT = 1e-6
 _RESIDUAL_FLOOR = 1e-12
-# Grid nodes one call may allocate.  A call peaks at about 100 bytes per node
-# (cosine oracle_report, resident set at 2e6 nodes), so this keeps the
-# largest allowed grid near 0.8 GB.
+# Grid nodes one call may allocate.  Peak resident set of a whole process at
+# this budget (cosine windows, the largest case): 823 MB for oracle_report,
+# proper_time_numeric and `lpai oracle`, 701 MB for action_numeric, 640 MB
+# for integrate_branch.
 MAX_ORACLE_NODES = 8_000_000
 
 
@@ -293,13 +294,9 @@ def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float,
         )
 
 
-def _march_branch(grid: _Grid, ks, mass: float, env: GravityEnv, ics, *, positions: bool):
-    """One impulse-checked branch: (z, v), with z None unless positions are asked for."""
-    accels = _stage_accels(grid, ks, mass, env.g)
-    if positions:
-        z, v = _kernels.march_rk4(grid.h, *accels, ics.z0, ics.v0)
-    else:
-        z, v = None, _kernels.march_velocity(grid.h, *accels, float(ics.v0))
+def _march_branch(grid: _Grid, ks, mass: float, env: GravityEnv, ics):
+    """One impulse-checked branch: (z, v) on the grid nodes."""
+    z, v = _kernels.march_rk4(grid.h, *_stage_accels(grid, ks, mass, env.g), ics.z0, ics.v0)
     _impulse_check(grid, v, ks, mass, env.g)
     return z, v
 
@@ -326,7 +323,7 @@ def integrate_branch(
         accels = _stage_accels(grid, ks, species.mass, env.g)
         z, v = _kernels.march_gradient(grid.h, *accels, env.gradient, ics.z0, ics.v0)
     else:
-        z, v = _march_branch(grid, ks, species.mass, env, ics, positions=True)
+        z, v = _march_branch(grid, ks, species.mass, env, ics)
     return SampledTrajectory(t=grid.ts, z=z, v=v)
 
 
@@ -338,16 +335,12 @@ def _quadrature_grid(seq: PulseSequence, env: GravityEnv, cfg: OracleConfig) -> 
 
 
 def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, float]:
-    """Numeric delta_tau, and the end point (dz, dv) of the branch-difference system.
-
-    The integrand -dv*(v1+v2)/2 + g*dz reads no branch position, so the
-    branches are marched for velocity only.
-    """
+    """Numeric delta_tau, and the end point (dz, dv) of the branch-difference system."""
     m = species.mass
     k1 = _branch_ks(seq, 1)
     k2 = _branch_ks(seq, 2)
-    _, v1 = _march_branch(grid, k1, m, env, ics, positions=False)
-    _, v2 = _march_branch(grid, k2, m, env, ics, positions=False)
+    _, v1 = _march_branch(grid, k1, m, env, ics)
+    _, v2 = _march_branch(grid, k2, m, env, ics)
     dk = [a - b for a, b in zip(k1, k2)]
     dz, dv = _kernels.march_rk4(grid.h, *_stage_accels(grid, dk, m, 0.0), 0.0, 0.0)
     f = (-0.5 * dv * (v1 + v2) + env.g * dz) / constants.C**2
@@ -365,25 +358,25 @@ def proper_time_numeric(
     return _proper_time(_quadrature_grid(seq, env, cfg), seq, species, env, ics)[0]
 
 
-def _launch(grid: _Grid, env: GravityEnv, ics: InitialConditions) -> np.ndarray:
-    """Pulse-free trajectory z_g on the grid nodes."""
-    a = np.full(grid.h.size, -float(env.g))
-    return _kernels.march_rk4(grid.h, a, a, a, ics.z0, ics.v0)[0]
-
-
-def _window_terms(grid: _Grid, seq: PulseSequence, *forcings) -> list[list[float]]:
+def _window_terms(grid: _Grid, *forcings) -> list[list[float]]:
     """Per (ks, z) forcing, k * (window average of z) for every window with k != 0.
 
-    Each window's weights are built once and shared by the forcings.
+    Each window's weights are built once and shared by the forcings; cosine
+    weights on the window nodes are the left-stage profile plus the last
+    right-stage value.
     """
     terms: list[list[float]] = [[] for _ in forcings]
-    for i, (p, (i0, i1), width) in enumerate(zip(seq.pulses, grid.windows, grid.widths)):
+    for i, ((i0, i1), width) in enumerate(zip(grid.windows, grid.widths)):
         ts = grid.ts[i0 : i1 + 1]
         w = None
         for out, (ks, z) in zip(terms, forcings):
             if ks[i] != 0.0:
                 if w is None:
-                    w = 1.0 / width if grid.profiles is None else _cosine(ts, p.t, width) / width
+                    if grid.profiles is None:
+                        w = 1.0 / width
+                    else:
+                        left, _, right = grid.profiles[i]
+                        w = np.append(left, right[-1]) / width
                 out.append(ks[i] * _simpson(w * z[i0 : i1 + 1], ts))
     return terms
 
@@ -413,12 +406,11 @@ def action_numeric(
     grid = _quadrature_grid(seq, env, cfg)
     k1 = _branch_ks(seq, 1)
     k2 = _branch_ks(seq, 2)
-    z1, _ = _march_branch(grid, k1, species.mass, env, ics, positions=True)
-    z2, _ = _march_branch(grid, k2, species.mass, env, ics, positions=True)
+    z1, _ = _march_branch(grid, k1, species.mass, env, ics)
+    z2, _ = _march_branch(grid, k2, species.mass, env, ics)
+    z_g, _ = _march_branch(grid, (), species.mass, env, ics)  # pulse-free trajectory
     dk = [p.delta_k for p in seq.pulses]
-    upper, lower, gravito = _window_terms(
-        grid, seq, (k1, z1), ([-k for k in k2], z2), (dk, _launch(grid, env, ics))
-    )
+    upper, lower, gravito = _window_terms(grid, (k1, z1), ([-k for k in k2], z2), (dk, z_g))
     kick_total = math.fsum(upper + lower)
     gravito_part = math.fsum(gravito)
     laser_part = _laser_sum(seq)
@@ -480,28 +472,20 @@ def oracle_report(
     env: GravityEnv,
     ics: InitialConditions,
     cfg: OracleConfig,
-    *,
-    delta_tau_closed: float | None = None,
 ) -> OracleResult:
-    """Full numeric-versus-closed-form comparison for a closed sequence.
-
-    delta_tau_closed, when given, stands in for proper_time_difference(seq,
-    species), which convergence_study evaluates once for all widths.
-    """
+    """Full numeric-versus-closed-form comparison for a closed sequence."""
     grid = _quadrature_grid(seq, env, cfg)
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
-    (gravito_terms,) = _window_terms(
-        grid, seq, ([p.delta_k for p in seq.pulses], _launch(grid, env, ics))
-    )
+    z_g, _ = _march_branch(grid, (), species.mass, env, ics)  # pulse-free trajectory
+    (gravito_terms,) = _window_terms(grid, ([p.delta_k for p in seq.pulses], z_g))
     gravito_num = math.fsum(gravito_terms)
 
-    if delta_tau_closed is None:
-        delta_tau_closed = proper_time_closed(seq, species)
+    dtau_closed = proper_time_closed(seq, species)
     omega_c = species.mass * constants.C**2 / constants.HBAR
     total_num = omega_c * dtau_num + gravito_num + _laser_sum(seq)
 
-    diff = abs(dtau_num - delta_tau_closed)
-    denom = max(abs(delta_tau_closed), _delta_tau_scale(seq, species))
+    diff = abs(dtau_num - dtau_closed)
+    denom = max(abs(dtau_closed), _delta_tau_scale(seq, species))
     residual = diff / denom if denom > 0.0 else (0.0 if diff == 0.0 else math.inf)
 
     return OracleResult(
@@ -509,7 +493,7 @@ def oracle_report(
         steps_per_segment=cfg.steps_per_segment,
         pulse_shape=cfg.pulse_shape,
         delta_tau_numeric=dtau_num,
-        delta_tau_closed=delta_tau_closed,
+        delta_tau_closed=dtau_closed,
         residual_vs_closed_form=residual,
         gravito_recoil_numeric=gravito_num,
         total_phase_numeric=total_num,
@@ -544,12 +528,9 @@ def convergence_study(
         _require_budget(_breakpoints(seq, w)[1], steps_per_segment)
 
     residuals = []
-    closed = None  # the closed form does not depend on the width
     for w in widths:
         cfg = OracleConfig(pulse_width=w, steps_per_segment=steps_per_segment, pulse_shape=pulse_shape)
-        report = oracle_report(seq, species, env, ics, cfg, delta_tau_closed=closed)
-        closed = report.delta_tau_closed
-        residuals.append(report.residual_vs_closed_form)
+        residuals.append(oracle_report(seq, species, env, ics, cfg).residual_vs_closed_form)
 
     for (w_a, r_a), (w_b, r_b) in zip(zip(widths, residuals), zip(widths[1:], residuals[1:])):
         if r_a > _RESIDUAL_FLOOR and r_b > _RESIDUAL_FLOOR and r_b >= r_a:

@@ -105,10 +105,9 @@ def float_bits(x: float) -> bytes:
 
 # --- frozen oracle pipeline ---------------------------------------------------
 #
-# The finite-width oracle as it stood before its stage arrays were shared and
-# its branch marches cut to velocity only: a separate stage array per stage
-# and forcing, four full marches per run, numpy scalars into fsum.  The tests
-# hold lpai.oracle to these values bit for bit.
+# The finite-width oracle as it stood before its stage arrays were shared: a
+# separate stage array per stage and forcing, four full marches per run, numpy
+# scalars into fsum.  The tests hold lpai.oracle to these values bit for bit.
 
 
 def _ref_grid(seq: PulseSequence, sigma: float, steps: int):

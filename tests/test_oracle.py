@@ -315,7 +315,6 @@ class TestKernels:
         z_py, v_py = _kernels._march_rk4_loop(h, al, am, ar, z0, v0)
         np.testing.assert_array_equal(z_np, z_py)
         np.testing.assert_array_equal(v_np, v_py)
-        np.testing.assert_array_equal(_kernels.march_velocity(h, al, am, ar, v0), v_py)
 
     def test_dispatcher_matches_the_numpy_reference_bitwise(self):
         h, al, am, ar, z0, v0 = self.rand_problem(seed=4)

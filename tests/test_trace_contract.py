@@ -3,8 +3,9 @@
 perfbench/spans.py wraps lpai functions by (module, name) from outside and
 reads the step array of every march_rk4 call from its first argument.  A
 rename or a changed signature in lpai would silently drop spans from traced
-benchmark runs, so this test loads the recorder from its path, without
-importing the benchmark package, and checks both.
+benchmark runs, and a march that bypasses march_rk4 would drop its work from
+the trace, so this test loads the recorder from its path, without importing
+the benchmark package, and checks all three.
 """
 
 import importlib
@@ -14,7 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from lpai import _kernels
+from lpai import (
+    GravityEnv,
+    InitialConditions,
+    OracleConfig,
+    Species,
+    _kernels,
+    build_rbi_double_loop,
+    oracle,
+    oracle_report,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +55,19 @@ def test_march_rk4_takes_the_step_array_first():
     nodes, moved = spans.march_work((h, a, a, a, 0.0, 1.0))
     assert nodes == z.size == v.size
     assert moved == 8 * (4 * h.size + 2 * nodes)
+
+
+def test_every_oracle_march_goes_through_march_rk4():
+    spans = load_spans()
+    seq = build_rbi_double_loop(1e7, 0.1)
+    cfg = OracleConfig(1e-6, 100, "cosine")
+    recorder = spans.Recorder()
+    restore = spans.install(recorder)
+    try:
+        oracle_report(seq, Species(1.443157e-25), GravityEnv(9.81), InitialConditions(0.1), cfg)
+    finally:
+        restore()
+    counts = {name: calls for name, (calls, _) in spans.self_times(recorder.spans).items()}
+    # two branches, the branch-difference system and the pulse-free launch
+    assert counts["kernels.march_rk4"] == 4
+    assert recorder.nodes == 4 * oracle._build_grid(seq, cfg).ts.size
