@@ -18,11 +18,26 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import constants
 
 
 def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def _plain_floats(obj, names: tuple[str, ...]) -> None:
+    """Store numpy real scalars in the named fields as Python floats.
+
+    float() is exact for them.  Kept as numpy scalars they would fail
+    _finite, and under NumPy 2 promotion np.float32 * 134217729.0 stays
+    float32, which would run the Dekker splits in single precision.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, (np.floating, np.integer)):
+            object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -33,6 +48,7 @@ class Species:
     label: str = ""
 
     def __post_init__(self) -> None:
+        _plain_floats(self, ("mass",))
         if not (_finite(self.mass) and self.mass > 0.0):
             raise ValueError(f"mass must be positive and finite, got {self.mass!r}")
 
@@ -58,6 +74,7 @@ class ClockPair:
     label: str = ""
 
     def __post_init__(self) -> None:
+        _plain_floats(self, ("mean_mass", "splitting_omega"))
         if not (_finite(self.mean_mass) and self.mean_mass > 0.0):
             raise ValueError(f"mean_mass must be positive and finite, got {self.mean_mass!r}")
         if not (_finite(self.splitting_omega) and self.splitting_omega >= 0.0):
@@ -97,6 +114,9 @@ class ClockPair:
         raise ValueError(f"state must be 'a' or 'b', got {state!r}")
 
 
+_PULSE_FIELDS = ("t", "k_upper", "k_lower", "phi_upper", "phi_lower")
+
+
 @dataclass(frozen=True)
 class Pulse:
     """One light pulse: its time, per-branch wave numbers and laser phases.
@@ -104,7 +124,8 @@ class Pulse:
     ``k_upper``/``k_lower`` are the momentum transfers divided by hbar (1/m)
     that branch 1 / branch 2 receive; zero means the branch is not addressed.
     This is a plain container: field validation lives in
-    :func:`validate_sequence`, which reports instead of raising.
+    :func:`validate_sequence`, which reports instead of raising.  Numpy
+    scalars are stored as Python floats.
     """
 
     t: float          # s
@@ -112,6 +133,9 @@ class Pulse:
     k_lower: float    # 1/m
     phi_upper: float = 0.0  # rad
     phi_lower: float = 0.0  # rad
+
+    def __post_init__(self) -> None:
+        _plain_floats(self, _PULSE_FIELDS)
 
     @property
     def delta_k(self) -> float:
@@ -135,6 +159,7 @@ class PulseSequence:
         if self.duration is None:
             last = self.pulses[-1].t if self.pulses else 0.0
             object.__setattr__(self, "duration", last)
+        _plain_floats(self, ("duration",))
 
     @property
     def n_pulses(self) -> int:
@@ -153,8 +178,6 @@ class Violation:
     pulse_index: int | None
     message: str
 
-
-_PULSE_FIELDS = ("t", "k_upper", "k_lower", "phi_upper", "phi_lower")
 
 # Rules that make a sequence unusable even for bare kinematics.  "too few
 # pulses" is excluded: trajectories and the numeric integrator are well
@@ -222,6 +245,7 @@ class GravityEnv:
     gradient: float = 0.0  # 1/s^2
 
     def __post_init__(self) -> None:
+        _plain_floats(self, ("g", "gradient"))
         if not _finite(self.g):
             raise ValueError(f"g must be finite, got {self.g!r}")
         if not _finite(self.gradient):
@@ -243,6 +267,7 @@ class InitialConditions:
     v0: float = 0.0  # m/s
 
     def __post_init__(self) -> None:
+        _plain_floats(self, ("z0", "v0"))
         if not (_finite(self.z0) and _finite(self.v0)):
             raise ValueError(f"initial conditions must be finite, got ({self.z0!r}, {self.v0!r})")
 

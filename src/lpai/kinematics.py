@@ -20,8 +20,12 @@ from .core import GravityEnv, InitialConditions, PulseSequence, Species, require
 
 # Row budget of trajectory_table, checked before anything is allocated.  A
 # CLI dump of 1e6 rows of the 3-pulse mzi is ~136 MB of CSV and peaks at
-# ~0.8 GB resident; memory grows linearly in rows and in pulses.
+# ~0.8 GB resident; memory grows linearly in rows.
 MAX_TRAJECTORY_ROWS = 1_000_000
+# Rows x pulses elements in one block of the kick products.  OpenBLAS runs a
+# product this small on one thread, so the table's bits do not depend on the
+# BLAS thread count.
+_KICK_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -115,15 +119,26 @@ def sample(
 
 
 def _kick_arrays(seq: PulseSequence, branch: int, species: Species, ts: np.ndarray):
-    """Vectorized kick part: positions and velocities at sample times ts."""
+    """Vectorized kick part: positions and velocities at sample times ts.
+
+    The (rows, pulses) products run over blocks of rows, so memory stays
+    O(rows + block x pulses).  Blocks are a multiple of 16 rows, the last one
+    taking the remainder, so each row meets the same BLAS kernel as in one
+    full-size product on one thread, and gets the same bits.
+    """
     times = np.asarray(seq.times)
     dv = constants.HBAR * np.asarray(_branch_ks(seq, branch)) / species.mass
+    z, v = np.zeros_like(ts), np.zeros_like(ts)
     if times.size == 0:
-        return np.zeros_like(ts), np.zeros_like(ts)
-    # strict inequality keeps the pre-kick convention at exact pulse times
-    active = ts[:, None] > times[None, :]
-    z = ((ts[:, None] - times[None, :]) * active) @ dv
-    v = active @ dv
+        return z, v
+    block = max(16, _KICK_BLOCK_ELEMENTS // times.size // 16 * 16)
+    edges = [*range(0, max(ts.size // block, 1) * block, block), ts.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t = ts[lo:hi, None]
+        # strict inequality keeps the pre-kick convention at exact pulse times
+        active = t > times
+        z[lo:hi] = ((t - times) * active) @ dv
+        v[lo:hi] = active @ dv
     return z, v
 
 

@@ -47,6 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constants, _kernels
+from ._exactsum import array_fsum
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -263,12 +264,16 @@ def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
 
 
 def _simpson(f: np.ndarray, ts: np.ndarray) -> float:
-    """Composite Simpson over consecutive node pairs, fsum-reduced."""
+    """Composite Simpson over consecutive node pairs, correctly rounded.
+
+    The per-pair terms are reduced by array_fsum, which returns math.fsum's
+    value bit for bit.
+    """
     if f.size < 3:
         return 0.0
     widths = ts[2::2] - ts[:-2:2]
     terms = (widths / 6.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
-    return math.fsum(memoryview(terms))
+    return array_fsum(terms)
 
 
 def _branch_ks(seq: PulseSequence, branch: int) -> list[float]:

@@ -12,8 +12,9 @@ sums the imprinted laser phase differences.  All three are branch-1 minus
 branch-2 conventions, all phases are radians.
 
 The recoil double sum spans many orders of magnitude across use cases, so it
-is accumulated from exact double-double products and reduced with fsum; the
-result is the correctly rounded sum of its floating-point terms.  That makes
+is accumulated from exact double-double products and reduced with correct
+rounding (array_fsum, which returns math.fsum's value); the result is the
+correctly rounded sum of its floating-point terms.  That makes
 delta_tau reproducible bit for bit under changes that only add mutually
 cancelling pulse pairs (a pause inserted in a symmetric geometry, say).
 """
@@ -26,7 +27,7 @@ import math
 import numpy as np
 
 from . import constants
-from ._exactsum import triple_product_rows, two_product
+from ._exactsum import array_fsum, triple_product_rows, two_product
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -69,9 +70,9 @@ def recoil_double_sum(seq: PulseSequence) -> float:
     [k_n^(1) k_ell^(1) - k_n^(2) k_ell^(2)] (t_n - t_ell) in s/m^2.  The
     diagonal ell = n terms vanish and are left out.  Each triple product
     enters as an exact four-term float expansion, formed for all pairs and
-    both branches in one array pass, and the whole pile goes through fsum, so
-    the return value is the correctly rounded sum given the rounded time
-    differences.
+    both branches in one array pass, and array_fsum reduces the whole pile to
+    math.fsum's value in a few exact extraction passes, so the return value
+    is the correctly rounded sum given the rounded time differences.
     """
     pulses = seq.pulses
     table = np.array(
@@ -88,7 +89,7 @@ def recoil_double_sum(seq: PulseSequence) -> float:
     # them; numpy's warnings would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         terms = triple_product_rows(factors)
-    return math.fsum(memoryview(terms.reshape(-1)))
+    return array_fsum(terms.reshape(-1))
 
 
 def require_closed(seq: PulseSequence, species: Species) -> ClosureReport:

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from lpai import (
     Species,
     compton_frequency,
     constants,
+    recoil_double_sum,
     require_valid,
     validate_sequence,
 )
@@ -177,6 +179,49 @@ class TestValidation:
 
     def test_structural_only_accepts_a_single_pulse(self):
         require_valid(PulseSequence((Pulse(0.0, 1.0, 0.0),)), structural_only=True)
+
+
+class TestNumpyScalars:
+    FIELDS = np.array(
+        [[0.0, 0.1, 0.35, 0.5], [1.1e7, -2.3e7, 0.9e7, 0.3e7], [0.2e7, 0.0, -0.7e7, 0.5e7]]
+    )
+
+    def sequences(self, dtype):
+        t, k_upper, k_lower = self.FIELDS.astype(dtype)
+        numpy_seq = PulseSequence(
+            tuple(Pulse(*f, dtype(0.25), np.int64(-1)) for f in zip(t, k_upper, k_lower))
+        )
+        plain_seq = PulseSequence(
+            tuple(Pulse(*map(float, f), 0.25, -1.0) for f in zip(t, k_upper, k_lower))
+        )
+        return numpy_seq, plain_seq
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fields_validate_and_give_the_sum_of_their_float_values(self, dtype):
+        numpy_seq, plain_seq = self.sequences(dtype)
+        assert validate_sequence(numpy_seq) == []
+        assert all(
+            type(getattr(p, name)) is float
+            for p in numpy_seq.pulses
+            for name in ("t", "k_upper", "k_lower", "phi_upper", "phi_lower")
+        )
+        assert type(numpy_seq.duration) is float
+        assert numpy_seq == plain_seq
+        s = recoil_double_sum(numpy_seq)
+        assert float.hex(s) == float.hex(recoil_double_sum(plain_seq))
+
+    def test_a_numpy_nan_is_still_reported(self):
+        seq = PulseSequence((Pulse(np.float32("nan"), 1.0, 0.0), Pulse(1.0, -1.0, 0.0)))
+        assert [(v.rule, v.pulse_index) for v in validate_sequence(seq)] == [("non-finite field", 0)]
+
+    def test_scalar_parameters_accept_numpy_floats(self):
+        assert type(Species(np.float32(1e-25)).mass) is float
+        pair = ClockPair(np.float64(SR_MASS), np.float32(2.7e15))
+        assert (type(pair.mean_mass), type(pair.splitting_omega)) == (float, float)
+        assert type(GravityEnv(np.float32(9.81)).g) is float
+        assert InitialConditions(np.float32(0.5), np.int64(-1)) == InitialConditions(
+            float(np.float32(0.5)), -1.0
+        )
 
 
 class TestEnvironment:

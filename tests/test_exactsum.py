@@ -1,11 +1,15 @@
-"""Error-free products: the array form against the scalar functions."""
+"""Error-free products and array sums against the scalar functions and math.fsum."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpai._exactsum import triple_product_rows, triple_product_terms
+from lpai import _exactsum
+from lpai._exactsum import array_fsum, triple_product_rows, triple_product_terms
 
 
 def random_factors(rng, n):
@@ -37,3 +41,110 @@ def test_rows_sum_exactly_to_the_product():
         exact = Fraction(x[0, j]) * Fraction(x[1, j]) * Fraction(x[2, j])
         assert sum(Fraction(v) for v in rows[:, j].tolist()) == exact
 
+
+
+# --- array_fsum against math.fsum -------------------------------------------
+
+THRESHOLD = _exactsum._FSUM_MAX_TERMS
+
+
+def fsum_outcome(f, x):
+    """The float's hex, or the exception's type and message."""
+    try:
+        return float.hex(f(x))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def spread(rng, n, lo=-330.0, hi=308.0):
+    return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(lo, hi, size=n)
+
+
+def subnormals(rng, n):
+    x = rng.integers(-(2**20), 2**20, size=n) * 2.0**-1074
+    x[rng.random(n) < 0.1] = spread(rng, 1, -310.0, -300.0)[0]
+    return x
+
+
+def signed_zeros(rng, n):
+    x = rng.choice([0.0, -0.0], size=n)
+    if n and rng.random() < 0.3:
+        x[:] = -0.0
+    return x
+
+
+def cancellation(rng, n):
+    """Pairs v, -v in random order, plus at most one small leftover."""
+    y = spread(rng, n // 2, -20.0, 20.0)
+    x = np.concatenate((y, -y, spread(rng, n % 2, -330.0, -300.0)))
+    return rng.permutation(x)
+
+
+def ties(rng, n):
+    """An odd or even significand plus exactly half an ulp in pieces, with or
+    without a tie-breaker, padded with cancelling pairs."""
+    big = (1.0 + rng.choice([0.0, 2.0**-52])) * 2.0 ** int(rng.integers(-900, 900))
+    pieces = 2 ** int(rng.integers(0, 6))
+    half_ulp = np.spacing(big) / 2.0
+    tail = [rng.choice([-1.0, 1.0]) * half_ulp / pieces] * pieces
+    breaker = [float(rng.choice([-1.0, 1.0])) * half_ulp * 2.0 ** -int(rng.integers(1, 60))]
+    head = np.array([big, *tail, *breaker[: int(rng.integers(0, 2))]])
+    pad = cancellation(rng, max(n - head.size, 0) // 2 * 2) * half_ulp
+    return rng.permutation(np.concatenate((head, pad)))
+
+
+def specials(rng, n):
+    x = spread(rng, n, -10.0, 10.0)
+    for value in rng.choice([np.inf, -np.inf, np.nan], size=int(rng.integers(1, 4))):
+        x[rng.integers(0, n)] = value
+    return x
+
+
+def near_overflow(rng, n):
+    return rng.choice([-1.0, 1.0], size=n) * 2.0 ** rng.uniform(1000.0, 1024.0, size=n)
+
+
+KINDS = {
+    "spread": spread,
+    "subnormals": subnormals,
+    "signed zeros": signed_zeros,
+    "cancellation": cancellation,
+    "ties": ties,
+    "specials": specials,
+    "near overflow": near_overflow,
+}
+
+
+@st.composite
+def term_arrays(draw):
+    n = draw(st.sampled_from([1, 2, 64, THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 3 * THRESHOLD + 7]))
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.ascontiguousarray(KINDS[kind](rng, n), dtype=float)
+
+
+@given(x=term_arrays())
+@settings(max_examples=300, deadline=None)
+def test_array_fsum_is_math_fsum_bit_for_bit(x):
+    assert fsum_outcome(array_fsum, x) == fsum_outcome(lambda y: math.fsum(memoryview(y)), x)
+
+
+@pytest.mark.parametrize("passes", [1, 2, _exactsum._MAX_PASSES])
+def test_the_pass_cap_hands_the_exact_remainder_to_fsum(monkeypatch, passes):
+    monkeypatch.setattr(_exactsum, "_MAX_PASSES", passes)
+    rng = np.random.default_rng(passes)
+    for _ in range(20):
+        x = spread(rng, 2 * THRESHOLD, -300.0, 290.0)
+        assert float.hex(array_fsum(x)) == float.hex(math.fsum(memoryview(x)))
+
+
+@pytest.mark.parametrize(
+    "x, error",
+    [
+        ([np.inf, -np.inf], (ValueError, "-inf + inf in fsum")),
+        ([1e308, 1e308], (OverflowError, "intermediate overflow in fsum")),
+    ],
+)
+def test_errors_above_the_threshold_are_fsums(x, error):
+    terms = np.concatenate((np.array(x), np.ones(THRESHOLD)))
+    assert fsum_outcome(array_fsum, terms) == error

@@ -1,6 +1,7 @@
 """Piecewise trajectories: kick part, launch part, combined sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from lpai import (
     trajectory_table,
 )
 from lpai import kinematics
+
+from _helpers import random_closed_sequence
 
 ATOM = Species(1.443157e-25)
 FLAT = GravityEnv(0.0)
@@ -209,6 +212,27 @@ class TestTrajectoryTable:
         table = trajectory_table(build_mzi(1e7, 0.4), ATOM, env, ics, 0.1)
         zg, _ = gravity_trajectory(env, ics, table[:, 0])
         np.testing.assert_array_equal(table[:, 5], zg)
+
+    def test_memory_does_not_grow_with_rows_times_pulses(self):
+        seq = random_closed_sequence(np.random.default_rng(3), 100, k_scale=1e7)
+        tracemalloc.start()
+        try:
+            table = trajectory_table(seq, ATOM, FLAT, REST, seq.duration / 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (rows, pulses) float temporary alone would be 16 MB, 17x the table
+        assert table.shape == (20001, 6)
+        assert peak < 4 * table.nbytes
+
+    def test_block_size_does_not_change_the_bits(self, monkeypatch):
+        seq = random_closed_sequence(np.random.default_rng(4), 100, k_scale=1e7)
+        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        table = trajectory_table(seq, ATOM, env, ics, seq.duration / 5000.5)
+        monkeypatch.setattr(kinematics, "_KICK_BLOCK_ELEMENTS", 16 * 100)
+        assert trajectory_table(seq, ATOM, env, ics, seq.duration / 5000.5).tobytes() == (
+            table.tobytes()
+        )
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
     def test_bad_dt_is_rejected(self, dt):

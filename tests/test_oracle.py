@@ -372,6 +372,12 @@ def _frozen_cases():
             for steps in (100, 101):
                 cfg = OracleConfig(spacing / 50.0, steps, shape)
                 cases.append(pytest.param(seq, env, ics, cfg, id=f"random{seed}-{shape}-{steps}"))
+        # 2100 Simpson terms per window and more over the grid: the sums take
+        # array_fsum's extraction passes instead of math.fsum
+        if seed == 0:
+            for shape in ("tophat", "cosine"):
+                cfg = OracleConfig(spacing / 50.0, 4200, shape)
+                cases.append(pytest.param(seq, env, ics, cfg, id=f"random{seed}-{shape}-4200"))
     # the lower branch is addressed by no pulse
     upper_only = PulseSequence(
         (Pulse(0.0, 1e7, 0.0), Pulse(0.1, -2e7, 0.0, 0.3, 0.0), Pulse(0.2, 1e7, 0.0))

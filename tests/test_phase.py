@@ -110,6 +110,21 @@ class TestRecoilDoubleSum:
         )
         assert recoil_double_sum(seq) == float(double_sum_by_fractions(seq))
 
+    @pytest.mark.parametrize("k_scale", [1e-3, 1e7, 1e11, 1e100, 1e200])
+    def test_long_sequences_match_the_pair_loop_bit_for_bit(self, k_scale):
+        # 40 pulses give 6240 pair terms, enough for array_fsum's extraction
+        rng = np.random.default_rng(29)
+        seq = random_closed_sequence(
+            rng, 40, k_scale=k_scale, with_common_mode=True, with_phases=True
+        )
+        outcomes = []
+        for f in (recoil_double_sum, recoil_double_sum_loop):
+            try:
+                outcomes.append(float_bits(f(seq)))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
     @pytest.mark.parametrize("name", EDGE_SEQUENCES)
     def test_array_pass_matches_the_pair_loop_bit_for_bit(self, name):
         seq = EDGE_SEQUENCES[name]
