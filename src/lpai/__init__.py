@@ -26,6 +26,7 @@ from .core import (
 from .errors import (
     GeometryParseError,
     InternalConsistencyError,
+    NonFiniteResultError,
     OpenSequenceError,
     OracleAccuracyError,
     OracleConfigError,
@@ -96,6 +97,7 @@ __all__ = [
     "validate_sequence",
     "GeometryParseError",
     "InternalConsistencyError",
+    "NonFiniteResultError",
     "OpenSequenceError",
     "OracleAccuracyError",
     "OracleConfigError",

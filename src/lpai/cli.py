@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 flag/parse/config error, 2 geometry open in phase
 space, 3 numeric failure (oracle residual above tolerance, accuracy or
-consistency errors).
+consistency errors, a nan or infinite result).
 
 Every output embeds a run manifest: '#'-prefixed key = value lines in text
 and CSV, a "manifest" object in JSON.  Outputs are byte-identical for
@@ -31,11 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, constants
-from .clock import BeatSignal, beat
+from .clock import BeatSignal, beat, beat_rows
 from .core import ClockPair, GravityEnv, InitialConditions, PulseSequence, Species
 from .errors import (
     GeometryParseError,
     InternalConsistencyError,
+    NonFiniteResultError,
     OpenSequenceError,
     OracleAccuracyError,
     OracleConfigError,
@@ -50,9 +51,13 @@ from .geometry import (
 )
 from .kinematics import trajectory_table
 from .oracle import OracleConfig, convergence_study, oracle_report
-from .phase import total_phase
+from .phase import phase_rows, total_phase
 
 _BUILDERS = ("mzi", "rbi-sym", "rbi-asym", "rbi-double")
+# Grid points one scan may ask for, checked before the grid is allocated.
+# The rows are formed in fixed blocks, but the CSV text is built whole: 1e6
+# rows of the beat columns are ~90 MB of output.
+MAX_SCAN_ROWS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -330,6 +335,8 @@ def cmd_scan(args) -> int:
         raise _UsageError("scan varies builder parameters; geometry files are fixed")
     if args.steps < 1:
         raise _UsageError(f"empty scan range: --steps {args.steps}")
+    if args.steps > MAX_SCAN_ROWS:
+        raise _UsageError(f"--steps {args.steps} exceeds the scan row budget of {MAX_SCAN_ROWS}")
     if args.stop < args.start:
         raise _UsageError(f"empty scan range: --from {args.start} exceeds --to {args.stop}")
     species, env, ics, env_params = _environment(args)
@@ -344,28 +351,32 @@ def cmd_scan(args) -> int:
             raise _UsageError("scan over k needs --T")
         grid_params = {"T": args.t_sep}
 
+    def build(k_here: float, t_sep: float) -> PulseSequence:
+        return _build_sequence(args.geometry, k_here, t_sep, args.t_pause)
+
+    values = np.linspace(args.start, args.stop, args.steps).tolist()
+    if args.vary == "T":
+        grid = ((k, value) for value in values)
+    else:
+        grid = ((value, args.t_sep) for value in values)
     clock_mode = args.omega is not None
-    values = np.linspace(args.start, args.stop, args.steps)
-    rows = []
-    for value in values:
-        value = float(value)
-        t_sep = value if args.vary == "T" else args.t_sep
-        k_here = k if args.vary == "T" else value
-        if t_sep == 0.0 or k_here == 0.0:
-            # degenerate corner of the sweep: no kicks, no dephasing
-            rows.append([value, 0.0, 1.0, 0.0, 1.0] if clock_mode else [value] + [0.0] * 5)
-            continue
-        seq = _build_sequence(args.geometry, k_here, t_sep, args.t_pause)
-        if clock_mode:
-            signal = beat(seq, ClockPair(args.mass, args.omega), env, ics)
-            rows.append(
-                [value, signal.delta_tau, signal.envelope, signal.carrier_phase, signal.p_combined]
-            )
-        else:
-            b = total_phase(seq, species, env, ics)
-            rows.append(
-                [value, b.delta_tau, b.recoil_phase, b.gravito_recoil, b.laser_phase, b.total_phase]
-            )
+    # None is the degenerate corner of the sweep: no kicks, no dephasing
+    if clock_mode:
+        signals = beat_rows(build, grid, ClockPair(args.mass, args.omega), env, ics)
+        rows = [
+            [value, 0.0, 1.0, 0.0, 1.0] if b is None
+            else [value, b.delta_tau, b.envelope, b.carrier_phase, b.p_combined]
+            for value, b in zip(values, signals)
+        ]
+    else:
+        breakdowns = phase_rows(build, grid, species, env, ics)
+        rows = [
+            [value] + [0.0] * 5 if b is None
+            else [
+                value, b.delta_tau, b.recoil_phase, b.gravito_recoil, b.laser_phase, b.total_phase,
+            ]
+            for value, b in zip(values, breakdowns)
+        ]
 
     params = {
         **grid_params,
@@ -490,7 +501,7 @@ def main(argv=None) -> int:
     except OpenSequenceError as exc:
         print(f"open geometry: {exc}", file=sys.stderr)
         return 2
-    except (OracleAccuracyError, InternalConsistencyError) as exc:
+    except (OracleAccuracyError, InternalConsistencyError, NonFiniteResultError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

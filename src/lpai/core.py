@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import constants
+from .errors import NonFiniteResultError
 
 
 def _finite(x: float) -> bool:
@@ -278,7 +279,8 @@ class PhaseBreakdown:
 
     ``total_phase = recoil_phase + gravito_recoil + laser_phase`` holds by
     construction (the constructor computes the sum once), with
-    ``recoil_phase = compton_frequency * delta_tau``.
+    ``recoil_phase = compton_frequency * delta_tau``.  ``assemble`` raises
+    NonFiniteResultError rather than return a nan or infinite field.
     """
 
     delta_tau: float       # s, proper-time difference between the branches
@@ -292,7 +294,11 @@ class PhaseBreakdown:
         cls, delta_tau: float, recoil_phase: float, gravito_recoil: float, laser_phase: float
     ) -> "PhaseBreakdown":
         total = recoil_phase + gravito_recoil + laser_phase
-        return cls(delta_tau, recoil_phase, gravito_recoil, laser_phase, total)
+        out = cls(delta_tau, recoil_phase, gravito_recoil, laser_phase, total)
+        # total is nan or infinite whenever one of its terms is
+        if not (math.isfinite(delta_tau) and math.isfinite(total)):
+            raise NonFiniteResultError(f"phase breakdown is not finite: {out}")
+        return out
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

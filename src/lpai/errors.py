@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: usage and parse problems exit 1, an open
-(non-interfering) geometry exits 2, numeric failures exit 3.
+(non-interfering) geometry exits 2, numeric failures (accuracy, consistency
+and non-finite results) exit 3.
 """
 
 from __future__ import annotations
@@ -36,3 +37,12 @@ class OracleAccuracyError(RuntimeError):
 
 class InternalConsistencyError(RuntimeError):
     """Two redundant computation routes disagreed beyond tolerance."""
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A closed-form result came out nan or infinite.
+
+    Raised in place of returning it: a PhaseBreakdown field, delta_tau and
+    the recoil phase derived from S, or a beat's carrier and half-beat.  A
+    mass of 5e-324 kg, for one, makes hbar*S/m overflow.
+    """

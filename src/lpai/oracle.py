@@ -56,7 +56,8 @@ from .core import (
     require_valid,
 )
 from .errors import OracleAccuracyError, OracleConfigError
-from .phase import gravito_recoil_phase, laser_phase, recoil_phase
+from .kinematics import _branch_ks
+from .phase import gravito_recoil_phase, laser_phase, laser_sum, recoil_phase
 from .phase import proper_time_difference as proper_time_closed
 
 _SHAPES = ("tophat", "cosine")
@@ -276,14 +277,6 @@ def _simpson(f: np.ndarray, ts: np.ndarray) -> float:
     return array_fsum(terms)
 
 
-def _branch_ks(seq: PulseSequence, branch: int) -> list[float]:
-    if branch == 1:
-        return [p.k_upper for p in seq.pulses]
-    if branch == 2:
-        return [p.k_lower for p in seq.pulses]
-    raise ValueError(f"branch must be 1 or 2, got {branch!r}")
-
-
 def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float, g: float) -> None:
     scale = max((constants.HBAR * abs(k) / mass for k in ks), default=0.0)
     if scale == 0.0:
@@ -386,10 +379,6 @@ def _window_terms(grid: _Grid, *forcings) -> list[list[float]]:
     return terms
 
 
-def _laser_sum(seq: PulseSequence) -> float:
-    return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
-
-
 def action_numeric(
     seq: PulseSequence,
     species: Species,
@@ -418,7 +407,7 @@ def action_numeric(
     upper, lower, gravito = _window_terms(grid, (k1, z1), ([-k for k in k2], z2), (dk, z_g))
     kick_total = math.fsum(upper + lower)
     gravito_part = math.fsum(gravito)
-    laser_part = _laser_sum(seq)
+    laser_part = laser_sum(seq)
     total = kick_total + laser_part
     recoil_part = kick_total - gravito_part
 
@@ -487,7 +476,7 @@ def oracle_report(
 
     dtau_closed = proper_time_closed(seq, species)
     omega_c = species.mass * constants.C**2 / constants.HBAR
-    total_num = omega_c * dtau_num + gravito_num + _laser_sum(seq)
+    total_num = omega_c * dtau_num + gravito_num + laser_sum(seq)
 
     diff = abs(dtau_num - dtau_closed)
     denom = max(abs(dtau_closed), _delta_tau_scale(seq, species))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,18 +38,19 @@ from .core import (
     compton_frequency,
     require_valid,
 )
-from .errors import OpenSequenceError
+from .errors import NonFiniteResultError, OpenSequenceError
 from .geometry import ClosureReport, closure_check
 from .kinematics import gravity_trajectory
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_gather(n: int) -> np.ndarray:
-    """Read-only indices into the flat (t, k_upper, k_lower) x n pulse table.
+def _pair_gather(n: int, rows: int) -> np.ndarray:
+    """Read-only indices into the flat pulse tables of rows sequences of n pulses.
 
-    The gathered values form three rows of 2 * pairs entries, over the pairs
-    ell < n in one fixed order: k_n for the upper branch then for the lower
-    one, k_ell likewise, and t_n for every pair followed by t_ell.
+    Each sequence's table is (t, k_upper, k_lower) x n.  The gathered values
+    form three rows, and each holds 2 * pairs entries per sequence, over the
+    pairs ell < n in one fixed order: k_n for the upper branch then for the
+    lower one, k_ell likewise, and t_n for every pair followed by t_ell.
     """
     later, earlier = np.tril_indices(n, -1)
     t, k_upper, k_lower = 0, n, 2 * n  # row offsets in the flat table
@@ -59,8 +61,37 @@ def _pair_gather(n: int) -> np.ndarray:
             t + later, t + earlier,
         )
     )
+    index = (index.reshape(3, 1, -1) + 3 * n * np.arange(rows)[:, None]).reshape(-1)
     index.flags.writeable = False
     return index
+
+
+def _pair_terms(seqs: Sequence[PulseSequence]) -> np.ndarray:
+    """Pair terms of sequences with one pulse count, one row of terms each.
+
+    Row i holds the exact four-term expansions of every pair term of seqs[i]
+    in one fixed order, the order recoil_double_sum reduces them in.  All rows
+    come from one gather and one triple_product_rows call.
+    """
+    n = seqs[0].n_pulses
+    rows, width = len(seqs), n * (n - 1)  # width: both branches of every pair
+    table: list[float] = []
+    for seq in seqs:
+        pulses = seq.pulses
+        table += [p.t for p in pulses] + [p.k_upper for p in pulses] + [p.k_lower for p in pulses]
+    factors = np.array(table, dtype=float)[_pair_gather(n, rows)].reshape(3, -1)
+    # The last row holds t_n, t_ell per sequence; it becomes dt for the
+    # upper branch and -dt, an exact negation, for the lower one in place of
+    # negating terms.
+    times = factors[2].reshape(rows, 2, width // 2)
+    t_n, t_ell = times[:, 0], times[:, 1]
+    np.subtract(t_n, t_ell, out=t_n)
+    np.negative(t_n, out=t_ell)
+    # Products beyond the float range become inf/nan terms and fsum reports
+    # them; numpy's warnings would only repeat that on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = triple_product_rows(factors)
+    return terms.reshape(4, rows, width).transpose(1, 0, 2).reshape(rows, 4 * width)
 
 
 def recoil_double_sum(seq: PulseSequence) -> float:
@@ -72,24 +103,75 @@ def recoil_double_sum(seq: PulseSequence) -> float:
     enters as an exact four-term float expansion, formed for all pairs and
     both branches in one array pass, and array_fsum reduces the whole pile to
     math.fsum's value in a few exact extraction passes, so the return value
-    is the correctly rounded sum given the rounded time differences.
+    is the correctly rounded sum given the rounded time differences.  This
+    is the one-row case of recoil_sums, which forms the terms of many
+    sequences at once and reduces each row the same way.
     """
-    pulses = seq.pulses
-    table = np.array(
-        [p.t for p in pulses] + [p.k_upper for p in pulses] + [p.k_lower for p in pulses],
-        dtype=float,
-    )
-    factors = table[_pair_gather(len(pulses))].reshape(3, -1)
-    # The last row holds t_n, t_ell; it becomes dt for the upper branch and
-    # -dt, an exact negation, for the lower one in place of negating terms.
-    t_n, t_ell = factors[2].reshape(2, -1)
-    np.subtract(t_n, t_ell, out=t_n)
-    np.negative(t_n, out=t_ell)
-    # Products beyond the float range become inf/nan terms and fsum reports
-    # them; numpy's warnings would only repeat that on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = triple_product_rows(factors)
-    return array_fsum(terms.reshape(-1))
+    return array_fsum(_pair_terms([seq])[0])
+
+
+# Pulse pairs whose terms one block of recoil_sums forms together; a
+# degenerate row counts as one.  About 170 rows of a four-pulse builder: the
+# block's arrays take a few hundred kilobytes whatever the grid size, and
+# larger blocks are no faster.
+_BLOCK_PAIRS = 1024
+
+
+def _row_terms(block: list[PulseSequence | None]) -> list[np.ndarray | None]:
+    """Pair terms of each sequence in block, one gather per pulse count."""
+    out: list[np.ndarray | None] = [None] * len(block)
+    by_count: dict[int, list[int]] = {}
+    for i, seq in enumerate(block):
+        if seq is not None:
+            by_count.setdefault(seq.n_pulses, []).append(i)
+    for index in by_count.values():
+        for i, terms in zip(index, _pair_terms([block[i] for i in index])):
+            out[i] = terms
+    return out
+
+
+def recoil_sums(
+    build: Callable[..., PulseSequence],
+    grid: Iterable[tuple[float, ...]],
+    species: Species,
+) -> Iterator[tuple[PulseSequence, float] | None]:
+    """The sequence build(*params) and its S for each params of grid, in order.
+
+    A row with a zero parameter is the degenerate corner of a sweep: no
+    kicks and no dephasing, and builders reject it.  It yields None without
+    calling build.  Every other sequence passes require_valid and
+    require_closed once.  The rows are formed in blocks: the pair terms of a
+    block come from one _pair_terms call per pulse count, and each row's S
+    is array_fsum of its own terms, so it has recoil_double_sum's bits or
+    raises its exception.  A row's failure, in build, the gates or S,
+    surfaces only after every earlier row has been yielded, as in a
+    row-by-row evaluation.
+    """
+    rows = iter(grid)
+    exhausted = False
+    while not exhausted:
+        block: list[PulseSequence | None] = []
+        failure: Exception | None = None
+        pairs = 0
+        try:
+            for params in rows:
+                seq = None
+                if 0.0 not in params:
+                    seq = build(*params)
+                    require_valid(seq)
+                    require_closed(seq, species)
+                block.append(seq)
+                pairs += 1 if seq is None else seq.n_pulses * (seq.n_pulses - 1) // 2
+                if pairs >= _BLOCK_PAIRS:
+                    break
+            else:
+                exhausted = True
+        except Exception as exc:  # raised below, after the rows before it
+            failure = exc
+        for seq, terms in zip(block, _row_terms(block)):
+            yield None if seq is None else (seq, array_fsum(terms))
+        if failure is not None:
+            raise failure
 
 
 def require_closed(seq: PulseSequence, species: Species) -> ClosureReport:
@@ -106,13 +188,26 @@ def require_closed(seq: PulseSequence, species: Species) -> ClosureReport:
     return report
 
 
+def recoil_parts(s: float, species: Species) -> tuple[float, float]:
+    """(delta_tau, recoil phase) of species for the recoil double sum s.
+
+    Raises NonFiniteResultError when either is nan or infinite, as for a
+    mass so small that hbar*S/m overflows.
+    """
+    recoil = 0.5 * constants.HBAR * s / species.mass
+    delta_tau = recoil / compton_frequency(species)
+    if not (math.isfinite(delta_tau) and math.isfinite(recoil)):
+        raise NonFiniteResultError(
+            f"delta_tau = {delta_tau!r} s and recoil phase = {recoil!r} rad for "
+            f"S = {s!r} s/m^2 and mass {species.mass!r} kg"
+        )
+    return delta_tau, recoil
+
+
 def _proper_time_parts(seq: PulseSequence, species: Species) -> tuple[float, float]:
     require_valid(seq)
     require_closed(seq, species)
-    s = recoil_double_sum(seq)
-    recoil = 0.5 * constants.HBAR * s / species.mass
-    delta_tau = recoil / compton_frequency(species)
-    return delta_tau, recoil
+    return recoil_parts(recoil_double_sum(seq), species)
 
 
 def proper_time_difference(seq: PulseSequence, species: Species) -> float:
@@ -139,6 +234,11 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
     for sequences whose first three kick moments vanish) survive numerically.
     """
     require_valid(seq)
+    return gravito_recoil_sum(seq, env, ics)
+
+
+def gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
+    """gravito_recoil_phase of a sequence that has passed require_valid."""
     env.require_uniform()
     terms: list[float] = []
     for p in seq.pulses:
@@ -150,6 +250,11 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
 def laser_phase(seq: PulseSequence) -> float:
     """Imprinted laser phase difference, sum of phi_ell^(1) - phi_ell^(2), in rad."""
     require_valid(seq)
+    return laser_sum(seq)
+
+
+def laser_sum(seq: PulseSequence) -> float:
+    """laser_phase of a sequence that has passed require_valid."""
     return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
 
 
@@ -167,3 +272,29 @@ def total_phase(
         gravito_recoil=gravito_recoil_phase(seq, env, ics),
         laser_phase=laser_phase(seq),
     )
+
+
+def phase_rows(
+    build: Callable[..., PulseSequence],
+    grid: Iterable[tuple[float, ...]],
+    species: Species,
+    env: GravityEnv,
+    ics: InitialConditions,
+) -> Iterator[PhaseBreakdown | None]:
+    """total_phase(build(*params), species, env, ics) for each params of grid.
+
+    One S per row from recoil_sums; None marks a degenerate row.  Each value
+    has total_phase's bits, and a failing row raises total_phase's exception.
+    """
+    for row in recoil_sums(build, grid, species):
+        if row is None:
+            yield None
+            continue
+        seq, s = row
+        delta_tau, recoil = recoil_parts(s, species)
+        yield PhaseBreakdown.assemble(
+            delta_tau=delta_tau,
+            recoil_phase=recoil,
+            gravito_recoil=gravito_recoil_sum(seq, env, ics),
+            laser_phase=laser_sum(seq),
+        )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lpai
+from lpai import cli
 from lpai import (
     GravityEnv,
     InitialConditions,
@@ -175,6 +176,14 @@ class TestSimulate:
         assert out == ""
         assert not dump.exists()
 
+    def test_non_finite_results_exit_with_three(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--geometry", "rbi-asym", "--k", "1e7", "--T", "0.1",
+            "--Tprime", "0.05", "--mass", "5e-324", "--format", "json",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: ") and "delta_tau" in err
+
     def test_trajectory_dump_needs_a_step(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.BASE, "--dump-trajectory", str(tmp_path / "t.csv"))
         assert code == 1
@@ -255,6 +264,36 @@ class TestScan:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "empty scan range" in err
+
+    SCAN = (
+        "scan", "--geometry", "mzi", "--k", "1e7", "--mass", "1e-25",
+        "--vary", "T", "--from", "0.01", "--to", "0.1",
+    )
+
+    def test_steps_over_the_row_budget_are_refused(self, capsys):
+        code, out, err = run(capsys, *self.SCAN, "--steps", str(cli.MAX_SCAN_ROWS + 1))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "row budget" in err
+
+    def test_the_row_budget_itself_is_allowed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 4)
+        code, out, _ = run(capsys, *self.SCAN, "--steps", "4")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 4
+        code, out, err = run(capsys, *self.SCAN, "--steps", "5")
+        assert (code, out) == (1, "")
+        assert "row budget of 4" in err
+
+    @pytest.mark.parametrize("clock", [(), ("--omega", "0")], ids=["phase", "beat"])
+    def test_non_finite_rows_exit_with_three(self, capsys, clock):
+        code, out, err = run(
+            capsys, "scan", "--geometry", "rbi-asym", "--k", "1e7", "--Tprime", "0.05",
+            "--mass", "5e-324", "--vary", "T", "--from", "0", "--to", "0.1", "--steps", "2",
+            *clock,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: ")
 
     def test_geometry_files_cannot_be_scanned(self, capsys, tmp_path):
         path = tmp_path / "g.geom"

@@ -9,6 +9,7 @@ from lpai import (
     ClockPair,
     GravityEnv,
     InitialConditions,
+    NonFiniteResultError,
     Species,
     beat,
     build_mzi,
@@ -149,6 +150,11 @@ class TestBeat:
         signal = beat(seq, clock, FLAT, REST)
         mean_total = total_phase(seq, Species(clock.mean_mass), FLAT, REST).total_phase
         assert signal.carrier_phase == pytest.approx(clock.eta * mean_total, rel=1e-14)
+
+    def test_a_non_finite_proper_time_is_a_typed_error(self):
+        seq = build_rbi_double_loop(1e7, 0.1)
+        with pytest.raises(NonFiniteResultError):
+            beat(seq, ClockPair(5e-324, 0.0), FLAT, REST)
 
     def test_beat_fields_serialize(self):
         signal = beat(build_rbi_double_loop(1e3, 0.4), clock_with_ratio(0.1), FLAT, REST)

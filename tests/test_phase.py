@@ -10,6 +10,7 @@ import pytest
 from lpai import (
     GravityEnv,
     InitialConditions,
+    NonFiniteResultError,
     OpenSequenceError,
     Pulse,
     PulseSequence,
@@ -207,6 +208,14 @@ class TestProperTime:
         seq = PulseSequence(build_mzi(1e7, 0.4).pulses[:2])
         with pytest.raises(OpenSequenceError, match="not closed"):
             proper_time_difference(seq, SR)
+
+    def test_an_overflowing_proper_time_is_a_typed_error(self):
+        seq = build_rbi_asymmetric(1e7, 0.1, 0.05)
+        for f in (proper_time_difference, recoil_phase):
+            with pytest.raises(NonFiniteResultError, match="delta_tau = -inf"):
+                f(seq, Species(5e-324))
+        with pytest.raises(NonFiniteResultError):
+            total_phase(seq, Species(5e-324), FLAT, REST)
 
     def test_too_few_pulses_are_refused(self):
         with pytest.raises(ValueError, match="too few"):

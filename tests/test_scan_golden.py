@@ -50,6 +50,14 @@ CASES = {
     "T-rbi-double-from-zero-omega": ("--geometry", "rbi-double", "--k-in-km", "580", *SR,
                                      *GRAVITY, *OMEGA,
                                      "--vary", "T", "--from", "0", "--to", "0.4", "--steps", "5"),
+    # eta = 1.0100...: an optical splitting leaves eta at exactly 1.0
+    "T-rbi-asym-pause-large-splitting": ("--geometry", "rbi-asym", "--k", "1e4", "--Tprime", "0.02",
+                                         "--mass", "1e-30", "--omega", "1.7e20",
+                                         "--vary", "T", "--from", "0.01", "--to", "0.3",
+                                         "--steps", "7"),
+    "k-rbi-double-large-splitting": ("--geometry", "rbi-double", "--T", "0.05", "--mass", "1e-30",
+                                     "--omega", "1.7e20", *GRAVITY,
+                                     "--vary", "k", "--from", "1e3", "--to", "3e4", "--steps", "4"),
     "T-with-zero-k": ("--geometry", "mzi", "--k", "0", *SR, *OMEGA,
                       "--vary", "T", "--from", "0.1", "--to", "0.2", "--steps", "3"),
     "k-mzi": ("--geometry", "mzi", "--T", "0.1", *SR, *GRAVITY,

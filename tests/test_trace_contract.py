@@ -25,6 +25,7 @@ from lpai import (
     oracle,
     oracle_report,
 )
+from lpai.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -71,3 +72,27 @@ def test_every_oracle_march_goes_through_march_rk4():
     # two branches, the branch-difference system and the pulse-free launch
     assert counts["kernels.march_rk4"] == 4
     assert recorder.nodes == 4 * oracle._build_grid(seq, cfg).ts.size
+
+
+def test_a_scan_forms_one_recoil_sum_per_row_without_beat(capsys):
+    spans = load_spans()
+    steps = 200
+    recorder = spans.Recorder()
+    restore = spans.install(recorder)
+    try:
+        code = main(
+            [
+                "scan", "--geometry", "rbi-sym", "--k", "1e7", "--Tprime", "0.01",
+                "--mass", "1.443157e-25", "--g", "9.81", "--omega", "2.696928e15",
+                "--vary", "T", "--from", "0.01", "--to", "0.4", "--steps", str(steps),
+            ]
+        )
+    finally:
+        restore()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) > steps
+    counts = {name: calls for name, (calls, _) in spans.self_times(recorder.spans).items()}
+    assert "clock.beat" not in counts
+    assert "phase.recoil_double_sum" not in counts
+    assert counts["core.validate_sequence"] <= steps
+    assert counts["geometry.closure_check"] <= steps
