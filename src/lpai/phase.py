@@ -67,11 +67,11 @@ def _pair_gather(n: int, rows: int) -> np.ndarray:
 
 
 def _pair_terms(seqs: Sequence[PulseSequence]) -> np.ndarray:
-    """Pair terms of sequences with one pulse count, one row of terms each.
+    """Pair terms of sequences with one pulse count, shaped (4, len(seqs), width).
 
-    Row i holds the exact four-term expansions of every pair term of seqs[i]
-    in one fixed order, the order recoil_double_sum reduces them in.  All rows
-    come from one gather and one triple_product_rows call.
+    terms[:, i], flattened, holds the exact four-term expansions of every
+    pair term of seqs[i] in the order recoil_double_sum reduces them in.
+    All sequences share one gather and one triple_product_rows call.
     """
     n = seqs[0].n_pulses
     rows, width = len(seqs), n * (n - 1)  # width: both branches of every pair
@@ -91,7 +91,7 @@ def _pair_terms(seqs: Sequence[PulseSequence]) -> np.ndarray:
     # them; numpy's warnings would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         terms = triple_product_rows(factors)
-    return terms.reshape(4, rows, width).transpose(1, 0, 2).reshape(rows, 4 * width)
+    return terms.reshape(4, rows, width)
 
 
 def recoil_double_sum(seq: PulseSequence) -> float:
@@ -107,7 +107,7 @@ def recoil_double_sum(seq: PulseSequence) -> float:
     is the one-row case of recoil_sums, which forms the terms of many
     sequences at once and reduces each row the same way.
     """
-    return array_fsum(_pair_terms([seq])[0])
+    return array_fsum(_pair_terms([seq]).reshape(-1))
 
 
 # Pulse pairs whose terms one block of recoil_sums forms together; a
@@ -118,15 +118,16 @@ _BLOCK_PAIRS = 1024
 
 
 def _row_terms(block: list[PulseSequence | None]) -> list[np.ndarray | None]:
-    """Pair terms of each sequence in block, one gather per pulse count."""
+    """Contiguous pair terms of each sequence in block, one gather per pulse count."""
     out: list[np.ndarray | None] = [None] * len(block)
     by_count: dict[int, list[int]] = {}
     for i, seq in enumerate(block):
         if seq is not None:
             by_count.setdefault(seq.n_pulses, []).append(i)
     for index in by_count.values():
-        for i, terms in zip(index, _pair_terms([block[i] for i in index])):
-            out[i] = terms
+        terms = _pair_terms([block[i] for i in index])
+        for i, row in zip(index, terms.transpose(1, 0, 2).reshape(len(index), -1)):
+            out[i] = row
     return out
 
 
