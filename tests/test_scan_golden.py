@@ -96,15 +96,26 @@ CASES = {
 }
 
 
-def run_case(argv):
+def run_main(argv):
+    """Exit code, stdout and stderr of lpai.cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["scan", *argv])
+        code = main(list(argv))
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def load_golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+def run_case(argv):
+    return run_main(["scan", *argv])
+
+
+def load_golden(path=GOLDEN):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def write_golden(path, cases, run):
+    """Run every case and write {name: {argv, exit, stdout, stderr}} to path."""
+    outputs = {name: {"argv": list(argv), **run(argv)} for name, argv in cases.items()}
+    path.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def test_every_case_has_a_golden_output():
@@ -120,5 +131,4 @@ def test_scan_output_is_byte_identical(name):
 
 
 if __name__ == "__main__":
-    cases = {name: {"argv": list(argv), **run_case(argv)} for name, argv in CASES.items()}
-    GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_golden(GOLDEN, CASES, run_case)
