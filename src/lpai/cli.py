@@ -24,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,7 +77,6 @@ class RunManifest:
     parameters: dict
     version: str = __version__
     output_format: str = "text"
-    deterministic: bool = True
     stamp: str | None = None
 
     def as_dict(self) -> dict:
@@ -85,7 +84,7 @@ class RunManifest:
             "command": self.command,
             "version": self.version,
             "format": self.output_format,
-            "deterministic": self.deterministic,
+            "deterministic": self.stamp is None,
             "parameters": dict(sorted(self.parameters.items())),
         }
         if self.stamp is not None:
@@ -97,7 +96,7 @@ class RunManifest:
             f"# command = {self.command}",
             f"# version = {self.version}",
             f"# format = {self.output_format}",
-            f"# deterministic = {str(self.deterministic).lower()}",
+            f"# deterministic = {str(self.stamp is None).lower()}",
         ]
         for key, value in sorted(self.parameters.items()):
             lines.append(f"# parameter.{key} = {value}")
@@ -300,24 +299,26 @@ def cmd_simulate(args) -> int:
         )
 
     if args.format == "json":
-        payload = {"phase": breakdown.as_dict()}
+        payload = {"phase": asdict(breakdown)}
         if signal is not None:
-            payload["beat"] = signal.as_dict()
+            payload["beat"] = asdict(signal)
         _emit(_json_block(manifest, payload), args.output)
     elif args.format == "csv":
-        columns = list(breakdown.as_dict())
-        row = list(breakdown.as_dict().values())
+        phase_fields = asdict(breakdown)
+        columns = list(phase_fields)
+        row = list(phase_fields.values())
         if signal is not None:
-            beat_fields = signal.as_dict()
+            beat_fields = asdict(signal)
             columns += list(beat_fields)
             row += list(beat_fields.values())
         _emit(_csv_block(manifest, columns, [row]), args.output)
     else:
         body = breakdown.as_table()
         if signal is not None:
-            width = max(len(name) for name in signal.as_dict())
+            beat_fields = asdict(signal)
+            width = max(len(name) for name in beat_fields)
             beat_lines = [
-                f"{name:<{width}}  {_fmt(value):>23}" for name, value in signal.as_dict().items()
+                f"{name:<{width}}  {_fmt(value):>23}" for name, value in beat_fields.items()
             ]
             body += "\n" + "\n".join(beat_lines)
         _emit(_text_block(manifest, body), args.output)
@@ -405,9 +406,9 @@ def cmd_check(args) -> int:
         stamp=_stamp(args),
     )
     if args.format == "json":
-        _emit(_json_block(manifest, {"closure": report.as_dict()}), args.output)
+        _emit(_json_block(manifest, {"closure": asdict(report)}), args.output)
     else:
-        entries = report.as_dict()
+        entries = asdict(report)
         width = max(len(name) for name in entries)
         lines = []
         for name, value in entries.items():
@@ -418,6 +419,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # nan would pass every `residual > tol` test and never exit 3
+    if not args.tol >= 0.0:
+        raise _UsageError(f"--tol must be a non-negative number, got {args.tol!r}")
     seq, geo_params = _resolve_sequence(args)
     species, env, ics, env_params = _environment(args)
 
@@ -464,7 +468,7 @@ def cmd_oracle(args) -> int:
         command="oracle", parameters=params, output_format=args.format, stamp=_stamp(args)
     )
     if args.format == "json":
-        _emit(_json_block(manifest, {"oracle": json.loads(result.as_report_json())}), args.output)
+        _emit(_json_block(manifest, {"oracle": result.as_report()}), args.output)
     elif args.format == "csv":
         columns = [
             "sigma", "delta_tau_numeric", "delta_tau_closed", "rel_residual",
@@ -477,7 +481,7 @@ def cmd_oracle(args) -> int:
         ]
         _emit(_csv_block(manifest, columns, [row]), args.output)
     else:
-        entries = json.loads(result.as_report_json())
+        entries = result.as_report()
         width = max(len(name) for name in entries)
         lines = [f"{name:<{width}}  {value}" for name, value in entries.items()]
         _emit(_text_block(manifest, "\n".join(lines)), args.output)

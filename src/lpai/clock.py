@@ -23,9 +23,8 @@ tolerance, since an ulp of a 1e11 rad carrier is itself ~1e-5 rad.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -62,12 +61,6 @@ class BeatSignal:
     envelope: float
     carrier_phase: float
     delta_tau: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def as_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
 
 
 def per_state_phase(

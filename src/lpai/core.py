@@ -14,9 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -238,26 +237,16 @@ def require_valid(seq: PulseSequence, *, structural_only: bool = False) -> None:
 class GravityEnv:
     """Uniform gravitational environment: acceleration -g along z.
 
-    ``gradient`` (1/s^2) is carried for validation and exploratory numeric
-    integration only; every closed-form result requires it to be zero.
+    The field is the same at every height; the closed forms and the numeric
+    oracle both rest on that.
     """
 
-    g: float            # m/s^2
-    gradient: float = 0.0  # 1/s^2
+    g: float  # m/s^2
 
     def __post_init__(self) -> None:
-        _plain_floats(self, ("g", "gradient"))
+        _plain_floats(self, ("g",))
         if not _finite(self.g):
             raise ValueError(f"g must be finite, got {self.g!r}")
-        if not _finite(self.gradient):
-            raise ValueError(f"gradient must be finite, got {self.gradient!r}")
-
-    def require_uniform(self) -> None:
-        if self.gradient != 0.0:
-            raise ValueError(
-                "closed-form phases are only defined for a uniform field (gradient = 0); "
-                f"got gradient = {self.gradient!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -300,12 +289,6 @@ class PhaseBreakdown:
             raise NonFiniteResultError(f"phase breakdown is not finite: {out}")
         return out
 
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def as_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
     def as_table(self) -> str:
         units = {
             "delta_tau": "s",
@@ -314,6 +297,6 @@ class PhaseBreakdown:
             "laser_phase": "rad",
             "total_phase": "rad",
         }
-        rows = [(name, f"{value:+.16e}", units[name]) for name, value in self.as_dict().items()]
+        rows = [(name, f"{value:+.16e}", units[name]) for name, value in asdict(self).items()]
         width = max(len(name) for name, _, _ in rows)
         return "\n".join(f"{name:<{width}}  {val} {unit}" for name, val, unit in rows)

@@ -11,10 +11,9 @@ removes sensitivity to a uniform acceleration of the launch trajectory.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import constants
 from ._exactsum import triple_product_terms, two_product
@@ -36,12 +35,6 @@ class ClosureReport:
     moment1: float        # s/m,   sum of t*dk
     moment2: float        # s^2/m, sum of t^2*dk
     closed: bool
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def as_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
 
 
 def _moments(seq: PulseSequence) -> tuple[float, float, float]:

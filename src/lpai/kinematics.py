@@ -95,7 +95,6 @@ def kick_trajectory(seq: PulseSequence, branch: int, species: Species) -> Branch
 
 def gravity_trajectory(env: GravityEnv, ics: InitialConditions, t):
     """Launch trajectory (z_g, v_g) at time t; t may be a scalar or ndarray."""
-    env.require_uniform()
     z = ics.z0 + t * (ics.v0 - 0.5 * env.g * t)
     v = ics.v0 - env.g * t
     return z, v

@@ -30,18 +30,12 @@ Top-hat windows leave the three RK4 stage accelerations equal, so one array
 serves all three; cosine windows compute their profile once per window and
 stage, and the window quadrature reuses it.  A grid over MAX_ORACLE_NODES is
 refused before anything is allocated.
-
-A nonzero gravity gradient switches integrate_branch to a slower,
-state-dependent stepper with acceleration -g - gradient*z + pulses; that path
-is exploratory (the closed forms assume a uniform field) and the quadrature
-entry points refuse it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -125,15 +119,9 @@ class OracleResult:
     total_phase_numeric: float
     closure_residuals: tuple[float, float]  # (position m, velocity m/s) at grid end
 
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    def as_report_json(self, indent: int | None = 2) -> str:
-        report = {
+    def as_report(self) -> dict:
+        """The report `lpai oracle` prints, in print order and under its short names."""
+        return {
             "sigma": self.sigma,
             "steps": self.steps_per_segment,
             "pulse_shape": self.pulse_shape,
@@ -144,7 +132,6 @@ class OracleResult:
             "total_phase_numeric": self.total_phase_numeric,
             "closure_residuals": list(self.closure_residuals),
         }
-        return json.dumps(report, indent=indent)
 
 
 @dataclass(frozen=True)
@@ -309,25 +296,16 @@ def integrate_branch(
 ) -> SampledTrajectory:
     """Integrate one branch with finite-width pulses; returns node samples.
 
-    A nonzero gravity gradient is accepted here (only here) and switches to
-    the state-dependent stepper; the impulse check is skipped in that case
-    because the restoring term adds a legitimate position-dependent drift.
+    Raises OracleAccuracyError when the velocity change across a pulse
+    window misses its impulse, as on a grid too coarse for the window.
     """
-    require_valid(seq, structural_only=True)
-    _check_config(seq, cfg)
-    grid = _build_grid(seq, cfg)
-    ks = _branch_ks(seq, branch)
-    if env.gradient != 0.0:
-        accels = _stage_accels(grid, ks, species.mass, env.g)
-        z, v = _kernels.march_gradient(grid.h, *accels, env.gradient, ics.z0, ics.v0)
-    else:
-        z, v = _march_branch(grid, ks, species.mass, env, ics)
+    grid = _quadrature_grid(seq, cfg)
+    z, v = _march_branch(grid, _branch_ks(seq, branch), species.mass, env, ics)
     return SampledTrajectory(t=grid.ts, z=z, v=v)
 
 
-def _quadrature_grid(seq: PulseSequence, env: GravityEnv, cfg: OracleConfig) -> _Grid:
+def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     require_valid(seq, structural_only=True)
-    env.require_uniform()
     _check_config(seq, cfg)
     return _build_grid(seq, cfg)
 
@@ -353,7 +331,7 @@ def proper_time_numeric(
     cfg: OracleConfig,
 ) -> float:
     """Branch proper-time difference by quadrature on the integrated motion."""
-    return _proper_time(_quadrature_grid(seq, env, cfg), seq, species, env, ics)[0]
+    return _proper_time(_quadrature_grid(seq, cfg), seq, species, env, ics)[0]
 
 
 def _window_terms(grid: _Grid, *forcings) -> list[list[float]]:
@@ -397,7 +375,7 @@ def action_numeric(
     the two natural scales, and is nan when the closed form refuses the
     input (open or degenerate sequences).
     """
-    grid = _quadrature_grid(seq, env, cfg)
+    grid = _quadrature_grid(seq, cfg)
     k1 = _branch_ks(seq, 1)
     k2 = _branch_ks(seq, 2)
     z1, _ = _march_branch(grid, k1, species.mass, env, ics)
@@ -468,7 +446,7 @@ def oracle_report(
     cfg: OracleConfig,
 ) -> OracleResult:
     """Full numeric-versus-closed-form comparison for a closed sequence."""
-    grid = _quadrature_grid(seq, env, cfg)
+    grid = _quadrature_grid(seq, cfg)
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
     z_g, _ = _march_branch(grid, (), species.mass, env, ics)  # pulse-free trajectory
     (gravito_terms,) = _window_terms(grid, ([p.delta_k for p in seq.pulses], z_g))

@@ -240,7 +240,6 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
 
 def gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
     """gravito_recoil_phase of a sequence that has passed require_valid."""
-    env.require_uniform()
     terms: list[float] = []
     for p in seq.pulses:
         zg, _ = gravity_trajectory(env, ics, p.t)

@@ -97,6 +97,24 @@ def recoil_double_sum_loop(seq: PulseSequence) -> float:
     return math.fsum(terms)
 
 
+def march_rk4_loop(h, a_left, a_mid, a_right, z0, v0):
+    """The reduced RK4 march of lpai._kernels as a plain step-by-step loop.
+
+    The bit reference for march_rk4's cumulative sums.
+    """
+    n = h.size
+    z = np.empty(n + 1)
+    v = np.empty(n + 1)
+    z[0] = z0
+    v[0] = v0
+    for i in range(n):
+        dv = (h[i] / 6.0) * (a_left[i] + 4.0 * a_mid[i] + a_right[i])
+        dz = h[i] * v[i] + (h[i] * h[i] / 6.0) * (a_left[i] + 2.0 * a_mid[i])
+        z[i + 1] = z[i] + dz
+        v[i + 1] = v[i] + dv
+    return z, v
+
+
 def float_bits(x: float) -> bytes:
     import struct
 

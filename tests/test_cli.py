@@ -347,6 +347,18 @@ class TestOracle:
         code, _, _ = run(capsys, *self.BASE, "--sigma", "3.25e-7", "--tol", "1e-12")
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_a_tolerance_below_zero_or_nan_is_refused(self, capsys, tol):
+        # rel_residual is about 2e-3 at this width
+        code, out, err = run(capsys, *self.BASE, "--sigma", "1e-2", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --tol")
+
+    def test_an_infinite_tolerance_never_fails(self, capsys):
+        code, _, _ = run(capsys, *self.BASE, "--sigma", "1e-2", "--tol", "inf")
+        assert code == 0
+
     def test_sigma_is_required_without_a_sweep(self, capsys):
         code, _, err = run(capsys, *self.BASE)
         assert code == 1
@@ -429,7 +441,13 @@ class TestHarness:
             "--mass", SR_MASS, "--stamp", "--output", str(path),
         )
         assert main(list(args)) == 0
-        assert "# stamp = " in path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        assert "# stamp = " in text
+        assert "# deterministic = false" in text
+        assert main([*args, "--format", "json"]) == 0
+        manifest = json.loads(path.read_text(encoding="utf-8"))["manifest"]
+        assert "stamp" in manifest
+        assert manifest["deterministic"] is False
 
     def test_output_flag_writes_the_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
         path = tmp_path / "out.json"

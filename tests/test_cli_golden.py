@@ -31,7 +31,7 @@ ORACLE_RBI = ("oracle", *RBI_SYM, *SR, "--g", "9.81", "--sigma", "3e-7", "--step
               "--shape", "cosine")
 SWEEP_FITTED = ("oracle", "--geometry", "rbi-asym", "--k", "1.8e10", "--T", "0.325", *SR,
                 "--g", "9.81", "--sweep-sigma", "3.25e-4", "3.25e-5", "3.25e-6", "--steps", "100")
-# every residual of this sweep sits within a factor 2 of the 1e-12 floor
+# one residual of this sweep sits above the 1e-12 floor, so no exponent is fitted
 SWEEP_UNFITTED = ("oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", *SR, "--g", "9.81",
                   "--sweep-sigma", "1e-4", "5e-5", "2.5e-5")
 

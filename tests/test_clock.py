@@ -1,6 +1,7 @@
 """Two-state fringes, the visibility beat and its envelope."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ class TestBeat:
 
     def test_beat_fields_serialize(self):
         signal = beat(build_rbi_double_loop(1e3, 0.4), clock_with_ratio(0.1), FLAT, REST)
-        d = signal.as_dict()
+        d = asdict(signal)
         assert list(d) == ["p_a", "p_b", "p_combined", "envelope", "carrier_phase", "delta_tau"]
 
 

@@ -1,6 +1,7 @@
 """Builders, closure diagnostics and the geometry file format."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -163,7 +164,7 @@ class TestClosure:
 
     def test_report_serializes(self):
         report = closure_check(build_mzi(1.0, 1.0), ATOM)
-        d = report.as_dict()
+        d = asdict(report)
         assert d["closed"] is True
         assert set(d) == {
             "delta_z_final",

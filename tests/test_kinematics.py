@@ -115,10 +115,6 @@ class TestGravityTrajectory:
             assert z_arr[i] == z
             assert v_arr[i] == v
 
-    def test_gradient_is_refused(self):
-        with pytest.raises(ValueError, match="uniform"):
-            gravity_trajectory(GravityEnv(9.81, gradient=1e-6), REST, 1.0)
-
 
 class TestSample:
     def test_start_of_the_interferometer_is_the_launch_state(self):

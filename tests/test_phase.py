@@ -246,10 +246,6 @@ class TestGravitoRecoil:
             got = gravito_recoil_phase(build_rbi_double_loop(k, T), GravityEnv(g), InitialConditions(z0, v0))
             assert abs(got) <= 1e-9 * abs(k * g * T**2)
 
-    def test_gradient_is_refused(self):
-        with pytest.raises(ValueError, match="uniform"):
-            gravito_recoil_phase(build_mzi(1.0, 1.0), GravityEnv(9.81, gradient=1e-6), REST)
-
 
 class TestLaserPhase:
     def test_signed_sum(self):

@@ -7,6 +7,7 @@ their exception only after every earlier row, whatever the block size.
 
 import math
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -64,7 +65,7 @@ def hexed(row):
         return None
     if isinstance(row, Exception):
         return type(row), str(row)
-    return {name: float.hex(value) for name, value in row.as_dict().items()}
+    return {name: float.hex(value) for name, value in asdict(row).items()}
 
 
 def mostly(typical, extremes):
