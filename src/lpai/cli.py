@@ -176,7 +176,10 @@ def build_parser() -> _Parser:
     orc.add_argument("--sigma", type=float, default=None, help="pulse width (s)")
     orc.add_argument("--steps", type=int, default=400, help="integration steps per grid segment")
     orc.add_argument("--shape", choices=("tophat", "cosine"), default="tophat")
-    orc.add_argument("--tol", type=float, default=1e-6, help="relative residual limit (exit 3 above it)")
+    orc.add_argument(
+        "--tol", type=float, default=None,
+        help="relative residual limit, default 1e-6 (exit 3 above it; single width only)",
+    )
     orc.add_argument(
         "--sweep-sigma",
         dest="sweep_sigma",
@@ -419,9 +422,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.sweep_sigma is not None:
+        # a sweep sets its own widths and reports residuals without a limit
+        for flag, value in (("--sigma", args.sigma), ("--tol", args.tol)):
+            if value is not None:
+                raise _UsageError(f"{flag} cannot be combined with --sweep-sigma")
+    tol = 1e-6 if args.tol is None else args.tol
     # nan would pass every `residual > tol` test and never exit 3
-    if not args.tol >= 0.0:
-        raise _UsageError(f"--tol must be a non-negative number, got {args.tol!r}")
+    if not tol >= 0.0:
+        raise _UsageError(f"--tol must be a non-negative number, got {tol!r}")
     seq, geo_params = _resolve_sequence(args)
     species, env, ics, env_params = _environment(args)
 
@@ -462,7 +471,7 @@ def cmd_oracle(args) -> int:
     result = oracle_report(seq, species, env, ics, cfg)
     params = {
         **geo_params, **env_params,
-        "sigma": args.sigma, "steps": args.steps, "shape": args.shape, "tol": args.tol,
+        "sigma": args.sigma, "steps": args.steps, "shape": args.shape, "tol": tol,
     }
     manifest = RunManifest(
         command="oracle", parameters=params, output_format=args.format, stamp=_stamp(args)
@@ -485,7 +494,7 @@ def cmd_oracle(args) -> int:
         width = max(len(name) for name in entries)
         lines = [f"{name:<{width}}  {value}" for name, value in entries.items()]
         _emit(_text_block(manifest, "\n".join(lines)), args.output)
-    return 3 if result.residual_vs_closed_form > args.tol else 0
+    return 3 if result.residual_vs_closed_form > tol else 0
 
 
 def main(argv=None) -> int:

@@ -123,9 +123,10 @@ class Pulse:
 
     ``k_upper``/``k_lower`` are the momentum transfers divided by hbar (1/m)
     that branch 1 / branch 2 receive; zero means the branch is not addressed.
-    This is a plain container: field validation lives in
-    :func:`validate_sequence`, which reports instead of raising.  Numpy
-    scalars are stored as Python floats.
+    This is a plain container: its fields are checked when a
+    :class:`PulseSequence` is built, and :func:`validate_sequence` reports
+    the findings instead of raising.  Numpy scalars are stored as Python
+    floats.
     """
 
     t: float          # s
@@ -148,6 +149,13 @@ class PulseSequence:
 
     ``duration`` defaults to the last pulse time.  ``name`` is an optional
     label carried through the geometry file format; it never affects physics.
+    The constructor scans the sequence against its invariants once and keeps
+    the violations outside the dataclass fields, so eq, hash, repr and asdict
+    do not see them; :func:`validate_sequence` reports them.  The instance
+    and its pulses are frozen, so the stored result cannot go stale, and
+    ``dataclasses.replace`` builds a new instance that scans again.  An
+    element of ``pulses`` without the :class:`Pulse` fields therefore fails
+    here, with AttributeError.
     """
 
     pulses: tuple[Pulse, ...]
@@ -160,6 +168,7 @@ class PulseSequence:
             last = self.pulses[-1].t if self.pulses else 0.0
             object.__setattr__(self, "duration", last)
         _plain_floats(self, ("duration",))
+        object.__setattr__(self, "_violations", _scan(self))
 
     @property
     def n_pulses(self) -> int:
@@ -185,13 +194,8 @@ class Violation:
 STRUCTURAL_RULES = ("non-finite field", "non-monotone times", "duration before last pulse")
 
 
-def validate_sequence(seq: PulseSequence) -> list[Violation]:
-    """Check a sequence against its invariants and report every violation.
-
-    Never raises; returns an empty list for a valid sequence.  The result is
-    deterministic and idempotent: pulses are scanned in order, sequence-level
-    rules afterwards.
-    """
+def _scan(seq: PulseSequence) -> tuple[Violation, ...]:
+    """Every violation of seq: pulses in order, then the sequence-level rules."""
     out: list[Violation] = []
     for i, p in enumerate(seq.pulses):
         for name in _PULSE_FIELDS:
@@ -220,7 +224,18 @@ def validate_sequence(seq: PulseSequence) -> list[Violation]:
         out.append(
             Violation("too few pulses", None, f"{len(seq.pulses)} pulse(s); interference needs >= 2")
         )
-    return out
+    return tuple(out)
+
+
+def validate_sequence(seq: PulseSequence) -> list[Violation]:
+    """Report every violation of the sequence's invariants.
+
+    Never raises; returns an empty list for a valid sequence.  The sequence
+    was scanned once, when it was built (pulses in order, sequence-level
+    rules afterwards); each call returns a new list of those findings, so a
+    caller may change it without affecting the next call.
+    """
+    return list(seq._violations)
 
 
 def require_valid(seq: PulseSequence, *, structural_only: bool = False) -> None:

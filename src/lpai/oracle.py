@@ -35,6 +35,7 @@ refused before anything is allocated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -66,7 +67,11 @@ MAX_ORACLE_NODES = 8_000_000
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Finite-pulse-width integration parameters."""
+    """Finite-pulse-width integration parameters.
+
+    ``steps_per_segment`` takes any integer type (``operator.index``) and is
+    stored as a Python int; a float or a string is refused.
+    """
 
     pulse_width: float
     steps_per_segment: int = 400
@@ -75,6 +80,13 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.pulse_width) and self.pulse_width > 0.0):
             raise OracleConfigError(f"pulse_width must be positive, got {self.pulse_width!r}")
+        try:
+            steps = operator.index(self.steps_per_segment)
+        except TypeError:
+            raise OracleConfigError(
+                f"steps_per_segment must be an integer, got {self.steps_per_segment!r}"
+            ) from None
+        object.__setattr__(self, "steps_per_segment", steps)
         if self.steps_per_segment < 100:
             raise OracleConfigError(
                 f"steps_per_segment must be at least 100, got {self.steps_per_segment!r}"

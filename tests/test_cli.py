@@ -393,6 +393,13 @@ class TestOracle:
         assert code == 0
         assert "# fitted_exponent = nan" in out
 
+    @pytest.mark.parametrize("flag", [("--sigma", "1e-2"), ("--tol", "1e-30")])
+    def test_sweep_refuses_a_single_width_flag(self, capsys, flag):
+        code, out, err = run(capsys, *self.BASE, *flag, "--sweep-sigma", "3.25e-4", "3.25e-5")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag[0]} cannot be combined with --sweep-sigma\n"
+
     def test_increasing_sweep_is_rejected(self, capsys):
         code, _, err = run(capsys, *self.BASE, "--sweep-sigma", "1e-6", "1e-5")
         assert code == 1

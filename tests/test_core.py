@@ -18,12 +18,15 @@ from lpai import (
     Pulse,
     PulseSequence,
     Species,
+    beat,
     compton_frequency,
     constants,
     recoil_double_sum,
     require_valid,
+    total_phase,
     validate_sequence,
 )
+from lpai import core
 
 SR_MASS = 1.443157e-25
 
@@ -171,6 +174,39 @@ class TestValidation:
     def test_validation_is_idempotent(self):
         seq = PulseSequence((Pulse(0.0, 1.0, 0.0),))
         assert validate_sequence(seq) == validate_sequence(seq)
+
+    def test_each_call_returns_a_new_list(self):
+        seq = PulseSequence((Pulse(0.0, 1.0, 0.0),))
+        first = validate_sequence(seq)
+        first.clear()
+        second = validate_sequence(seq)
+        assert [v.rule for v in second] == ["too few pulses"]
+        assert second is not validate_sequence(seq)
+        assert second == validate_sequence(seq)
+
+    def test_a_sequence_is_scanned_once_when_built(self, monkeypatch):
+        scans = []
+        scan = core._scan
+        monkeypatch.setattr(core, "_scan", lambda seq: scans.append(seq) or scan(seq))
+        seq = mzi_like(k=1e7, T=0.1)
+        assert len(scans) == 1
+        env, ics = GravityEnv(9.81), InitialConditions(0.0, 1.0)
+        beat(seq, ClockPair(SR_MASS, 2.7e15), env, ics)
+        total_phase(seq, Species(SR_MASS), env, ics)
+        validate_sequence(seq)
+        assert len(scans) == 1
+        renamed = dataclasses.replace(seq, name="mzi")
+        assert len(scans) == 2 and scans[-1] is renamed
+
+    def test_stored_findings_stay_out_of_the_fields(self):
+        seq = PulseSequence((Pulse(0.0, 1.0, 0.0),))
+        assert seq == PulseSequence((Pulse(0.0, 1.0, 0.0),))
+        assert "too few" not in repr(seq)
+        assert set(dataclasses.asdict(seq)) == {"pulses", "duration", "name"}
+
+    def test_an_element_without_pulse_fields_fails_at_construction(self):
+        with pytest.raises(AttributeError):
+            PulseSequence(((0.0, 1.0, 0.0), (1.0, -1.0, 0.0)), duration=1.0)
 
     def test_require_valid_raises_with_rule_names(self):
         seq = PulseSequence((Pulse(0.0, 1.0, 0.0),))

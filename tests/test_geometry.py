@@ -2,11 +2,14 @@
 
 import math
 from dataclasses import asdict
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpai import geometry
 from lpai import (
     GeometryParseError,
     Pulse,
@@ -21,7 +24,7 @@ from lpai import (
     serialize_geometry,
 )
 
-from _helpers import float_bits
+from _helpers import float_bits, random_closed_sequence
 
 ATOM = Species(1.443157e-25)
 
@@ -37,6 +40,37 @@ def swap_branches(seq: PulseSequence) -> PulseSequence:
         duration=seq.duration,
         name=seq.name,
     )
+
+
+def moments_outcome(seq: PulseSequence, min_pulses: int):
+    """float.hex of each moment with the given crossover, or the fsum exception."""
+    with mock.patch.object(geometry, "_MOMENTS_MIN_PULSES", min_pulses):
+        try:
+            return tuple(m.hex() for m in geometry._moments(seq))
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+
+
+# Any finite float, hypothesis' edge cases (+-0.0, subnormals, +-max) included
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def open_sequences(draw):
+    fields = st.tuples(any_finite, any_finite, any_finite)
+    return PulseSequence(tuple(Pulse(*f) for f in draw(st.lists(fields, max_size=60))))
+
+
+@st.composite
+def closed_sequences(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k_scale = draw(st.sampled_from([5e-324, 1e-300, 1.0, 1e7, 1e150, 1e300, 1e307]))
+    # the closure solve overflows at the largest scales; the moments must
+    # then agree on the inf/nan terms too
+    with np.errstate(all="ignore"):
+        return random_closed_sequence(
+            rng, draw(st.integers(3, 60)), k_scale=k_scale, with_common_mode=draw(st.booleans())
+        )
 
 
 class TestBuilders:
@@ -156,6 +190,22 @@ class TestClosure:
         heavy = closure_check(seq, Species(2e-25))
         assert heavy.delta_v_final == 0.5 * light.delta_v_final
         assert heavy.delta_z_final == 0.5 * light.delta_z_final
+
+    @given(seq=st.one_of(open_sequences(), closed_sequences()))
+    @settings(max_examples=300, deadline=None)
+    def test_array_and_loop_moments_agree_bit_for_bit(self, seq):
+        assert moments_outcome(seq, 0) == moments_outcome(seq, 10**9)
+
+    def test_int_fields_take_the_array_path_as_floats(self):
+        # all products stay below 2**53, where int and float arithmetic agree
+        seq = PulseSequence(tuple(Pulse(i, 3 - i, i % 2) for i in range(12)))
+        assert moments_outcome(seq, 0) == moments_outcome(seq, 10**9)
+
+    def test_long_sequences_take_the_array_path(self):
+        seq = random_closed_sequence(np.random.default_rng(3), geometry._MOMENTS_MIN_PULSES)
+        with mock.patch.object(geometry, "_moments_array", side_effect=AssertionError):
+            with pytest.raises(AssertionError):
+                closure_check(seq, ATOM)
 
     def test_empty_sequence_is_vacuously_closed(self):
         report = closure_check(PulseSequence(()), ATOM)

@@ -61,6 +61,15 @@ class TestConfig:
         with pytest.raises(OracleConfigError, match="at least 100"):
             OracleConfig(pulse_width=1e-6, steps_per_segment=99)
 
+    @pytest.mark.parametrize("steps", [100.5, "400"])
+    def test_non_integer_steps_are_rejected(self, steps):
+        with pytest.raises(OracleConfigError, match="must be an integer"):
+            OracleConfig(pulse_width=1e-6, steps_per_segment=steps)
+
+    def test_numpy_integer_steps_are_accepted_as_int(self):
+        cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=np.int64(400))
+        assert type(cfg.steps_per_segment) is int and cfg.steps_per_segment == 400
+
     def test_unknown_shape_is_rejected(self):
         with pytest.raises(OracleConfigError, match="pulse_shape"):
             OracleConfig(pulse_width=1e-6, pulse_shape="gaussian")
