@@ -43,7 +43,6 @@ from .geometry import (
 )
 from .kinematics import (
     BranchTrajectory,
-    TrajectorySegment,
     gravity_trajectory,
     kick_trajectory,
     sample,
@@ -110,7 +109,6 @@ __all__ = [
     "parse_geometry",
     "serialize_geometry",
     "BranchTrajectory",
-    "TrajectorySegment",
     "gravity_trajectory",
     "kick_trajectory",
     "sample",

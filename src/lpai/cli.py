@@ -253,7 +253,10 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {output!r}: {exc}") from exc
 
 
 def _text_block(manifest: RunManifest, body: str) -> str:

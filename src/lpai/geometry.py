@@ -98,6 +98,19 @@ def _moments_array(seq: PulseSequence) -> tuple[float, float, float]:
     return tuple(array_fsum(m.T.reshape(-1)) for m in (k, m1, m2))
 
 
+def _closure_scales(seq: PulseSequence) -> tuple[float, float]:
+    """Largest |k| and largest |t*k| over the pulses, both branches; 0.0 if none."""
+    k_scale = tk_scale = 0.0
+    for p in seq.pulses:
+        k = max(abs(p.k_upper), abs(p.k_lower))
+        tk = abs(p.t) * k
+        if k > k_scale:
+            k_scale = k
+        if tk > tk_scale:
+            tk_scale = tk
+    return k_scale, tk_scale
+
+
 def closure_check(seq: PulseSequence, species: Species) -> ClosureReport:
     """Evaluate the closure moments and the final phase-space offsets.
 
@@ -105,10 +118,7 @@ def closure_check(seq: PulseSequence, species: Species) -> ClosureReport:
     the offsets scale with hbar/mass.
     """
     m0, m1, m2 = _moments(seq)
-    k_scale = max((max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses), default=0.0)
-    tk_scale = max(
-        (abs(p.t) * max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses), default=0.0
-    )
+    k_scale, tk_scale = _closure_scales(seq)
     closed = abs(m0) <= _CLOSURE_RTOL * k_scale and abs(m1) <= _CLOSURE_RTOL * tk_scale
     hbar_over_m = constants.HBAR / species.mass
     delta_v = hbar_over_m * m0

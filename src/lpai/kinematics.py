@@ -4,13 +4,18 @@ The full trajectory of a branch splits into a branch-independent launch part
 z_g(t) = z0 + v0*t - g*t^2/2 and a branch-dependent kick part that starts at
 rest at zero and changes velocity by hbar*k/m at each pulse.  Both parts are
 evaluated in closed form here; nothing in this module integrates numerically.
-Kicks take effect immediately after the pulse time, so sampling exactly at a
-pulse time returns the pre-kick velocity.
+
+The kick part is one segment table per branch, built by kick_trajectory: one
+constant-velocity segment before the first pulse and one after each pulse.
+Scalar samples, BranchTrajectory.position/velocity and the rows of
+trajectory_table all read it through the same lookup and the same
+element-wise float operations, so a table row equals sample at its time bit
+for bit.  Kicks take effect immediately after the pulse time, so sampling
+exactly at a pulse time returns the pre-kick velocity.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,27 +27,19 @@ from .core import GravityEnv, InitialConditions, PulseSequence, Species, require
 # CLI dump of 1e6 rows of the 3-pulse mzi is ~136 MB of CSV and peaks at
 # ~0.8 GB resident; memory grows linearly in rows.
 MAX_TRAJECTORY_ROWS = 1_000_000
-# Rows x pulses elements in one block of the kick products.  OpenBLAS runs a
-# product this small on one thread, so the table's bits do not depend on the
-# BLAS thread count.
-_KICK_BLOCK_ELEMENTS = 8192
 
 
-@dataclass(frozen=True)
-class TrajectorySegment:
-    """Constant-velocity piece of a kick trajectory."""
-
-    t_start: float
-    t_end: float
-    z_start: float
-    velocity: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchTrajectory:
-    """Kick part of one branch: piecewise linear position, stepwise velocity."""
+    """Kick part of one branch: piecewise linear position, stepwise velocity.
 
-    segments: tuple[TrajectorySegment, ...]
+    Segment i starts at time t_start[i] and position z_start[i] and moves at
+    v[i] until t_start[i + 1]; the last segment runs on to the end.
+    """
+
+    t_start: np.ndarray
+    z_start: np.ndarray
+    v: np.ndarray
     branch: int
     mass: float
 
@@ -50,18 +47,21 @@ class BranchTrajectory:
         if self.branch not in (1, 2):
             raise ValueError(f"branch must be 1 or 2, got {self.branch!r}")
 
-    def _segment_at(self, t: float) -> TrajectorySegment:
-        segs = self.segments
-        # bisect_left over the interior boundaries puts t exactly at a pulse
+    def _at(self, t):
+        """(position, velocity) at t; floats for a scalar t, arrays for an ndarray."""
+        # side="left" over the interior boundaries puts t exactly at a pulse
         # time on the segment that ends there, so the kick has not acted yet
-        return segs[bisect_left([s.t_end for s in segs[:-1]], t)]
+        i = np.searchsorted(self.t_start[1:], t, side="left")
+        z = self.z_start[i] + self.v[i] * (t - self.t_start[i])
+        if np.ndim(t) == 0:
+            return float(z), float(self.v[i])
+        return z, self.v[i]
 
-    def position(self, t: float) -> float:
-        s = self._segment_at(t)
-        return s.z_start + s.velocity * (t - s.t_start)
+    def position(self, t):
+        return self._at(t)[0]
 
-    def velocity(self, t: float) -> float:
-        return self._segment_at(t).velocity
+    def velocity(self, t):
+        return self._at(t)[1]
 
 
 def _branch_ks(seq: PulseSequence, branch: int) -> list[float]:
@@ -73,24 +73,24 @@ def _branch_ks(seq: PulseSequence, branch: int) -> list[float]:
 
 
 def kick_trajectory(seq: PulseSequence, branch: int, species: Species) -> BranchTrajectory:
-    """Piecewise trajectory of the kick part of one branch."""
+    """Segment table of the kick part of one branch."""
     require_valid(seq, structural_only=True)
     ks = _branch_ks(seq, branch)
     times = list(seq.times)
-    t_stop = max(seq.duration, times[-1]) if times else seq.duration
-
-    segments: list[TrajectorySegment] = []
-    t_lo = min(0.0, times[0]) if times else 0.0
-    z = 0.0
-    v = 0.0
-    prev = t_lo
+    t_start = [min(0.0, times[0]) if times else 0.0]
+    z_start = [0.0]
+    v = [0.0]
     for t, k in zip(times, ks):
-        segments.append(TrajectorySegment(prev, t, z, v))
-        z += v * (t - prev)
-        v += constants.HBAR * k / species.mass
-        prev = t
-    segments.append(TrajectorySegment(prev, t_stop, z, v))
-    return BranchTrajectory(tuple(segments), branch, species.mass)
+        z_start.append(z_start[-1] + v[-1] * (t - t_start[-1]))
+        v.append(v[-1] + constants.HBAR * k / species.mass)
+        t_start.append(t)
+    return BranchTrajectory(
+        np.array(t_start, dtype=float),
+        np.array(z_start, dtype=float),
+        np.array(v, dtype=float),
+        branch,
+        species.mass,
+    )
 
 
 def gravity_trajectory(env: GravityEnv, ics: InitialConditions, t):
@@ -112,33 +112,9 @@ def sample(
     require_valid(seq, structural_only=True)
     if not 0.0 <= t <= seq.duration:
         raise ValueError(f"t = {t!r} outside the interferometer interval [0, {seq.duration!r}]")
-    traj = kick_trajectory(seq, branch, species)
+    zk, vk = kick_trajectory(seq, branch, species)._at(t)
     zg, vg = gravity_trajectory(env, ics, t)
-    return zg + traj.position(t), vg + traj.velocity(t)
-
-
-def _kick_arrays(seq: PulseSequence, branch: int, species: Species, ts: np.ndarray):
-    """Vectorized kick part: positions and velocities at sample times ts.
-
-    The (rows, pulses) products run over blocks of rows, so memory stays
-    O(rows + block x pulses).  Blocks are a multiple of 16 rows, the last one
-    taking the remainder, so each row meets the same BLAS kernel as in one
-    full-size product on one thread, and gets the same bits.
-    """
-    times = np.asarray(seq.times)
-    dv = constants.HBAR * np.asarray(_branch_ks(seq, branch)) / species.mass
-    z, v = np.zeros_like(ts), np.zeros_like(ts)
-    if times.size == 0:
-        return z, v
-    block = max(16, _KICK_BLOCK_ELEMENTS // times.size // 16 * 16)
-    edges = [*range(0, max(ts.size // block, 1) * block, block), ts.size]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t = ts[lo:hi, None]
-        # strict inequality keeps the pre-kick convention at exact pulse times
-        active = t > times
-        z[lo:hi] = ((t - times) * active) @ dv
-        v[lo:hi] = active @ dv
-    return z, v
+    return zg + zk, vg + vk
 
 
 def trajectory_table(
@@ -151,14 +127,16 @@ def trajectory_table(
     """Sampled trajectories as columns (t, z1, v1, z2, v2, zg).
 
     Rows run over multiples of dt from 0 to t_end, with a final row at t_end
-    when the grid does not land on it exactly.  Raises ValueError, before
-    anything is allocated, when the grid needs more than MAX_TRAJECTORY_ROWS
-    rows.
+    when the grid does not land on it exactly; each row equals sample at its
+    time.  Raises ValueError, before anything is allocated, when the sequence
+    ends before t = 0 or the grid needs more than MAX_TRAJECTORY_ROWS rows.
     """
     require_valid(seq, structural_only=True)
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     t_end = seq.duration
+    if t_end < 0.0:
+        raise ValueError(f"the sequence ends at t = {t_end!r}, before the table's start at t = 0")
     if not t_end / dt < MAX_TRAJECTORY_ROWS:
         raise ValueError(
             f"dt={dt!r} over a duration of {t_end!r} s needs more than "
@@ -169,6 +147,6 @@ def trajectory_table(
     if ts[-1] < t_end:
         ts = np.append(ts, t_end)
     zg, vg = gravity_trajectory(env, ics, ts)
-    z1, v1 = _kick_arrays(seq, 1, species, ts)
-    z2, v2 = _kick_arrays(seq, 2, species, ts)
+    z1, v1 = kick_trajectory(seq, 1, species)._at(ts)
+    z2, v2 = kick_trajectory(seq, 2, species)._at(ts)
     return np.column_stack([ts, zg + z1, vg + v1, zg + z2, vg + v2, zg])

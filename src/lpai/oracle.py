@@ -51,6 +51,7 @@ from .core import (
     require_valid,
 )
 from .errors import OracleAccuracyError, OracleConfigError
+from .geometry import _closure_scales
 from .kinematics import _branch_ks
 from .phase import gravito_recoil_phase, laser_phase, laser_sum, recoil_phase
 from .phase import proper_time_difference as proper_time_closed
@@ -430,20 +431,13 @@ def _time_span(seq: PulseSequence) -> float:
     return max(seq.duration, times[-1]) - min(0.0, times[0])
 
 
-def _k_max(seq: PulseSequence) -> float:
-    return max(
-        (max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses),
-        default=0.0,
-    )
-
-
 def _delta_tau_scale(seq: PulseSequence, species: Species) -> float:
-    vr = constants.HBAR * _k_max(seq) / (species.mass * constants.C)
+    vr = constants.HBAR * _closure_scales(seq)[0] / (species.mass * constants.C)
     return vr * vr * _time_span(seq)
 
 
 def _action_scale(seq, species, env, ics) -> float:
-    kmax = _k_max(seq)
+    kmax, _ = _closure_scales(seq)
     span = _time_span(seq)
     z_scale = abs(ics.z0) + abs(ics.v0) * span + 0.5 * abs(env.g) * span * span
     recoil_scale = constants.HBAR * kmax * kmax * span / species.mass

@@ -12,6 +12,8 @@ from lpai import (
     InitialConditions,
     Species,
     build_mzi,
+    build_rbi_double_loop,
+    sample,
     serialize_geometry,
     total_phase,
 )
@@ -165,6 +167,38 @@ class TestSimulate:
         assert header == ["t", "z1", "v1", "z2", "v2", "zg"]
         assert rows[0][0] == 0.0
         assert rows[-1][0] == pytest.approx(0.8)
+
+    def test_trajectory_dump_rows_equal_sample(self, capsys, tmp_path):
+        dump = tmp_path / "traj.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--geometry", "rbi-double", "--k", "1e7", "--T", "0.25",
+            "--mass", SR_MASS, "--g", "9.81", "--z0", "1.0", "--v0", "-0.5",
+            "--dump-trajectory", str(dump), "--dump-dt", "0.001",
+        )
+        assert code == 0
+        seq = build_rbi_double_loop(1e7, 0.25)
+        species, env, ics = Species(float(SR_MASS)), GravityEnv(9.81), InitialConditions(1.0, -0.5)
+        _, rows = parse_csv(dump.read_text(encoding="utf-8"))
+        assert len(rows) == 1001
+        for t, z1, v1, z2, v2, _ in rows:
+            assert (z1, v1) == sample(seq, 1, species, env, ics, t)
+            assert (z2, v2) == sample(seq, 2, species, env, ics, t)
+
+    def test_trajectory_dump_of_a_sequence_ending_before_zero_is_an_error(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "neg.geom"
+        path.write_text(
+            "pulse -0.6 1e7 0\npulse -0.4 -1e7 1e7\npulse -0.2 0 -1e7\n", encoding="utf-8"
+        )
+        dump = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, "simulate", "--geometry", f"file:{path}", "--mass", "1e-25",
+            "--dump-trajectory", str(dump), "--dump-dt", "0.01",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "before" in err
+        assert not dump.exists()
 
     def test_trajectory_dump_over_the_row_budget_is_an_error(self, capsys, tmp_path):
         dump = tmp_path / "t.csv"
@@ -455,6 +489,30 @@ class TestHarness:
         manifest = json.loads(path.read_text(encoding="utf-8"))["manifest"]
         assert "stamp" in manifest
         assert manifest["deterministic"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--geometry", "mzi", "--k", "1e7", "--T", "0.4", "--output", "{bad}"),
+            (
+                "scan", "--geometry", "mzi", "--k", "1e7", "--vary", "T", "--from", "0.1",
+                "--to", "0.2", "--steps", "2", "--output", "{bad}",
+            ),
+            (
+                "simulate", "--geometry", "mzi", "--k", "1e7", "--T", "0.4",
+                "--dump-trajectory", "{bad}", "--dump-dt", "0.1",
+            ),
+        ],
+        ids=["simulate-output", "scan-output", "dump-trajectory"],
+    )
+    def test_unwritable_output_path_is_an_error(self, capsys, tmp_path, argv):
+        bad = str(tmp_path / "absent" / "x.csv")
+        code, out, err = run(
+            capsys, *(a.format(bad=bad) for a in argv), "--mass", SR_MASS
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write ")
+        assert "Traceback" not in err
 
     def test_output_flag_writes_the_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
         path = tmp_path / "out.json"

@@ -207,6 +207,15 @@ class TestClosure:
             with pytest.raises(AssertionError):
                 closure_check(seq, ATOM)
 
+    def test_scales_are_the_largest_k_and_t_times_k(self):
+        seq = PulseSequence((Pulse(-3.0, 1.0, -2.0), Pulse(1.0, -5.0, 0.5)))
+        assert geometry._closure_scales(seq) == (5.0, 6.0)
+        seq = random_closed_sequence(np.random.default_rng(5), 40, k_scale=1e7)
+        ks = [max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses]
+        tks = [abs(p.t) * k for p, k in zip(seq.pulses, ks)]
+        assert geometry._closure_scales(seq) == (max(ks), max(tks))
+        assert geometry._closure_scales(PulseSequence(())) == (0.0, 0.0)
+
     def test_empty_sequence_is_vacuously_closed(self):
         report = closure_check(PulseSequence(()), ATOM)
         assert report.closed

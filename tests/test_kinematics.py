@@ -40,6 +40,7 @@ class TestKickTrajectory:
         vr = recoil_velocity(k)
         assert traj.velocity(0.0) == 0.0          # sampling at the pulse is pre-kick
         assert traj.velocity(0.5 * T) == vr
+        assert type(traj.velocity(0.5 * T)) is type(traj.position(0.5 * T)) is float
         assert traj.velocity(T) == vr             # the second kick acts just after T
         assert traj.velocity(1.5 * T) == 0.0
         assert traj.velocity(2.0 * T) == 0.0
@@ -183,16 +184,28 @@ class TestTrajectoryTable:
         with pytest.raises(ValueError, match="more than 8 rows"):
             trajectory_table(seq, ATOM, FLAT, REST, 0.1)
 
+    @staticmethod
+    def assert_rows_equal_sample(seq, env, ics, dt):
+        table = trajectory_table(seq, ATOM, env, ics, dt)
+        for row in table.tolist():
+            t = row[0]
+            assert row[1:3] == list(sample(seq, 1, ATOM, env, ics, t))
+            assert row[3:5] == list(sample(seq, 2, ATOM, env, ics, t))
+
     def test_rows_match_scalar_sampling(self):
         seq = build_rbi_double_loop(1e7, 0.25)
-        env = GravityEnv(9.81)
-        ics = InitialConditions(1.0, -0.5)
-        table = trajectory_table(seq, ATOM, env, ics, 0.17)
-        for row in table:
-            t = float(row[0])
-            z1, v1 = sample(seq, 1, ATOM, env, ics, t)
-            z2, v2 = sample(seq, 2, ATOM, env, ics, t)
-            np.testing.assert_allclose(row[1:5], [z1, v1, z2, v2], rtol=1e-12, atol=1e-15)
+        self.assert_rows_equal_sample(seq, GravityEnv(9.81), InitialConditions(1.0, -0.5), 0.001)
+
+    def test_rows_of_a_100_pulse_sequence_match_scalar_sampling(self):
+        seq = random_closed_sequence(np.random.default_rng(4), 100, k_scale=1e7)
+        self.assert_rows_equal_sample(seq, GravityEnv(9.81), InitialConditions(0.4, -1.3), 0.013)
+
+    def test_sequence_ending_before_zero_is_rejected(self):
+        seq = PulseSequence(
+            (Pulse(-0.6, 1e7, 0.0), Pulse(-0.4, -1e7, 1e7), Pulse(-0.2, 0.0, -1e7))
+        )
+        with pytest.raises(ValueError, match="before"):
+            trajectory_table(seq, ATOM, FLAT, REST, 0.01)
 
     def test_pre_kick_convention_on_grid_points(self):
         k, T = 1e7, 0.2
@@ -220,15 +233,6 @@ class TestTrajectoryTable:
         # one (rows, pulses) float temporary alone would be 16 MB, 17x the table
         assert table.shape == (20001, 6)
         assert peak < 4 * table.nbytes
-
-    def test_block_size_does_not_change_the_bits(self, monkeypatch):
-        seq = random_closed_sequence(np.random.default_rng(4), 100, k_scale=1e7)
-        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
-        table = trajectory_table(seq, ATOM, env, ics, seq.duration / 5000.5)
-        monkeypatch.setattr(kinematics, "_KICK_BLOCK_ELEMENTS", 16 * 100)
-        assert trajectory_table(seq, ATOM, env, ics, seq.duration / 5000.5).tobytes() == (
-            table.tobytes()
-        )
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
     def test_bad_dt_is_rejected(self, dt):
