@@ -13,9 +13,10 @@ of triple_product_terms, yields the same bits on every element.
 
 array_fsum reduces large arrays in a few numpy passes by error-free
 extraction (Rump, Ogita & Oishi, "Accurate floating-point summation part I:
-faithful rounding", SIAM J. Sci. Comput. 31, 2008) and returns exactly what
-math.fsum returns; short arrays, non-finite terms and terms near overflow go
-to math.fsum itself.
+faithful rounding", SIAM J. Sci. Comput. 31, 2008), stops as soon as the
+rounding of the sum is settled (the idea of NearSum in part II of the same
+paper) and returns exactly what math.fsum returns; short arrays, non-finite
+terms and terms near overflow go to math.fsum itself.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def triple_product_rows(x: np.ndarray) -> np.ndarray:
 # crossover lies at 1-2k terms on a 2-CPU x86-64 machine with numpy 2.4).
 _FSUM_MAX_TERMS = 2048
 # Extraction passes before the remainder goes to math.fsum with the pass
-# totals.  The pair terms of 100 pulses take five; the cap bounds the cost
-# of terms spread over the whole exponent range.
+# totals.  The pair terms of 100 pulses settle after two or three; the cap
+# bounds the cost of sums that sit on a rounding tie down to their last bit.
 _MAX_PASSES = 8
 
 
@@ -111,11 +112,17 @@ def array_fsum(x: np.ndarray) -> float:
     parts are exact, and the q all lie on the float spacing at sigma, so
     q.sum() is exact in any order; the remainders go to the next pass.  The
     pass totals then sum exactly to the sum of x, and math.fsum, which rounds
-    correctly, gives the same float for them as for x.  Short arrays, arrays
-    with an inf or a nan, all-zero arrays and arrays whose largest term
-    reaches 2**(1021 - bits), near overflow, go to math.fsum itself, and with
-    them its exceptions, its order-dependent handling of special values and
-    its sign of zero.
+    correctly, gives the same float for them as for x.
+
+    The next pass's sigma also bounds what is left: |sum of r| <= n*max|r| <
+    sigma.  So the sum of x lies strictly between the totals' sum - sigma and
+    + sigma, and when math.fsum rounds both ends to the same float, that float
+    is math.fsum(x) (rounding to nearest is monotone), and the passes stop.
+
+    Short arrays, arrays with an inf or a nan, all-zero arrays and arrays
+    whose largest term reaches 2**(1021 - bits), near overflow, go to
+    math.fsum itself, and with them its exceptions, its order-dependent
+    handling of special values and its sign of zero.
     """
     n = x.size
     if n < _FSUM_MAX_TERMS:
@@ -127,8 +134,8 @@ def array_fsum(x: np.ndarray) -> float:
     totals: list[float] = []
     r = np.array(x)  # the passes work in place
     q = np.empty_like(r)
+    sigma = math.ldexp(1.0, math.frexp(m)[1] + bits)
     for _ in range(_MAX_PASSES):
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + bits)
         np.add(r, sigma, out=q)
         q -= sigma
         totals.append(float(q.sum()))
@@ -136,5 +143,9 @@ def array_fsum(x: np.ndarray) -> float:
         m = max(r.max(), -r.min())
         if m == 0.0:
             return math.fsum(totals)
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + bits)
+        above = math.fsum([*totals, sigma])
+        if above == math.fsum([*totals, -sigma]):
+            return above
     totals.extend(memoryview(r))
     return math.fsum(totals)

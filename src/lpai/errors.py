@@ -40,9 +40,10 @@ class InternalConsistencyError(RuntimeError):
 
 
 class NonFiniteResultError(ArithmeticError):
-    """A closed-form result came out nan or infinite.
+    """A result came out nan or infinite.
 
     Raised in place of returning it: a PhaseBreakdown field, delta_tau and
-    the recoil phase derived from S, or a beat's carrier and half-beat.  A
-    mass of 5e-324 kg, for one, makes hbar*S/m overflow.
+    the recoil phase derived from S, a beat's carrier and half-beat, or the
+    oracle's kick amplitude and proper-time integrand.  A mass of 5e-324 kg,
+    for one, makes hbar*S/m overflow.
     """

@@ -25,11 +25,15 @@ Accuracy notes, which the tests lean on:
   space the common sigma/2 centroid shift drops out of every closed-form
   quantity, so no recentering is needed.
 
-Each array is built once per call, and only what a result reads is marched.
-Top-hat windows leave the three RK4 stage accelerations equal, so one array
-serves all three; cosine windows compute their profile once per window and
-stage, and the window quadrature reuses it.  A grid over MAX_ORACLE_NODES is
-refused before anything is allocated.
+Each array is built once per call, and only what a result reads is marched:
+the proper time reads the two branches' velocities, so their marches form no
+positions.  Top-hat windows leave the three RK4 stage accelerations equal, so
+one array serves all three.  Cosine windows evaluate their profile once per
+node and once per step midpoint; the left and right stages are views of the
+node profile, and the window quadrature weights are that same array.  A grid
+over MAX_ORACLE_NODES is refused before anything is allocated, and a kick
+amplitude or a proper-time integrand beyond the float range raises
+NonFiniteResultError.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .core import (
     Species,
     require_valid,
 )
-from .errors import OracleAccuracyError, OracleConfigError
+from .errors import NonFiniteResultError, OracleAccuracyError, OracleConfigError
 from .geometry import _closure_scales
 from .kinematics import _branch_ks
 from .phase import gravito_recoil_phase, laser_phase, laser_sum, recoil_phase
@@ -180,7 +184,8 @@ class _Grid:
     h: np.ndarray
     windows: tuple[tuple[int, int], ...]  # node index span of each pulse window
     widths: tuple[float, ...]  # realized width ts[i1] - ts[i0] of each window
-    profiles: tuple[tuple[np.ndarray, ...], ...] | None  # cosine: per window and stage
+    # cosine: per window, the profile on its nodes ts[i0:i1+1] and on its step midpoints
+    profiles: tuple[tuple[np.ndarray, np.ndarray], ...] | None
 
 
 def _breakpoints(seq: PulseSequence, sigma: float) -> tuple[list[float], list[float]]:
@@ -224,10 +229,7 @@ def _build_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     profiles = None
     if cfg.pulse_shape == "cosine":
         profiles = tuple(
-            tuple(
-                _cosine(stage_t, t, width)
-                for stage_t in (ts[i0:i1], ts[i0:i1] + 0.5 * h[i0:i1], ts[i0 + 1 : i1 + 1])
-            )
+            (_cosine(ts[i0 : i1 + 1], t, width), _cosine(ts[i0:i1] + 0.5 * h[i0:i1], t, width))
             for t, (i0, i1), width in zip(seq.times, windows, widths)
         )
     return _Grid(ts=ts, h=h, windows=windows, widths=widths, profiles=profiles)
@@ -245,12 +247,11 @@ def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
     and gravity couples to the broken closure.
 
     Top-hat windows, and a forcing without kicks, leave the three stages
-    equal, so one array is returned three times.
+    equal, so one array is returned three times.  A cosine window's left and
+    right stages read its node profile without the last and the first node.
     """
     base = np.full(grid.h.size, -float(g))
-    kicks = [
-        (i, constants.HBAR * k / (mass * grid.widths[i])) for i, k in enumerate(ks) if k != 0.0
-    ]
+    kicks = [(i, _kick_amplitude(k, mass, grid.widths[i])) for i, k in enumerate(ks) if k != 0.0]
     if grid.profiles is None or not kicks:
         for i, amp in kicks:
             i0, i1 = grid.windows[i]
@@ -259,9 +260,22 @@ def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
     stages = (base, base.copy(), base.copy())
     for i, amp in kicks:
         i0, i1 = grid.windows[i]
-        for arr, profile in zip(stages, grid.profiles[i]):
+        nodes, mid = grid.profiles[i]
+        for arr, profile in zip(stages, (nodes[:-1], mid, nodes[1:])):
             arr[i0:i1] += amp * profile
     return stages
+
+
+def _kick_amplitude(k: float, mass: float, width: float) -> float:
+    """hbar*k/(m*width), refused with NonFiniteResultError beyond the float range."""
+    denom = mass * width  # underflows to 0 for a subnormal mass
+    amp = constants.HBAR * k / denom if denom != 0.0 else math.inf
+    if not math.isfinite(amp):
+        raise NonFiniteResultError(
+            f"kick amplitude hbar*k/(m*width) is not finite for k = {k!r}, "
+            f"mass = {mass!r}, width = {width!r}"
+        )
+    return amp
 
 
 def _simpson(f: np.ndarray, ts: np.ndarray) -> float:
@@ -292,10 +306,10 @@ def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float,
         )
 
 
-def _march_branch(grid: _Grid, ks, mass: float, env: GravityEnv, ics):
-    """One impulse-checked branch: (z, v) on the grid nodes."""
-    z, v = _kernels.march_rk4(grid.h, *_stage_accels(grid, ks, mass, env.g), ics.z0, ics.v0)
-    _impulse_check(grid, v, ks, mass, env.g)
+def _march_branch(grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float):
+    """One impulse-checked branch: (z, v) on the grid nodes, z None when z0 is."""
+    z, v = _kernels.march_rk4(grid.h, *_stage_accels(grid, ks, mass, g), z0, v0)
+    _impulse_check(grid, v, ks, mass, g)
     return z, v
 
 
@@ -313,7 +327,7 @@ def integrate_branch(
     window misses its impulse, as on a grid too coarse for the window.
     """
     grid = _quadrature_grid(seq, cfg)
-    z, v = _march_branch(grid, _branch_ks(seq, branch), species.mass, env, ics)
+    z, v = _march_branch(grid, _branch_ks(seq, branch), species.mass, env.g, ics.z0, ics.v0)
     return SampledTrajectory(t=grid.ts, z=z, v=v)
 
 
@@ -324,15 +338,23 @@ def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
 
 
 def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, float]:
-    """Numeric delta_tau, and the end point (dz, dv) of the branch-difference system."""
+    """Numeric delta_tau, and the end point (dz, dv) of the branch-difference system.
+
+    The integrand reads the branch velocities only, so the branch marches
+    form no positions.  An integrand beyond the float range (a tiny mass or a
+    huge k) raises NonFiniteResultError.
+    """
     m = species.mass
     k1 = _branch_ks(seq, 1)
     k2 = _branch_ks(seq, 2)
-    _, v1 = _march_branch(grid, k1, m, env, ics)
-    _, v2 = _march_branch(grid, k2, m, env, ics)
     dk = [a - b for a, b in zip(k1, k2)]
-    dz, dv = _kernels.march_rk4(grid.h, *_stage_accels(grid, dk, m, 0.0), 0.0, 0.0)
-    f = (-0.5 * dv * (v1 + v2) + env.g * dz) / constants.C**2
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        _, v1 = _march_branch(grid, k1, m, env.g, None, ics.v0)
+        _, v2 = _march_branch(grid, k2, m, env.g, None, ics.v0)
+        dz, dv = _kernels.march_rk4(grid.h, *_stage_accels(grid, dk, m, 0.0), 0.0, 0.0)
+        f = (-0.5 * dv * (v1 + v2) + env.g * dz) / constants.C**2
+    if not np.isfinite(f).all():
+        raise NonFiniteResultError("the proper-time integrand is not finite on the oracle grid")
     return _simpson(f, grid.ts), float(dz[-1]), float(dv[-1])
 
 
@@ -351,8 +373,7 @@ def _window_terms(grid: _Grid, *forcings) -> list[list[float]]:
     """Per (ks, z) forcing, k * (window average of z) for every window with k != 0.
 
     Each window's weights are built once and shared by the forcings; cosine
-    weights on the window nodes are the left-stage profile plus the last
-    right-stage value.
+    weights are the window's node profile.
     """
     terms: list[list[float]] = [[] for _ in forcings]
     for i, ((i0, i1), width) in enumerate(zip(grid.windows, grid.widths)):
@@ -364,8 +385,7 @@ def _window_terms(grid: _Grid, *forcings) -> list[list[float]]:
                     if grid.profiles is None:
                         w = 1.0 / width
                     else:
-                        left, _, right = grid.profiles[i]
-                        w = np.append(left, right[-1]) / width
+                        w = grid.profiles[i][0] / width
                 out.append(ks[i] * _simpson(w * z[i0 : i1 + 1], ts))
     return terms
 
@@ -391,9 +411,9 @@ def action_numeric(
     grid = _quadrature_grid(seq, cfg)
     k1 = _branch_ks(seq, 1)
     k2 = _branch_ks(seq, 2)
-    z1, _ = _march_branch(grid, k1, species.mass, env, ics)
-    z2, _ = _march_branch(grid, k2, species.mass, env, ics)
-    z_g, _ = _march_branch(grid, (), species.mass, env, ics)  # pulse-free trajectory
+    z1, _ = _march_branch(grid, k1, species.mass, env.g, ics.z0, ics.v0)
+    z2, _ = _march_branch(grid, k2, species.mass, env.g, ics.z0, ics.v0)
+    z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
     dk = [p.delta_k for p in seq.pulses]
     upper, lower, gravito = _window_terms(grid, (k1, z1), ([-k for k in k2], z2), (dk, z_g))
     kick_total = math.fsum(upper + lower)
@@ -454,7 +474,7 @@ def oracle_report(
     """Full numeric-versus-closed-form comparison for a closed sequence."""
     grid = _quadrature_grid(seq, cfg)
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
-    z_g, _ = _march_branch(grid, (), species.mass, env, ics)  # pulse-free trajectory
+    z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
     (gravito_terms,) = _window_terms(grid, ([p.delta_k for p in seq.pulses], z_g))
     gravito_num = math.fsum(gravito_terms)
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, manifests, formats, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,39 @@ class TestScan:
         "--vary", "T", "--from", "0.01", "--to", "0.1",
     )
 
+    @pytest.mark.parametrize(
+        "start, stop, refused",
+        [("0.1", "inf", "--to must be finite, got inf"),
+         ("-inf", "0.1", "--from must be finite, got -inf"),
+         ("nan", "0.1", "--from must be finite, got nan")],
+    )
+    def test_non_finite_range_ends_are_refused(self, capsys, start, stop, refused):
+        code, out, err = run(
+            capsys, "scan", "--geometry", "mzi", "--k", "1e7", "--mass", "1.4e-25",
+            "--vary", "T", f"--from={start}", f"--to={stop}", "--steps", "3",
+        )
+        assert (code, out, err) == (1, "", f"error: {refused}\n")
+
+    def test_rows_are_held_as_their_csv_lines(self, tmp_path):
+        # each row keeps its ~140-character line and its grid value, about
+        # 240 bytes; rows kept as floats and then joined took about 700
+        def traced_peak(steps):
+            argv = [
+                "scan", "--geometry", "rbi-double", "--k", "1.6e7", "--mass", "1.4e-25",
+                "--vary", "T", "--from", "0.01", "--to", "0.5", "--steps", str(steps),
+                "--output", str(tmp_path / "scan.csv"),
+            ]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(100)
+        # above ~1500 rows the rows outweigh the fixed working set of a block
+        assert (traced_peak(2500) - traced_peak(1500)) / 1000 < 400
+
     def test_steps_over_the_row_budget_are_refused(self, capsys):
         code, out, err = run(capsys, *self.SCAN, "--steps", str(cli.MAX_SCAN_ROWS + 1))
         assert code == 1
@@ -376,6 +410,20 @@ class TestOracle:
         assert code == 0
         payload = json.loads(out)
         assert payload["oracle"]["rel_residual"] <= 1e-6
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--k", "1e7", "--mass", "5e-324"), ("--k", "1e7", "--mass", "1e-300"),
+         ("--k", "1e300", "--mass", "1.4e-25")],
+        ids=["subnormal-mass", "tiny-mass", "huge-k"],
+    )
+    def test_values_beyond_the_float_range_are_numeric_failures(self, capsys, flags):
+        # a numpy warning would be raised here: pytest turns warnings into errors
+        code, out, err = run(
+            capsys, "oracle", "--geometry", "mzi", "--T", "0.1", "--sigma", "0.01", *flags
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
     def test_tight_tolerance_exits_with_three(self, capsys):
         code, _, _ = run(capsys, *self.BASE, "--sigma", "3.25e-7", "--tol", "1e-12")

@@ -129,12 +129,51 @@ def test_array_fsum_is_math_fsum_bit_for_bit(x):
     assert fsum_outcome(array_fsum, x) == fsum_outcome(lambda y: math.fsum(memoryview(y)), x)
 
 
+def near_tie(rng, n, *, sign, odd, breaker, exponent=0, depth=150):
+    """sign * 2**exponent, with an odd or even significand, plus half an ulp
+    away from zero in pieces, the tie broken by breaker * 2**-depth half-ulps
+    (no breaker when it is 0), padded to n terms with cancelling pairs between
+    2**-depth and 1 half-ulps.
+
+    The sum sits so close to a rounding tie that the passes cannot stop
+    before their remainder falls below the breaker, about 40 bits deeper per
+    pass, and the pairs leave a remainder at every depth on the way.
+    """
+    big = sign * (1.0 + (2.0**-52 if odd else 0.0)) * 2.0**exponent
+    half_ulp = sign * np.spacing(abs(big)) / 2.0
+    head = [big, *[half_ulp / 4.0] * 4]
+    if breaker:
+        head.append(breaker * half_ulp * 2.0**-depth)
+    rest = n - len(head)
+    pairs = abs(half_ulp) * 2.0 ** -rng.uniform(0.0, depth, size=rest // 2)
+    return rng.permutation(np.concatenate((head, pairs, -pairs, np.zeros(rest % 2))))
+
+
+@pytest.mark.parametrize("breaker", [1.0, -1.0, 0.0])
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("exponent", [-700, 0, 900])
+def test_sums_on_a_rounding_tie_are_fsums(sign, odd, breaker, exponent):
+    rng = np.random.default_rng(exponent + 1000)
+    for n in (THRESHOLD, 2 * THRESHOLD + 1):
+        x = near_tie(rng, n, sign=sign, odd=odd, breaker=breaker, exponent=exponent)
+        assert x.size == n
+        assert float.hex(array_fsum(x)) == float.hex(math.fsum(memoryview(x)))
+
+
 @pytest.mark.parametrize("passes", [1, 2, _exactsum._MAX_PASSES])
 def test_the_pass_cap_hands_the_exact_remainder_to_fsum(monkeypatch, passes):
     monkeypatch.setattr(_exactsum, "_MAX_PASSES", passes)
     rng = np.random.default_rng(passes)
-    for _ in range(20):
-        x = spread(rng, 2 * THRESHOLD, -300.0, 290.0)
+    # spread arrays settle after two passes; the near-tie ones need about
+    # six (depth 150) or twelve (depth 400), so they reach every cap
+    arrays = [spread(rng, 2 * THRESHOLD, -300.0, 290.0) for _ in range(20)]
+    for depth in (150, 400):
+        for sign, odd, breaker in ((1.0, False, 1.0), (-1.0, True, -1.0), (1.0, True, 1.0)):
+            arrays.append(
+                near_tie(rng, 2 * THRESHOLD, sign=sign, odd=odd, breaker=breaker, depth=depth)
+            )
+    for x in arrays:
         assert float.hex(array_fsum(x)) == float.hex(math.fsum(memoryview(x)))
 
 

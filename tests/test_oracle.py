@@ -9,6 +9,7 @@ import pytest
 from lpai import (
     GravityEnv,
     InitialConditions,
+    NonFiniteResultError,
     OracleAccuracyError,
     OracleConfig,
     OracleConfigError,
@@ -299,6 +300,51 @@ class TestKernels:
         z_py, v_py = march_rk4_loop(h, al, am, ar, z0, v0)
         np.testing.assert_array_equal(z_np, z_py)
         np.testing.assert_array_equal(v_np, v_py)
+
+    def test_without_a_start_position_only_velocities_are_formed(self):
+        h, al, am, ar, z0, v0 = self.rand_problem()
+        z, v = _kernels.march_rk4(h, al, am, ar, None, v0)
+        assert z is None
+        assert v.tobytes() == _kernels.march_rk4(h, al, am, ar, z0, v0)[1].tobytes()
+
+
+class TestMarchedWork:
+    def test_proper_time_branch_marches_form_no_positions(self, monkeypatch):
+        calls = []
+        march = _kernels.march_rk4
+
+        def recorded(h, a_left, a_mid, a_right, z0, v0):
+            z, v = march(h, a_left, a_mid, a_right, z0, v0)
+            calls.append((z0, z))
+            return z, v
+
+        monkeypatch.setattr(_kernels, "march_rk4", recorded)
+        cfg = OracleConfig(1e-4, 100, "cosine")
+        seq = build_rbi_double_loop(1e7, 0.1)
+        proper_time_numeric(seq, SR, GravityEnv(9.81), InitialConditions(0.4, -1.3), cfg)
+        # the two branches, then the branch-difference system, whose dz is read
+        assert [z0 for z0, _ in calls] == [None, None, 0.0]
+        assert calls[0][1] is None and calls[1][1] is None
+        assert calls[2][1].size == oracle._build_grid(seq, cfg).ts.size
+
+    @pytest.mark.parametrize("steps", [100, 101, 1000])
+    def test_node_profile_slices_are_the_stage_profiles(self, steps):
+        seq = random_closed_sequence(np.random.default_rng(3), 8, k_scale=1e7)
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        grid = oracle._build_grid(seq, OracleConfig(spacing / 50.0, steps, "cosine"))
+        ts, h = grid.ts, grid.h
+        for t, (i0, i1), width, (nodes, mid) in zip(
+            seq.times, grid.windows, grid.widths, grid.profiles
+        ):
+            left = oracle._cosine(ts[i0:i1], t, width)
+            right = oracle._cosine(ts[i0 + 1 : i1 + 1], t, width)
+            assert nodes[:-1].tobytes() == left.tobytes()
+            assert nodes[1:].tobytes() == right.tobytes()
+            assert mid.tobytes() == oracle._cosine(ts[i0:i1] + 0.5 * h[i0:i1], t, width).tobytes()
+
+    def test_a_subnormal_mass_is_a_non_finite_kick(self):
+        with pytest.raises(NonFiniteResultError, match="kick amplitude"):
+            integrate_branch(build_mzi(1e7, 0.1), 1, Species(5e-324), FLAT, REST, OracleConfig(0.01))
 
 
 def _hex(value):
