@@ -65,18 +65,30 @@ from .clock import (
     per_state_phase,
     visibility_scan,
 )
-from .oracle import (
-    ConvergenceStudy,
-    OracleActions,
-    OracleConfig,
-    OracleResult,
-    SampledTrajectory,
-    action_numeric,
-    convergence_study,
-    integrate_branch,
-    oracle_report,
-    proper_time_numeric,
+
+# The oracle, and with it numpy, loads on the first use of one of its names
+# (PEP 562), so the closed forms and the CLI start without them.
+_ORACLE_NAMES = (
+    "ConvergenceStudy",
+    "OracleActions",
+    "OracleConfig",
+    "OracleResult",
+    "SampledTrajectory",
+    "action_numeric",
+    "convergence_study",
+    "integrate_branch",
+    "oracle_report",
+    "proper_time_numeric",
 )
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -126,14 +138,5 @@ __all__ = [
     "fringe",
     "per_state_phase",
     "visibility_scan",
-    "ConvergenceStudy",
-    "OracleActions",
-    "OracleConfig",
-    "OracleResult",
-    "SampledTrajectory",
-    "action_numeric",
-    "convergence_study",
-    "integrate_branch",
-    "oracle_report",
-    "proper_time_numeric",
+    *_ORACLE_NAMES,
 ]

@@ -22,10 +22,12 @@ terms and terms near overflow go to math.fsum itself.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-Real = float | np.ndarray
+    Real = float | np.ndarray
 
 _SPLIT = 134217729.0  # 2**27 + 1, splits a 53-bit significand into two halves
 
@@ -80,6 +82,8 @@ def triple_product_rows(x: np.ndarray) -> np.ndarray:
     first-stage terms together with c, so a call costs about thirty numpy
     operations on contiguous rows whatever n is.
     """
+    import numpy as np
+
     n = x.shape[1]
     ab_hi, ab_lo = _split(x[:2].reshape(-1))
     y = np.empty(4 * n)  # p, e, then c once for each of them
@@ -124,6 +128,8 @@ def array_fsum(x: np.ndarray) -> float:
     math.fsum itself, and with them its exceptions, its order-dependent
     handling of special values and its sign of zero.
     """
+    import numpy as np
+
     n = x.size
     if n < _FSUM_MAX_TERMS:
         return math.fsum(memoryview(x))

@@ -30,8 +30,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from . import __version__, constants
 from .clock import BeatSignal, beat, beat_rows
 from .core import ClockPair, GravityEnv, InitialConditions, PulseSequence, Species
@@ -52,7 +50,6 @@ from .geometry import (
     parse_geometry,
 )
 from .kinematics import trajectory_table
-from .oracle import OracleConfig, convergence_study, oracle_report
 from .phase import phase_rows, total_phase
 
 _BUILDERS = ("mzi", "rbi-sym", "rbi-asym", "rbi-double")
@@ -315,10 +312,11 @@ def cmd_simulate(args) -> int:
             output_format="csv",
             stamp=_stamp(args),
         )
-        _emit(
-            _csv_block(dump_manifest, ["t", "z1", "v1", "z2", "v2", "zg"], table.tolist()),
-            args.dump_trajectory,
-        )
+        # Rows become lists of floats a block at a time and each line is
+        # written as it is formed: the table is the only full copy held.
+        rows = (row for i in range(0, len(table), 4096) for row in table[i : i + 4096].tolist())
+        head = _csv_head(dump_manifest, ["t", "z1", "v1", "z2", "v2", "zg"])
+        _emit_lines(itertools.chain(head, map(_csv_line, rows)), args.dump_trajectory)
 
     if args.format == "json":
         payload = {"phase": asdict(breakdown)}
@@ -354,6 +352,8 @@ def _scan_columns(clock_mode: bool, vary: str) -> list[str]:
 
 
 def cmd_scan(args) -> int:
+    import numpy as np
+
     if args.geometry.startswith("file:"):
         raise _UsageError("scan varies builder parameters; geometry files are fixed")
     if args.steps < 1:
@@ -452,6 +452,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import OracleConfig, convergence_study, oracle_report
+
     if args.sweep_sigma is not None:
         # a sweep sets its own widths and reports residuals without a limit
         for flag, value in (("--sigma", args.sigma), ("--tol", args.tol)):

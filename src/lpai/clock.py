@@ -17,8 +17,9 @@ cos(x - y) and cos(x)cos(y) + sin(x)sin(y) differ badly if x - y is formed in
 floats first.  The per-state probabilities are therefore built by angle
 addition from one shared (carrier, half-beat) pair, which keeps the averaged
 signal on the closed form to machine precision.  Agreement with the
-independent per-state phase route is asserted in phase space at a relative
-tolerance, since an ulp of a 1e11 rad carrier is itself ~1e-5 rad.
+per-state totals, which the two state masses give for the same recoil double
+sum, is asserted in phase space at a relative tolerance, since an ulp of a
+1e11 rad carrier is itself ~1e-5 rad.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from .core import (
 )
 from .errors import InternalConsistencyError, NonFiniteResultError
 from .phase import (
+    _closed_sum,
     gravito_recoil_phase,
-    gravito_recoil_sum,
     laser_phase,
-    laser_sum,
     proper_time_difference,
     recoil_parts,
     recoil_sums,
@@ -101,25 +101,34 @@ def _clip_probability(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _beat_assembler(
-    clock: ClockPair, mean: Species
-) -> Callable[[float, float, float, float, float], BeatSignal]:
-    """The beat of clock from (delta_tau, gravito_recoil, laser_phase, total_a, total_b).
+def _beat_row(
+    clock: ClockPair, env: GravityEnv, ics: InitialConditions
+) -> Callable[[PulseSequence, float], BeatSignal]:
+    """The beat of clock for a valid, closed sequence and its recoil double sum S.
 
-    delta_tau is the mean-mass proper-time difference and total_a, total_b
-    are the per-state total phases.  The returned probabilities come from
-    the shared (carrier, half-beat) angles; the per-state totals only check
-    them, and InternalConsistencyError is raised if the two routes
+    The returned function takes (seq, S).  Its probabilities come from the
+    shared (carrier, half-beat) angles of the mean-mass delta_tau.  The
+    per-state totals, each built from the same S with that state's mass,
+    only check them: InternalConsistencyError is raised if the two routes
     disagree.  A nan or infinite carrier or half-beat raises
-    NonFiniteResultError.  mean is the clock's mean-mass species; eta and
-    its Compton frequency are worked out once, here, for every call of the
+    NonFiniteResultError.  eta, the state species and the mean mass's
+    Compton frequency are worked out once, here, for every call of the
     returned function.
     """
+    mean = Species(clock.mean_mass)
+    states = (clock.state_species("a"), clock.state_species("b"))
     eta = clock.eta
     compton = compton_frequency(mean)
     half_beat_rate = 0.5 * eta * clock.splitting_omega
 
-    def assemble(dtau: float, gk: float, lp: float, total_a: float, total_b: float) -> BeatSignal:
+    def row(seq: PulseSequence, s: float) -> BeatSignal:
+        dtau, _ = recoil_parts(s, mean)
+        gk = gravito_recoil_phase(seq, env, ics)
+        lp = laser_phase(seq)
+        total_a, total_b = (
+            PhaseBreakdown.assemble(*recoil_parts(s, state), gk, lp).total_phase
+            for state in states
+        )
         carrier = eta * (dtau * compton) + gk + lp
         half_beat = half_beat_rate * dtau
         if not (math.isfinite(carrier) and math.isfinite(half_beat)):
@@ -158,7 +167,7 @@ def _beat_assembler(
             delta_tau=dtau,
         )
 
-    return assemble
+    return row
 
 
 def beat(
@@ -169,21 +178,15 @@ def beat(
 ) -> BeatSignal:
     """Combined two-state signal with its visibility envelope.
 
-    The returned probabilities come from the shared (carrier, half-beat)
-    angles; the function cross-checks that construction against the
-    independently assembled per-state totals and raises
-    InternalConsistencyError if the two routes disagree.  Each route is its
-    own call here (proper_time_difference at the mean mass, total_phase per
-    state), so one beat validates the sequence nine times and forms S three
-    times; beat_rows shares the assembly and forms S once per row.
+    The sequence is validated once, checked for closure once and its S is
+    formed once.  The returned probabilities come from the shared
+    (carrier, half-beat) angles of the mean-mass delta_tau.  The consistency
+    check compares them with the per-state totals that the two state-mass
+    formulas give for the same S, at a relative tolerance of 1e-12, and
+    raises InternalConsistencyError if the two routes disagree.  beat_rows
+    runs the same row body on the S of each row of a grid.
     """
-    mean = Species(clock.mean_mass, label=clock.label or "mean")
-    dtau = proper_time_difference(seq, mean)
-    gk = gravito_recoil_phase(seq, env, ics)
-    lp = laser_phase(seq)
-    total_a = per_state_phase(seq, clock, "a", env, ics).total_phase
-    total_b = per_state_phase(seq, clock, "b", env, ics).total_phase
-    return _beat_assembler(clock, mean)(dtau, gk, lp, total_a, total_b)
+    return _beat_row(clock, env, ics)(seq, _closed_sum(seq, Species(clock.mean_mass)))
 
 
 def beat_rows(
@@ -196,28 +199,12 @@ def beat_rows(
     """beat(build(*params), clock, env, ics) for each params of grid.
 
     Each row forms S once (phase.recoil_sums, where None marks a degenerate
-    row) and passes beat's assembly per-state totals built from that one S
-    with each state's mass.  So the consistency check compares the two mass
-    formulas against the shared S, at beat's 1e-12 tolerance, rather than
-    three independent evaluations.  Every value has beat's bits, and a
-    failing row raises beat's exception.
+    row) and runs beat's row body on it, so every value has beat's bits and
+    a failing row raises beat's exception.
     """
-    mean = Species(clock.mean_mass)
-    states = (clock.state_species("a"), clock.state_species("b"))
-    assemble = _beat_assembler(clock, mean)
-    for row in recoil_sums(build, grid, mean):
-        if row is None:
-            yield None
-            continue
-        seq, s = row
-        dtau, _ = recoil_parts(s, mean)
-        gk = gravito_recoil_sum(seq, env, ics)
-        lp = laser_sum(seq)
-        total_a, total_b = (
-            PhaseBreakdown.assemble(*recoil_parts(s, state), gk, lp).total_phase
-            for state in states
-        )
-        yield assemble(dtau, gk, lp, total_a, total_b)
+    row = _beat_row(clock, env, ics)
+    for built in recoil_sums(build, grid, Species(clock.mean_mass)):
+        yield None if built is None else row(*built)
 
 
 def clock_limit_phase(seq: PulseSequence, clock: ClockPair) -> tuple[float, float]:

@@ -15,9 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import constants
 from .errors import NonFiniteResultError
@@ -32,8 +31,13 @@ def _plain_floats(obj, names: tuple[str, ...]) -> None:
 
     float() is exact for them.  Kept as numpy scalars they would fail
     _finite, and under NumPy 2 promotion np.float32 * 134217729.0 stays
-    float32, which would run the Dekker splits in single precision.
+    float32, which would run the Dekker splits in single precision.  No
+    numpy scalar can exist before numpy is imported, so without numpy in
+    sys.modules there is nothing to convert and numpy stays unloaded.
     """
+    np = sys.modules.get("numpy")
+    if np is None:
+        return
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, (np.floating, np.integer)):

@@ -15,8 +15,6 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import constants
 from ._exactsum import array_fsum, triple_product_rows, triple_product_terms, two_product
 from .core import Pulse, PulseSequence, Species
@@ -77,6 +75,8 @@ def _moments_array(seq: PulseSequence) -> tuple[float, float, float]:
     The factors (t, t, k) give the four terms of t*t*k, and (1, t, k) give
     two_product(t, k) as their q and f terms, since 1*t is t exactly.
     """
+    import numpy as np
+
     n, pulses = seq.n_pulses, seq.pulses
     fields = np.array(
         [p.t for p in pulses] + [p.k_upper for p in pulses] + [p.k_lower for p in pulses],

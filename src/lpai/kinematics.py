@@ -17,15 +17,18 @@ exactly at a pulse time returns the pre-kick velocity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import constants
 from .core import GravityEnv, InitialConditions, PulseSequence, Species, require_valid
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Row budget of trajectory_table, checked before anything is allocated.  A
-# CLI dump of 1e6 rows of the 3-pulse mzi is ~136 MB of CSV and peaks at
-# ~0.8 GB resident; memory grows linearly in rows.
+# CLI dump of 1e6 rows of the 3-pulse mzi is ~143 MB of CSV; the CLI streams
+# the lines, so the process peaks at 159 MB resident (42 MB at 1e5 rows, 17 MB
+# without a dump; x86-64, Python 3.11, numpy 2.4), growing linearly in rows.
 MAX_TRAJECTORY_ROWS = 1_000_000
 
 
@@ -49,6 +52,8 @@ class BranchTrajectory:
 
     def _at(self, t):
         """(position, velocity) at t; floats for a scalar t, arrays for an ndarray."""
+        import numpy as np
+
         # side="left" over the interior boundaries puts t exactly at a pulse
         # time on the segment that ends there, so the kick has not acted yet
         i = np.searchsorted(self.t_start[1:], t, side="left")
@@ -74,6 +79,8 @@ def _branch_ks(seq: PulseSequence, branch: int) -> list[float]:
 
 def kick_trajectory(seq: PulseSequence, branch: int, species: Species) -> BranchTrajectory:
     """Segment table of the kick part of one branch."""
+    import numpy as np
+
     require_valid(seq, structural_only=True)
     ks = _branch_ks(seq, branch)
     times = list(seq.times)
@@ -131,6 +138,8 @@ def trajectory_table(
     time.  Raises ValueError, before anything is allocated, when the sequence
     ends before t = 0 or the grid needs more than MAX_TRAJECTORY_ROWS rows.
     """
+    import numpy as np
+
     require_valid(seq, structural_only=True)
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")

@@ -23,12 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import constants
-from ._exactsum import array_fsum, triple_product_rows, two_product
+from ._exactsum import array_fsum, triple_product_rows, triple_product_terms, two_product
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -42,6 +40,9 @@ from .errors import NonFiniteResultError, OpenSequenceError
 from .geometry import ClosureReport, closure_check
 from .kinematics import gravity_trajectory
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @functools.lru_cache(maxsize=32)
 def _pair_gather(n: int, rows: int) -> np.ndarray:
@@ -52,6 +53,8 @@ def _pair_gather(n: int, rows: int) -> np.ndarray:
     pairs ell < n in one fixed order: k_n for the upper branch then for the
     lower one, k_ell likewise, and t_n for every pair followed by t_ell.
     """
+    import numpy as np
+
     later, earlier = np.tril_indices(n, -1)
     t, k_upper, k_lower = 0, n, 2 * n  # row offsets in the flat table
     index = np.concatenate(
@@ -73,6 +76,8 @@ def _pair_terms(seqs: Sequence[PulseSequence]) -> np.ndarray:
     pair term of seqs[i] in the order recoil_double_sum reduces them in.
     All sequences share one gather and one triple_product_rows call.
     """
+    import numpy as np
+
     n = seqs[0].n_pulses
     rows, width = len(seqs), n * (n - 1)  # width: both branches of every pair
     table: list[float] = []
@@ -94,20 +99,36 @@ def _pair_terms(seqs: Sequence[PulseSequence]) -> np.ndarray:
     return terms.reshape(4, rows, width)
 
 
+# Pulse count from which recoil_double_sum forms its terms in one array
+# pass; the loop is faster below it.  Measured on a 2-CPU x86-64 machine with
+# numpy 2.4: loop 15.7/27.3/46.1/69.5 us, array 42.5/43.6/51.5/47.4 us at
+# 3/4/5/6 pulses.
+_PAIR_ARRAY_MIN_PULSES = 6
+
+
 def recoil_double_sum(seq: PulseSequence) -> float:
     """Branch-differential sum of k_n*k_ell*(t_n - t_ell) over pulse pairs.
 
     Returns S = sum over n, sum over ell < n of
     [k_n^(1) k_ell^(1) - k_n^(2) k_ell^(2)] (t_n - t_ell) in s/m^2.  The
     diagonal ell = n terms vanish and are left out.  Each triple product
-    enters as an exact four-term float expansion, formed for all pairs and
-    both branches in one array pass, and array_fsum reduces the whole pile to
-    math.fsum's value in a few exact extraction passes, so the return value
-    is the correctly rounded sum given the rounded time differences.  This
-    is the one-row case of recoil_sums, which forms the terms of many
-    sequences at once and reduces each row the same way.
+    enters as an exact four-term float expansion and the pile is reduced to
+    math.fsum's value: the correctly rounded sum given the rounded time
+    differences.  From _PAIR_ARRAY_MIN_PULSES pulses on, _pair_terms forms
+    the terms in one array pass.  Below it a loop forms the same floats in
+    the same order (fields read through float() in _pair_terms' table order,
+    pairs in np.tril_indices order, the upper branch, then the lower one with
+    -dt, rows q, g, f, h), so both paths give the same bits or exception.
     """
-    return array_fsum(_pair_terms([seq]).reshape(-1))
+    if seq.n_pulses >= _PAIR_ARRAY_MIN_PULSES:
+        return array_fsum(_pair_terms([seq]).reshape(-1))
+    t, k_upper, k_lower = (
+        [float(getattr(p, name)) for p in seq.pulses] for name in ("t", "k_upper", "k_lower")
+    )
+    pairs = [(n, ell, t[n] - t[ell]) for n in range(len(t)) for ell in range(n)]
+    products = [triple_product_terms(k_upper[n], k_upper[ell], dt) for n, ell, dt in pairs]
+    products += [triple_product_terms(k_lower[n], k_lower[ell], -dt) for n, ell, dt in pairs]
+    return math.fsum([terms[i] for i in (0, 2, 1, 3) for terms in products])
 
 
 # Pulse pairs whose terms one block of recoil_sums forms together; a
@@ -205,10 +226,11 @@ def recoil_parts(s: float, species: Species) -> tuple[float, float]:
     return delta_tau, recoil
 
 
-def _proper_time_parts(seq: PulseSequence, species: Species) -> tuple[float, float]:
+def _closed_sum(seq: PulseSequence, species: Species) -> float:
+    """S of seq once it has passed require_valid and require_closed."""
     require_valid(seq)
     require_closed(seq, species)
-    return recoil_parts(recoil_double_sum(seq), species)
+    return recoil_double_sum(seq)
 
 
 def proper_time_difference(seq: PulseSequence, species: Species) -> float:
@@ -218,12 +240,12 @@ def proper_time_difference(seq: PulseSequence, species: Species) -> float:
     value never reads g, z0 or v0: the launch trajectory drops out of the
     difference for closed sequences.
     """
-    return _proper_time_parts(seq, species)[0]
+    return recoil_parts(_closed_sum(seq, species), species)[0]
 
 
 def recoil_phase(seq: PulseSequence, species: Species) -> float:
     """Recoil part of the phase, omega_C * delta_tau = hbar S / (2 m), in rad."""
-    return _proper_time_parts(seq, species)[1]
+    return recoil_parts(_closed_sum(seq, species), species)[1]
 
 
 def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
@@ -233,13 +255,8 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
     branches.  Products are accumulated exactly and fsum-reduced so that the
     analytic cancellations (z0 and v0 terms for closed sequences, everything
     for sequences whose first three kick moments vanish) survive numerically.
+    The pulses are read as they are; total_phase and beat validate first.
     """
-    require_valid(seq)
-    return gravito_recoil_sum(seq, env, ics)
-
-
-def gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
-    """gravito_recoil_phase of a sequence that has passed require_valid."""
     terms: list[float] = []
     for p in seq.pulses:
         zg, _ = gravity_trajectory(env, ics, p.t)
@@ -248,14 +265,20 @@ def gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditio
 
 
 def laser_phase(seq: PulseSequence) -> float:
-    """Imprinted laser phase difference, sum of phi_ell^(1) - phi_ell^(2), in rad."""
-    require_valid(seq)
-    return laser_sum(seq)
+    """Imprinted laser phase difference, sum of phi_ell^(1) - phi_ell^(2), in rad.
 
-
-def laser_sum(seq: PulseSequence) -> float:
-    """laser_phase of a sequence that has passed require_valid."""
+    The pulses are read as they are; total_phase and beat validate first.
+    """
     return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
+
+
+def _breakdown(
+    seq: PulseSequence, s: float, species: Species, env: GravityEnv, ics: InitialConditions
+) -> PhaseBreakdown:
+    """total_phase of a valid, closed seq whose recoil double sum is s."""
+    return PhaseBreakdown.assemble(
+        *recoil_parts(s, species), gravito_recoil_phase(seq, env, ics), laser_phase(seq)
+    )
 
 
 def total_phase(
@@ -265,13 +288,7 @@ def total_phase(
     ics: InitialConditions,
 ) -> PhaseBreakdown:
     """Full decomposition for one internal state of mass species.mass."""
-    delta_tau, recoil = _proper_time_parts(seq, species)
-    return PhaseBreakdown.assemble(
-        delta_tau=delta_tau,
-        recoil_phase=recoil,
-        gravito_recoil=gravito_recoil_phase(seq, env, ics),
-        laser_phase=laser_phase(seq),
-    )
+    return _breakdown(seq, _closed_sum(seq, species), species, env, ics)
 
 
 def phase_rows(
@@ -287,14 +304,4 @@ def phase_rows(
     has total_phase's bits, and a failing row raises total_phase's exception.
     """
     for row in recoil_sums(build, grid, species):
-        if row is None:
-            yield None
-            continue
-        seq, s = row
-        delta_tau, recoil = recoil_parts(s, species)
-        yield PhaseBreakdown.assemble(
-            delta_tau=delta_tau,
-            recoil_phase=recoil,
-            gravito_recoil=gravito_recoil_sum(seq, env, ics),
-            laser_phase=laser_sum(seq),
-        )
+        yield None if row is None else _breakdown(*row, species, env, ics)

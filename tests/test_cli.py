@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, manifests, formats, determinism."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -184,6 +185,39 @@ class TestSimulate:
         for t, z1, v1, z2, v2, _ in rows:
             assert (z1, v1) == sample(seq, 1, species, env, ics, t)
             assert (z2, v2) == sample(seq, 2, species, env, ics, t)
+
+    @pytest.mark.parametrize(
+        "argv, rows, digest",
+        [
+            (  # the grid lands on t_end = 0.25
+                (
+                    "--geometry", "rbi-asym", "--k", "1.6e7", "--T", "0.1", "--Tprime", "0.05",
+                    "--z0", "0.4", "--v0", "-1.3", "--dump-dt", "0.001",
+                ),
+                251,
+                "135462d0a12eed4f8885e9b313d1001290bc2df7e82de05a8e3a8dc37633e442",
+            ),
+            (  # 0.999 is the last grid row, then a row at t_end = 1.0
+                (
+                    "--geometry", "rbi-double", "--k", "1e7", "--T", "0.25",
+                    "--z0", "1.0", "--v0", "-0.5", "--dump-dt", "0.003",
+                ),
+                335,
+                "87422a45586dfb7cd0886148178457b2a64f834d77ed077e4fb9de73fa7ec848",
+            ),
+        ],
+        ids=["on-grid-end", "t-end-row"],
+    )
+    def test_trajectory_dump_bytes_are_pinned(self, capsys, tmp_path, argv, rows, digest):
+        dump = tmp_path / "traj.csv"
+        code, _, _ = run(
+            capsys, "simulate", *argv, "--mass", SR_MASS, "--g", "9.81",
+            "--dump-trajectory", str(dump),
+        )
+        assert code == 0
+        data = dump.read_bytes()
+        assert len(parse_csv(data.decode("utf-8"))[1]) == rows
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_trajectory_dump_of_a_sequence_ending_before_zero_is_an_error(
         self, capsys, tmp_path

@@ -6,10 +6,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import lpai.clock
 from lpai import (
     ClockPair,
     GravityEnv,
     InitialConditions,
+    InternalConsistencyError,
     NonFiniteResultError,
     Species,
     beat,
@@ -23,6 +25,7 @@ from lpai import (
     total_phase,
     visibility_scan,
 )
+from lpai.clock import beat_rows
 
 from _helpers import random_clock, random_closed_sequence
 
@@ -156,6 +159,28 @@ class TestBeat:
         seq = build_rbi_double_loop(1e7, 0.1)
         with pytest.raises(NonFiniteResultError):
             beat(seq, ClockPair(5e-324, 0.0), FLAT, REST)
+
+    @pytest.mark.parametrize("rel, trips", [(1e-9, True), (1e-14, False)])
+    def test_a_perturbed_state_total_trips_the_consistency_check(self, monkeypatch, rel, trips):
+        # g = 0 and no laser phases: each state's total is its recoil phase
+        seq, clock = build_rbi_double_loop(1e7, 0.1), clock_with_ratio(1e-10, SR_MASS)
+        exact = lpai.clock.recoil_parts
+
+        def perturbed(s, species):
+            dtau, recoil = exact(s, species)
+            return dtau, recoil * (1.0 + rel) if species.mass == clock.mass_a else recoil
+
+        monkeypatch.setattr(lpai.clock, "recoil_parts", perturbed)
+        runs = (
+            lambda: beat(seq, clock, FLAT, REST),
+            lambda: next(beat_rows(build_rbi_double_loop, [(1e7, 0.1)], clock, FLAT, REST)),
+        )
+        for run in runs:
+            if trips:
+                with pytest.raises(InternalConsistencyError, match="carrier mismatch"):
+                    run()
+            else:
+                assert run() == beat(seq, clock, FLAT, REST)
 
     def test_beat_fields_serialize(self):
         signal = beat(build_rbi_double_loop(1e3, 0.4), clock_with_ratio(0.1), FLAT, REST)

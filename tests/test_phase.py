@@ -1,11 +1,15 @@
 """Closed-form phase decomposition against exact rational arithmetic."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpai import (
     GravityEnv,
@@ -27,6 +31,8 @@ from lpai import (
     recoil_phase,
     total_phase,
 )
+from lpai import phase
+from lpai._exactsum import array_fsum
 
 from _helpers import float_bits, random_closed_sequence, recoil_double_sum_loop
 
@@ -161,6 +167,116 @@ class TestRecoilDoubleSum:
             assert float_bits(recoil_double_sum(build_rbi_asymmetric(k, T, Tp))) == float_bits(
                 merged
             )
+
+
+def array_path(seq: PulseSequence) -> float:
+    return array_fsum(phase._pair_terms([seq]).reshape(-1))
+
+
+def loop_path(seq: PulseSequence) -> float:
+    with mock.patch.object(phase, "_PAIR_ARRAY_MIN_PULSES", sys.maxsize):
+        return recoil_double_sum(seq)
+
+
+def outcome(f, seq):
+    """Bits of f(seq), "nan" for any nan, or the type and message of its exception."""
+    try:
+        s = f(seq)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "nan" if math.isnan(s) else float_bits(s)
+
+
+THRESHOLD = phase._PAIR_ARRAY_MIN_PULSES
+BIG = 2**60 + 1  # an int that float() rounds
+
+PATH_CASES = {
+    **EDGE_SEQUENCES,
+    "k = 1e200": build_rbi_asymmetric(1e200, 0.1),
+    "k = 1e200, long": random_closed_sequence(
+        np.random.default_rng(3), THRESHOLD + 2, k_scale=1e200, with_common_mode=True
+    ),
+    "overflowing diagonal": PulseSequence(
+        (Pulse(0.0, 1.0, 0.0), Pulse(0.5, 1e160, 1e160), Pulse(1.0, -2.0, 0.0), Pulse(2.0, 1.0, 0.0))
+    ),
+    # float() rounds t_0 and k_upper of pulse 1: S is 8.0, where the exact
+    # ints would give 3
+    "ints that float() rounds": PulseSequence(
+        (Pulse(2**53 + 1, 1, 1), Pulse(2**53 + 2, 2**54 + 3, 2**54))
+    ),
+    # upper-branch terms ~0, X, -X, X, -X, X/2 (X = 1e308) in np.tril_indices
+    # order; ordered by ell first, the two X of pairs (2, 0) and (3, 0) meet
+    # and overflow
+    "pair order": PulseSequence(
+        (
+            Pulse(0.0, 1e154, 0.0),
+            Pulse(1e-300, -1e154, 0.0),
+            Pulse(1.0, 1e154, 0.0),
+            Pulse(2.0, 5e153, 0.0),
+        )
+    ),
+    # equal branches: the upper block's 1e308 + 1e308 overflows before any
+    # lower term can cancel it
+    "branch order": PulseSequence(
+        (Pulse(0.0, 1e154, 1e154), Pulse(1.0, 1e154, 1e154), Pulse(2.0, 5e153, 5e153))
+    ),
+    # t_n - t_ell of the ints is exact; of their floats it rounds
+    "int fields": PulseSequence(
+        tuple(
+            Pulse(t, BIG * (-1) ** i, i - BIG, 0, 1)
+            for i, t in enumerate([1, 2**53 + 1, 2**54 + 3, BIG, 3 * BIG][: THRESHOLD - 1])
+        )
+    ),
+    **{
+        f"{n} random pulses": random_closed_sequence(
+            np.random.default_rng(n), n, k_scale=1e7, with_common_mode=True
+        )
+        for n in range(3, THRESHOLD + 3)
+    },
+}
+
+# Finite fields from tiny to near overflow, and ints beyond 2**53.
+FIELDS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**64), 2**64)
+
+
+class TestRecoilDoubleSumPaths:
+    """The scalar loop below _PAIR_ARRAY_MIN_PULSES and the array pass agree."""
+
+    @pytest.mark.parametrize("name", PATH_CASES)
+    def test_loop_and_array_pass_agree(self, name):
+        seq = PATH_CASES[name]
+        assert outcome(loop_path, seq) == outcome(array_path, seq)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("k = 1e200", (ValueError, "-inf + inf in fsum")),
+            ("k = 1e200, long", (ValueError, "-inf + inf in fsum")),
+            ("branch order", (OverflowError, "intermediate overflow in fsum")),
+            ("pair order", "nan"),
+            ("ints that float() rounds", float_bits(8.0)),
+        ],
+    )
+    def test_the_cases_reach_their_outcomes(self, name, expected):
+        assert outcome(array_path, PATH_CASES[name]) == expected
+
+    @given(
+        n=st.integers(2, THRESHOLD + 2),
+        fields=st.lists(FIELDS, min_size=3 * (THRESHOLD + 2), max_size=3 * (THRESHOLD + 2)),
+    )
+    @settings(max_examples=300)
+    def test_random_fields_give_the_same_outcome(self, n, fields):
+        seq = PulseSequence(tuple(Pulse(*fields[3 * i : 3 * i + 3]) for i in range(n)))
+        assert outcome(loop_path, seq) == outcome(array_path, seq)
+
+    @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD])
+    def test_the_pulse_count_selects_the_path(self, n, monkeypatch):
+        seq = PATH_CASES[f"{n} random pulses"]
+        calls = []
+        original = phase._pair_terms
+        monkeypatch.setattr(phase, "_pair_terms", lambda seqs: calls.append(1) or original(seqs))
+        recoil_double_sum(seq)
+        assert len(calls) == (n >= THRESHOLD)
 
 
 class TestProperTime:
