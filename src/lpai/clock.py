@@ -40,8 +40,8 @@ from .core import (
 from .errors import InternalConsistencyError, NonFiniteResultError
 from .phase import (
     _closed_sum,
-    gravito_recoil_phase,
-    laser_phase,
+    _gravito_recoil_sum,
+    _laser_sum,
     proper_time_difference,
     recoil_parts,
     recoil_sums,
@@ -104,16 +104,10 @@ def _clip_probability(p: float) -> float:
 def _beat_row(
     clock: ClockPair, env: GravityEnv, ics: InitialConditions
 ) -> Callable[[PulseSequence, float], BeatSignal]:
-    """The beat of clock for a valid, closed sequence and its recoil double sum S.
+    """beat's row body for clock: a function of a valid, closed seq and its S.
 
-    The returned function takes (seq, S).  Its probabilities come from the
-    shared (carrier, half-beat) angles of the mean-mass delta_tau.  The
-    per-state totals, each built from the same S with that state's mass,
-    only check them: InternalConsistencyError is raised if the two routes
-    disagree.  A nan or infinite carrier or half-beat raises
-    NonFiniteResultError.  eta, the state species and the mean mass's
-    Compton frequency are worked out once, here, for every call of the
-    returned function.
+    eta, the state species and the mean mass's Compton frequency are worked
+    out once, here, for every call of the returned function.
     """
     mean = Species(clock.mean_mass)
     states = (clock.state_species("a"), clock.state_species("b"))
@@ -123,8 +117,8 @@ def _beat_row(
 
     def row(seq: PulseSequence, s: float) -> BeatSignal:
         dtau, _ = recoil_parts(s, mean)
-        gk = gravito_recoil_phase(seq, env, ics)
-        lp = laser_phase(seq)
+        gk = _gravito_recoil_sum(seq, env, ics)
+        lp = _laser_sum(seq)
         total_a, total_b = (
             PhaseBreakdown.assemble(*recoil_parts(s, state), gk, lp).total_phase
             for state in states
@@ -183,7 +177,8 @@ def beat(
     (carrier, half-beat) angles of the mean-mass delta_tau.  The consistency
     check compares them with the per-state totals that the two state-mass
     formulas give for the same S, at a relative tolerance of 1e-12, and
-    raises InternalConsistencyError if the two routes disagree.  beat_rows
+    raises InternalConsistencyError if the two routes disagree; a nan or
+    infinite carrier or half-beat raises NonFiniteResultError.  beat_rows
     runs the same row body on the S of each row of a grid.
     """
     return _beat_row(clock, env, ics)(seq, _closed_sum(seq, Species(clock.mean_mass)))

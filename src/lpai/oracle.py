@@ -57,7 +57,7 @@ from .core import (
 from .errors import NonFiniteResultError, OracleAccuracyError, OracleConfigError
 from .geometry import _closure_scales
 from .kinematics import _branch_ks
-from .phase import gravito_recoil_phase, laser_phase, recoil_phase
+from .phase import _laser_sum, gravito_recoil_phase, laser_phase, recoil_phase
 from .phase import proper_time_difference as proper_time_closed
 
 _SHAPES = ("tophat", "cosine")
@@ -418,7 +418,7 @@ def action_numeric(
     upper, lower, gravito = _window_terms(grid, (k1, z1), ([-k for k in k2], z2), (dk, z_g))
     kick_total = math.fsum(upper + lower)
     gravito_part = math.fsum(gravito)
-    laser_part = laser_phase(seq)
+    laser_part = _laser_sum(seq)
     total = kick_total + laser_part
     recoil_part = kick_total - gravito_part
 
@@ -480,7 +480,7 @@ def oracle_report(
 
     dtau_closed = proper_time_closed(seq, species)
     omega_c = species.mass * constants.C**2 / constants.HBAR
-    total_num = omega_c * dtau_num + gravito_num + laser_phase(seq)
+    total_num = omega_c * dtau_num + gravito_num + _laser_sum(seq)
 
     diff = abs(dtau_num - dtau_closed)
     denom = max(abs(dtau_closed), _delta_tau_scale(seq, species))

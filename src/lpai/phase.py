@@ -99,10 +99,9 @@ def _pair_terms(seqs: Sequence[PulseSequence]) -> np.ndarray:
     return terms.reshape(4, rows, width)
 
 
-# Pulse count from which recoil_double_sum forms its terms in one array
-# pass; the loop is faster below it.  Measured on a 2-CPU x86-64 machine with
-# numpy 2.4: loop 15.7/27.3/46.1/69.5 us, array 42.5/43.6/51.5/47.4 us at
-# 3/4/5/6 pulses.
+# recoil_double_sum forms its terms in one array pass from this pulse count
+# on; the loop is faster below it (2-CPU x86-64 machine, numpy 2.4: loop
+# 15.7/27.3/46.1/69.5 us, array 42.5/43.6/51.5/47.4 us at 3/4/5/6 pulses).
 _PAIR_ARRAY_MIN_PULSES = 6
 
 
@@ -227,7 +226,7 @@ def recoil_parts(s: float, species: Species) -> tuple[float, float]:
 
 
 def _closed_sum(seq: PulseSequence, species: Species) -> float:
-    """S of seq once it has passed require_valid and require_closed."""
+    """S of seq, after require_valid and require_closed."""
     require_valid(seq)
     require_closed(seq, species)
     return recoil_double_sum(seq)
@@ -255,8 +254,13 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
     branches.  Products are accumulated exactly and fsum-reduced so that the
     analytic cancellations (z0 and v0 terms for closed sequences, everything
     for sequences whose first three kick moments vanish) survive numerically.
-    The pulses are read as they are; total_phase and beat validate first.
     """
+    require_valid(seq)
+    return _gravito_recoil_sum(seq, env, ics)
+
+
+def _gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
+    """gravito_recoil_phase of a sequence that has passed require_valid."""
     terms: list[float] = []
     for p in seq.pulses:
         zg, _ = gravity_trajectory(env, ics, p.t)
@@ -265,10 +269,13 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
 
 
 def laser_phase(seq: PulseSequence) -> float:
-    """Imprinted laser phase difference, sum of phi_ell^(1) - phi_ell^(2), in rad.
+    """Imprinted laser phase difference, sum of phi_ell^(1) - phi_ell^(2), in rad."""
+    require_valid(seq)
+    return _laser_sum(seq)
 
-    The pulses are read as they are; total_phase and beat validate first.
-    """
+
+def _laser_sum(seq: PulseSequence) -> float:
+    """laser_phase without the pulse checks; the oracle sums pulse-free sequences too."""
     return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
 
 
@@ -277,7 +284,7 @@ def _breakdown(
 ) -> PhaseBreakdown:
     """total_phase of a valid, closed seq whose recoil double sum is s."""
     return PhaseBreakdown.assemble(
-        *recoil_parts(s, species), gravito_recoil_phase(seq, env, ics), laser_phase(seq)
+        *recoil_parts(s, species), _gravito_recoil_sum(seq, env, ics), _laser_sum(seq)
     )
 
 

@@ -377,6 +377,27 @@ class TestLaserPhase:
         assert laser_phase(build_rbi_double_loop(1e7, 0.1)) == 0.0
 
 
+class TestPartsRefuseInvalidSequences:
+    """gravito_recoil_phase and laser_phase refuse what total_phase refuses."""
+
+    CASES = [
+        PulseSequence((Pulse(0.0, math.nan, 0.0), Pulse(1.0, 1.0, 0.0))),
+        PulseSequence((Pulse(0.0, 1.0, 0.0, phi_upper=math.inf), Pulse(1.0, -1.0, 0.0))),
+        PulseSequence((Pulse(math.nan, 1.0, 0.0), Pulse(1.0, -1.0, 0.0))),
+        PulseSequence((Pulse(0.0, 1.0, 0.0),)),
+    ]
+
+    @pytest.mark.parametrize("seq", CASES)
+    def test_gravito_recoil_phase(self, seq):
+        with pytest.raises(ValueError, match="invalid pulse sequence"):
+            gravito_recoil_phase(seq, GravityEnv(9.81), REST)
+
+    @pytest.mark.parametrize("seq", CASES)
+    def test_laser_phase(self, seq):
+        with pytest.raises(ValueError, match="invalid pulse sequence"):
+            laser_phase(seq)
+
+
 class TestTotalPhase:
     def test_mzi_total_is_the_gravimeter_phase(self):
         k, T, g = 1e7, 0.4, 9.81
