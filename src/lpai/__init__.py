@@ -9,7 +9,7 @@ forms.  See the module docstrings for conventions; everything is SI.
 
 __version__ = "0.1.0"
 
-from .constants import CODATA2018, K_MAGIC, PhysicalConstants
+from .constants import K_MAGIC
 from .core import (
     ClockPair,
     GravityEnv,
@@ -70,13 +70,9 @@ from .clock import (
 # (PEP 562), so the closed forms and the CLI start without them.
 _ORACLE_NAMES = (
     "ConvergenceStudy",
-    "OracleActions",
     "OracleConfig",
     "OracleResult",
-    "SampledTrajectory",
-    "action_numeric",
     "convergence_study",
-    "integrate_branch",
     "oracle_report",
     "proper_time_numeric",
 )
@@ -92,9 +88,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "__version__",
-    "CODATA2018",
     "K_MAGIC",
-    "PhysicalConstants",
     "ClockPair",
     "GravityEnv",
     "InitialConditions",

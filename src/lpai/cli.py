@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 flag/parse/config error, 2 geometry open in phase
 space, 3 numeric failure (oracle residual above tolerance, accuracy or
-consistency errors, a nan or infinite result).
+consistency errors, a nan or infinite result, an exact sum whose partial
+sums overflow).
 
 Every output embeds a run manifest: '#'-prefixed key = value lines in text
 and CSV, a "manifest" object in JSON.  Outputs are byte-identical for
@@ -546,7 +547,9 @@ def main(argv=None) -> int:
     except OpenSequenceError as exc:
         print(f"open geometry: {exc}", file=sys.stderr)
         return 2
-    except (OracleAccuracyError, InternalConsistencyError, NonFiniteResultError) as exc:
+    except (
+        OracleAccuracyError, InternalConsistencyError, NonFiniteResultError, OverflowError
+    ) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -5,30 +5,8 @@ can monkeypatch ``lpai.constants.C`` / ``lpai.constants.HBAR`` to run in
 rescaled units.  Production code never overrides them.
 """
 
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Vacuum speed of light and reduced Planck constant, SI units."""
-
-    c: float = 299792458.0            # m/s, exact by SI definition
-    hbar: float = 1.054571817e-34     # J s
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"c must be positive and finite, got {self.c}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
-
-
-CODATA2018 = PhysicalConstants()
-
-C: float = CODATA2018.c
-HBAR: float = CODATA2018.hbar
+C: float = 299792458.0  # speed of light in vacuum, m/s, exact by SI definition
+HBAR: float = 1.054571817e-34  # reduced Planck constant, J s
 
 # Reference two-photon wave number for magic-wavelength lattice clocks; the
 # CLI flag --k-in-km expresses momentum transfer as a multiple of this value.

@@ -4,9 +4,9 @@ The closed forms treat laser kicks as instantaneous.  This module replaces
 each kick by a finite window of width sigma carrying the same impulse
 (top-hat a = hbar*k/(m*sigma), or a raised cosine with the same area),
 integrates the classical motion with a fixed-step RK4 aligned to the window
-edges, and evaluates the proper-time difference and the interaction action by
-composite Simpson quadrature.  Nothing here reuses the closed-form results
-except in the final residual comparison.
+edges, and evaluates the proper-time difference and the window averages of
+the pulse-free trajectory by composite Simpson quadrature.  Nothing here
+reuses the closed-form results except in the final residual comparison.
 
 Accuracy notes, which the tests lean on:
 
@@ -57,7 +57,7 @@ from .core import (
 from .errors import NonFiniteResultError, OracleAccuracyError, OracleConfigError
 from .geometry import _closure_scales
 from .kinematics import _branch_ks
-from .phase import _laser_sum, gravito_recoil_phase, laser_phase, recoil_phase
+from .phase import _laser_sum
 from .phase import proper_time_difference as proper_time_closed
 
 _SHAPES = ("tophat", "cosine")
@@ -65,8 +65,7 @@ _IMPULSE_HARD_LIMIT = 1e-6
 _RESIDUAL_FLOOR = 1e-12
 # Grid nodes one call may allocate.  Peak resident set of a whole process at
 # this budget (cosine windows, the largest case): 823 MB for oracle_report,
-# proper_time_numeric and `lpai oracle`, 701 MB for action_numeric, 640 MB
-# for integrate_branch.
+# proper_time_numeric and `lpai oracle`.
 MAX_ORACLE_NODES = 8_000_000
 
 
@@ -100,26 +99,6 @@ class OracleConfig:
             raise OracleConfigError(
                 f"pulse_shape must be one of {_SHAPES}, got {self.pulse_shape!r}"
             )
-
-
-@dataclass(frozen=True)
-class SampledTrajectory:
-    """One branch on the integration grid: node times, positions, velocities."""
-
-    t: np.ndarray
-    z: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
-class OracleActions:
-    """Numeric interaction action per hbar, decomposed."""
-
-    total: float
-    recoil_part: float
-    gravito_recoil_part: float
-    laser_part: float
-    identity_residual: float  # relative, nan when the closed form is undefined
 
 
 @dataclass(frozen=True)
@@ -313,24 +292,6 @@ def _march_branch(grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: 
     return z, v
 
 
-def integrate_branch(
-    seq: PulseSequence,
-    branch: int,
-    species: Species,
-    env: GravityEnv,
-    ics: InitialConditions,
-    cfg: OracleConfig,
-) -> SampledTrajectory:
-    """Integrate one branch with finite-width pulses; returns node samples.
-
-    Raises OracleAccuracyError when the velocity change across a pulse
-    window misses its impulse, as on a grid too coarse for the window.
-    """
-    grid = _quadrature_grid(seq, cfg)
-    z, v = _march_branch(grid, _branch_ks(seq, branch), species.mass, env.g, ics.z0, ics.v0)
-    return SampledTrajectory(t=grid.ts, z=z, v=v)
-
-
 def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     require_valid(seq, structural_only=True)
     _check_config(seq, cfg)
@@ -369,99 +330,26 @@ def proper_time_numeric(
     return _proper_time(_quadrature_grid(seq, cfg), seq, species, env, ics)[0]
 
 
-def _window_terms(grid: _Grid, *forcings) -> list[list[float]]:
-    """Per (ks, z) forcing, k * (window average of z) for every window with k != 0.
+def _window_terms(grid: _Grid, ks: Sequence[float], z: np.ndarray) -> list[float]:
+    """k * (window average of z) for every window with k != 0.
 
-    Each window's weights are built once and shared by the forcings; cosine
-    weights are the window's node profile.
+    Top-hat weights are 1/width; cosine weights are the window's node profile
+    over its width.
     """
-    terms: list[list[float]] = [[] for _ in forcings]
+    terms: list[float] = []
     for i, ((i0, i1), width) in enumerate(zip(grid.windows, grid.widths)):
-        ts = grid.ts[i0 : i1 + 1]
-        w = None
-        for out, (ks, z) in zip(terms, forcings):
-            if ks[i] != 0.0:
-                if w is None:
-                    if grid.profiles is None:
-                        w = 1.0 / width
-                    else:
-                        w = grid.profiles[i][0] / width
-                out.append(ks[i] * _simpson(w * z[i0 : i1 + 1], ts))
+        if ks[i] != 0.0:
+            w = 1.0 / width if grid.profiles is None else grid.profiles[i][0] / width
+            terms.append(ks[i] * _simpson(w * z[i0 : i1 + 1], grid.ts[i0 : i1 + 1]))
     return terms
 
 
-def action_numeric(
-    seq: PulseSequence,
-    species: Species,
-    env: GravityEnv,
-    ics: InitialConditions,
-    cfg: OracleConfig,
-) -> OracleActions:
-    """Interaction action per hbar by window quadrature, decomposed.
-
-    total = sum over pulses of k^(1)*avg(z1) - k^(2)*avg(z2) plus the laser
-    terms, where avg is the window-weighted average of the integrated branch
-    position.  The gravito-recoil part repeats the sum with the differential
-    wave number against the pulse-free trajectory; the recoil part is the
-    remainder.  identity_residual compares total against its closed-form
-    counterpart 2*recoil + gravito_recoil + laser, relative to the larger of
-    the two natural scales, and is nan when the closed form refuses the
-    input (open or degenerate sequences).
-    """
-    grid = _quadrature_grid(seq, cfg)
-    k1 = _branch_ks(seq, 1)
-    k2 = _branch_ks(seq, 2)
-    z1, _ = _march_branch(grid, k1, species.mass, env.g, ics.z0, ics.v0)
-    z2, _ = _march_branch(grid, k2, species.mass, env.g, ics.z0, ics.v0)
-    z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
-    dk = [p.delta_k for p in seq.pulses]
-    upper, lower, gravito = _window_terms(grid, (k1, z1), ([-k for k in k2], z2), (dk, z_g))
-    kick_total = math.fsum(upper + lower)
-    gravito_part = math.fsum(gravito)
-    laser_part = _laser_sum(seq)
-    total = kick_total + laser_part
-    recoil_part = kick_total - gravito_part
-
-    try:
-        closed = (
-            2.0 * recoil_phase(seq, species)
-            + gravito_recoil_phase(seq, env, ics)
-            + laser_phase(seq)
-        )
-    except ValueError:
-        identity_residual = math.nan
-    else:
-        scale = max(abs(closed), _action_scale(seq, species, env, ics))
-        diff = abs(total - closed)
-        identity_residual = diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
-
-    return OracleActions(
-        total=total,
-        recoil_part=recoil_part,
-        gravito_recoil_part=gravito_part,
-        laser_part=laser_part,
-        identity_residual=identity_residual,
-    )
-
-
-def _time_span(seq: PulseSequence) -> float:
-    times = seq.times
-    if not times:
-        return seq.duration
-    return max(seq.duration, times[-1]) - min(0.0, times[0])
-
-
 def _delta_tau_scale(seq: PulseSequence, species: Species) -> float:
+    """(largest recoil velocity / c)^2 times the time span the grid covers."""
+    times = seq.times
+    span = max(seq.duration, times[-1]) - min(0.0, times[0]) if times else seq.duration
     vr = constants.HBAR * _closure_scales(seq)[0] / (species.mass * constants.C)
-    return vr * vr * _time_span(seq)
-
-
-def _action_scale(seq, species, env, ics) -> float:
-    kmax, _ = _closure_scales(seq)
-    span = _time_span(seq)
-    z_scale = abs(ics.z0) + abs(ics.v0) * span + 0.5 * abs(env.g) * span * span
-    recoil_scale = constants.HBAR * kmax * kmax * span / species.mass
-    return recoil_scale + kmax * z_scale
+    return vr * vr * span
 
 
 def oracle_report(
@@ -475,8 +363,7 @@ def oracle_report(
     grid = _quadrature_grid(seq, cfg)
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
     z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
-    (gravito_terms,) = _window_terms(grid, ([p.delta_k for p in seq.pulses], z_g))
-    gravito_num = math.fsum(gravito_terms)
+    gravito_num = math.fsum(_window_terms(grid, [p.delta_k for p in seq.pulses], z_g))
 
     dtau_closed = proper_time_closed(seq, species)
     omega_c = species.mass * constants.C**2 / constants.HBAR

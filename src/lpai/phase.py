@@ -90,11 +90,12 @@ def _pair_terms(seqs: Sequence[PulseSequence]) -> np.ndarray:
     # negating terms.
     times = factors[2].reshape(rows, 2, width // 2)
     t_n, t_ell = times[:, 0], times[:, 1]
-    np.subtract(t_n, t_ell, out=t_n)
-    np.negative(t_n, out=t_ell)
-    # Products beyond the float range become inf/nan terms and fsum reports
-    # them; numpy's warnings would only repeat that on stderr.
+    # Differences and products beyond the float range become inf/nan terms,
+    # as in the scalar loop, and fsum reports them; numpy's warnings would
+    # only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(t_n, t_ell, out=t_n)
+        np.negative(t_n, out=t_ell)
         terms = triple_product_rows(factors)
     return terms.reshape(4, rows, width)
 
@@ -275,7 +276,7 @@ def laser_phase(seq: PulseSequence) -> float:
 
 
 def _laser_sum(seq: PulseSequence) -> float:
-    """laser_phase without the pulse checks; the oracle sums pulse-free sequences too."""
+    """laser_phase of a sequence its caller has already validated."""
     return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
 
 

@@ -232,6 +232,15 @@ def _ref_k_max(seq: PulseSequence) -> float:
     return max((max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses), default=0.0)
 
 
+def ref_gravito_terms(seq: PulseSequence, run: dict, shape: str) -> list[float]:
+    """dk * (window average of the pulse-free trajectory), per window with dk != 0."""
+    return [
+        p.delta_k * _ref_window_integral(run["grid"], shape, p.t, span, run["zg"])
+        for p, span in zip(seq.pulses, run["grid"][3])
+        if p.delta_k != 0.0
+    ]
+
+
 def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg) -> dict:
     """OracleResult fields, as the frozen pipeline computes them."""
     from lpai import proper_time_difference
@@ -240,11 +249,7 @@ def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg) -> dict:
     grid = run["grid"]
     f = (-0.5 * run["dv"] * (run["v1"] + run["v2"]) + env.g * run["dz"]) / constants.C**2
     dtau_num = _ref_simpson(f, grid[0])
-    gravito_num = math.fsum(
-        p.delta_k * _ref_window_integral(grid, cfg.pulse_shape, p.t, span, run["zg"])
-        for p, span in zip(seq.pulses, grid[3])
-        if p.delta_k != 0.0
-    )
+    gravito_num = math.fsum(ref_gravito_terms(seq, run, cfg.pulse_shape))
     dtau_closed = proper_time_difference(seq, species)
     omega_c = species.mass * constants.C**2 / constants.HBAR
     vr = constants.HBAR * _ref_k_max(seq) / (species.mass * constants.C)
@@ -262,42 +267,4 @@ def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg) -> dict:
         "gravito_recoil_numeric": gravito_num,
         "total_phase_numeric": omega_c * dtau_num + gravito_num + _ref_laser(seq),
         "closure_residuals": (float(run["dz"][-1]), float(run["dv"][-1])),
-    }
-
-
-def ref_action_numeric(seq: PulseSequence, species, env, ics, cfg) -> dict:
-    """OracleActions fields, as the frozen pipeline computes them."""
-    from lpai import gravito_recoil_phase, laser_phase, recoil_phase
-
-    run = ref_run(seq, species, env, ics, cfg)
-    grid, shape = run["grid"], cfg.pulse_shape
-    kick_terms: list[float] = []
-    gravito_terms: list[float] = []
-    for p, span in zip(seq.pulses, grid[3]):
-        if p.k_upper != 0.0:
-            kick_terms.append(p.k_upper * _ref_window_integral(grid, shape, p.t, span, run["z1"]))
-        if p.k_lower != 0.0:
-            kick_terms.append(-p.k_lower * _ref_window_integral(grid, shape, p.t, span, run["z2"]))
-        if p.delta_k != 0.0:
-            gravito_terms.append(p.delta_k * _ref_window_integral(grid, shape, p.t, span, run["zg"]))
-    kick_total = math.fsum(kick_terms)
-    gravito_part = math.fsum(gravito_terms)
-    laser_part = _ref_laser(seq)
-    total = kick_total + laser_part
-    try:
-        closed = 2.0 * recoil_phase(seq, species) + gravito_recoil_phase(seq, env, ics) + laser_phase(seq)
-    except ValueError:
-        identity_residual = math.nan
-    else:
-        kmax, span = _ref_k_max(seq), _ref_time_span(seq)
-        z_scale = abs(ics.z0) + abs(ics.v0) * span + 0.5 * abs(env.g) * span * span
-        scale = max(abs(closed), constants.HBAR * kmax * kmax * span / species.mass + kmax * z_scale)
-        diff = abs(total - closed)
-        identity_residual = diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
-    return {
-        "total": total,
-        "recoil_part": kick_total - gravito_part,
-        "gravito_recoil_part": gravito_part,
-        "laser_part": laser_part,
-        "identity_residual": identity_residual,
     }

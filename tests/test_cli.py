@@ -253,6 +253,15 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: ") and "delta_tau" in err
 
+    def test_an_overflowing_exact_sum_exits_with_three(self, capsys):
+        # the pair terms of S are finite, but their partial sums overflow
+        code, out, err = run(
+            capsys, "simulate", "--geometry", "rbi-asym", "--k", "3e153", "--T", "10",
+            "--Tprime", "0.05", "--mass", "1e-25",
+        )
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: intermediate overflow in fsum\n"
+
     def test_trajectory_dump_needs_a_step(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.BASE, "--dump-trajectory", str(tmp_path / "t.csv"))
         assert code == 1

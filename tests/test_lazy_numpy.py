@@ -1,8 +1,8 @@
 """Short-sequence closed forms and the simulate/check commands run without numpy.
 
 numpy is imported by the array paths only: long sequences, scans, dumps and
-the oracle.  Each check runs in a fresh interpreter, since this test process
-has numpy loaded already.
+the oracle, whose names the package resolves on first use.  Each check runs
+in a fresh interpreter, since this test process has numpy loaded already.
 """
 
 import os
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+import lpai
 from lpai import serialize_geometry
 
 from _helpers import random_closed_sequence
@@ -60,13 +61,23 @@ print("numpy" in sys.modules)
 """
 
 
-def numpy_loaded(script: str, geometry: Path) -> bool:
+STAR = """
+import lpai
+from lpai import *
+print(sorted(set(lpai.__all__) - set(globals())))
+"""
+
+
+def run_fresh(script: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(geometry)],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, check=True,
     ).stdout
-    return {"True\n": True, "False\n": False}[out]
+
+
+def numpy_loaded(script: str, geometry: Path) -> bool:
+    return {"True\n": True, "False\n": False}[run_fresh(script, str(geometry))]
 
 
 def closed_file(tmp_path: Path, n_pulses: int) -> Path:
@@ -82,3 +93,11 @@ def test_builders_simulate_and_check_do_not_load_numpy(tmp_path):
 
 def test_a_twelve_pulse_beat_loads_numpy(tmp_path):
     assert numpy_loaded(LONG, closed_file(tmp_path, 12))
+
+
+def test_every_public_name_resolves():
+    assert [name for name in lpai.__all__ if not hasattr(lpai, name)] == []
+
+
+def test_star_import_binds_every_public_name():
+    assert run_fresh(STAR) == "[]\n"

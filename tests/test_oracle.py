@@ -15,15 +15,13 @@ from lpai import (
     OracleConfigError,
     PulseSequence,
     Species,
-    action_numeric,
     build_mzi,
     build_rbi_asymmetric,
     build_rbi_double_loop,
     constants,
     convergence_study,
+    gravito_recoil_phase,
     gravity_trajectory,
-    integrate_branch,
-    laser_phase,
     oracle_report,
     proper_time_difference,
     proper_time_numeric,
@@ -33,7 +31,7 @@ from lpai import Pulse, _kernels, oracle
 from _helpers import (
     march_rk4_loop,
     random_closed_sequence,
-    ref_action_numeric,
+    ref_gravito_terms,
     ref_oracle_report,
     ref_proper_time_numeric,
     ref_run,
@@ -44,12 +42,20 @@ FLAT = GravityEnv(0.0)
 REST = InitialConditions()
 
 
-def window_velocity_jump(traj, t_pulse, sigma):
+def march_branch(seq, branch, species, env, ics, cfg):
+    """One impulse-checked branch on the oracle's grid: node times, positions, velocities."""
+    grid = oracle._quadrature_grid(seq, cfg)
+    ks = [p.k_upper if branch == 1 else p.k_lower for p in seq.pulses]
+    z, v = oracle._march_branch(grid, ks, species.mass, env.g, ics.z0, ics.v0)
+    return grid.ts, z, v
+
+
+def window_velocity_jump(ts, v, t_pulse, sigma):
     """Velocity change across one pulse window, read off the node samples."""
-    i0 = int(np.searchsorted(traj.t, t_pulse))
-    i1 = int(np.searchsorted(traj.t, t_pulse + sigma))
-    assert traj.t[i0] == t_pulse
-    return traj.v[i1] - traj.v[i0], traj.t[i1] - traj.t[i0]
+    i0 = int(np.searchsorted(ts, t_pulse))
+    i1 = int(np.searchsorted(ts, t_pulse + sigma))
+    assert ts[i0] == t_pulse
+    return v[i1] - v[i0], ts[i1] - ts[i0]
 
 
 class TestConfig:
@@ -78,15 +84,14 @@ class TestConfig:
     def test_width_must_fit_between_pulses(self):
         cfg = OracleConfig(pulse_width=0.06)
         with pytest.raises(OracleConfigError, match="half the minimum"):
-            integrate_branch(build_rbi_asymmetric(1e7, 0.1), 1, SR, FLAT, REST, cfg)
+            march_branch(build_rbi_asymmetric(1e7, 0.1), 1, SR, FLAT, REST, cfg)
 
     @pytest.mark.parametrize(
         "entry",
         [
             oracle_report,
             proper_time_numeric,
-            action_numeric,
-            lambda seq, *rest: integrate_branch(seq, 1, *rest),
+            lambda seq, *rest: march_branch(seq, 1, *rest),
         ],
     )
     def test_grid_over_the_node_budget_is_refused_before_allocating(self, entry):
@@ -100,10 +105,10 @@ class TestConfig:
         cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=101)  # rounds up to 102
         nodes = 5 * 102 + 1
         monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes)
-        assert integrate_branch(seq, 1, SR, FLAT, REST, cfg).t.size == nodes
+        assert march_branch(seq, 1, SR, FLAT, REST, cfg)[0].size == nodes
         monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes - 1)
         with pytest.raises(OracleConfigError, match=f"need {nodes} grid nodes, more than {nodes - 1}"):
-            integrate_branch(seq, 1, SR, FLAT, REST, cfg)
+            march_branch(seq, 1, SR, FLAT, REST, cfg)
 
     def test_study_checks_the_budget_before_the_first_width(self, monkeypatch):
         def report(*args, **kwargs):
@@ -123,10 +128,10 @@ class TestImpulseInvariant:
         k, T = 1.8e10, 0.325
         seq = build_rbi_asymmetric(k, T)
         cfg = OracleConfig(pulse_width=1e-6 * T, pulse_shape=shape)
-        traj = integrate_branch(seq, 1, SR, GravityEnv(g), REST, cfg)
+        ts, _, v = march_branch(seq, 1, SR, GravityEnv(g), REST, cfg)
         scale = constants.HBAR * 2.0 * k / SR.mass
         for pulse, k_here in zip(seq.pulses, (k, -2.0 * k, k)):
-            jump, width = window_velocity_jump(traj, pulse.t, cfg.pulse_width)
+            jump, width = window_velocity_jump(ts, v, pulse.t, cfg.pulse_width)
             expected = constants.HBAR * k_here / SR.mass - g * width
             assert abs(jump - expected) <= 1e-9 * scale
 
@@ -134,17 +139,17 @@ class TestImpulseInvariant:
         seq = PulseSequence((), duration=2.0)
         env = GravityEnv(9.81)
         ics = InitialConditions(z0=3.0, v0=-1.0)
-        traj = integrate_branch(seq, 1, SR, env, ics, OracleConfig(pulse_width=1e-3))
-        zg, vg = gravity_trajectory(env, ics, traj.t)
-        np.testing.assert_allclose(traj.z, zg, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(traj.v, vg, rtol=1e-12, atol=1e-12)
+        ts, z, v = march_branch(seq, 1, SR, env, ics, OracleConfig(pulse_width=1e-3))
+        zg, vg = gravity_trajectory(env, ics, ts)
+        np.testing.assert_allclose(z, zg, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(v, vg, rtol=1e-12, atol=1e-12)
 
     def test_coasting_stays_on_the_straight_line(self):
         seq = PulseSequence((), duration=1.0)
         ics = InitialConditions(z0=0.5, v0=2.0)
-        traj = integrate_branch(seq, 1, SR, FLAT, ics, OracleConfig(pulse_width=1e-3))
-        np.testing.assert_allclose(traj.z, 0.5 + 2.0 * traj.t, rtol=1e-12)
-        np.testing.assert_array_equal(traj.v, np.full(traj.v.shape, 2.0))
+        ts, z, v = march_branch(seq, 1, SR, FLAT, ics, OracleConfig(pulse_width=1e-3))
+        np.testing.assert_allclose(z, 0.5 + 2.0 * ts, rtol=1e-12)
+        np.testing.assert_array_equal(v, np.full(v.shape, 2.0))
 
 
 class TestProperTimeNumeric:
@@ -216,32 +221,19 @@ class TestProperTimeNumeric:
         }
 
 
-class TestActionNumeric:
-    def test_action_identity_against_the_closed_decomposition(self):
-        seq = build_rbi_double_loop(1e7, 0.1)
-        cfg = OracleConfig(pulse_width=1e-6 * 0.4)
-        actions = action_numeric(seq, SR, GravityEnv(9.81), InitialConditions(0.3, -0.8), cfg)
-        assert actions.identity_residual <= 1e-8
-
-    def test_laser_part_is_the_exact_phase_sum(self):
-        from lpai import Pulse
-
-        pulses = tuple(
-            Pulse(p.t, p.k_upper, p.k_lower, 0.3 * i, -0.1 * i)
-            for i, p in enumerate(build_rbi_double_loop(1e7, 0.1).pulses)
-        )
-        seq = PulseSequence(pulses)
-        cfg = OracleConfig(pulse_width=1e-7, steps_per_segment=100)
-        actions = action_numeric(seq, SR, FLAT, REST, cfg)
-        assert actions.laser_part == laser_phase(seq)
-
-    def test_pulse_free_action_is_zero_with_undefined_identity(self):
-        seq = PulseSequence((), duration=1.0)
-        actions = action_numeric(seq, SR, GravityEnv(9.81), REST, OracleConfig(pulse_width=1e-3))
-        assert actions.total == 0.0
-        assert actions.recoil_part == 0.0
-        assert actions.gravito_recoil_part == 0.0
-        assert math.isnan(actions.identity_residual)
+class TestGravitoRecoilNumeric:
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    @pytest.mark.parametrize("k_scale", [1e3, 1e7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_window_averages_match_the_closed_form(self, shape, k_scale, seed):
+        rng = np.random.default_rng(seed)
+        seq = random_closed_sequence(rng, k_scale=k_scale, with_common_mode=True, with_phases=True)
+        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        cfg = OracleConfig(spacing / 50.0, 100, shape)
+        numeric = oracle_report(seq, SR, env, ics, cfg).gravito_recoil_numeric
+        scale = sum(abs(p.delta_k * gravity_trajectory(env, ics, p.t)[0]) for p in seq.pulses)
+        assert abs(numeric - gravito_recoil_phase(seq, env, ics)) <= 1e-12 * scale
 
 
 class TestConvergence:
@@ -344,7 +336,7 @@ class TestMarchedWork:
 
     def test_a_subnormal_mass_is_a_non_finite_kick(self):
         with pytest.raises(NonFiniteResultError, match="kick amplitude"):
-            integrate_branch(build_mzi(1e7, 0.1), 1, Species(5e-324), FLAT, REST, OracleConfig(0.01))
+            march_branch(build_mzi(1e7, 0.1), 1, Species(5e-324), FLAT, REST, OracleConfig(0.01))
 
 
 def _hex(value):
@@ -401,14 +393,18 @@ class TestFrozenPipeline:
         assert float.hex(proper_time_numeric(seq, SR, env, ics, cfg)) == float.hex(
             ref_proper_time_numeric(seq, SR, env, ics, cfg)
         )
-        actions = action_numeric(seq, SR, env, ics, cfg)
-        ref = ref_action_numeric(seq, SR, env, ics, cfg)
-        assert {k: _hex(getattr(actions, k)) for k in ref} == {k: _hex(v) for k, v in ref.items()}
+        # the gravito-recoil action, window by window, and the launch march it reads
+        run = ref_run(seq, SR, env, ics, cfg)
+        grid = oracle._quadrature_grid(seq, cfg)
+        z_g, _ = oracle._march_branch(grid, (), SR.mass, env.g, ics.z0, ics.v0)
+        assert z_g.tobytes() == run["zg"].tobytes()
+        terms = oracle._window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
+        assert _hex(terms) == _hex(ref_gravito_terms(seq, run, cfg.pulse_shape))
 
     def test_branch_arrays(self, seq, env, ics, cfg):
         run = ref_run(seq, SR, env, ics, cfg)
         for branch in (1, 2):
-            traj = integrate_branch(seq, branch, SR, env, ics, cfg)
-            assert traj.t.tobytes() == run["grid"][0].tobytes()
-            assert traj.z.tobytes() == run[f"z{branch}"].tobytes()
-            assert traj.v.tobytes() == run[f"v{branch}"].tobytes()
+            ts, z, v = march_branch(seq, branch, SR, env, ics, cfg)
+            assert ts.tobytes() == run["grid"][0].tobytes()
+            assert z.tobytes() == run[f"z{branch}"].tobytes()
+            assert v.tobytes() == run[f"v{branch}"].tobytes()

@@ -25,6 +25,7 @@ from lpai import (
     build_rbi_symmetric,
     constants,
     gravito_recoil_phase,
+    gravity_trajectory,
     laser_phase,
     proper_time_difference,
     recoil_double_sum,
@@ -227,6 +228,21 @@ PATH_CASES = {
             for i, t in enumerate([1, 2**53 + 1, 2**54 + 3, BIG, 3 * BIG][: THRESHOLD - 1])
         )
     ),
+    # t_n - t_ell overflows: numpy must not warn where the loop gives nan
+    "overflowing time difference": PulseSequence(
+        tuple(
+            Pulse(t, 0.0, 0.0)
+            for t in [0.0, 0.0, 0.0, 1.947095003526814e299, 0.0, 0.0, -1.7976931329152208e308]
+        )
+    ),
+    "overflowing monotone times": PulseSequence(
+        tuple(
+            Pulse(t, k, 0.0)
+            for t, k in zip(
+                [-1.7e308, 0.0, 1.0, 2.0, 3.0, 1.7e308], [1.0, 1.0, -2.0, 1.0, 0.0, -1.0]
+            )
+        )
+    ),
     **{
         f"{n} random pulses": random_closed_sequence(
             np.random.default_rng(n), n, k_scale=1e7, with_common_mode=True
@@ -254,6 +270,8 @@ class TestRecoilDoubleSumPaths:
             ("k = 1e200, long", (ValueError, "-inf + inf in fsum")),
             ("branch order", (OverflowError, "intermediate overflow in fsum")),
             ("pair order", "nan"),
+            ("overflowing time difference", "nan"),
+            ("overflowing monotone times", (ValueError, "-inf + inf in fsum")),
             ("ints that float() rounds", float_bits(8.0)),
         ],
     )
@@ -375,6 +393,36 @@ class TestLaserPhase:
 
     def test_builders_carry_no_laser_phase(self):
         assert laser_phase(build_rbi_double_loop(1e7, 0.1)) == 0.0
+
+
+RANDOM_CLOSED = [
+    pytest.param(
+        random_closed_sequence(
+            np.random.default_rng(seed), k_scale=k_scale, with_common_mode=True, with_phases=True
+        ),
+        id=f"{seed}-{k_scale:g}",
+    )
+    for k_scale in (1e3, 1e7)
+    for seed in range(6)
+]
+
+
+class TestPartsAgainstFractions:
+    """gravito_recoil_phase and laser_phase are correctly rounded exact sums."""
+
+    @pytest.mark.parametrize("seq", RANDOM_CLOSED)
+    def test_gravito_recoil_phase(self, seq):
+        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        exact = sum(
+            Fraction(p.delta_k) * Fraction(gravity_trajectory(env, ics, p.t)[0])
+            for p in seq.pulses
+        )
+        assert gravito_recoil_phase(seq, env, ics) == float(exact)
+
+    @pytest.mark.parametrize("seq", RANDOM_CLOSED)
+    def test_laser_phase(self, seq):
+        exact = sum(Fraction(p.phi_upper) - Fraction(p.phi_lower) for p in seq.pulses)
+        assert laser_phase(seq) == float(exact)
 
 
 class TestPartsRefuseInvalidSequences:
