@@ -44,7 +44,6 @@ from .phase import (
     _laser_sum,
     proper_time_difference,
     recoil_parts,
-    recoil_sums,
     total_phase,
 )
 
@@ -101,69 +100,6 @@ def _clip_probability(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _beat_row(
-    clock: ClockPair, env: GravityEnv, ics: InitialConditions
-) -> Callable[[PulseSequence, float], BeatSignal]:
-    """beat's row body for clock: a function of a valid, closed seq and its S.
-
-    eta, the state species and the mean mass's Compton frequency are worked
-    out once, here, for every call of the returned function.
-    """
-    mean = Species(clock.mean_mass)
-    states = (clock.state_species("a"), clock.state_species("b"))
-    eta = clock.eta
-    compton = compton_frequency(mean)
-    half_beat_rate = 0.5 * eta * clock.splitting_omega
-
-    def row(seq: PulseSequence, s: float) -> BeatSignal:
-        dtau, _ = recoil_parts(s, mean)
-        gk = _gravito_recoil_sum(seq, env, ics)
-        lp = _laser_sum(seq)
-        total_a, total_b = (
-            PhaseBreakdown.assemble(*recoil_parts(s, state), gk, lp).total_phase
-            for state in states
-        )
-        carrier = eta * (dtau * compton) + gk + lp
-        half_beat = half_beat_rate * dtau
-        if not (math.isfinite(carrier) and math.isfinite(half_beat)):
-            raise NonFiniteResultError(
-                f"beat carrier {carrier!r} rad and half-beat {half_beat!r} rad "
-                f"for delta_tau = {dtau!r} s"
-            )
-
-        cos_c, sin_c = math.cos(carrier), math.sin(carrier)
-        cos_d, sin_d = math.cos(half_beat), math.sin(half_beat)
-        p_a = 0.5 * (1.0 + cos_c * cos_d + sin_c * sin_d)  # cos(carrier - half_beat)
-        p_b = 0.5 * (1.0 + cos_c * cos_d - sin_c * sin_d)  # cos(carrier + half_beat)
-        p_combined = 0.5 * (p_a + p_b)
-        p_closed_form = 0.5 * (1.0 + cos_d * cos_c)
-
-        scale = max(1.0, abs(carrier), abs(half_beat))
-        tol = _CONSISTENCY_RTOL * scale
-        mean_mismatch = abs(0.5 * (total_a + total_b) - carrier)
-        half_mismatch = abs(0.5 * (total_b - total_a) - half_beat)
-        prob_mismatch = abs(p_combined - p_closed_form)
-        if mean_mismatch > tol or half_mismatch > tol or prob_mismatch > 1e-12:
-            raise InternalConsistencyError(
-                "beat signal routes disagree: "
-                f"carrier mismatch {mean_mismatch:.3e} rad, "
-                f"half-beat mismatch {half_mismatch:.3e} rad, "
-                f"probability mismatch {prob_mismatch:.3e} "
-                f"(tolerance {tol:.3e} rad)"
-            )
-
-        return BeatSignal(
-            p_a=_clip_probability(p_a),
-            p_b=_clip_probability(p_b),
-            p_combined=_clip_probability(p_combined),
-            envelope=cos_d,
-            carrier_phase=carrier,
-            delta_tau=dtau,
-        )
-
-    return row
-
-
 def beat(
     seq: PulseSequence,
     clock: ClockPair,
@@ -178,10 +114,55 @@ def beat(
     check compares them with the per-state totals that the two state-mass
     formulas give for the same S, at a relative tolerance of 1e-12, and
     raises InternalConsistencyError if the two routes disagree; a nan or
-    infinite carrier or half-beat raises NonFiniteResultError.  beat_rows
-    runs the same row body on the S of each row of a grid.
+    infinite carrier or half-beat raises NonFiniteResultError.
     """
-    return _beat_row(clock, env, ics)(seq, _closed_sum(seq, Species(clock.mean_mass)))
+    mean = Species(clock.mean_mass)
+    s = _closed_sum(seq, mean)
+    eta = clock.eta
+    dtau, _ = recoil_parts(s, mean)
+    gk = _gravito_recoil_sum(seq, env, ics)
+    lp = _laser_sum(seq)
+    total_a, total_b = (
+        PhaseBreakdown.assemble(*recoil_parts(s, clock.state_species(state)), gk, lp).total_phase
+        for state in ("a", "b")
+    )
+    carrier = eta * (dtau * compton_frequency(mean)) + gk + lp
+    half_beat = 0.5 * eta * clock.splitting_omega * dtau
+    if not (math.isfinite(carrier) and math.isfinite(half_beat)):
+        raise NonFiniteResultError(
+            f"beat carrier {carrier!r} rad and half-beat {half_beat!r} rad "
+            f"for delta_tau = {dtau!r} s"
+        )
+
+    cos_c, sin_c = math.cos(carrier), math.sin(carrier)
+    cos_d, sin_d = math.cos(half_beat), math.sin(half_beat)
+    p_a = 0.5 * (1.0 + cos_c * cos_d + sin_c * sin_d)  # cos(carrier - half_beat)
+    p_b = 0.5 * (1.0 + cos_c * cos_d - sin_c * sin_d)  # cos(carrier + half_beat)
+    p_combined = 0.5 * (p_a + p_b)
+    p_closed_form = 0.5 * (1.0 + cos_d * cos_c)
+
+    scale = max(1.0, abs(carrier), abs(half_beat))
+    tol = _CONSISTENCY_RTOL * scale
+    mean_mismatch = abs(0.5 * (total_a + total_b) - carrier)
+    half_mismatch = abs(0.5 * (total_b - total_a) - half_beat)
+    prob_mismatch = abs(p_combined - p_closed_form)
+    if mean_mismatch > tol or half_mismatch > tol or prob_mismatch > 1e-12:
+        raise InternalConsistencyError(
+            "beat signal routes disagree: "
+            f"carrier mismatch {mean_mismatch:.3e} rad, "
+            f"half-beat mismatch {half_mismatch:.3e} rad, "
+            f"probability mismatch {prob_mismatch:.3e} "
+            f"(tolerance {tol:.3e} rad)"
+        )
+
+    return BeatSignal(
+        p_a=_clip_probability(p_a),
+        p_b=_clip_probability(p_b),
+        p_combined=_clip_probability(p_combined),
+        envelope=cos_d,
+        carrier_phase=carrier,
+        delta_tau=dtau,
+    )
 
 
 def beat_rows(
@@ -191,15 +172,13 @@ def beat_rows(
     env: GravityEnv,
     ics: InitialConditions,
 ) -> Iterator[BeatSignal | None]:
-    """beat(build(*params), clock, env, ics) for each params of grid.
+    """beat(build(*params), clock, env, ics) for each params of grid, in order.
 
-    Each row forms S once (phase.recoil_sums, where None marks a degenerate
-    row) and runs beat's row body on it, so every value has beat's bits and
-    a failing row raises beat's exception.
+    A row with a zero parameter yields None without calling build, as in
+    phase.phase_rows.
     """
-    row = _beat_row(clock, env, ics)
-    for built in recoil_sums(build, grid, Species(clock.mean_mass)):
-        yield None if built is None else row(*built)
+    for params in grid:
+        yield None if 0.0 in params else beat(build(*params), clock, env, ics)
 
 
 def clock_limit_phase(seq: PulseSequence, clock: ClockPair) -> tuple[float, float]:
@@ -221,19 +200,11 @@ def visibility_scan(
 ) -> list[tuple[float, float]]:
     """Envelope cos(eta*Omega*dtau/2) over a geometry family parameterized by T.
 
-    Rows come from phase.recoil_sums, one S per row formed in blocks, and
-    carry clock_limit_phase's bits; sequences of different pulse counts are
-    gathered separately.  T = 0 rows are emitted degenerately as (0.0, 1.0)
-    without invoking the builder (builders require positive T).
+    Each row is (T, cos(0.5 * clock_limit_phase(builder(T), clock)[0])).
+    T = 0 rows are emitted degenerately as (0.0, 1.0) without invoking the
+    builder (builders require positive T).
     """
-    times = [float(t) for t in times]
-    mean = Species(clock.mean_mass, label=clock.label)
-    eta = clock.eta
-    rows: list[tuple[float, float]] = []
-    for t_sep, row in zip(times, recoil_sums(builder, [(t,) for t in times], mean)):
-        if row is None:
-            rows.append((0.0, 1.0))
-            continue
-        dtau, _ = recoil_parts(row[1], mean)
-        rows.append((t_sep, math.cos(0.5 * (eta * (clock.splitting_omega * dtau)))))
-    return rows
+    return [
+        (0.0, 1.0) if t == 0.0 else (t, math.cos(0.5 * clock_limit_phase(builder(t), clock)[0]))
+        for t in [float(t) for t in times]
+    ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import constants
 from ._exactsum import array_fsum, triple_product_rows, triple_product_terms, two_product
@@ -45,13 +45,13 @@ if TYPE_CHECKING:
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_gather(n: int, rows: int) -> np.ndarray:
-    """Read-only indices into the flat pulse tables of rows sequences of n pulses.
+def _pair_gather(n: int) -> np.ndarray:
+    """Read-only indices into the flat pulse table of a sequence of n pulses.
 
-    Each sequence's table is (t, k_upper, k_lower) x n.  The gathered values
-    form three rows, and each holds 2 * pairs entries per sequence, over the
-    pairs ell < n in one fixed order: k_n for the upper branch then for the
-    lower one, k_ell likewise, and t_n for every pair followed by t_ell.
+    The table is (t, k_upper, k_lower) x n.  The gathered values form three
+    rows of 2 * pairs entries, over the pairs ell < n in one fixed order:
+    k_n for the upper branch then for the lower one, k_ell likewise, and t_n
+    for every pair followed by t_ell.
     """
     import numpy as np
 
@@ -64,40 +64,32 @@ def _pair_gather(n: int, rows: int) -> np.ndarray:
             t + later, t + earlier,
         )
     )
-    index = (index.reshape(3, 1, -1) + 3 * n * np.arange(rows)[:, None]).reshape(-1)
     index.flags.writeable = False
     return index
 
 
-def _pair_terms(seqs: Sequence[PulseSequence]) -> np.ndarray:
-    """Pair terms of sequences with one pulse count, shaped (4, len(seqs), width).
+def _pair_terms(seq: PulseSequence) -> np.ndarray:
+    """Pair terms of seq, shaped (4, n * (n - 1)) for both branches of every pair.
 
-    terms[:, i], flattened, holds the exact four-term expansions of every
-    pair term of seqs[i] in the order recoil_double_sum reduces them in.
-    All sequences share one gather and one triple_product_rows call.
+    Flattened, they are the exact four-term expansions of every pair term
+    in the order recoil_double_sum reduces them in.
     """
     import numpy as np
 
-    n = seqs[0].n_pulses
-    rows, width = len(seqs), n * (n - 1)  # width: both branches of every pair
-    table: list[float] = []
-    for seq in seqs:
-        pulses = seq.pulses
-        table += [p.t for p in pulses] + [p.k_upper for p in pulses] + [p.k_lower for p in pulses]
-    factors = np.array(table, dtype=float)[_pair_gather(n, rows)].reshape(3, -1)
-    # The last row holds t_n, t_ell per sequence; it becomes dt for the
-    # upper branch and -dt, an exact negation, for the lower one in place of
-    # negating terms.
-    times = factors[2].reshape(rows, 2, width // 2)
-    t_n, t_ell = times[:, 0], times[:, 1]
+    pulses = seq.pulses
+    table = [p.t for p in pulses] + [p.k_upper for p in pulses] + [p.k_lower for p in pulses]
+    factors = np.array(table, dtype=float)[_pair_gather(seq.n_pulses)].reshape(3, -1)
+    # The last row holds t_n then t_ell; it becomes dt for the upper branch
+    # and -dt, an exact negation, for the lower one in place of negating
+    # terms.
+    t_n, t_ell = factors[2].reshape(2, -1)
     # Differences and products beyond the float range become inf/nan terms,
     # as in the scalar loop, and fsum reports them; numpy's warnings would
     # only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(t_n, t_ell, out=t_n)
         np.negative(t_n, out=t_ell)
-        terms = triple_product_rows(factors)
-    return terms.reshape(4, rows, width)
+        return triple_product_rows(factors)
 
 
 # recoil_double_sum forms its terms in one array pass from this pulse count
@@ -121,7 +113,7 @@ def recoil_double_sum(seq: PulseSequence) -> float:
     -dt, rows q, g, f, h), so both paths give the same bits or exception.
     """
     if seq.n_pulses >= _PAIR_ARRAY_MIN_PULSES:
-        return array_fsum(_pair_terms([seq]).reshape(-1))
+        return array_fsum(_pair_terms(seq).reshape(-1))
     t, k_upper, k_lower = (
         [float(getattr(p, name)) for p in seq.pulses] for name in ("t", "k_upper", "k_lower")
     )
@@ -129,71 +121,6 @@ def recoil_double_sum(seq: PulseSequence) -> float:
     products = [triple_product_terms(k_upper[n], k_upper[ell], dt) for n, ell, dt in pairs]
     products += [triple_product_terms(k_lower[n], k_lower[ell], -dt) for n, ell, dt in pairs]
     return math.fsum([terms[i] for i in (0, 2, 1, 3) for terms in products])
-
-
-# Pulse pairs whose terms one block of recoil_sums forms together; a
-# degenerate row counts as one.  About 170 rows of a four-pulse builder: the
-# block's arrays take a few hundred kilobytes whatever the grid size, and
-# larger blocks are no faster.
-_BLOCK_PAIRS = 1024
-
-
-def _row_terms(block: list[PulseSequence | None]) -> list[np.ndarray | None]:
-    """Contiguous pair terms of each sequence in block, one gather per pulse count."""
-    out: list[np.ndarray | None] = [None] * len(block)
-    by_count: dict[int, list[int]] = {}
-    for i, seq in enumerate(block):
-        if seq is not None:
-            by_count.setdefault(seq.n_pulses, []).append(i)
-    for index in by_count.values():
-        terms = _pair_terms([block[i] for i in index])
-        for i, row in zip(index, terms.transpose(1, 0, 2).reshape(len(index), -1)):
-            out[i] = row
-    return out
-
-
-def recoil_sums(
-    build: Callable[..., PulseSequence],
-    grid: Iterable[tuple[float, ...]],
-    species: Species,
-) -> Iterator[tuple[PulseSequence, float] | None]:
-    """The sequence build(*params) and its S for each params of grid, in order.
-
-    A row with a zero parameter is the degenerate corner of a sweep: no
-    kicks and no dephasing, and builders reject it.  It yields None without
-    calling build.  Every other sequence passes require_valid and
-    require_closed once.  The rows are formed in blocks: the pair terms of a
-    block come from one _pair_terms call per pulse count, and each row's S
-    is array_fsum of its own terms, so it has recoil_double_sum's bits or
-    raises its exception.  A row's failure, in build, the gates or S,
-    surfaces only after every earlier row has been yielded, as in a
-    row-by-row evaluation.
-    """
-    rows = iter(grid)
-    exhausted = False
-    while not exhausted:
-        block: list[PulseSequence | None] = []
-        failure: Exception | None = None
-        pairs = 0
-        try:
-            for params in rows:
-                seq = None
-                if 0.0 not in params:
-                    seq = build(*params)
-                    require_valid(seq)
-                    require_closed(seq, species)
-                block.append(seq)
-                pairs += 1 if seq is None else seq.n_pulses * (seq.n_pulses - 1) // 2
-                if pairs >= _BLOCK_PAIRS:
-                    break
-            else:
-                exhausted = True
-        except Exception as exc:  # raised below, after the rows before it
-            failure = exc
-        for seq, terms in zip(block, _row_terms(block)):
-            yield None if seq is None else (seq, array_fsum(terms))
-        if failure is not None:
-            raise failure
 
 
 def require_closed(seq: PulseSequence, species: Species) -> ClosureReport:
@@ -280,15 +207,6 @@ def _laser_sum(seq: PulseSequence) -> float:
     return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
 
 
-def _breakdown(
-    seq: PulseSequence, s: float, species: Species, env: GravityEnv, ics: InitialConditions
-) -> PhaseBreakdown:
-    """total_phase of a valid, closed seq whose recoil double sum is s."""
-    return PhaseBreakdown.assemble(
-        *recoil_parts(s, species), _gravito_recoil_sum(seq, env, ics), _laser_sum(seq)
-    )
-
-
 def total_phase(
     seq: PulseSequence,
     species: Species,
@@ -296,7 +214,10 @@ def total_phase(
     ics: InitialConditions,
 ) -> PhaseBreakdown:
     """Full decomposition for one internal state of mass species.mass."""
-    return _breakdown(seq, _closed_sum(seq, species), species, env, ics)
+    s = _closed_sum(seq, species)
+    return PhaseBreakdown.assemble(
+        *recoil_parts(s, species), _gravito_recoil_sum(seq, env, ics), _laser_sum(seq)
+    )
 
 
 def phase_rows(
@@ -306,10 +227,11 @@ def phase_rows(
     env: GravityEnv,
     ics: InitialConditions,
 ) -> Iterator[PhaseBreakdown | None]:
-    """total_phase(build(*params), species, env, ics) for each params of grid.
+    """total_phase(build(*params), species, env, ics) for each params of grid, in order.
 
-    One S per row from recoil_sums; None marks a degenerate row.  Each value
-    has total_phase's bits, and a failing row raises total_phase's exception.
+    A row with a zero parameter is the degenerate corner of a sweep: no
+    kicks and no dephasing, and builders reject it.  It yields None without
+    calling build.
     """
-    for row in recoil_sums(build, grid, species):
-        yield None if row is None else _breakdown(*row, species, env, ics)
+    for params in grid:
+        yield None if 0.0 in params else total_phase(build(*params), species, env, ics)

@@ -171,7 +171,7 @@ class TestRecoilDoubleSum:
 
 
 def array_path(seq: PulseSequence) -> float:
-    return array_fsum(phase._pair_terms([seq]).reshape(-1))
+    return array_fsum(phase._pair_terms(seq).reshape(-1))
 
 
 def loop_path(seq: PulseSequence) -> float:
@@ -292,7 +292,7 @@ class TestRecoilDoubleSumPaths:
         seq = PATH_CASES[f"{n} random pulses"]
         calls = []
         original = phase._pair_terms
-        monkeypatch.setattr(phase, "_pair_terms", lambda seqs: calls.append(1) or original(seqs))
+        monkeypatch.setattr(phase, "_pair_terms", lambda seq: calls.append(1) or original(seq))
         recoil_double_sum(seq)
         assert len(calls) == (n >= THRESHOLD)
 

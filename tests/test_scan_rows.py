@@ -1,16 +1,15 @@
-"""The batched rows path against per-row beat, total_phase and clock_limit_phase.
+"""The scan rows against per-row beat, total_phase and clock_limit_phase.
 
-phase.recoil_sums forms S for a block of rows at once; every row it feeds
-must carry the bits of the per-row functions, and a failing row must raise
-their exception only after every earlier row, whatever the block size.
+phase_rows, beat_rows and visibility_scan map total_phase, beat and
+clock_limit_phase over a grid row by row: every row must carry the bits of
+the per-row function, a zero parameter must give the degenerate row without
+a build, and a failing row must raise its exception after every earlier row.
 """
 
 import math
 import tracemalloc
 from dataclasses import asdict
-from unittest import mock
 
-import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,18 +21,12 @@ from lpai import (
     beat,
     build_rbi_symmetric,
     clock_limit_phase,
-    phase,
-    recoil_double_sum,
     total_phase,
     visibility_scan,
 )
 from lpai.cli import _BUILDERS, _build_sequence
 from lpai.clock import beat_rows
-from lpai.phase import phase_rows, recoil_sums
-
-from _helpers import random_closed_sequence
-
-BLOCKS = st.sampled_from([1, 5, 4096])  # pulse pairs per block of recoil_sums
+from lpai.phase import phase_rows
 
 
 def reference(grid, evaluate):
@@ -101,41 +94,26 @@ def scans(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(scans(), BLOCKS)
-def test_phase_rows_match_total_phase_row_by_row(scan, block):
+@given(scans())
+def test_phase_rows_match_total_phase_row_by_row(scan):
     build, grid, mass, _, env, ics = scan
     species = Species(mass)
     expected = reference(grid, lambda params: total_phase(build(*params), species, env, ics))
-    with mock.patch.object(phase, "_BLOCK_PAIRS", block):
-        got = drain(phase_rows(build, grid, species, env, ics))
+    got = drain(phase_rows(build, grid, species, env, ics))
     assert list(map(hexed, got)) == list(map(hexed, expected))
 
 
 @settings(max_examples=150, deadline=None)
-@given(scans(), BLOCKS)
-def test_beat_rows_match_beat_row_by_row(scan, block):
+@given(scans())
+def test_beat_rows_match_beat_row_by_row(scan):
     build, grid, mass, omega, env, ics = scan
     try:
         clock = ClockPair(mass, omega)
     except ValueError:
         assume(False)
     expected = reference(grid, lambda params: beat(build(*params), clock, env, ics))
-    with mock.patch.object(phase, "_BLOCK_PAIRS", block):
-        got = drain(beat_rows(build, grid, clock, env, ics))
+    got = drain(beat_rows(build, grid, clock, env, ics))
     assert list(map(hexed, got)) == list(map(hexed, expected))
-
-
-def test_rows_of_different_pulse_counts_are_gathered_apart():
-    rng = np.random.default_rng(61)
-    seqs = [random_closed_sequence(rng, n, k_scale=1e7) for n in (3, 7, 3, 12, 7, 3)]
-    grid = [(i,) for i in range(1, len(seqs) + 1)]
-    for block in (1, 30, 4096):
-        with mock.patch.object(phase, "_BLOCK_PAIRS", block):
-            rows = list(recoil_sums(lambda i: seqs[i - 1], grid, Species(1e-25)))
-        assert [row[0] for row in rows] == seqs
-        assert [float.hex(row[1]) for row in rows] == [
-            float.hex(recoil_double_sum(seq)) for seq in seqs
-        ]
 
 
 def test_visibility_scan_matches_the_clock_limit_phase_across_pulse_counts():
@@ -145,14 +123,12 @@ def test_visibility_scan_matches_the_clock_limit_phase_across_pulse_counts():
         return build_rbi_symmetric(1.8e10, t_sep, 0.05 if t_sep > 0.2 else 0.0)
 
     times = [0.0, 0.1, 0.25, 0.15, 0.3, 0.0, 0.35]
-    for block in (1, 7, 4096):
-        with mock.patch.object(phase, "_BLOCK_PAIRS", block):
-            rows = visibility_scan(builder, iter(times), clock)
-        expected = [
-            (0.0, 1.0) if t == 0.0 else (t, math.cos(0.5 * clock_limit_phase(builder(t), clock)[0]))
-            for t in times
-        ]
-        assert rows == expected
+    rows = visibility_scan(builder, iter(times), clock)
+    expected = [
+        (0.0, 1.0) if t == 0.0 else (t, math.cos(0.5 * clock_limit_phase(builder(t), clock)[0]))
+        for t in times
+    ]
+    assert rows == expected
 
 
 def test_memory_of_the_rows_path_does_not_grow_with_the_grid():
@@ -169,6 +145,5 @@ def test_memory_of_the_rows_path_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
 
-    with mock.patch.object(phase, "_BLOCK_PAIRS", 60):  # blocks of ten rows
-        small, large = peak(100), peak(1000)
+    small, large = peak(100), peak(1000)
     assert large < 1.2 * small

@@ -74,7 +74,7 @@ def test_every_oracle_march_goes_through_march_rk4():
     assert recorder.nodes == 4 * oracle._build_grid(seq, cfg).ts.size
 
 
-def test_a_scan_forms_one_recoil_sum_per_row_without_beat(capsys):
+def test_a_scan_runs_one_beat_per_row(capsys):
     spans = load_spans()
     steps = 200
     recorder = spans.Recorder()
@@ -92,7 +92,8 @@ def test_a_scan_forms_one_recoil_sum_per_row_without_beat(capsys):
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) > steps
     counts = {name: calls for name, (calls, _) in spans.self_times(recorder.spans).items()}
-    assert "clock.beat" not in counts
-    assert "phase.recoil_double_sum" not in counts
-    assert counts["core.validate_sequence"] <= steps
-    assert counts["geometry.closure_check"] <= steps
+    for name in (
+        "clock.beat", "core.validate_sequence", "geometry.closure_check", "phase.recoil_double_sum"
+    ):
+        assert counts[name] == steps, name
+    assert "phase.total_phase" not in counts
