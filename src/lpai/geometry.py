@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import constants
 from ._exactsum import array_fsum, triple_product_rows, triple_product_terms, two_product
 from .core import Pulse, PulseSequence, Species
-from .errors import GeometryParseError
+from .errors import GeometryParseError, NonFiniteResultError
 
 # Relative weight for the moment tolerances; scaled by the largest |k| and
 # |t*k| in the sequence so parsed decimal files still register as closed.
@@ -115,9 +115,13 @@ def closure_check(seq: PulseSequence, species: Species) -> ClosureReport:
     """Evaluate the closure moments and the final phase-space offsets.
 
     The ``closed`` flag depends only on the moments (species-independent);
-    the offsets scale with hbar/mass.
+    the offsets scale with hbar/mass.  Moments whose exact sum overflows
+    raise NonFiniteResultError with fsum's message.
     """
-    m0, m1, m2 = _moments(seq)
+    try:
+        m0, m1, m2 = _moments(seq)
+    except (ValueError, OverflowError) as exc:
+        raise NonFiniteResultError(str(exc)) from exc
     k_scale, tk_scale = _closure_scales(seq)
     closed = abs(m0) <= _CLOSURE_RTOL * k_scale and abs(m1) <= _CLOSURE_RTOL * tk_scale
     hbar_over_m = constants.HBAR / species.mass

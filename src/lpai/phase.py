@@ -154,10 +154,17 @@ def recoil_parts(s: float, species: Species) -> tuple[float, float]:
 
 
 def _closed_sum(seq: PulseSequence, species: Species) -> float:
-    """S of seq, after require_valid and require_closed."""
+    """S of seq, after require_valid and require_closed.
+
+    An S whose exact sum overflows raises NonFiniteResultError with fsum's
+    message.
+    """
     require_valid(seq)
     require_closed(seq, species)
-    return recoil_double_sum(seq)
+    try:
+        return recoil_double_sum(seq)
+    except (ValueError, OverflowError) as exc:
+        raise NonFiniteResultError(str(exc)) from exc
 
 
 def proper_time_difference(seq: PulseSequence, species: Species) -> float:

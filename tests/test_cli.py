@@ -262,6 +262,21 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err == "numeric failure: intermediate overflow in fsum\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--geometry", "rbi-asym", "--k", "1e155", "--T", "0.1", "--Tprime", "0.05"),
+            ("--geometry", "rbi-asym", "--k", "1e155", "--T", "0.1", "--Tprime", "0.05",
+             "--omega", "1e15"),
+            ("--geometry", "mzi", "--k", "1e7", "--T", "8.5e307"),
+        ],
+        ids=["recoil-sum", "recoil-sum-omega", "closure-moments"],
+    )
+    def test_an_exact_sum_of_opposite_infinities_exits_with_three(self, capsys, flags):
+        code, out, err = run(capsys, "simulate", *flags, "--mass", "1.4e-25")
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: -inf + inf in fsum\n"
+
     def test_trajectory_dump_needs_a_step(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.BASE, "--dump-trajectory", str(tmp_path / "t.csv"))
         assert code == 1
@@ -421,6 +436,11 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--geometry", "mzi", "--k", "1e7", "--T", "0.4")
         assert code == 0
         assert "closed" in out
+
+    def test_overflowing_closure_moments_exit_with_three(self, capsys):
+        code, out, err = run(capsys, "check", "--geometry", "mzi", "--k", "1e7", "--T", "8.5e307")
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: -inf + inf in fsum\n"
 
     def test_open_geometry_fails_with_two(self, capsys, tmp_path):
         path = tmp_path / "open.geom"
