@@ -13,6 +13,7 @@ from lpai import (
     OracleAccuracyError,
     OracleConfig,
     OracleConfigError,
+    OpenSequenceError,
     PulseSequence,
     Species,
     build_mzi,
@@ -333,6 +334,19 @@ class TestMarchedWork:
             assert nodes[:-1].tobytes() == left.tobytes()
             assert nodes[1:].tobytes() == right.tobytes()
             assert mid.tobytes() == oracle._cosine(ts[i0:i1] + 0.5 * h[i0:i1], t, width).tobytes()
+
+    @pytest.mark.parametrize(
+        "pulses, error, message",
+        [(2, OpenSequenceError, "not closed"), (1, ValueError, "too few pulses")],
+    )
+    def test_a_refused_sequence_is_never_marched(self, monkeypatch, pulses, error, message):
+        calls = []
+        march = _kernels.march_rk4
+        monkeypatch.setattr(_kernels, "march_rk4", lambda *args: calls.append(1) or march(*args))
+        seq = PulseSequence(build_mzi(1e7, 0.4).pulses[:pulses])
+        with pytest.raises(error, match=message):
+            oracle_report(seq, SR, GravityEnv(9.81), REST, OracleConfig(1e-4, 400000))
+        assert calls == []
 
     def test_a_subnormal_mass_is_a_non_finite_kick(self):
         with pytest.raises(NonFiniteResultError, match="kick amplitude"):
