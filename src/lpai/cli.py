@@ -77,14 +77,13 @@ class RunManifest:
 
     command: str
     parameters: dict
-    version: str = __version__
     output_format: str = "text"
     stamp: str | None = None
 
     def as_dict(self) -> dict:
         out = {
             "command": self.command,
-            "version": self.version,
+            "version": __version__,
             "format": self.output_format,
             "deterministic": self.stamp is None,
             "parameters": dict(sorted(self.parameters.items())),
@@ -96,7 +95,7 @@ class RunManifest:
     def header_lines(self) -> list[str]:
         lines = [
             f"# command = {self.command}",
-            f"# version = {self.version}",
+            f"# version = {__version__}",
             f"# format = {self.output_format}",
             f"# deterministic = {str(self.stamp is None).lower()}",
         ]
@@ -299,8 +298,9 @@ def cmd_simulate(args) -> int:
         params["omega"] = args.omega
         signal = beat(seq, ClockPair(args.mass, args.omega), env, ics)
 
+    stamp = _stamp(args)  # one run, one stamp in every manifest it writes
     manifest = RunManifest(
-        command="simulate", parameters=params, output_format=args.format, stamp=_stamp(args)
+        command="simulate", parameters=params, output_format=args.format, stamp=stamp
     )
 
     if args.dump_trajectory is not None:
@@ -311,7 +311,7 @@ def cmd_simulate(args) -> int:
             command="simulate --dump-trajectory",
             parameters={**params, "dump_dt": args.dump_dt},
             output_format="csv",
-            stamp=_stamp(args),
+            stamp=stamp,
         )
         # Rows become lists of floats a block at a time and each line is
         # written as it is formed: the table is the only full copy held.

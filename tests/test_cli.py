@@ -262,6 +262,18 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err == "numeric failure: intermediate overflow in fsum\n"
 
+    def test_a_stamped_run_writes_one_stamp_to_both_manifests(self, capsys, tmp_path):
+        dump = tmp_path / "dump.csv"
+        code, out, _ = run(
+            capsys, *self.BASE, "--stamp", "--dump-trajectory", str(dump), "--dump-dt", "0.1"
+        )
+        assert code == 0
+        stamps = [
+            [line for line in text.splitlines() if line.startswith("# stamp = ")]
+            for text in (out, dump.read_text(encoding="utf-8"))
+        ]
+        assert len(stamps[0]) == 1 and stamps[0] == stamps[1]
+
     @pytest.mark.parametrize(
         "flags",
         [
