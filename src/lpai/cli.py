@@ -55,7 +55,7 @@ from .phase import phase_rows, total_phase
 
 _BUILDERS = ("mzi", "rbi-sym", "rbi-asym", "rbi-double")
 # Grid points one scan may ask for, checked before the grid is allocated.
-# The rows are formed in fixed blocks and each is held as its CSV line until
+# The rows are formed one at a time and each is held as its CSV line until
 # the last one is in.  Peak RSS of `scan --geometry rbi-double --omega 1e15`
 # (x86-64, Python 3.11, numpy 2.4): 30 MB at one row, 52 MB at 1e5 rows and
 # 246 MB at this budget.
