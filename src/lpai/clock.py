@@ -204,7 +204,8 @@ def visibility_scan(
     T = 0 rows are emitted degenerately as (0.0, 1.0) without invoking the
     builder (builders require positive T).
     """
+    times = [float(t) for t in times]
     return [
         (0.0, 1.0) if t == 0.0 else (t, math.cos(0.5 * clock_limit_phase(builder(t), clock)[0]))
-        for t in [float(t) for t in times]
+        for t in times
     ]

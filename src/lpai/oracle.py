@@ -361,7 +361,7 @@ def oracle_report(
 ) -> OracleResult:
     """Full numeric-versus-closed-form comparison for a closed sequence."""
     grid = _quadrature_grid(seq, cfg)
-    dtau_closed = proper_time_closed(seq, species)  # refuses an open sequence unmarched
+    dtau_closed = proper_time_closed(seq, species)  # an open sequence is refused unmarched
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
     z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
     gravito_num = math.fsum(_window_terms(grid, [p.delta_k for p in seq.pulses], z_g))
