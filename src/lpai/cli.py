@@ -352,9 +352,27 @@ def _scan_columns(clock_mode: bool, vary: str) -> list[str]:
     return [vary, "delta_tau", "recoil_phase", "gravito_recoil", "laser_phase", "total_phase"]
 
 
-def cmd_scan(args) -> int:
-    import numpy as np
+def _linspace(start: float, stop: float, steps: int) -> list[float]:
+    """np.linspace(start, stop, steps).tolist() for floats, bit for bit, without numpy.
 
+    numpy's steps: i*step + start with step = (stop - start)/(steps - 1), or
+    i/(steps - 1)*delta + start when step underflows to zero, and the last
+    value set to stop; a single value is 0*delta + start.
+    """
+    delta = stop - start
+    div = steps - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        values = [i / div * delta + start for i in range(steps)]
+    else:
+        values = [i * step + start for i in range(steps)]
+    values[-1] = stop
+    return values
+
+
+def cmd_scan(args) -> int:
     if args.geometry.startswith("file:"):
         raise _UsageError("scan varies builder parameters; geometry files are fixed")
     if args.steps < 1:
@@ -381,7 +399,7 @@ def cmd_scan(args) -> int:
     def build(k_here: float, t_sep: float) -> PulseSequence:
         return _build_sequence(args.geometry, k_here, t_sep, args.t_pause)
 
-    values = np.linspace(args.start, args.stop, args.steps).tolist()
+    values = _linspace(args.start, args.stop, args.steps)
     if args.vary == "T":
         grid = ((k, value) for value in values)
     else:

@@ -26,7 +26,13 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import constants
-from ._exactsum import array_fsum, triple_product_rows, triple_product_terms, two_product
+from ._exactsum import (
+    array_fsum,
+    scratch,
+    triple_product_rows,
+    triple_product_terms,
+    two_product,
+)
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -46,12 +52,14 @@ if TYPE_CHECKING:
 
 @functools.lru_cache(maxsize=32)
 def _pair_gather(n: int) -> np.ndarray:
-    """Read-only indices into the flat pulse table of a sequence of n pulses.
+    """Indices into the flat pulse table of a sequence of n pulses.
 
     The table is (t, k_upper, k_lower) x n.  The gathered values form three
     rows of 2 * pairs entries, over the pairs ell < n in one fixed order:
     k_n for the upper branch then for the lower one, k_ell likewise, and t_n
-    for every pair followed by t_ell.
+    for every pair followed by t_ell.  Every call with n shares the array,
+    so callers only read it.  It stays writeable all the same: np.take
+    copies a read-only index on every call.
     """
     import numpy as np
 
@@ -64,7 +72,6 @@ def _pair_gather(n: int) -> np.ndarray:
             t + later, t + earlier,
         )
     )
-    index.flags.writeable = False
     return index
 
 
@@ -72,13 +79,22 @@ def _pair_terms(seq: PulseSequence) -> np.ndarray:
     """Pair terms of seq, shaped (4, n * (n - 1)) for both branches of every pair.
 
     Flattened, they are the exact four-term expansions of every pair term
-    in the order recoil_double_sum reduces them in.
+    in the order recoil_double_sum reduces them in.  The array is a view of
+    this thread's scratch (see _exactsum): it stays valid until the next
+    recoil sum in the same thread.
     """
     import numpy as np
 
     pulses = seq.pulses
     table = [p.t for p in pulses] + [p.k_upper for p in pulses] + [p.k_lower for p in pulses]
-    factors = np.array(table, dtype=float)[_pair_gather(seq.n_pulses)].reshape(3, -1)
+    index = _pair_gather(seq.n_pulses)
+    columns = index.size // 3
+    work = scratch("_pair_terms", 7 * columns)
+    factors, terms = work[: 3 * columns], work[3 * columns :].reshape(4, columns)
+    # mode="clip" writes straight into factors; the default "raise" gathers
+    # into a buffer first.  The indices are all in range, so nothing clips.
+    np.array(table, dtype=float).take(index, out=factors, mode="clip")
+    factors = factors.reshape(3, columns)
     # The last row holds t_n then t_ell; it becomes dt for the upper branch
     # and -dt, an exact negation, for the lower one in place of negating
     # terms.
@@ -89,12 +105,13 @@ def _pair_terms(seq: PulseSequence) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(t_n, t_ell, out=t_n)
         np.negative(t_n, out=t_ell)
-        return triple_product_rows(factors)
+        return triple_product_rows(factors, out=terms)
 
 
 # recoil_double_sum forms its terms in one array pass from this pulse count
-# on; the loop is faster below it (2-CPU x86-64 machine, numpy 2.4: loop
-# 15.7/27.3/46.1/69.5 us, array 42.5/43.6/51.5/47.4 us at 3/4/5/6 pulses).
+# on; the loop is faster below it (2-CPU x86-64 machine, numpy 2.4, best of
+# 9 alternating rounds: loop 12.2/19.2/38.1/59.3/81.2 us, array in the
+# thread's scratch 35.8/36.8/46.5/54.7/55.4 us at 3/4/5/6/7 pulses).
 _PAIR_ARRAY_MIN_PULSES = 6
 
 

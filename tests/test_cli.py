@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lpai
 from lpai import cli
@@ -441,6 +444,35 @@ class TestScan:
             "--from", "0", "--to", "1", "--steps", "2", "--mass", SR_MASS,
         )
         assert code == 1
+
+
+@st.composite
+def scan_ranges(draw):
+    """--from <= --to anywhere in the finite floats, often subnormal or only a
+    few ulps apart, where the step underflows to zero."""
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-320, 1e-320)
+    start, stop = sorted((draw(finite), draw(finite)))
+    if draw(st.booleans()):
+        stop = start
+        for _ in range(draw(st.integers(0, 4))):
+            stop = math.nextafter(stop, math.inf)
+        if not math.isfinite(stop):
+            stop = start
+    return start, stop
+
+
+@given(ends=scan_ranges(), steps=st.integers(1, 3) | st.integers(1, 1500))
+@example(ends=(-0.0, -0.0), steps=1)  # 0*delta + start is 0.0, not start
+@example(ends=(-1.7e308, 1.7e308), steps=1)  # 0*inf: nan
+@example(ends=(-1.7e308, 1.7e308), steps=5)  # an infinite step
+@example(ends=(0.0, 2e-323), steps=1000)  # the step underflows to zero
+@settings(max_examples=300, deadline=None)
+def test_scan_grid_is_numpys_linspace_bit_for_bit(ends, steps):
+    # Ranges wider than the float range give inf and nan values, and numpy
+    # warns about them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(*ends, steps).tolist()
+    assert [float.hex(v) for v in cli._linspace(*ends, steps)] == [float.hex(v) for v in want]
 
 
 class TestCheck:

@@ -21,7 +21,7 @@ def random_factors(rng, n):
 
 def test_rows_are_the_scalar_terms_bit_for_bit():
     rng = np.random.default_rng(5)
-    x = random_factors(rng, 4000)
+    x = random_factors(rng, 2 * _exactsum._BLOCK + 7)  # two whole column blocks and a part
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         rows = triple_product_rows(x)
     assert rows.shape == (4, x.shape[1])
@@ -31,6 +31,16 @@ def test_rows_are_the_scalar_terms_bit_for_bit():
             assert (math.isnan(got) and math.isnan(want)) or (
                 np.float64(got).tobytes() == np.float64(want).tobytes()
             )
+
+
+def test_rows_written_into_out_are_the_new_rows():
+    x = random_factors(np.random.default_rng(7), _exactsum._BLOCK + 1)
+    out = np.full((4, x.shape[1]), np.nan)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        got = triple_product_rows(x, out=out)
+        want = triple_product_rows(x)
+    assert got is out
+    assert out.tobytes() == want.tobytes()
 
 
 def test_rows_sum_exactly_to_the_product():

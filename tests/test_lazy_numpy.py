@@ -1,8 +1,10 @@
-"""Short-sequence closed forms and the simulate/check commands run without numpy.
+"""Short-sequence closed forms and the simulate/check/scan commands run without numpy.
 
-numpy is imported by the array paths only: long sequences, scans, dumps and
-the oracle, whose names the package resolves on first use.  Each check runs
-in a fresh interpreter, since this test process has numpy loaded already.
+numpy is imported by the array paths only: long sequences, dumps and the
+oracle, whose names the package resolves on first use.  A scan of a builder
+geometry spaces its grid in plain floats, as np.linspace would, and runs
+short sequences only.  Each check runs in a fresh interpreter, since this
+test process has numpy loaded already.
 """
 
 import os
@@ -46,7 +48,12 @@ with contextlib.redirect_stdout(io.StringIO()):
         "--mass", "1.443157e-25", "--g", "9.81", "--omega", "2.696928e15",
     ]))
     codes.append(lpai.cli.main(["check", "--geometry", "file:" + sys.argv[1]]))
-assert codes == [0, 0], codes
+    for clock in ([], ["--omega", "2.696928e15"]):
+        codes.append(lpai.cli.main([
+            "scan", "--geometry", "rbi-double", "--k", "1.6e7", "--vary", "T",
+            "--from", "0", "--to", "0.2", "--steps", "50", "--mass", "1.443157e-25", *clock,
+        ]))
+assert codes == [0, 0, 0, 0], codes
 print("numpy" in sys.modules)
 """
 

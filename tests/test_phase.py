@@ -2,6 +2,8 @@
 
 import math
 import sys
+import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -295,6 +297,55 @@ class TestRecoilDoubleSumPaths:
         monkeypatch.setattr(phase, "_pair_terms", lambda seq: calls.append(1) or original(seq))
         recoil_double_sum(seq)
         assert len(calls) == (n >= THRESHOLD)
+
+
+class TestRecoilSumScratch:
+    """Long recoil sums reuse their thread's scratch and nothing else."""
+
+    def test_a_second_long_sum_allocates_no_pair_sized_array(self):
+        seq = random_closed_sequence(
+            np.random.default_rng(11), 100, k_scale=1e7, with_common_mode=True
+        )
+        recoil_double_sum(seq)  # grows this thread's scratch
+        tracemalloc.start()
+        try:
+            recoil_double_sum(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One float per pulse pair and branch would be 79,200 bytes.
+        assert peak < 100 * 99 * 8
+
+    def test_threads_summing_at_once_get_their_single_thread_bits(self):
+        rng = np.random.default_rng(12)
+        seqs = [
+            random_closed_sequence(np.random.default_rng(seed), 100, k_scale=1e7, with_common_mode=True)
+            for seed in range(40, 46)
+        ]
+        arrays = [rng.standard_normal(40_000) * 10.0 ** rng.uniform(-8, 8, 40_000) for _ in seqs]
+        want = [(float.hex(recoil_double_sum(seq)), float.hex(array_fsum(x))) for seq, x in zip(seqs, arrays)]
+        threads = 3 * len(seqs)  # more threads than cores, three per input
+        start = threading.Barrier(threads)
+        got: list[list[tuple[str, str]]] = [[] for _ in range(threads)]
+
+        def work(i: int) -> None:
+            seq, x = seqs[i % len(seqs)], arrays[i % len(seqs)]
+            start.wait(timeout=30)
+            for _ in range(20):
+                got[i].append((float.hex(recoil_double_sum(seq)), float.hex(array_fsum(x))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [[want[i % len(seqs)]] * 20 for i in range(threads)]
 
 
 class TestProperTime:
