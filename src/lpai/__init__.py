@@ -54,7 +54,6 @@ from .phase import (
     proper_time_difference,
     recoil_double_sum,
     recoil_phase,
-    require_closed,
     total_phase,
 )
 from .clock import (
@@ -124,7 +123,6 @@ __all__ = [
     "proper_time_difference",
     "recoil_double_sum",
     "recoil_phase",
-    "require_closed",
     "total_phase",
     "BeatSignal",
     "beat",

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
+
+from .errors import NonFiniteResultError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -234,3 +236,17 @@ def array_fsum(x: np.ndarray) -> float:
             return above
     totals.extend(memoryview(r))
     return math.fsum(totals)
+
+
+def checked_sum(sum_fn: Callable, *args):
+    """sum_fn(*args), with an exact sum's overflow as NonFiniteResultError.
+
+    math.fsum raises ValueError ("-inf + inf in fsum") when its terms hold
+    infinities of both signs and OverflowError ("intermediate overflow in
+    fsum") when finite terms sum beyond the float range; both are re-raised
+    as NonFiniteResultError with the same message, so the CLI exits 3.
+    """
+    try:
+        return sum_fn(*args)
+    except (ValueError, OverflowError) as exc:
+        raise NonFiniteResultError(str(exc)) from exc

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__, constants
-from .clock import BeatSignal, beat, beat_rows
+from .clock import beat
 from .core import ClockPair, GravityEnv, InitialConditions, PulseSequence, Species
 from .errors import (
     GeometryParseError,
@@ -43,6 +43,7 @@ from .errors import (
     OracleConfigError,
 )
 from .geometry import (
+    _fmt,
     build_mzi,
     build_rbi_asymmetric,
     build_rbi_double_loop,
@@ -51,7 +52,7 @@ from .geometry import (
     parse_geometry,
 )
 from .kinematics import trajectory_table
-from .phase import phase_rows, total_phase
+from .phase import total_phase
 
 _BUILDERS = ("mzi", "rbi-sym", "rbi-asym", "rbi-double")
 # Grid points one scan may ask for, checked before the grid is allocated.
@@ -93,21 +94,16 @@ class RunManifest:
         return out
 
     def header_lines(self) -> list[str]:
-        lines = [
-            f"# command = {self.command}",
-            f"# version = {__version__}",
-            f"# format = {self.output_format}",
-            f"# deterministic = {str(self.stamp is None).lower()}",
-        ]
-        for key, value in sorted(self.parameters.items()):
-            lines.append(f"# parameter.{key} = {value}")
-        if self.stamp is not None:
-            lines.append(f"# stamp = {self.stamp}")
+        """as_dict as '# key = value' lines, one '# parameter.<name> = ...' per parameter."""
+        fields = self.as_dict()
+        fields["deterministic"] = str(fields["deterministic"]).lower()
+        lines = []
+        for key, value in fields.items():
+            if key == "parameters":
+                lines += [f"# parameter.{name} = {v}" for name, v in value.items()]
+            else:
+                lines.append(f"# {key} = {value}")
         return lines
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -266,6 +262,12 @@ def _emit_lines(lines: Iterable[str], output: str | None) -> None:
             raise _UsageError(f"cannot write {output!r}: {exc}") from exc
 
 
+def _table(entries: dict) -> str:
+    """One 'name  value' line per entry, the names padded to the longest."""
+    width = max(map(len, entries))
+    return "\n".join(f"{name:<{width}}  {value}" for name, value in entries.items())
+
+
 def _text_block(manifest: RunManifest, body: str) -> str:
     return "\n".join(manifest.header_lines()) + "\n" + body + "\n"
 
@@ -293,10 +295,10 @@ def cmd_simulate(args) -> int:
     params = {**geo_params, **env_params}
 
     breakdown = total_phase(seq, species, env, ics)
-    signal: BeatSignal | None = None
+    payload = {"phase": asdict(breakdown)}
     if args.omega is not None:
         params["omega"] = args.omega
-        signal = beat(seq, ClockPair(args.mass, args.omega), env, ics)
+        payload["beat"] = asdict(beat(seq, ClockPair(args.mass, args.omega), env, ics))
 
     stamp = _stamp(args)  # one run, one stamp in every manifest it writes
     manifest = RunManifest(
@@ -320,36 +322,18 @@ def cmd_simulate(args) -> int:
         _emit_lines(itertools.chain(head, map(_csv_line, rows)), args.dump_trajectory)
 
     if args.format == "json":
-        payload = {"phase": asdict(breakdown)}
-        if signal is not None:
-            payload["beat"] = asdict(signal)
         _emit(_json_block(manifest, payload), args.output)
     elif args.format == "csv":
-        phase_fields = asdict(breakdown)
-        columns = list(phase_fields)
-        row = list(phase_fields.values())
-        if signal is not None:
-            beat_fields = asdict(signal)
-            columns += list(beat_fields)
-            row += list(beat_fields.values())
+        # the phase columns, then the beat's; each group has its own delta_tau
+        columns = [name for fields in payload.values() for name in fields]
+        row = [value for fields in payload.values() for value in fields.values()]
         _emit(_csv_block(manifest, columns, [row]), args.output)
     else:
         body = breakdown.as_table()
-        if signal is not None:
-            beat_fields = asdict(signal)
-            width = max(len(name) for name in beat_fields)
-            beat_lines = [
-                f"{name:<{width}}  {_fmt(value):>23}" for name, value in beat_fields.items()
-            ]
-            body += "\n" + "\n".join(beat_lines)
+        if "beat" in payload:
+            body += "\n" + _table({name: f"{_fmt(v):>23}" for name, v in payload["beat"].items()})
         _emit(_text_block(manifest, body), args.output)
     return 0
-
-
-def _scan_columns(clock_mode: bool, vary: str) -> list[str]:
-    if clock_mode:
-        return [vary, "delta_tau", "envelope", "carrier_phase", "P"]
-    return [vary, "delta_tau", "recoil_phase", "gravito_recoil", "laser_phase", "total_phase"]
 
 
 def _linspace(start: float, stop: float, steps: int) -> list[float]:
@@ -396,39 +380,33 @@ def cmd_scan(args) -> int:
             raise _UsageError("scan over k needs --T")
         grid_params = {"T": args.t_sep}
 
-    def build(k_here: float, t_sep: float) -> PulseSequence:
-        return _build_sequence(args.geometry, k_here, t_sep, args.t_pause)
-
     values = _linspace(args.start, args.stop, args.steps)
-    if args.vary == "T":
-        grid = ((k, value) for value in values)
+    if args.omega is None:
+        columns = ["delta_tau", "recoil_phase", "gravito_recoil", "laser_phase", "total_phase"]
+        degenerate = [0.0] * 5
     else:
-        grid = ((value, args.t_sep) for value in values)
-    clock_mode = args.omega is not None
-    # Each row becomes its CSV line as it arrives, and nothing is written
-    # before the last one: a failing row leaves stdout empty.  None is the
-    # degenerate corner of the sweep: no kicks, no dephasing.
-    if clock_mode:
-        signals = beat_rows(build, grid, ClockPair(args.mass, args.omega), env, ics)
-        lines = [
-            _csv_line(
-                [value, 0.0, 1.0, 0.0, 1.0] if b is None
-                else [value, b.delta_tau, b.envelope, b.carrier_phase, b.p_combined]
-            )
-            for value, b in zip(values, signals)
-        ]
-    else:
-        breakdowns = phase_rows(build, grid, species, env, ics)
-        lines = [
-            _csv_line(
-                [value] + [0.0] * 5 if b is None
-                else [
-                    value, b.delta_tau, b.recoil_phase, b.gravito_recoil, b.laser_phase,
-                    b.total_phase,
-                ]
-            )
-            for value, b in zip(values, breakdowns)
-        ]
+        clock = ClockPair(args.mass, args.omega)
+        columns = ["delta_tau", "envelope", "carrier_phase", "P"]
+        degenerate = [0.0, 1.0, 0.0, 1.0]
+
+    def row(value: float) -> list[float]:
+        k_here, t_sep = (k, value) if args.vary == "T" else (value, args.t_sep)
+        # A zero parameter is the degenerate corner of the sweep: no kicks and
+        # no dephasing, and the builders reject it.
+        if k_here == 0.0 or t_sep == 0.0:
+            return [value, *degenerate]
+        seq = _build_sequence(args.geometry, k_here, t_sep, args.t_pause)
+        if args.omega is None:
+            b = total_phase(seq, species, env, ics)
+            return [
+                value, b.delta_tau, b.recoil_phase, b.gravito_recoil, b.laser_phase, b.total_phase
+            ]
+        b = beat(seq, clock, env, ics)
+        return [value, b.delta_tau, b.envelope, b.carrier_phase, b.p_combined]
+
+    # Each row becomes its CSV line as it is formed, and nothing is written
+    # before the last one: a failing row leaves stdout empty.
+    lines = [_csv_line(row(value)) for value in values]
 
     params = {
         **grid_params,
@@ -440,10 +418,10 @@ def cmd_scan(args) -> int:
         "to": args.stop,
         "steps": args.steps,
     }
-    if clock_mode:
+    if args.omega is not None:
         params["omega"] = args.omega
     manifest = RunManifest(command="scan", parameters=params, output_format="csv", stamp=_stamp(args))
-    head = _csv_head(manifest, _scan_columns(clock_mode, args.vary))
+    head = _csv_head(manifest, [args.vary, *columns])
     _emit_lines(itertools.chain(head, lines), args.output)
     return 0
 
@@ -460,13 +438,11 @@ def cmd_check(args) -> int:
     if args.format == "json":
         _emit(_json_block(manifest, {"closure": asdict(report)}), args.output)
     else:
-        entries = asdict(report)
-        width = max(len(name) for name in entries)
-        lines = []
-        for name, value in entries.items():
-            shown = _fmt(value) if isinstance(value, float) else str(value).lower()
-            lines.append(f"{name:<{width}}  {shown}")
-        _emit(_text_block(manifest, "\n".join(lines)), args.output)
+        entries = {
+            name: _fmt(v) if isinstance(v, float) else str(v).lower()
+            for name, v in asdict(report).items()
+        }
+        _emit(_text_block(manifest, _table(entries)), args.output)
     return 0 if report.closed else 2
 
 
@@ -530,21 +506,12 @@ def cmd_oracle(args) -> int:
     if args.format == "json":
         _emit(_json_block(manifest, {"oracle": result.as_report()}), args.output)
     elif args.format == "csv":
-        columns = [
-            "sigma", "delta_tau_numeric", "delta_tau_closed", "rel_residual",
-            "gravito_recoil_numeric", "total_phase_numeric",
-        ]
-        row = [
-            result.sigma, result.delta_tau_numeric, result.delta_tau_closed,
-            result.residual_vs_closed_form, result.gravito_recoil_numeric,
-            result.total_phase_numeric,
-        ]
-        _emit(_csv_block(manifest, columns, [row]), args.output)
+        # one column per float field of the report; steps, shape and the
+        # closure residual pair are in the manifest or not a single number
+        fields = {name: v for name, v in result.as_report().items() if isinstance(v, float)}
+        _emit(_csv_block(manifest, list(fields), [list(fields.values())]), args.output)
     else:
-        entries = result.as_report()
-        width = max(len(name) for name in entries)
-        lines = [f"{name:<{width}}  {value}" for name, value in entries.items()]
-        _emit(_text_block(manifest, "\n".join(lines)), args.output)
+        _emit(_text_block(manifest, _table(result.as_report())), args.output)
     return 3 if result.residual_vs_closed_form > tol else 0
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .core import (
     ClockPair,
@@ -163,22 +163,6 @@ def beat(
         carrier_phase=carrier,
         delta_tau=dtau,
     )
-
-
-def beat_rows(
-    build: Callable[..., PulseSequence],
-    grid: Iterable[tuple[float, ...]],
-    clock: ClockPair,
-    env: GravityEnv,
-    ics: InitialConditions,
-) -> Iterator[BeatSignal | None]:
-    """beat(build(*params), clock, env, ics) for each params of grid, in order.
-
-    A row with a zero parameter yields None without calling build, as in
-    phase.phase_rows.
-    """
-    for params in grid:
-        yield None if 0.0 in params else beat(build(*params), clock, env, ics)
 
 
 def clock_limit_phase(seq: PulseSequence, clock: ClockPair) -> tuple[float, float]:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from . import constants
-from ._exactsum import array_fsum, triple_product_rows, triple_product_terms, two_product
+from ._exactsum import array_fsum, checked_sum, triple_product_rows, triple_product_terms, two_product
 from .core import Pulse, PulseSequence, Species
 from .errors import GeometryParseError, NonFiniteResultError
 
@@ -116,12 +116,16 @@ def closure_check(seq: PulseSequence, species: Species) -> ClosureReport:
 
     The ``closed`` flag depends only on the moments (species-independent);
     the offsets scale with hbar/mass.  Moments whose exact sum overflows
-    raise NonFiniteResultError with fsum's message.
+    raise NonFiniteResultError with fsum's message.  So does a nan moment:
+    its product expansions overflowed (the Dekker splits do above |k| ~
+    1.3e300), and no verdict on closure can be read from it.
     """
-    try:
-        m0, m1, m2 = _moments(seq)
-    except (ValueError, OverflowError) as exc:
-        raise NonFiniteResultError(str(exc)) from exc
+    m0, m1, m2 = checked_sum(_moments, seq)
+    if any(map(math.isnan, (m0, m1, m2))):
+        raise NonFiniteResultError(
+            f"closure moments {m0!r} /m, {m1!r} s/m, {m2!r} s^2/m: "
+            "their product expansions overflow"
+        )
     k_scale, tk_scale = _closure_scales(seq)
     closed = abs(m0) <= _CLOSURE_RTOL * k_scale and abs(m1) <= _CLOSURE_RTOL * tk_scale
     hbar_over_m = constants.HBAR / species.mass

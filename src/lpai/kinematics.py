@@ -43,12 +43,6 @@ class BranchTrajectory:
     t_start: np.ndarray
     z_start: np.ndarray
     v: np.ndarray
-    branch: int
-    mass: float
-
-    def __post_init__(self) -> None:
-        if self.branch not in (1, 2):
-            raise ValueError(f"branch must be 1 or 2, got {self.branch!r}")
 
     def _at(self, t):
         """(position, velocity) at t; floats for a scalar t, arrays for an ndarray."""
@@ -95,8 +89,6 @@ def kick_trajectory(seq: PulseSequence, branch: int, species: Species) -> Branch
         np.array(t_start, dtype=float),
         np.array(z_start, dtype=float),
         np.array(v, dtype=float),
-        branch,
-        species.mass,
     )
 
 

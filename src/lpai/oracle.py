@@ -52,6 +52,7 @@ from .core import (
     InitialConditions,
     PulseSequence,
     Species,
+    compton_frequency,
     require_valid,
 )
 from .errors import NonFiniteResultError, OracleAccuracyError, OracleConfigError
@@ -366,8 +367,7 @@ def oracle_report(
     z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
     gravito_num = math.fsum(_window_terms(grid, [p.delta_k for p in seq.pulses], z_g))
 
-    omega_c = species.mass * constants.C**2 / constants.HBAR
-    total_num = omega_c * dtau_num + gravito_num + _laser_sum(seq)
+    total_num = compton_frequency(species) * dtau_num + gravito_num + _laser_sum(seq)
 
     diff = abs(dtau_num - dtau_closed)
     denom = max(abs(dtau_closed), _delta_tau_scale(seq, species))

@@ -17,17 +17,20 @@ rounding (array_fsum, which returns math.fsum's value); the result is the
 correctly rounded sum of its floating-point terms.  That makes
 delta_tau reproducible bit for bit under changes that only add mutually
 cancelling pulse pairs (a pause inserted in a symmetric geometry, say).
+Every exact sum that overflows, S and the gravito-recoil and laser sums
+alike, raises NonFiniteResultError with math.fsum's message.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from . import constants
 from ._exactsum import (
     array_fsum,
+    checked_sum,
     scratch,
     triple_product_rows,
     triple_product_terms,
@@ -43,14 +46,16 @@ from .core import (
     require_valid,
 )
 from .errors import NonFiniteResultError, OpenSequenceError
-from .geometry import ClosureReport, closure_check
+from .geometry import closure_check
 from .kinematics import gravity_trajectory
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@functools.lru_cache(maxsize=32)
+# One index is 24*n*(n - 1) bytes, 24 MB at 1000 pulses, so only the last
+# pulse count's is kept: 32 of them held 76 MB for lengths of 300-331.
+@functools.lru_cache(maxsize=1)
 def _pair_gather(n: int) -> np.ndarray:
     """Indices into the flat pulse table of a sequence of n pulses.
 
@@ -140,20 +145,6 @@ def recoil_double_sum(seq: PulseSequence) -> float:
     return math.fsum([terms[i] for i in (0, 2, 1, 3) for terms in products])
 
 
-def require_closed(seq: PulseSequence, species: Species) -> ClosureReport:
-    """Closure gate for the phase formulas; raises OpenSequenceError if open."""
-    report = closure_check(seq, species)
-    if not report.closed:
-        raise OpenSequenceError(
-            "sequence is not closed in phase space "
-            f"(kick moment {report.moment0:.3e} /m, "
-            f"time-weighted moment {report.moment1:.3e} s/m); "
-            "the closed-form decomposition drops boundary terms that do not "
-            "vanish for open geometries"
-        )
-    return report
-
-
 def recoil_parts(s: float, species: Species) -> tuple[float, float]:
     """(delta_tau, recoil phase) of species for the recoil double sum s.
 
@@ -171,17 +162,22 @@ def recoil_parts(s: float, species: Species) -> tuple[float, float]:
 
 
 def _closed_sum(seq: PulseSequence, species: Species) -> float:
-    """S of seq, after require_valid and require_closed.
+    """S of seq, after require_valid and the closure gate of the phase formulas.
 
-    An S whose exact sum overflows raises NonFiniteResultError with fsum's
-    message.
+    An open sequence raises OpenSequenceError; an S whose exact sum
+    overflows raises NonFiniteResultError with fsum's message.
     """
     require_valid(seq)
-    require_closed(seq, species)
-    try:
-        return recoil_double_sum(seq)
-    except (ValueError, OverflowError) as exc:
-        raise NonFiniteResultError(str(exc)) from exc
+    report = closure_check(seq, species)
+    if not report.closed:
+        raise OpenSequenceError(
+            "sequence is not closed in phase space "
+            f"(kick moment {report.moment0:.3e} /m, "
+            f"time-weighted moment {report.moment1:.3e} s/m); "
+            "the closed-form decomposition drops boundary terms that do not "
+            "vanish for open geometries"
+        )
+    return checked_sum(recoil_double_sum, seq)
 
 
 def proper_time_difference(seq: PulseSequence, species: Species) -> float:
@@ -217,7 +213,7 @@ def _gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditi
     for p in seq.pulses:
         zg, _ = gravity_trajectory(env, ics, p.t)
         terms.extend(two_product(p.delta_k, zg))
-    return math.fsum(terms)
+    return checked_sum(math.fsum, terms)
 
 
 def laser_phase(seq: PulseSequence) -> float:
@@ -228,7 +224,7 @@ def laser_phase(seq: PulseSequence) -> float:
 
 def _laser_sum(seq: PulseSequence) -> float:
     """laser_phase of a sequence its caller has already validated."""
-    return math.fsum(x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower))
+    return checked_sum(math.fsum, (x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower)))
 
 
 def total_phase(
@@ -243,19 +239,3 @@ def total_phase(
         *recoil_parts(s, species), _gravito_recoil_sum(seq, env, ics), _laser_sum(seq)
     )
 
-
-def phase_rows(
-    build: Callable[..., PulseSequence],
-    grid: Iterable[tuple[float, ...]],
-    species: Species,
-    env: GravityEnv,
-    ics: InitialConditions,
-) -> Iterator[PhaseBreakdown | None]:
-    """total_phase(build(*params), species, env, ics) for each params of grid, in order.
-
-    A row with a zero parameter is the degenerate corner of a sweep: no
-    kicks and no dephasing, and builders reject it.  It yields None without
-    calling build.
-    """
-    for params in grid:
-        yield None if 0.0 in params else total_phase(build(*params), species, env, ics)

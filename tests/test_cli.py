@@ -292,6 +292,30 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err == "numeric failure: -inf + inf in fsum\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--k", "1e7", "--T", "10", "--g", "1e308"), "-inf + inf in fsum"),
+            (("--k", "1e301", "--T", "0.1"),
+             "closure moments 0.0 /m, nan s/m, nan s^2/m: their product expansions overflow"),
+        ],
+        ids=["gravito-recoil-sum", "nan-closure-moment"],
+    )
+    def test_an_unreadable_sum_of_a_closed_mzi_exits_with_three(self, capsys, flags, message):
+        code, out, err = run(capsys, "simulate", "--geometry", "mzi", *flags, "--mass", "1e-25")
+        assert (code, out) == (3, "")
+        assert err == f"numeric failure: {message}\n"
+
+    def test_an_overflowing_laser_sum_exits_with_three(self, capsys, tmp_path):
+        path = tmp_path / "phases.geom"
+        path.write_text(
+            "pulse 0.0 1e7 0.0 1e308 -1e308\npulse 0.1 -1e7 1e7\npulse 0.2 0.0 -1e7\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "simulate", "--geometry", f"file:{path}", "--mass", "1e-25")
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: intermediate overflow in fsum\n"
+
     def test_trajectory_dump_needs_a_step(self, capsys, tmp_path):
         code, _, err = run(capsys, *self.BASE, "--dump-trajectory", str(tmp_path / "t.csv"))
         assert code == 1
@@ -485,6 +509,14 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--geometry", "mzi", "--k", "1e7", "--T", "8.5e307")
         assert (code, out) == (3, "")
         assert err == "numeric failure: -inf + inf in fsum\n"
+
+    def test_a_nan_closure_moment_exits_with_three(self, capsys):
+        code, out, err = run(capsys, "check", "--geometry", "mzi", "--k", "1e301", "--T", "0.1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric failure: closure moments 0.0 /m, nan s/m, nan s^2/m: "
+            "their product expansions overflow\n"
+        )
 
     def test_open_geometry_fails_with_two(self, capsys, tmp_path):
         path = tmp_path / "open.geom"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lpai import geometry
 from lpai import (
     GeometryParseError,
+    NonFiniteResultError,
     Pulse,
     PulseSequence,
     Species,
@@ -141,6 +142,12 @@ class TestClosure:
         assert report.closed
         assert report.delta_z_final == 0.0
         assert report.delta_v_final == 0.0
+
+    def test_a_nan_moment_is_a_typed_error_not_an_open_verdict(self):
+        # the Dekker splits of k overflow above |k| ~ 1.3e300, so t*k's error term is nan
+        for k in (1e301, -1e301):
+            with pytest.raises(NonFiniteResultError, match=r"closure moments 0\.0 /m, nan s/m"):
+                closure_check(build_mzi(k, 0.1), ATOM)
 
     @given(k=signed_k, T=sep_T, Tp=st.floats(min_value=0.0, max_value=1e4))
     @settings(max_examples=100)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpai import (
+    ClockPair,
     GravityEnv,
     InitialConditions,
     NonFiniteResultError,
@@ -21,6 +22,7 @@ from lpai import (
     Pulse,
     PulseSequence,
     Species,
+    beat,
     build_mzi,
     build_rbi_asymmetric,
     build_rbi_double_loop,
@@ -347,6 +349,12 @@ class TestRecoilSumScratch:
         assert not any(worker.is_alive() for worker in workers)
         assert got == [[want[i % len(seqs)]] * 20 for i in range(threads)]
 
+    def test_sums_over_many_lengths_keep_one_pair_index(self):
+        rng = np.random.default_rng(13)
+        for n in range(40, 72):
+            recoil_double_sum(random_closed_sequence(rng, n, k_scale=1e7))
+        assert phase._pair_gather.cache_info().currsize <= 1
+
 
 class TestProperTime:
     def test_mzi_is_exactly_zero(self):
@@ -431,6 +439,18 @@ class TestGravitoRecoil:
             got = gravito_recoil_phase(build_rbi_double_loop(k, T), GravityEnv(g), InitialConditions(z0, v0))
             assert abs(got) <= 1e-9 * abs(k * g * T**2)
 
+    def test_an_overflowing_sum_is_a_typed_error(self):
+        # z_g is -inf at 2T and finite at T, so the terms hold infinities of both signs
+        seq, env = build_mzi(1e7, 10.0), GravityEnv(1e308)
+        runs = (
+            lambda: gravito_recoil_phase(seq, env, REST),
+            lambda: total_phase(seq, Species(1e-25), env, REST),
+            lambda: beat(seq, ClockPair(1e-25, 1e15), env, REST),
+        )
+        for run in runs:
+            with pytest.raises(NonFiniteResultError, match=r"^-inf \+ inf in fsum$"):
+                run()
+
 
 class TestLaserPhase:
     def test_signed_sum(self):
@@ -444,6 +464,13 @@ class TestLaserPhase:
 
     def test_builders_carry_no_laser_phase(self):
         assert laser_phase(build_rbi_double_loop(1e7, 0.1)) == 0.0
+
+    def test_an_overflowing_sum_is_a_typed_error(self):
+        first, *rest = build_mzi(1e7, 0.1).pulses
+        seq = PulseSequence((Pulse(first.t, first.k_upper, first.k_lower, 1e308, -1e308), *rest))
+        for run in (lambda: laser_phase(seq), lambda: total_phase(seq, SR, FLAT, REST)):
+            with pytest.raises(NonFiniteResultError, match="^intermediate overflow in fsum$"):
+                run()
 
 
 RANDOM_CLOSED = [

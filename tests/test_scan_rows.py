@@ -1,22 +1,27 @@
-"""The scan rows against per-row beat, total_phase and clock_limit_phase.
+"""`lpai scan` rows against per-row beat and total_phase, and visibility_scan.
 
-phase_rows, beat_rows and visibility_scan map total_phase, beat and
-clock_limit_phase over a grid row by row: every row must carry the bits of
-the per-row function, a zero parameter must give the degenerate row without
-a build, and a failing row must raise its exception after every earlier row.
+Every scan row is one beat (with --omega) or one total_phase call on the
+row's built sequence: each CSV line must carry that call's bits, a zero
+parameter must give the degenerate row, and the first failing row in grid
+order must decide the exit code and stderr, with nothing on stdout.
+visibility_scan maps clock_limit_phase over T the same way.
 """
 
+import contextlib
+import io
 import math
-import tracemalloc
-from dataclasses import asdict
+from dataclasses import astuple
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpai import (
     ClockPair,
     GravityEnv,
     InitialConditions,
+    InternalConsistencyError,
+    NonFiniteResultError,
+    OpenSequenceError,
     Species,
     beat,
     build_rbi_symmetric,
@@ -24,41 +29,7 @@ from lpai import (
     total_phase,
     visibility_scan,
 )
-from lpai.cli import _BUILDERS, _build_sequence
-from lpai.clock import beat_rows
-from lpai.phase import phase_rows
-
-
-def reference(grid, evaluate):
-    """evaluate(params) row by row, None for a degenerate row, up to the first exception."""
-    out = []
-    for params in grid:
-        if 0.0 in params:
-            out.append(None)
-            continue
-        try:
-            out.append(evaluate(params))
-        except Exception as exc:
-            out.append(exc)
-            break
-    return out
-
-
-def drain(rows):
-    out = []
-    try:
-        out.extend(rows)
-    except Exception as exc:
-        out.append(exc)
-    return out
-
-
-def hexed(row):
-    if row is None:
-        return None
-    if isinstance(row, Exception):
-        return type(row), str(row)
-    return {name: float.hex(value) for name, value in asdict(row).items()}
+from lpai.cli import _BUILDERS, _build_sequence, _csv_line, _linspace, main
 
 
 def mostly(typical, extremes):
@@ -67,8 +38,9 @@ def mostly(typical, extremes):
 
 
 # Wave numbers of either sign and pulse separations, with the values that
-# make a row degenerate (0), fail in its builder (-0.1), in its closure gate
-# (1e300 s^2 k) or in its recoil sum (k = 1e155).
+# make a row degenerate (0), fail in its builder (-0.1), in its closure
+# moments (T = 1e300, or k = 1e300 whose moments come out nan) or in its
+# recoil sum (k = 1e155).
 WAVE_NUMBERS = mostly(
     st.floats(1e5, 1e11).flatmap(lambda k: st.sampled_from([k, -k])), [0.0, 1e155, 1e300]
 )
@@ -77,43 +49,85 @@ SEPARATIONS = mostly(st.floats(1e-4, 2.0), [0.0, -0.1, 1e300, 8.5e307])
 
 @st.composite
 def scans(draw):
-    geometry = draw(st.sampled_from(_BUILDERS))
-    t_pause = draw(st.sampled_from([0.0, 0.0375, 0.3]))
-    rows = draw(st.integers(1, 12))
-    ks = draw(st.lists(WAVE_NUMBERS, min_size=rows, max_size=rows))
-    ts = draw(st.lists(SEPARATIONS, min_size=rows, max_size=rows))
-    mass = draw(st.sampled_from([5e-324, 1e-30, 1.443157e-25, 1e-20]))
-    omega = draw(st.sampled_from([0.0, 1e10, 2.696928e15]))
-    env = GravityEnv(draw(st.sampled_from([0.0, 9.81, -3.5e4])))
-    ics = InitialConditions(draw(st.sampled_from([0.0, 0.4])), draw(st.sampled_from([0.0, -1.3])))
-
-    def build(k, t_sep):
-        return _build_sequence(geometry, k, t_sep, t_pause)
-
-    return build, list(zip(ks, ts)), mass, omega, env, ics
-
-
-@settings(max_examples=150, deadline=None)
-@given(scans())
-def test_phase_rows_match_total_phase_row_by_row(scan):
-    build, grid, mass, _, env, ics = scan
-    species = Species(mass)
-    expected = reference(grid, lambda params: total_phase(build(*params), species, env, ics))
-    got = drain(phase_rows(build, grid, species, env, ics))
-    assert list(map(hexed, got)) == list(map(hexed, expected))
+    """A scan: geometry, varied and fixed parameters, grid, mass, omega and g."""
+    vary = draw(st.sampled_from(["T", "k"]))
+    varied, fixed = (SEPARATIONS, WAVE_NUMBERS) if vary == "T" else (WAVE_NUMBERS, SEPARATIONS)
+    start, stop = sorted(draw(st.lists(varied, min_size=2, max_size=2)))
+    return {
+        "geometry": draw(st.sampled_from(_BUILDERS)),
+        "vary": vary,
+        "start": start,
+        "stop": stop,
+        "steps": draw(st.integers(1, 8)),
+        "fixed": draw(fixed),
+        "t_pause": draw(st.sampled_from([0.0, 0.0375, 0.3])),
+        "mass": draw(st.sampled_from([5e-324, 1e-30, 1.443157e-25, 1e-20])),
+        "omega": draw(st.sampled_from([None, 0.0, 1e10, 2.696928e15])),
+        # 1e308 overflows the gravito-recoil sum
+        "g": draw(st.sampled_from([0.0, 9.81, -3.5e4, 1e308])),
+    }
 
 
-@settings(max_examples=150, deadline=None)
-@given(scans())
-def test_beat_rows_match_beat_row_by_row(scan):
-    build, grid, mass, omega, env, ics = scan
+def argv(scan):
+    out = [
+        "scan", "--geometry", scan["geometry"], "--vary", scan["vary"],
+        f"--from={scan['start']!r}", f"--to={scan['stop']!r}", "--steps", str(scan["steps"]),
+        f"--{'k' if scan['vary'] == 'T' else 'T'}={scan['fixed']!r}",
+        f"--Tprime={scan['t_pause']!r}", f"--mass={scan['mass']!r}", f"--g={scan['g']!r}",
+    ]
+    if scan["omega"] is not None:
+        out.append(f"--omega={scan['omega']!r}")
+    return out
+
+
+def failure(exc):
+    """The exit code and stderr that lpai prints for exc."""
+    if isinstance(exc, OpenSequenceError):
+        return 2, f"open geometry: {exc}\n"
+    if isinstance(exc, (NonFiniteResultError, InternalConsistencyError)):
+        return 3, f"numeric failure: {exc}\n"
+    if isinstance(exc, ValueError):
+        return 1, f"error: {exc}\n"
+    raise exc
+
+
+def expected(scan):
+    """(exit code, CSV lines after the column line, stderr) from per-row library calls."""
+    species, env, ics = Species(scan["mass"]), GravityEnv(scan["g"]), InitialConditions()
+    lines = []
     try:
-        clock = ClockPair(mass, omega)
-    except ValueError:
-        assume(False)
-    expected = reference(grid, lambda params: beat(build(*params), clock, env, ics))
-    got = drain(beat_rows(build, grid, clock, env, ics))
-    assert list(map(hexed, got)) == list(map(hexed, expected))
+        clock = None if scan["omega"] is None else ClockPair(scan["mass"], scan["omega"])
+        for value in _linspace(scan["start"], scan["stop"], scan["steps"]):
+            k, t_sep = (scan["fixed"], value) if scan["vary"] == "T" else (value, scan["fixed"])
+            if k == 0.0 or t_sep == 0.0:
+                fields = [0.0] * 5 if clock is None else [0.0, 1.0, 0.0, 1.0]
+            else:
+                seq = _build_sequence(scan["geometry"], k, t_sep, scan["t_pause"])
+                if clock is None:
+                    fields = astuple(total_phase(seq, species, env, ics))
+                else:
+                    b = beat(seq, clock, env, ics)
+                    fields = [b.delta_tau, b.envelope, b.carrier_phase, b.p_combined]
+            lines.append(_csv_line([value, *fields]))
+    except Exception as exc:
+        code, err = failure(exc)
+        return code, [], err
+    return 0, lines, ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(scans())
+def test_scan_rows_match_beat_and_total_phase_row_by_row(scan):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv(scan))
+    want_code, want_lines, want_err = expected(scan)
+    assert (code, err.getvalue()) == (want_code, want_err)
+    if code:
+        assert out.getvalue() == ""
+    else:
+        body = [line + "\n" for line in out.getvalue().splitlines() if not line.startswith("#")]
+        assert body[1:] == want_lines
 
 
 def test_visibility_scan_matches_the_clock_limit_phase_across_pulse_counts():
@@ -129,21 +143,3 @@ def test_visibility_scan_matches_the_clock_limit_phase_across_pulse_counts():
         for t in times
     ]
     assert rows == expected
-
-
-def test_memory_of_the_rows_path_does_not_grow_with_the_grid():
-    species, env, ics = Species(1e-25), GravityEnv(9.81), InitialConditions(0.1, 0.2)
-
-    def peak(rows):
-        grid = ((1e7, 0.01 + 1e-4 * i) for i in range(rows))
-        tracemalloc.start()
-        try:
-            for _ in phase_rows(lambda k, t: _build_sequence("rbi-double", k, t, 0.0), grid,
-                                species, env, ics):
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(100), peak(1000)
-    assert large < 1.2 * small
