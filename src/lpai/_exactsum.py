@@ -1,32 +1,24 @@
-"""Error-free float products and correctly rounded sums.
+"""Exact sums over a pulse table, and correctly rounded float sums.
 
-The recoil double sum multiplies wave numbers (~1e7) with time separations
-(~1e-1) and then cancels almost completely for symmetric geometries, so the
-pair terms are expanded into exact float tuples (Dekker's algorithm) and
-summed with correct rounding: the result is the correctly rounded value of
-the real sum over the stored inputs.
+PulseTable puts a sequence's times and wave numbers on common power-of-two
+integer scales, once per call, and forms in one integer pass the closure
+moments and the recoil double sum S over exact time differences; each is
+rounded once (CPython's int / int true division rounds correctly, subnormals
+included).  S is defined over the rounded differences fl(t_n - t_l), whose
+rounding errors are exact floats (TwoSum); their weighted sum is estimated
+in float with a rigorous error bound and summed exactly in integers only
+when the bound straddles a rounding boundary (exact integer and expansion
+sums: Shewchuk, Discrete Comput. Geom. 18, 1997).
 
-Every step is a plain IEEE multiply or add with no fused multiply-add, and
-numpy applies the same operations element by element.  So the scalar
-functions also take float64 arrays, and triple_product_rows, the array form
-of triple_product_terms, yields the same bits on every element.
+two_product is Dekker's error-free product, exact unless a split or the
+product overflows or a*b comes near the subnormal range.
 
-array_fsum reduces large arrays in a few numpy passes by error-free
-extraction (Rump, Ogita & Oishi, "Accurate floating-point summation part I:
-faithful rounding", SIAM J. Sci. Comput. 31, 2008), stops as soon as the
-rounding of the sum is settled (the idea of NearSum in part II of the same
-paper) and returns exactly what math.fsum returns; short arrays, non-finite
-terms and terms near overflow go to math.fsum itself.
-
-The array functions work in a scratch that each thread keeps: one float64
-buffer per use (triple_product_rows' column blocks, the recoil pair terms of
-phase._pair_terms, array_fsum's working copies), grown on demand to at most
-_SCRATCH_MAX floats; a larger request gets a fresh array.  Without it every
-long recoil sum allocates megabytes of temporaries, the allocator hands them
-back to the system, and the next sum faults them in again: 393 page faults
-and 0.7 ms of system time in a 2.1 ms 100-pulse beat.  The scratch is per
-thread because numpy releases the GIL inside its loops, so threads sharing
-one buffer would race.
+array_fsum returns math.fsum's value for large arrays in a few numpy passes
+of error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+2008, parts I and II).  The array passes work in a float64 scratch that each
+thread keeps, one buffer per use: freshly allocated temporaries would be
+faulted in again on every call, and threads sharing a buffer would race, as
+numpy releases the GIL inside its loops.
 """
 
 from __future__ import annotations
@@ -40,16 +32,11 @@ from .errors import NonFiniteResultError
 if TYPE_CHECKING:
     import numpy as np
 
-    Real = float | np.ndarray
-
 _SPLIT = 134217729.0  # 2**27 + 1, splits a 53-bit significand into two halves
 
 
-def two_product(a: Real, b: Real) -> tuple[Real, Real]:
-    """Return (p, e) with p = fl(a*b) and p + e == a*b exactly.
-
-    a and b are floats or arrays; p and e have their broadcast shape.
-    """
+def two_product(a: float, b: float) -> tuple[float, float]:
+    """Return (p, e) with p = fl(a*b) and, barring overflow and underflow, p + e == a*b."""
     p = a * b
     ac = _SPLIT * a
     ah = ac - (ac - a)
@@ -59,18 +46,6 @@ def two_product(a: Real, b: Real) -> tuple[Real, Real]:
     bl = b - bh
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
-
-
-def triple_product_terms(a: Real, b: Real, c: Real) -> tuple[Real, Real, Real, Real]:
-    """Four terms whose exact sum equals the real product a*b*c.
-
-    a, b and c are floats or arrays; each term is a float or an array of
-    their broadcast shape, and the exactness holds element by element.
-    """
-    p, e = two_product(a, b)
-    q, f = two_product(p, c)
-    g, h = two_product(e, c)
-    return q, f, g, h
 
 
 # Largest buffer, in float64 elements (8 MiB), that a thread keeps for one use.
@@ -105,77 +80,6 @@ def scratch(use: str, size: int) -> np.ndarray:
     return buffer[:size]
 
 
-# The two steps of two_product, for the array form; they write into the
-# arrays they are given.  two_product keeps them inline: on Python floats
-# the extra calls would make it half as slow again.
-def _split(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
-    """Veltkamp's split of a into hi + lo == a exactly."""
-    import numpy as np
-
-    np.multiply(a, _SPLIT, out=hi)  # c
-    np.subtract(hi, a, out=lo)  # c - a
-    np.subtract(hi, lo, out=hi)
-    np.subtract(a, hi, out=lo)
-
-
-def _product_error(p, ah, al, bh, bl, out: np.ndarray, tmp: np.ndarray) -> None:
-    """Exact a*b - p for p = fl(a*b), from the splits of a and b, into out.
-
-    The operations are those of ((ah*bh - p) + ah*bl + al*bh) + al*bl.
-    """
-    import numpy as np
-
-    np.multiply(ah, bh, out=out)
-    np.subtract(out, p, out=out)
-    for u, v in ((ah, bl), (al, bh), (al, bl)):
-        np.multiply(u, v, out=tmp)
-        np.add(out, tmp, out=out)
-
-
-# Columns per block of triple_product_rows.  Its block scratch, twelve rows
-# of at most this many floats (1.5 MiB), fits a 2 MiB L2 cache, and a
-# 100-pulse recoil sum (9900 columns) is one block.  Per-call overhead
-# dominates smaller blocks: a 100-pulse S took 0.74-0.77/0.71-0.73/0.59-0.62
-# ms (best of 7, two runs) with blocks of 4096/8192/16384 columns (2-CPU
-# x86-64, numpy 2.4).
-_BLOCK = 1 << 14
-
-
-def triple_product_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """triple_product_terms(x[0], x[1], x[2]) for a (3, n) float64 array.
-
-    Writes the terms q, g, f, h, bit for bit, as the rows of out, a (4, n)
-    float64 array that does not overlap x, or of a new array when out is
-    None, and returns it.  The columns go in blocks of _BLOCK through this
-    thread's scratch, so nothing is allocated that grows with n.  One split
-    serves both first-stage factors and one the two first-stage terms
-    together with c, so a block costs about thirty numpy operations.
-    """
-    import numpy as np
-
-    n = x.shape[1]
-    if out is None:
-        out = np.empty((4, n))
-    work = scratch("triple_product_rows", 12 * min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        # Rows p, e, c, c, and the hi and lo parts of their splits.
-        y, hi, lo = work[: 12 * (stop - start)].reshape(3, 4, -1)
-        a, b, c = x[:, start:stop]
-        # The splits of a and b sit in the first rows of hi and lo until
-        # the split of y replaces them.
-        _split(x[:2, start:stop], hi[:2], lo[:2])
-        np.multiply(a, b, out=y[0])
-        _product_error(y[0], hi[0], lo[0], hi[1], lo[1], y[1], y[2])
-        y[2:] = c
-        _split(y, hi, lo)
-        products, errors = out[:2, start:stop], out[2:, start:stop]  # q, g, then f, h
-        np.multiply(y[:2], y[2:], out=products)
-        # p and e are spent: their rows take the partial products.
-        _product_error(products, hi[:2], lo[:2], hi[2:], lo[2:], errors, y[:2])
-    return out
-
-
 # Below this many terms math.fsum is faster than the extraction passes.  On
 # the pair terms of random closed sequences the two cross near 730 terms, 14
 # pulses (2-CPU x86-64 machine, numpy 2.4, best of 9 alternating rounds:
@@ -193,19 +97,13 @@ def array_fsum(x: np.ndarray) -> float:
 
     Each pass splits every term r into q = (sigma + r) - sigma and r - q,
     with sigma = 2**(e + bits), max|r| < 2**e and 2**bits >= n + 2.  Both
-    parts are exact, and the q all lie on the float spacing at sigma, so
-    q.sum() is exact in any order; the remainders go to the next pass.  The
-    pass totals then sum exactly to the sum of x, and math.fsum, which rounds
-    correctly, gives the same float for them as for x.
-
-    The next pass's sigma also bounds what is left: |sum of r| <= n*max|r| <
-    sigma.  So the sum of x lies strictly between the totals' sum - sigma and
-    + sigma, and when math.fsum rounds both ends to the same float, that float
-    is math.fsum(x) (rounding to nearest is monotone), and the passes stop.
-
-    Short arrays, arrays with an inf or a nan, all-zero arrays and arrays
-    whose largest term reaches 2**(1021 - bits), near overflow, go to
-    math.fsum itself, and with them its exceptions, its order-dependent
+    parts are exact and the q lie on the spacing at sigma, so q.sum() is
+    exact; the remainders go to the next pass, and math.fsum of the pass
+    totals is math.fsum(x).  The next sigma also bounds the remainders' sum,
+    so once math.fsum rounds the totals plus and minus sigma alike, that
+    float is the result and the passes stop.  Short arrays, arrays with an
+    inf or a nan, all-zero arrays and arrays whose largest term reaches
+    2**(1021 - bits) go to math.fsum itself, with its exceptions, its
     handling of special values and its sign of zero.
     """
     import numpy as np
@@ -250,3 +148,246 @@ def checked_sum(sum_fn: Callable, *args):
         return sum_fn(*args)
     except (ValueError, OverflowError) as exc:
         raise NonFiniteResultError(str(exc)) from exc
+
+
+# --- exact integer sums over a pulse table -----------------------------------
+
+# Pulse count from which PulseTable reads its fields with np.frexp and
+# estimates the recoil correction in array passes; the scalar loops are
+# faster below it.
+_ARRAY_MIN_PULSES = 20
+# Pair-matrix elements per row block of _correction_array: its five blocks
+# (at most 2.5 MiB) sit in the thread's scratch; 100 pulses are one block.
+_CORRECTION_BLOCK = 1 << 16
+_NOT_FINITE = "exact sums need finite pulse times and wave numbers"
+_MOMENTS = (("closure moment sum(dk)", "/m"), ("closure moment sum(t dk)", "s/m"),
+            ("closure moment sum(t^2 dk)", "s^2/m"))
+
+
+def _rounded(num: int, exp: int, what: str, unit: str) -> float:
+    """num * 2**exp for exp <= 0, correctly rounded; NonFiniteResultError beyond the float range."""
+    try:
+        return num / (1 << -exp)
+    except OverflowError:
+        magnitude = abs(num).bit_length() - 1 + exp
+        raise NonFiniteResultError(
+            f"{what} overflows: its magnitude is at least 2**{magnitude} {unit}"
+        ) from None
+
+
+def _integers(xs: list[float]) -> tuple[list[int], int]:
+    """Integers X_i and one exponent e <= 0 with xs[i] == X_i * 2**e exactly."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max([d for _, d in ratios], default=1)
+    return [n * (den // d) for n, d in ratios], 1 - den.bit_length()
+
+
+def _integers_array(fields: np.ndarray) -> tuple[list[int], int, list[int], int]:
+    """(T, et, K, ek): _integers of the times and of both wave-number rows of a
+    finite (3, n) float64 array, from one np.frexp pass."""
+    import numpy as np
+
+    frac, exp = np.frexp(fields)
+    exp = np.where(frac != 0.0, exp - 53, 0)  # a zero lies on every grid
+    et, ek = int(exp[0].min(initial=0)), int(exp[1:].min(initial=0))
+    shifts = (exp - np.array([[et], [ek], [ek]])).ravel().tolist()
+    mants = np.ldexp(frac, 53).astype(np.int64).ravel().tolist()
+    ints, n = [m << s for m, s in zip(mants, shifts)], fields.shape[1]
+    return ints[:n], et, ints[n:], ek
+
+
+def _correction_loop(t: list[float], ku: list[float], kl: list[float]) -> tuple[float, float, bool]:
+    """(estimate, weight, inexact) of R = sum over l < n of c_nl * r_nl.
+
+    c_nl = ku_n ku_l - kl_n kl_l; r_nl = (t_n - t_l) - fl(t_n - t_l) is exact
+    by TwoSum.  weight sums |ku_n r_nl ku_l| + |kl_n r_nl kl_l|, inexact says
+    whether an r_nl is nonzero.  Both sums run as sum_n ku_n (sum_l r_nl ku_l)
+    minus the same for kl, as in _correction_array.
+    """
+    est = weight = 0.0
+    inexact = False
+    for n in range(1, len(t)):
+        tn = t[n]
+        yu = yl = au = al = 0.0
+        for ell in range(n):
+            tl = t[ell]
+            d = tn - tl
+            bb = d - tn
+            r = (tn - (d - bb)) - (tl + bb)
+            if r:
+                inexact = True
+                yu += r * ku[ell]
+                yl += r * kl[ell]
+                au += abs(r * ku[ell])
+                al += abs(r * kl[ell])
+        est += ku[n] * yu - kl[n] * yl
+        weight += abs(ku[n]) * au + abs(kl[n]) * al
+    return est, weight, inexact
+
+
+def _correction_array(t: np.ndarray, k: np.ndarray) -> tuple[float, float, bool]:
+    """_correction_loop for t of shape (n,) and k = (ku, kl) of shape (n, 2).
+
+    The r_nl form the strictly lower triangle of an n x n matrix, built in
+    blocks of rows that matrix products with k and |k| sum.  Every step takes
+    whole blocks: numpy would buffer a broadcast operand, 128 KiB a call.
+    """
+    import numpy as np
+
+    n = t.size
+    rows = max(1, min(n, _CORRECTION_BLOCK // n))
+    work = scratch("_correction_array", 5 * rows * n)
+    index, abs_k = np.arange(n, dtype=float), np.abs(k)
+    y, y_abs = np.empty((n, 2)), np.empty((n, 2))
+    inexact = False
+    # Beyond the float range the estimate or the weight comes out inf or nan
+    # and recoil_sum sums exactly; numpy's warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)  # rows start:stop, columns :stop
+            a, b, r, bb, upper = work[: 5 * (stop - start) * stop].reshape(5, stop - start, stop)
+            np.copyto(a, t[start:stop, None])
+            np.copyto(b, t[:stop])
+            np.subtract(a, b, out=r)  # d = fl(t_n - t_l)
+            np.subtract(r, a, out=bb)
+            r -= bb
+            np.subtract(a, r, out=r)
+            bb += b
+            r -= bb  # TwoSum's error (t_n - (d - bb)) - (t_l + bb)
+            np.copyto(a, index[start:stop, None])
+            np.copyto(b, index[:stop])
+            upper = upper.view(bool)[:, :stop]
+            np.less_equal(a, b, out=upper)
+            np.copyto(r, 0.0, where=upper)
+            inexact = inexact or bool(r.any())
+            np.matmul(r, k[:stop], out=y[start:stop])
+            np.abs(r, out=r)
+            np.matmul(r, abs_k[:stop], out=y_abs[start:stop])
+        est = float(k[:, 0] @ y[:, 0] - k[:, 1] @ y[:, 1])
+        weight = float(abs_k[:, 0] @ y_abs[:, 0] + abs_k[:, 1] @ y_abs[:, 1])
+    return est, weight, inexact
+
+
+def _settled(s: int, exp: int, est: float, bound: float) -> float | None:
+    """The float of s * 2**exp - x for every x within bound of est, else None.
+
+    Rounding is monotone: when both ends of the interval round to the same
+    float, sign of zero included, every point in it does.
+    """
+    if not (math.isfinite(est) and math.isfinite(bound)):
+        return None
+    (m_est, d_est), (m_bound, d_bound) = est.as_integer_ratio(), bound.as_integer_ratio()
+    den = max(1 << -exp, d_est, d_bound)  # all powers of two
+    centre = s * (den >> -exp) - m_est * (den // d_est)
+    width = m_bound * (den // d_bound)
+    try:
+        lo, hi = (centre - width) / den, (centre + width) / den
+    except OverflowError:
+        return None
+    return lo if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi) else None
+
+
+class PulseTable:
+    """A pulse sequence's times and wave numbers as exact integers, and their sums.
+
+    t_i = T_i * 2**et and k_i = K_i * 2**ek on both branches (et, ek <= 0),
+    fields read through float().  One integer pass forms the closure moments
+    and, per branch, S over exact differences as sum_n K_n (T_n sum_{l<n} K_l
+    - sum_{l<n} K_l T_l).  A table serves one call, shared by closure_check
+    and recoil_double_sum.
+    """
+
+    def __init__(self, pulses) -> None:
+        n = len(pulses)
+        fields = [[float(p.t) for p in pulses], [float(p.k_upper) for p in pulses]]
+        fields.append([float(p.k_lower) for p in pulses])
+        self._array = n >= _ARRAY_MIN_PULSES
+        if self._array:
+            import numpy as np
+
+            fields = np.array(fields)
+            if not np.isfinite(fields).all():
+                raise NonFiniteResultError(_NOT_FINITE)
+            self._T, self._et, k_ints, self._ek = _integers_array(fields)
+        else:
+            try:
+                self._T, self._et = _integers(fields[0])
+                k_ints, self._ek = _integers(fields[1] + fields[2])
+            except (OverflowError, ValueError):  # as_integer_ratio of an inf or a nan
+                raise NonFiniteResultError(_NOT_FINITE) from None
+        self._fields = fields
+        self._KU, self._KL = k_ints[:n], k_ints[n:]
+        sums = []
+        for branch in (self._KU, self._KL):
+            k_sum = tk_sum = ttk_sum = s = 0
+            for t_i, k in zip(self._T, branch):
+                if k:
+                    tk = k * t_i
+                    s += k * (t_i * k_sum - tk_sum)
+                    k_sum += k
+                    tk_sum += tk
+                    ttk_sum += tk * t_i
+            sums.append((k_sum, tk_sum, ttk_sum, s))
+        *self._moments, self._s = (upper - lower for upper, lower in zip(*sums))
+
+    def moments(self) -> tuple[float, float, float]:
+        """sum(dk), sum(t dk), sum(t^2 dk), correctly rounded, or NonFiniteResultError."""
+        et, ek = self._et, self._ek
+        return tuple(
+            _rounded(m, exp, *what)
+            for m, exp, what in zip(self._moments, (ek, et + ek, 2 * et + ek), _MOMENTS)
+        )
+
+    def recoil_sum(self) -> float:
+        """S = sum over l < n of (k1_n k1_l - k2_n k2_l) fl(t_n - t_l), correctly rounded.
+
+        S is the sum over exact differences minus R = sum c_nl r_nl over their
+        rounding errors, R estimated with an error bound and summed exactly
+        only when the bound leaves S's rounding open.  NonFiniteResultError
+        when a time difference overflows or S lies beyond the float range.
+        """
+        t, n = self._fields[0], len(self._T)
+        if n < 2:
+            return 0.0
+        hi, lo = map(float, (t.max(), t.min()) if self._array else (max(t), min(t)))
+        if not math.isfinite(hi - lo):
+            raise NonFiniteResultError(
+                f"pulse times {hi!r} s and {lo!r} s are too far apart: their difference overflows"
+            )
+        if self._array:
+            k = self._fields[1:].T.copy()
+            est, weight, inexact = _correction_array(t, k)
+            kappa = float(abs(k).max())
+        else:
+            est, weight, inexact = _correction_loop(*self._fields)
+            kappa = max(map(abs, self._fields[1] + self._fields[2]))
+        s, exp = self._s, self._et + 2 * self._ek
+        if inexact:
+            # A term passes at most 2n + 1 roundings of relative error u =
+            # 2**-53: the estimate is within gamma_(2n+1) = (2n + 1)u / (1 -
+            # (2n + 1)u) of R's weight (the sum of its terms' magnitudes), the
+            # computed weight within that factor of the true one.  Each of n*n
+            # underflowing products, later scaled by at most kappa, and of 2n
+            # others adds at most 2**-1075.  bound is twice all that or more.
+            bound = (4 * n + 8) * 2.0**-52 * weight + (n * n * kappa + n) * 2.0**-1070
+            settled = _settled(s, exp, est, bound)
+            if settled is not None:
+                return settled
+            s -= self._exact_correction()
+        return _rounded(s, exp, "recoil double sum S", "s/m^2")
+
+    def _exact_correction(self) -> int:
+        """R in units of 2**(et + 2 ek); fl(t_n - t_l) lies on the grid 2**et as t_n - t_l does."""
+        t, T, KU, KL = self._fields[0], self._T, self._KU, self._KL
+        t, grid = list(map(float, t)), 1 << -self._et
+        total = 0
+        for n in range(1, len(t)):
+            yu = yl = 0
+            for ell in range(n):
+                num, den = (t[n] - t[ell]).as_integer_ratio()
+                r = T[n] - T[ell] - num * (grid // den)
+                if r:
+                    yu += r * KU[ell]
+                    yl += r * KL[ell]
+            total += KU[n] * yu - KL[n] * yl
+        return total

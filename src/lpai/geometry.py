@@ -16,9 +16,9 @@ import re
 from dataclasses import dataclass
 
 from . import constants
-from ._exactsum import array_fsum, checked_sum, triple_product_rows, triple_product_terms, two_product
+from ._exactsum import PulseTable
 from .core import Pulse, PulseSequence, Species
-from .errors import GeometryParseError, NonFiniteResultError
+from .errors import GeometryParseError
 
 # Relative weight for the moment tolerances; scaled by the largest |k| and
 # |t*k| in the sequence so parsed decimal files still register as closed.
@@ -37,95 +37,24 @@ class ClosureReport:
     closed: bool
 
 
-# Pulse count from which _moments forms its terms in one array pass; the
-# loop is faster below it.  Measured on a 2-CPU x86-64 machine with numpy
-# 2.4: loop 15/33/50/400 us, array 37/42/45/100 us at 4/8/12/100 pulses.
-_MOMENTS_MIN_PULSES = 10
-
-
-def _moments(seq: PulseSequence) -> tuple[float, float, float]:
-    """Exactly rounded moments sum(dk), sum(t dk), sum(t^2 dk).
-
-    Each moment is the fsum of exact product expansions taken column by
-    column, pulse 0 upper, pulse 0 lower, pulse 1 upper and so on, with the
-    lower branch's terms multiplied by -1.0.  From _MOMENTS_MIN_PULSES pulses
-    on, the terms of all columns are formed in one array pass and laid out in
-    that same order, so both paths sum the same floats in the same order:
-    they return the same moments, or raise the same fsum exception when
-    terms overflow.  That holds for float fields; the array pass reads int
-    fields as float64, as recoil_double_sum does.
-    """
-    if seq.n_pulses >= _MOMENTS_MIN_PULSES:
-        return _moments_array(seq)
-    m0_terms: list[float] = []
-    m1_terms: list[float] = []
-    m2_terms: list[float] = []
-    for p in seq.pulses:
-        for sign, k in ((1.0, p.k_upper), (-1.0, p.k_lower)):
-            m0_terms.append(sign * k)
-            q, e = two_product(p.t, k)
-            m1_terms.extend((sign * q, sign * e))
-            m2_terms.extend(sign * u for u in triple_product_terms(p.t, p.t, k))
-    return math.fsum(m0_terms), math.fsum(m1_terms), math.fsum(m2_terms)
-
-
-def _moments_array(seq: PulseSequence) -> tuple[float, float, float]:
-    """_moments' terms for all columns from one triple_product_rows call.
-
-    The factors (t, t, k) give the four terms of t*t*k, and (1, t, k) give
-    two_product(t, k) as their q and f terms, since 1*t is t exactly.
-    """
-    import numpy as np
-
-    n, pulses = seq.n_pulses, seq.pulses
-    fields = np.array(
-        [p.t for p in pulses] + [p.k_upper for p in pulses] + [p.k_lower for p in pulses],
-        dtype=float,
-    ).reshape(3, n)
-    factors = np.ones((3, 2, 2, n))  # (a, b, c) x (t*t*k, 1*t*k) x branch x pulse
-    factors[0, 0] = fields[0]
-    factors[1] = fields[0]
-    factors[2] = fields[1:]
-    # Products beyond the float range become inf/nan terms and fsum reports
-    # them; numpy's warnings would only repeat that on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = triple_product_rows(factors.reshape(3, -1)).reshape(4, 2, 2, n)  # q, g, f, h
-    # Each moment's terms on axes (term, branch, pulse); the transpose lays
-    # them out pulse by pulse, then branch by branch, as the loop does.
-    k, m1, m2 = fields[1:], terms[[0, 2], 1], terms[[0, 2, 1, 3], 0]
-    for m in (k, m1, m2):
-        m[..., 1, :] *= -1.0
-    return tuple(array_fsum(m.T.reshape(-1)) for m in (k, m1, m2))
-
-
 def _closure_scales(seq: PulseSequence) -> tuple[float, float]:
     """Largest |k| and largest |t*k| over the pulses, both branches; 0.0 if none."""
-    k_scale = tk_scale = 0.0
-    for p in seq.pulses:
-        k = max(abs(p.k_upper), abs(p.k_lower))
-        tk = abs(p.t) * k
-        if k > k_scale:
-            k_scale = k
-        if tk > tk_scale:
-            tk_scale = tk
-    return k_scale, tk_scale
+    ks = [max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses]
+    return max(ks, default=0.0), max((abs(p.t) * k for p, k in zip(seq.pulses, ks)), default=0.0)
 
 
-def closure_check(seq: PulseSequence, species: Species) -> ClosureReport:
+def closure_check(
+    seq: PulseSequence, species: Species, table: PulseTable | None = None
+) -> ClosureReport:
     """Evaluate the closure moments and the final phase-space offsets.
 
     The ``closed`` flag depends only on the moments (species-independent);
-    the offsets scale with hbar/mass.  Moments whose exact sum overflows
-    raise NonFiniteResultError with fsum's message.  So does a nan moment:
-    its product expansions overflowed (the Dekker splits do above |k| ~
-    1.3e300), and no verdict on closure can be read from it.
+    the offsets scale with hbar/mass.  Each moment is the correctly rounded
+    exact sum over the stored fields; one beyond the float range raises
+    NonFiniteResultError.  table, when given, is PulseTable(seq.pulses),
+    made by a caller that passes the same table to recoil_double_sum.
     """
-    m0, m1, m2 = checked_sum(_moments, seq)
-    if any(map(math.isnan, (m0, m1, m2))):
-        raise NonFiniteResultError(
-            f"closure moments {m0!r} /m, {m1!r} s/m, {m2!r} s^2/m: "
-            "their product expansions overflow"
-        )
+    m0, m1, m2 = (table or PulseTable(seq.pulses)).moments()
     k_scale, tk_scale = _closure_scales(seq)
     closed = abs(m0) <= _CLOSURE_RTOL * k_scale and abs(m1) <= _CLOSURE_RTOL * tk_scale
     hbar_over_m = constants.HBAR / species.mass

@@ -73,9 +73,14 @@ def _branch_ks(seq: PulseSequence, branch: int) -> list[float]:
 
 def kick_trajectory(seq: PulseSequence, branch: int, species: Species) -> BranchTrajectory:
     """Segment table of the kick part of one branch."""
+    require_valid(seq, structural_only=True)
+    return _kick_trajectory(seq, branch, species)
+
+
+def _kick_trajectory(seq: PulseSequence, branch: int, species: Species) -> BranchTrajectory:
+    """kick_trajectory of a sequence its caller has already validated."""
     import numpy as np
 
-    require_valid(seq, structural_only=True)
     ks = _branch_ks(seq, branch)
     times = list(seq.times)
     t_start = [min(0.0, times[0]) if times else 0.0]
@@ -111,7 +116,7 @@ def sample(
     require_valid(seq, structural_only=True)
     if not 0.0 <= t <= seq.duration:
         raise ValueError(f"t = {t!r} outside the interferometer interval [0, {seq.duration!r}]")
-    zk, vk = kick_trajectory(seq, branch, species)._at(t)
+    zk, vk = _kick_trajectory(seq, branch, species)._at(t)
     zg, vg = gravity_trajectory(env, ics, t)
     return zg + zk, vg + vk
 
@@ -148,6 +153,6 @@ def trajectory_table(
     if ts[-1] < t_end:
         ts = np.append(ts, t_end)
     zg, vg = gravity_trajectory(env, ics, ts)
-    z1, v1 = kick_trajectory(seq, 1, species)._at(ts)
-    z2, v2 = kick_trajectory(seq, 2, species)._at(ts)
+    z1, v1 = _kick_trajectory(seq, 1, species)._at(ts)
+    z2, v2 = _kick_trajectory(seq, 2, species)._at(ts)
     return np.column_stack([ts, zg + z1, vg + v1, zg + z2, vg + v2, zg])

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from lpai import ClockPair, Pulse, PulseSequence, constants
-from lpai._exactsum import triple_product_terms
 
 
 def random_closed_sequence(
@@ -78,23 +78,36 @@ def random_clock(
     return ClockPair(mean_mass=m, splitting_omega=omega)
 
 
-def recoil_double_sum_loop(seq: PulseSequence) -> float:
-    """Pair-by-pair reference for lpai.recoil_double_sum on Python floats.
+def recoil_sum_by_fractions(seq: PulseSequence) -> Fraction:
+    """The recoil double sum S of seq in exact rational arithmetic.
 
-    The same exact triple-product expansions and fsum as the array pass, one
-    pair and one branch at a time, with the vanishing ell = n terms kept.
+    The documented contract: fields read through float(), the rounded time
+    differences fl(t_n - t_ell) as the inputs, everything after that exact.
     """
-    terms: list[float] = []
-    pulses = seq.pulses
-    for n, pn in enumerate(pulses):
-        for pl in pulses[: n + 1]:
-            dt = pn.t - pl.t
-            for kn, kl, sign in (
-                (pn.k_upper, pl.k_upper, 1.0),
-                (pn.k_lower, pl.k_lower, -1.0),
-            ):
-                terms.extend(sign * v for v in triple_product_terms(kn, kl, dt))
-    return math.fsum(terms)
+    pulses = [(float(p.t), float(p.k_upper), float(p.k_lower)) for p in seq.pulses]
+    total = Fraction(0)
+    for n, (tn, un, ln) in enumerate(pulses):
+        for tl, ul, ll in pulses[:n]:
+            c = Fraction(un) * Fraction(ul) - Fraction(ln) * Fraction(ll)
+            total += c * Fraction(tn - tl)
+    return total
+
+
+def moments_by_fractions(seq: PulseSequence) -> tuple[Fraction, Fraction, Fraction]:
+    """sum(dk), sum(t dk) and sum(t^2 dk) of seq in exact rational arithmetic."""
+    m0 = m1 = m2 = Fraction(0)
+    for p in seq.pulses:
+        t, dk = Fraction(float(p.t)), Fraction(float(p.k_upper)) - Fraction(float(p.k_lower))
+        m0, m1, m2 = m0 + dk, m1 + t * dk, m2 + t * t * dk
+    return m0, m1, m2
+
+
+def rounded(x: Fraction) -> bytes | str:
+    """float_bits of x rounded to the nearest float, or "overflow" beyond the float range."""
+    try:
+        return float_bits(float(x))
+    except OverflowError:
+        return "overflow"
 
 
 def march_rk4_loop(h, a_left, a_mid, a_right, z0, v0):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lpai import (
     Species,
     build_mzi,
     build_rbi_double_loop,
+    gravity_trajectory,
     sample,
     serialize_geometry,
     total_phase,
@@ -257,13 +259,16 @@ class TestSimulate:
         assert err.startswith("numeric failure: ") and "delta_tau" in err
 
     def test_an_overflowing_exact_sum_exits_with_three(self, capsys):
-        # the pair terms of S are finite, but their partial sums overflow
+        # S = -2 k^2 T is just beyond the float range
         code, out, err = run(
             capsys, "simulate", "--geometry", "rbi-asym", "--k", "3e153", "--T", "10",
             "--Tprime", "0.05", "--mass", "1e-25",
         )
         assert (code, out) == (3, "")
-        assert err == "numeric failure: intermediate overflow in fsum\n"
+        assert err == (
+            "numeric failure: recoil double sum S overflows: its magnitude is at least "
+            "2**1024 s/m^2\n"
+        )
 
     def test_a_stamped_run_writes_one_stamp_to_both_manifests(self, capsys, tmp_path):
         dump = tmp_path / "dump.csv"
@@ -278,33 +283,51 @@ class TestSimulate:
         assert len(stamps[0]) == 1 and stamps[0] == stamps[1]
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, message",
         [
-            ("--geometry", "rbi-asym", "--k", "1e155", "--T", "0.1", "--Tprime", "0.05"),
-            ("--geometry", "rbi-asym", "--k", "1e155", "--T", "0.1", "--Tprime", "0.05",
-             "--omega", "1e15"),
-            ("--geometry", "mzi", "--k", "1e7", "--T", "8.5e307"),
+            (("--geometry", "rbi-asym", "--k", "1e155", "--T", "0.1", "--Tprime", "0.05"),
+             "recoil double sum S overflows: its magnitude is at least 2**1027 s/m^2"),
+            (("--geometry", "rbi-asym", "--k", "1e155", "--T", "0.1", "--Tprime", "0.05",
+              "--omega", "1e15"),
+             "recoil double sum S overflows: its magnitude is at least 2**1027 s/m^2"),
+            (("--geometry", "mzi", "--k", "1e7", "--T", "8.5e307"),
+             "closure moment sum(t^2 dk) overflows: its magnitude is at least 2**2070 s^2/m"),
         ],
         ids=["recoil-sum", "recoil-sum-omega", "closure-moments"],
     )
-    def test_an_exact_sum_of_opposite_infinities_exits_with_three(self, capsys, flags):
+    def test_an_exact_sum_of_opposite_infinities_exits_with_three(self, capsys, flags, message):
+        # In floats the products of these sums overflow to infinities of both
+        # signs; the exact sums lie beyond the float range.
         code, out, err = run(capsys, "simulate", *flags, "--mass", "1.4e-25")
         assert (code, out) == (3, "")
-        assert err == "numeric failure: -inf + inf in fsum\n"
+        assert err == f"numeric failure: {message}\n"
 
     @pytest.mark.parametrize(
         "flags, message",
-        [
-            (("--k", "1e7", "--T", "10", "--g", "1e308"), "-inf + inf in fsum"),
-            (("--k", "1e301", "--T", "0.1"),
-             "closure moments 0.0 /m, nan s/m, nan s^2/m: their product expansions overflow"),
-        ],
-        ids=["gravito-recoil-sum", "nan-closure-moment"],
+        [(("--k", "1e7", "--T", "10", "--g", "1e308"), "-inf + inf in fsum")],
+        ids=["gravito-recoil-sum"],
     )
     def test_an_unreadable_sum_of_a_closed_mzi_exits_with_three(self, capsys, flags, message):
         code, out, err = run(capsys, "simulate", "--geometry", "mzi", *flags, "--mass", "1e-25")
         assert (code, out) == (3, "")
         assert err == f"numeric failure: {message}\n"
+
+    def test_a_closed_mzi_at_the_edge_of_the_float_range_is_simulated(self, capsys):
+        # k = 1e301 overflows Dekker's splits in the moments and the
+        # gravito-recoil products; their exact sums are finite.
+        code, out, _ = run(
+            capsys, "simulate", "--geometry", "mzi", "--k", "1e301", "--T", "0.1",
+            "--mass", "1e-25", "--g", "9.81", "--format", "json",
+        )
+        assert code == 0
+        phase = json.loads(out)["phase"]
+        seq, env = build_mzi(1e301, 0.1), GravityEnv(9.81)
+        exact = sum(
+            Fraction(p.delta_k) * Fraction(gravity_trajectory(env, InitialConditions(), p.t)[0])
+            for p in seq.pulses
+        )
+        assert phase["delta_tau"] == 0.0
+        assert phase["gravito_recoil"] == phase["total_phase"] == float(exact)
 
     def test_an_overflowing_laser_sum_exits_with_three(self, capsys, tmp_path):
         path = tmp_path / "phases.geom"
@@ -508,15 +531,20 @@ class TestCheck:
     def test_overflowing_closure_moments_exit_with_three(self, capsys):
         code, out, err = run(capsys, "check", "--geometry", "mzi", "--k", "1e7", "--T", "8.5e307")
         assert (code, out) == (3, "")
-        assert err == "numeric failure: -inf + inf in fsum\n"
-
-    def test_a_nan_closure_moment_exits_with_three(self, capsys):
-        code, out, err = run(capsys, "check", "--geometry", "mzi", "--k", "1e301", "--T", "0.1")
-        assert (code, out) == (3, "")
         assert err == (
-            "numeric failure: closure moments 0.0 /m, nan s/m, nan s^2/m: "
-            "their product expansions overflow\n"
+            "numeric failure: closure moment sum(t^2 dk) overflows: its magnitude is at least "
+            "2**2070 s^2/m\n"
         )
+
+    def test_mzi_at_k_1e301_is_reported_closed(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "--geometry", "mzi", "--k", "1e301", "--T", "0.1", "--format", "json"
+        )
+        assert code == 0
+        closure = json.loads(out)["closure"]
+        assert closure["closed"] is True
+        assert (closure["moment0"], closure["moment1"]) == (0.0, 0.0)
+        assert closure["moment2"] == float(2 * Fraction(1e301) * Fraction(0.1) ** 2)
 
     def test_open_geometry_fails_with_two(self, capsys, tmp_path):
         path = tmp_path / "open.geom"

@@ -1,56 +1,89 @@
-"""Error-free products and array sums against the scalar functions and math.fsum."""
+"""The exact pulse-table sums against Fractions, and array sums against math.fsum."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpai import _exactsum
-from lpai._exactsum import array_fsum, triple_product_rows, triple_product_terms
+from lpai import NonFiniteResultError, Pulse, PulseSequence, _exactsum
+from lpai._exactsum import PulseTable, array_fsum
+
+from _helpers import float_bits, moments_by_fractions, recoil_sum_by_fractions, rounded
+
+# --- PulseTable against exact rational arithmetic ------------------------------
+
+tiny = st.floats(-(2.0**-1020), 2.0**-1020)  # subnormals and the smallest normals
+times = st.floats(-1e300, 1e300) | tiny | st.floats(-10.0, 10.0)
+wave_numbers = st.floats(-1e300, 1e300) | tiny | st.floats(-1e12, 1e12) | st.just(0.0)
+PATHS = ("loop", "array", "exact")
 
 
-def random_factors(rng, n):
-    """Floats over the whole exponent range, with zeros, subnormals and overflow."""
-    x = rng.choice([-1.0, 1.0], size=(3, n)) * 10.0 ** rng.uniform(-320, 160, size=(3, n))
-    x[rng.random((3, n)) < 0.05] = 0.0
-    return x
+def table_outcome(seq: PulseSequence, path: str):
+    """(S, moments) of seq by one path, as float_bits or "overflow".
+
+    "loop" and "array" estimate the correction by the scalar loop or the
+    array pass; "exact" skips the estimate and sums the correction exactly.
+    """
+    min_pulses = 0 if path == "array" else 10**9
+    settled = (lambda *args: None) if path == "exact" else _exactsum._settled
+    outcomes = []
+    with mock.patch.object(_exactsum, "_ARRAY_MIN_PULSES", min_pulses):
+        with mock.patch.object(_exactsum, "_settled", settled):
+            for part in (PulseTable.recoil_sum, PulseTable.moments):
+                try:
+                    value = part(PulseTable(seq.pulses))
+                except NonFiniteResultError:
+                    outcomes.append("overflow")
+                else:
+                    outcomes.append(
+                        tuple(map(float_bits, value)) if isinstance(value, tuple) else float_bits(value)
+                    )
+    return tuple(outcomes)
 
 
-def test_rows_are_the_scalar_terms_bit_for_bit():
-    rng = np.random.default_rng(5)
-    x = random_factors(rng, 2 * _exactsum._BLOCK + 7)  # two whole column blocks and a part
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        rows = triple_product_rows(x)
-    assert rows.shape == (4, x.shape[1])
-    for j in range(x.shape[1]):
-        q, f, g, h = triple_product_terms(*(float(v) for v in x[:, j]))
-        for got, want in zip(rows[[0, 2, 1, 3], j].tolist(), (q, f, g, h)):
-            assert (math.isnan(got) and math.isnan(want)) or (
-                np.float64(got).tobytes() == np.float64(want).tobytes()
-            )
+def reference_outcome(seq: PulseSequence):
+    moments = tuple(rounded(m) for m in moments_by_fractions(seq))
+    return rounded(recoil_sum_by_fractions(seq)), "overflow" if "overflow" in moments else moments
 
 
-def test_rows_written_into_out_are_the_new_rows():
-    x = random_factors(np.random.default_rng(7), _exactsum._BLOCK + 1)
-    out = np.full((4, x.shape[1]), np.nan)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        got = triple_product_rows(x, out=out)
-        want = triple_product_rows(x)
-    assert got is out
-    assert out.tobytes() == want.tobytes()
+@given(
+    fields=st.lists(st.tuples(times, wave_numbers, wave_numbers), max_size=24),
+    path=st.sampled_from(PATHS),
+)
+@settings(max_examples=400, deadline=None)
+def test_sums_are_the_rational_sums_rounded_once(fields, path):
+    seq = PulseSequence(tuple(Pulse(*f) for f in fields))
+    assert table_outcome(seq, path) == reference_outcome(seq)
 
 
-def test_rows_sum_exactly_to_the_product():
-    rng = np.random.default_rng(6)
-    x = rng.uniform(-1e7, 1e7, size=(3, 200))
-    rows = triple_product_rows(x)
-    for j in range(x.shape[1]):
-        exact = Fraction(x[0, j]) * Fraction(x[1, j]) * Fraction(x[2, j])
-        assert sum(Fraction(v) for v in rows[:, j].tolist()) == exact
+# S = 3 * fl((1 + 2**-52) - 2**-80) = 3 + 3 * 2**-52 sits on a rounding tie,
+# and the one inexact difference puts the estimate's bound across it.
+TIE = PulseSequence((Pulse(2.0**-80, 3.0, 0.0), Pulse(1.0 + 2.0**-52, 1.0, 0.0)))
 
+
+@pytest.mark.parametrize("min_pulses", [0, 10**9], ids=["array", "loop"])
+def test_a_sum_on_a_rounding_tie_reaches_the_exact_correction(min_pulses, monkeypatch):
+    monkeypatch.setattr(_exactsum, "_ARRAY_MIN_PULSES", min_pulses)
+    calls = []
+    exact = PulseTable._exact_correction
+    monkeypatch.setattr(PulseTable, "_exact_correction", lambda t: calls.append(1) or exact(t))
+    s = PulseTable(TIE.pulses).recoil_sum()
+    assert calls == [1]
+    assert s == float(recoil_sum_by_fractions(TIE)) == 3.0 + 4 * 2.0**-52
+
+
+@pytest.mark.parametrize("min_pulses", [0, 10**9], ids=["array", "loop"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_fields_are_refused(bad, min_pulses, monkeypatch):
+    monkeypatch.setattr(_exactsum, "_ARRAY_MIN_PULSES", min_pulses)
+    for fields in ((bad, 1.0, 0.0), (0.5, 1.0, bad)):
+        seq = PulseSequence((Pulse(0.0, 1.0, 0.0), Pulse(*fields)))
+        with pytest.raises(NonFiniteResultError, match="finite pulse times and wave numbers"):
+            PulseTable(seq.pulses)
 
 
 # --- array_fsum against math.fsum -------------------------------------------

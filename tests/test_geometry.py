@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpai import geometry
+from lpai import _exactsum, geometry
 from lpai import (
     GeometryParseError,
     NonFiniteResultError,
@@ -25,7 +25,7 @@ from lpai import (
     serialize_geometry,
 )
 
-from _helpers import float_bits, random_closed_sequence
+from _helpers import float_bits, moments_by_fractions, random_closed_sequence
 
 ATOM = Species(1.443157e-25)
 
@@ -44,12 +44,13 @@ def swap_branches(seq: PulseSequence) -> PulseSequence:
 
 
 def moments_outcome(seq: PulseSequence, min_pulses: int):
-    """float.hex of each moment with the given crossover, or the fsum exception."""
-    with mock.patch.object(geometry, "_MOMENTS_MIN_PULSES", min_pulses):
+    """float.hex of each moment with the given crossover, or the refusal's message."""
+    with mock.patch.object(_exactsum, "_ARRAY_MIN_PULSES", min_pulses):
         try:
-            return tuple(m.hex() for m in geometry._moments(seq))
-        except (ValueError, OverflowError) as exc:
-            return type(exc), str(exc)
+            report = closure_check(seq, ATOM)
+        except NonFiniteResultError as exc:
+            return str(exc)
+    return tuple(m.hex() for m in (report.moment0, report.moment1, report.moment2))
 
 
 # Any finite float, hypothesis' edge cases (+-0.0, subnormals, +-max) included
@@ -143,11 +144,14 @@ class TestClosure:
         assert report.delta_z_final == 0.0
         assert report.delta_v_final == 0.0
 
-    def test_a_nan_moment_is_a_typed_error_not_an_open_verdict(self):
-        # the Dekker splits of k overflow above |k| ~ 1.3e300, so t*k's error term is nan
+    def test_moments_at_the_edge_of_the_float_range_are_exact(self):
+        # t*k and t^2*k of mzi at |k| = 1e301 lie beyond Dekker's splits
         for k in (1e301, -1e301):
-            with pytest.raises(NonFiniteResultError, match=r"closure moments 0\.0 /m, nan s/m"):
-                closure_check(build_mzi(k, 0.1), ATOM)
+            seq = build_mzi(k, 0.1)
+            report = closure_check(seq, ATOM)
+            assert report.closed
+            assert (report.moment0, report.moment1) == (0.0, 0.0)
+            assert report.moment2 == float(moments_by_fractions(seq)[2])
 
     @given(k=signed_k, T=sep_T, Tp=st.floats(min_value=0.0, max_value=1e4))
     @settings(max_examples=100)
@@ -209,8 +213,8 @@ class TestClosure:
         assert moments_outcome(seq, 0) == moments_outcome(seq, 10**9)
 
     def test_long_sequences_take_the_array_path(self):
-        seq = random_closed_sequence(np.random.default_rng(3), geometry._MOMENTS_MIN_PULSES)
-        with mock.patch.object(geometry, "_moments_array", side_effect=AssertionError):
+        seq = random_closed_sequence(np.random.default_rng(3), _exactsum._ARRAY_MIN_PULSES)
+        with mock.patch.object(_exactsum, "_integers_array", side_effect=AssertionError):
             with pytest.raises(AssertionError):
                 closure_check(seq, ATOM)
 

@@ -20,7 +20,7 @@ from lpai import (
     sample,
     trajectory_table,
 )
-from lpai import kinematics
+from lpai import core, kinematics
 
 from _helpers import random_closed_sequence
 
@@ -238,3 +238,29 @@ class TestTrajectoryTable:
     def test_bad_dt_is_rejected(self, dt):
         with pytest.raises(ValueError, match="dt"):
             trajectory_table(build_mzi(1.0, 1.0), ATOM, FLAT, REST, dt)
+
+
+class TestValidatesOnce:
+    """Each public entry point validates its sequence once, however many branches it reads."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = core.validate_sequence
+        monkeypatch.setattr(core, "validate_sequence", lambda seq: calls.append(seq) or original(seq))
+        return calls
+
+    def test_trajectory_table(self, calls):
+        seq = build_mzi(1e7, 0.4)
+        trajectory_table(seq, ATOM, GravityEnv(9.81), REST, 0.1)
+        assert calls == [seq]
+
+    def test_sample(self, calls):
+        seq = build_mzi(1e7, 0.4)
+        sample(seq, 2, ATOM, GravityEnv(9.81), REST, 0.3)
+        assert calls == [seq]
+
+    def test_kick_trajectory(self, calls):
+        seq = build_mzi(1e7, 0.4)
+        kick_trajectory(seq, 1, ATOM)
+        assert calls == [seq]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import lpai
-from lpai import serialize_geometry
+from lpai import _exactsum, serialize_geometry
 
 from _helpers import random_closed_sequence
 
@@ -98,8 +98,12 @@ def test_builders_simulate_and_check_do_not_load_numpy(tmp_path):
     assert not numpy_loaded(SHORT, closed_file(tmp_path, 8))
 
 
-def test_a_twelve_pulse_beat_loads_numpy(tmp_path):
-    assert numpy_loaded(LONG, closed_file(tmp_path, 12))
+def test_a_long_beat_loads_numpy(tmp_path):
+    assert numpy_loaded(LONG, closed_file(tmp_path, _exactsum._ARRAY_MIN_PULSES))
+
+
+def test_a_beat_one_pulse_shorter_does_not(tmp_path):
+    assert not numpy_loaded(LONG, closed_file(tmp_path, _exactsum._ARRAY_MIN_PULSES - 1))
 
 
 def test_every_public_name_resolves():

@@ -36,35 +36,18 @@ from lpai import (
     recoil_phase,
     total_phase,
 )
-from lpai import phase
+from lpai import _exactsum
 from lpai._exactsum import array_fsum
 
-from _helpers import float_bits, random_closed_sequence, recoil_double_sum_loop
+from _helpers import float_bits, random_closed_sequence, recoil_sum_by_fractions, rounded
 
 SR = Species(1.443157e-25)
 FLAT = GravityEnv(0.0)
 REST = InitialConditions()
 
 
-def double_sum_by_fractions(seq: PulseSequence) -> Fraction:
-    """Reference value of the recoil double sum in exact rational arithmetic.
-
-    Mirrors the documented contract: the rounded pulse-time differences are
-    the inputs, everything after that is exact.
-    """
-    total = Fraction(0)
-    for n, pn in enumerate(seq.pulses):
-        for pl in seq.pulses[: n + 1]:
-            dt = Fraction(pn.t - pl.t)  # float difference, then exact
-            total += (
-                Fraction(pn.k_upper) * Fraction(pl.k_upper)
-                - Fraction(pn.k_lower) * Fraction(pl.k_lower)
-            ) * dt
-    return total
-
-
 def delta_tau_by_fractions(seq: PulseSequence, species: Species) -> float:
-    s = double_sum_by_fractions(seq)
+    s = recoil_sum_by_fractions(seq)
     hbar, c, m = Fraction(constants.HBAR), Fraction(constants.C), Fraction(species.mass)
     return float(hbar * hbar * s / (2 * m * m * c * c))
 
@@ -93,6 +76,14 @@ def swap_branches(seq: PulseSequence) -> PulseSequence:
     )
 
 
+def s_outcome(f, seq):
+    """float_bits of f(seq), or "overflow" where it refuses a sum beyond the float range."""
+    try:
+        return float_bits(f(seq))
+    except NonFiniteResultError:
+        return "overflow"
+
+
 class TestRecoilDoubleSum:
     def test_mzi_cancels_exactly(self):
         assert recoil_double_sum(build_mzi(1.8e10, 0.325)) == 0.0
@@ -100,9 +91,9 @@ class TestRecoilDoubleSum:
     @pytest.mark.parametrize("k,T", [(1.8e10, 0.325), (1e7, 0.1), (-3.3e6, 2.7)])
     def test_asymmetric_is_the_correctly_rounded_sum(self, k, T):
         got = recoil_double_sum(build_rbi_asymmetric(k, T))
-        assert got == float(double_sum_by_fractions(build_rbi_asymmetric(k, T)))
+        assert got == float(recoil_sum_by_fractions(build_rbi_asymmetric(k, T)))
         # and the rational value itself is -2 k^2 T exactly (times are 0, T, 2T)
-        assert double_sum_by_fractions(build_rbi_asymmetric(k, T)) == (
+        assert recoil_sum_by_fractions(build_rbi_asymmetric(k, T)) == (
             -2 * Fraction(k) * Fraction(k) * Fraction(T)
         )
 
@@ -110,7 +101,7 @@ class TestRecoilDoubleSum:
         rng = np.random.default_rng(7)
         for _ in range(25):
             seq = random_closed_sequence(rng, with_common_mode=True, with_phases=True)
-            assert recoil_double_sum(seq) == float(double_sum_by_fractions(seq))
+            assert recoil_double_sum(seq) == float(recoil_sum_by_fractions(seq))
 
     @pytest.mark.parametrize(
         "n_pulses,k_scale,seed", [(40, 1e3, 17), (90, 1e7, 19), (150, 1e11, 23)]
@@ -120,37 +111,36 @@ class TestRecoilDoubleSum:
         seq = random_closed_sequence(
             rng, n_pulses, k_scale=k_scale, with_common_mode=True, with_phases=True
         )
-        assert recoil_double_sum(seq) == float(double_sum_by_fractions(seq))
+        assert recoil_double_sum(seq) == float(recoil_sum_by_fractions(seq))
 
     @pytest.mark.parametrize("k_scale", [1e-3, 1e7, 1e11, 1e100, 1e200])
     def test_long_sequences_match_the_pair_loop_bit_for_bit(self, k_scale):
-        # 40 pulses give 6240 pair terms, enough for array_fsum's extraction
+        # 40 pulses take the array pass; at 1e200 S lies beyond the float range
         rng = np.random.default_rng(29)
         seq = random_closed_sequence(
             rng, 40, k_scale=k_scale, with_common_mode=True, with_phases=True
         )
-        outcomes = []
-        for f in (recoil_double_sum, recoil_double_sum_loop):
-            try:
-                outcomes.append(float_bits(f(seq)))
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        assert seq.n_pulses >= _exactsum._ARRAY_MIN_PULSES
+        assert s_outcome(recoil_double_sum, seq) == rounded(recoil_sum_by_fractions(seq))
 
     @pytest.mark.parametrize("name", EDGE_SEQUENCES)
-    def test_array_pass_matches_the_pair_loop_bit_for_bit(self, name):
+    def test_array_pass_matches_the_pair_loop_bit_for_bit(self, name, monkeypatch):
         seq = EDGE_SEQUENCES[name]
-        assert float_bits(recoil_double_sum(seq)) == float_bits(recoil_double_sum_loop(seq))
+        monkeypatch.setattr(_exactsum, "_ARRAY_MIN_PULSES", 0)
+        assert float_bits(recoil_double_sum(seq)) == rounded(recoil_sum_by_fractions(seq))
 
-    def test_overflow_raises_the_loop_error_without_numpy_warnings(self):
-        seq = build_rbi_asymmetric(1e200, 0.1)
-        with pytest.raises(ValueError) as expected:
-            recoil_double_sum_loop(seq)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as got:
-                recoil_double_sum(seq)
-        assert str(got.value) == str(expected.value) == "-inf + inf in fsum"
+    def test_overflow_raises_the_loop_error_without_numpy_warnings(self, monkeypatch):
+        seq = build_rbi_asymmetric(1e200, 0.1)  # S = -2 k^2 T = -2e399
+        assert rounded(recoil_sum_by_fractions(seq)) == "overflow"
+        for min_pulses in (0, sys.maxsize):
+            monkeypatch.setattr(_exactsum, "_ARRAY_MIN_PULSES", min_pulses)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteResultError) as got:
+                    recoil_double_sum(seq)
+            assert str(got.value) == (
+                "recoil double sum S overflows: its magnitude is at least 2**1326 s/m^2"
+            )
 
     def test_an_overflowing_square_on_the_diagonal_does_not_poison_the_sum(self):
         # k^2 overflows on the middle pulse, but it only meets itself in the
@@ -163,7 +153,7 @@ class TestRecoilDoubleSum:
                 Pulse(2.0, 1.0, 0.0),
             )
         )
-        assert recoil_double_sum(seq) == float(double_sum_by_fractions(seq))
+        assert recoil_double_sum(seq) == float(recoil_sum_by_fractions(seq))
 
     def test_pause_does_not_change_the_asymmetric_sum_for_dyadic_times(self):
         k, T = 1.8e10, 0.25
@@ -175,24 +165,25 @@ class TestRecoilDoubleSum:
 
 
 def array_path(seq: PulseSequence) -> float:
-    return array_fsum(phase._pair_terms(seq).reshape(-1))
+    with mock.patch.object(_exactsum, "_ARRAY_MIN_PULSES", 0):
+        return recoil_double_sum(seq)
 
 
 def loop_path(seq: PulseSequence) -> float:
-    with mock.patch.object(phase, "_PAIR_ARRAY_MIN_PULSES", sys.maxsize):
+    with mock.patch.object(_exactsum, "_ARRAY_MIN_PULSES", sys.maxsize):
         return recoil_double_sum(seq)
 
 
 def outcome(f, seq):
-    """Bits of f(seq), "nan" for any nan, or the type and message of its exception."""
+    """(float, hex of f(seq)), or the type and message of its exception."""
     try:
         s = f(seq)
     except Exception as exc:
         return type(exc), str(exc)
-    return "nan" if math.isnan(s) else float_bits(s)
+    return float, s.hex()
 
 
-THRESHOLD = phase._PAIR_ARRAY_MIN_PULSES
+THRESHOLD = _exactsum._ARRAY_MIN_PULSES
 BIG = 2**60 + 1  # an int that float() rounds
 
 PATH_CASES = {
@@ -209,9 +200,8 @@ PATH_CASES = {
     "ints that float() rounds": PulseSequence(
         (Pulse(2**53 + 1, 1, 1), Pulse(2**53 + 2, 2**54 + 3, 2**54))
     ),
-    # upper-branch terms ~0, X, -X, X, -X, X/2 (X = 1e308) in np.tril_indices
-    # order; ordered by ell first, the two X of pairs (2, 0) and (3, 0) meet
-    # and overflow
+    # upper-branch pair terms ~0, X, -X, X, -X, X/2 (X = 1e308): summed in
+    # some orders their partial sums overflow; the exact sum is X/2
     "pair order": PulseSequence(
         (
             Pulse(0.0, 1e154, 0.0),
@@ -220,8 +210,8 @@ PATH_CASES = {
             Pulse(2.0, 5e153, 0.0),
         )
     ),
-    # equal branches: the upper block's 1e308 + 1e308 overflows before any
-    # lower term can cancel it
+    # equal branches: each branch alone sums past the float range, but every
+    # pair's k products cancel, so S is 0
     "branch order": PulseSequence(
         (Pulse(0.0, 1e154, 1e154), Pulse(1.0, 1e154, 1e154), Pulse(2.0, 5e153, 5e153))
     ),
@@ -232,7 +222,7 @@ PATH_CASES = {
             for i, t in enumerate([1, 2**53 + 1, 2**54 + 3, BIG, 3 * BIG][: THRESHOLD - 1])
         )
     ),
-    # t_n - t_ell overflows: numpy must not warn where the loop gives nan
+    # t_n - t_ell overflows: both paths refuse it, and numpy must not warn
     "overflowing time difference": PulseSequence(
         tuple(
             Pulse(t, 0.0, 0.0)
@@ -260,7 +250,7 @@ FIELDS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**64)
 
 
 class TestRecoilDoubleSumPaths:
-    """The scalar loop below _PAIR_ARRAY_MIN_PULSES and the array pass agree."""
+    """The scalar loops below _ARRAY_MIN_PULSES and the array passes agree."""
 
     @pytest.mark.parametrize("name", PATH_CASES)
     def test_loop_and_array_pass_agree(self, name):
@@ -270,13 +260,33 @@ class TestRecoilDoubleSumPaths:
     @pytest.mark.parametrize(
         "name, expected",
         [
-            ("k = 1e200", (ValueError, "-inf + inf in fsum")),
-            ("k = 1e200, long", (ValueError, "-inf + inf in fsum")),
-            ("branch order", (OverflowError, "intermediate overflow in fsum")),
-            ("pair order", "nan"),
-            ("overflowing time difference", "nan"),
-            ("overflowing monotone times", (ValueError, "-inf + inf in fsum")),
-            ("ints that float() rounds", float_bits(8.0)),
+            (
+                "k = 1e200",
+                (NonFiniteResultError, "recoil double sum S overflows: its magnitude is at least 2**1326 s/m^2"),
+            ),
+            (
+                "k = 1e200, long",
+                (NonFiniteResultError, "recoil double sum S overflows: its magnitude is at least 2**1337 s/m^2"),
+            ),
+            # the exact sums are finite where the Dekker terms overflowed
+            ("branch order", (float, (0.0).hex())),
+            ("pair order", (float, (5e307).hex())),
+            (
+                "overflowing time difference",
+                (
+                    NonFiniteResultError,
+                    "pulse times 1.947095003526814e+299 s and -1.7976931329152208e+308 s "
+                    "are too far apart: their difference overflows",
+                ),
+            ),
+            (
+                "overflowing monotone times",
+                (
+                    NonFiniteResultError,
+                    "pulse times 1.7e+308 s and -1.7e+308 s are too far apart: their difference overflows",
+                ),
+            ),
+            ("ints that float() rounds", (float, (8.0).hex())),
         ],
     )
     def test_the_cases_reach_their_outcomes(self, name, expected):
@@ -291,12 +301,14 @@ class TestRecoilDoubleSumPaths:
         seq = PulseSequence(tuple(Pulse(*fields[3 * i : 3 * i + 3]) for i in range(n)))
         assert outcome(loop_path, seq) == outcome(array_path, seq)
 
-    @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD])
+    @pytest.mark.parametrize("n", [5, 6, THRESHOLD - 1, THRESHOLD])
     def test_the_pulse_count_selects_the_path(self, n, monkeypatch):
         seq = PATH_CASES[f"{n} random pulses"]
         calls = []
-        original = phase._pair_terms
-        monkeypatch.setattr(phase, "_pair_terms", lambda seq: calls.append(1) or original(seq))
+        original = _exactsum._integers_array
+        monkeypatch.setattr(
+            _exactsum, "_integers_array", lambda fields: calls.append(1) or original(fields)
+        )
         recoil_double_sum(seq)
         assert len(calls) == (n >= THRESHOLD)
 
@@ -348,13 +360,6 @@ class TestRecoilSumScratch:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert got == [[want[i % len(seqs)]] * 20 for i in range(threads)]
-
-    def test_sums_over_many_lengths_keep_one_pair_index(self):
-        rng = np.random.default_rng(13)
-        for n in range(40, 72):
-            recoil_double_sum(random_closed_sequence(rng, n, k_scale=1e7))
-        assert phase._pair_gather.cache_info().currsize <= 1
-
 
 class TestProperTime:
     def test_mzi_is_exactly_zero(self):
@@ -450,6 +455,32 @@ class TestGravitoRecoil:
         for run in runs:
             with pytest.raises(NonFiniteResultError, match=r"^-inf \+ inf in fsum$"):
                 run()
+
+
+    @pytest.mark.parametrize(
+        "k, z0, v0",
+        [(1e7, 1e301, 0.0), (1e7, 1e300, 3e299), (3e300, 7.0, -2.0), (-1e-5, 1e305, 1e304)],
+    )
+    def test_overflowing_splits_give_the_exact_sum(self, k, z0, v0):
+        # Dekker's splits overflow from |dk| or |z_g| of about 1e300 and made
+        # the fsum nan; the products themselves are finite
+        seq, env, ics = build_mzi(k, 0.1), GravityEnv(9.81), InitialConditions(z0, v0)
+        exact = sum(
+            Fraction(p.delta_k) * Fraction(gravity_trajectory(env, ics, p.t)[0])
+            for p in seq.pulses
+        )
+        got = gravito_recoil_phase(seq, env, ics)
+        assert float_bits(got) == float_bits(float(exact))
+        if (k, z0) == (1e7, 1e301):
+            assert got == 0.0
+
+    def test_an_infinite_launch_height_is_refused_not_summed_to_nan(self):
+        # z_g overflows at t = 10 only, so fsum meets one infinity and a nan
+        seq = PulseSequence((Pulse(0.0, 1e7, 0.0), Pulse(10.0, -1e7, 0.0)))
+        with pytest.raises(
+            NonFiniteResultError, match=r"^gravito-recoil sum of dk \* z_g: cannot convert Infinity"
+        ):
+            gravito_recoil_phase(seq, GravityEnv(1e308), REST)
 
 
 class TestLaserPhase:

@@ -85,11 +85,13 @@ CASES = {
                        "--vary", "T", "--from", "0.1", "--to", "0.2", "--steps", "2"),
     "error-after-good-rows": ("--geometry", "mzi", "--k", "1e7", *SR,
                               "--vary", "T", "--from", "0.1", "--to", "1.7e308", "--steps", "3"),
-    # Row 0 fails in the recoil sum, row 1 in the closure gate and row 2 in
-    # validation: the first failing row in grid order decides.
+    # Row 0 passes (mzi's exact S is 0), row 1 fails in the closure moments
+    # and row 2 in validation: the first failing row in grid order decides.
     "error-first-failing-row": ("--geometry", "mzi", "--k", "1e155", "--mass", "1e-25",
                                 "--vary", "T", "--from", "0.1", "--to", "1.7e308", "--steps", "3",
                                 "--omega", "1e15"),
+    # The name is older than the exact S: row 0 now passes, and row 1 fails
+    # validation.
     "error-recoil-sum-before-validation": ("--geometry", "mzi", "--k", "1e155", "--mass", "1e-25",
                                            "--vary", "T", "--from", "0.1", "--to", "1.7e308",
                                            "--steps", "2"),
