@@ -158,10 +158,10 @@ def checked_sum(sum_fn: Callable, *args):
 _ARRAY_MIN_PULSES = 20
 # Pair-matrix elements per row block of _correction_array: its five blocks
 # (at most 2.5 MiB) sit in the thread's scratch; 100 pulses are one block.
-_CORRECTION_BLOCK = 1 << 16
+_CORRECTION_CHUNK = 1 << 16
 _NOT_FINITE = "exact sums need finite pulse times and wave numbers"
-_MOMENTS = (("closure moment sum(dk)", "/m"), ("closure moment sum(t dk)", "s/m"),
-            ("closure moment sum(t^2 dk)", "s^2/m"))
+_MOMENT_NAMES = (("closure moment sum(dk)", "/m"), ("closure moment sum(t dk)", "s/m"),
+                 ("closure moment sum(t^2 dk)", "s^2/m"))
 
 
 def _rounded(num: int, exp: int, what: str, unit: str) -> float:
@@ -204,8 +204,7 @@ def _correction_loop(t: list[float], ku: list[float], kl: list[float]) -> tuple[
     whether an r_nl is nonzero.  Both sums run as sum_n ku_n (sum_l r_nl ku_l)
     minus the same for kl, as in _correction_array.
     """
-    est = weight = 0.0
-    inexact = False
+    est, weight, inexact = 0.0, 0.0, False
     for n in range(1, len(t)):
         tn = t[n]
         yu = yl = au = al = 0.0
@@ -235,7 +234,7 @@ def _correction_array(t: np.ndarray, k: np.ndarray) -> tuple[float, float, bool]
     import numpy as np
 
     n = t.size
-    rows = max(1, min(n, _CORRECTION_BLOCK // n))
+    rows = max(1, min(n, _CORRECTION_CHUNK // n))
     work = scratch("_correction_array", 5 * rows * n)
     index, abs_k = np.arange(n, dtype=float), np.abs(k)
     y, y_abs = np.empty((n, 2)), np.empty((n, 2))
@@ -328,14 +327,14 @@ class PulseTable:
                     tk_sum += tk
                     ttk_sum += tk * t_i
             sums.append((k_sum, tk_sum, ttk_sum, s))
-        *self._moments, self._s = (upper - lower for upper, lower in zip(*sums))
+        *self._moment_ints, self._s = (upper - lower for upper, lower in zip(*sums))
 
     def moments(self) -> tuple[float, float, float]:
         """sum(dk), sum(t dk), sum(t^2 dk), correctly rounded, or NonFiniteResultError."""
         et, ek = self._et, self._ek
         return tuple(
             _rounded(m, exp, *what)
-            for m, exp, what in zip(self._moments, (ek, et + ek, 2 * et + ek), _MOMENTS)
+            for m, exp, what in zip(self._moment_ints, (ek, et + ek, 2 * et + ek), _MOMENT_NAMES)
         )
 
     def recoil_sum(self) -> float:

@@ -7,6 +7,8 @@ offset is (hbar/m) * sum(dk_l) and the final position offset is
 (hbar/m) * (t_end * sum(dk_l) - sum(t_l * dk_l)), so closure means the zeroth
 and first time-moments of dk vanish.  A vanishing second moment additionally
 removes sensitivity to a uniform acceleration of the launch trajectory.
+The moments are exact integer sums over the stored fields, rounded once
+(_exactsum.PulseTable, shared with the recoil double sum).
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ difference that does, raises NonFiniteResultError.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import constants
 from ._exactsum import PulseTable, checked_sum, two_product
@@ -132,6 +131,8 @@ def _gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditi
     total = checked_sum(math.fsum, terms)
     if math.isfinite(total):
         return total
+    from fractions import Fraction  # here: importing it costs each CLI process ~2.5 ms
+
     factors = [(p.delta_k, gravity_trajectory(env, ics, p.t)[0]) for p in seq.pulses]
     try:
         return float(sum(Fraction(dk) * Fraction(zg) for dk, zg in factors))

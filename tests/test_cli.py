@@ -313,8 +313,8 @@ class TestSimulate:
         assert err == f"numeric failure: {message}\n"
 
     def test_a_closed_mzi_at_the_edge_of_the_float_range_is_simulated(self, capsys):
-        # k = 1e301 overflows Dekker's splits in the moments and the
-        # gravito-recoil products; their exact sums are finite.
+        # At k = 1e301 the Dekker splits of the gravito-recoil products
+        # overflow; that sum, S and the moments are still finite.
         code, out, _ = run(
             capsys, "simulate", "--geometry", "mzi", "--k", "1e301", "--T", "0.1",
             "--mass", "1e-25", "--g", "9.81", "--format", "json",

@@ -145,7 +145,7 @@ class TestClosure:
         assert report.delta_v_final == 0.0
 
     def test_moments_at_the_edge_of_the_float_range_are_exact(self):
-        # t*k and t^2*k of mzi at |k| = 1e301 lie beyond Dekker's splits
+        # t*k and t^2*k of mzi at |k| = 1e301 lie near the top of the float range
         for k in (1e301, -1e301):
             seq = build_mzi(k, 0.1)
             report = closure_check(seq, ATOM)

@@ -268,7 +268,7 @@ class TestRecoilDoubleSumPaths:
                 "k = 1e200, long",
                 (NonFiniteResultError, "recoil double sum S overflows: its magnitude is at least 2**1337 s/m^2"),
             ),
-            # the exact sums are finite where the Dekker terms overflowed
+            # exact sums that are finite although float pair terms overflow
             ("branch order", (float, (0.0).hex())),
             ("pair order", (float, (5e307).hex())),
             (
@@ -462,8 +462,8 @@ class TestGravitoRecoil:
         [(1e7, 1e301, 0.0), (1e7, 1e300, 3e299), (3e300, 7.0, -2.0), (-1e-5, 1e305, 1e304)],
     )
     def test_overflowing_splits_give_the_exact_sum(self, k, z0, v0):
-        # Dekker's splits overflow from |dk| or |z_g| of about 1e300 and made
-        # the fsum nan; the products themselves are finite
+        # Dekker's splits overflow from |dk| or |z_g| of about 1e300 and leave
+        # a nan term; the products themselves are finite
         seq, env, ics = build_mzi(k, 0.1), GravityEnv(9.81), InitialConditions(z0, v0)
         exact = sum(
             Fraction(p.delta_k) * Fraction(gravity_trajectory(env, ics, p.t)[0])
