@@ -1,7 +1,6 @@
 """The exact pulse-table sums against Fractions, and array sums against math.fsum."""
 
 import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,8 +16,9 @@ from _helpers import float_bits, moments_by_fractions, recoil_sum_by_fractions, 
 # --- PulseTable against exact rational arithmetic ------------------------------
 
 tiny = st.floats(-(2.0**-1020), 2.0**-1020)  # subnormals and the smallest normals
-times = st.floats(-1e300, 1e300) | tiny | st.floats(-10.0, 10.0)
-wave_numbers = st.floats(-1e300, 1e300) | tiny | st.floats(-1e12, 1e12) | st.just(0.0)
+big_ints = st.integers(-(2**64), 2**64)  # read through float(), which rounds beyond 2**53
+times = st.floats(-1e300, 1e300) | tiny | st.floats(-10.0, 10.0) | big_ints
+wave_numbers = st.floats(-1e300, 1e300) | tiny | st.floats(-1e12, 1e12) | st.just(0.0) | big_ints
 PATHS = ("loop", "array", "exact")
 
 
