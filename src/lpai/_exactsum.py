@@ -5,13 +5,15 @@ integer scales, once per call, and forms in one integer pass the closure
 moments and the recoil double sum S over exact time differences; each is
 rounded once (CPython's int / int true division rounds correctly, subnormals
 included).  S is defined over the rounded differences fl(t_n - t_l), whose
-rounding errors are exact floats (TwoSum); their weighted sum is estimated
-in float with a rigorous error bound and summed exactly in integers only
-when the bound straddles a rounding boundary (exact integer and expansion
-sums: Shewchuk, Discrete Comput. Geom. 18, 1997).
+rounding errors are exact floats (TwoSum).  One scalar loop sums them,
+weighted, exactly in integers: below _ARRAY_MIN_PULSES always, from there
+on only when an array-pass estimate with a rigorous error bound straddles a
+rounding boundary (exact integer and expansion sums: Shewchuk, Discrete
+Comput. Geom. 18, 1997).  exact_dot sums float products exactly in integers
+too, for the gravito-recoil and laser sums when math.fsum cannot give them.
 
 two_product is Dekker's error-free product, exact unless a split or the
-product overflows or a*b comes near the subnormal range.
+product overflows or a*b of nonzero a and b falls below 2**-968 in magnitude.
 
 array_fsum returns math.fsum's value for large arrays in a few numpy passes
 of error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import NonFiniteResultError
 
@@ -136,25 +138,11 @@ def array_fsum(x: np.ndarray) -> float:
     return math.fsum(totals)
 
 
-def checked_sum(sum_fn: Callable, *args):
-    """sum_fn(*args), with an exact sum's overflow as NonFiniteResultError.
-
-    math.fsum raises ValueError ("-inf + inf in fsum") when its terms hold
-    infinities of both signs and OverflowError ("intermediate overflow in
-    fsum") when finite terms sum beyond the float range; both are re-raised
-    as NonFiniteResultError with the same message, so the CLI exits 3.
-    """
-    try:
-        return sum_fn(*args)
-    except (ValueError, OverflowError) as exc:
-        raise NonFiniteResultError(str(exc)) from exc
-
-
 # --- exact integer sums over a pulse table -----------------------------------
 
 # Pulse count from which PulseTable reads its fields with np.frexp and
-# estimates the recoil correction in array passes; the scalar loops are
-# faster below it.
+# estimates the recoil correction in array passes; the scalar conversion and
+# the exact correction loop are faster below it.
 _ARRAY_MIN_PULSES = 20
 # Pair-matrix elements per row block of _correction_array: its five blocks
 # (at most 2.5 MiB) sit in the thread's scratch; 100 pulses are one block.
@@ -182,6 +170,19 @@ def _integers(xs: list[float]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], 1 - den.bit_length()
 
 
+def exact_dot(xs: list[float], ys: list[float], what: str, unit: str) -> float:
+    """sum of float(x) * float(y) over the pairs, correctly rounded.
+
+    An inf or nan factor, or a sum beyond the float range, raises
+    NonFiniteResultError; what and unit name the sum in its message.
+    """
+    try:
+        (X, ex), (Y, ey) = _integers([float(x) for x in xs]), _integers([float(y) for y in ys])
+    except (OverflowError, ValueError):  # as_integer_ratio of an inf or a nan
+        raise NonFiniteResultError(f"{what} has a factor that is not finite") from None
+    return _rounded(sum(x * y for x, y in zip(X, Y)), ex + ey, what, unit)
+
+
 def _integers_array(fields: np.ndarray) -> tuple[list[int], int, list[int], int]:
     """(T, et, K, ek): _integers of the times and of both wave-number rows of a
     finite (3, n) float64 array, from one np.frexp pass."""
@@ -196,40 +197,16 @@ def _integers_array(fields: np.ndarray) -> tuple[list[int], int, list[int], int]
     return ints[:n], et, ints[n:], ek
 
 
-def _correction_loop(t: list[float], ku: list[float], kl: list[float]) -> tuple[float, float, bool]:
-    """(estimate, weight, inexact) of R = sum over l < n of c_nl * r_nl.
+def _correction_array(t: np.ndarray, k: np.ndarray) -> tuple[float, float, bool]:
+    """(estimate, bound, inexact) of R = sum over l < n of c_nl * r_nl, for t
+    of shape (n,) and k = (ku, kl) of shape (n, 2).
 
     c_nl = ku_n ku_l - kl_n kl_l; r_nl = (t_n - t_l) - fl(t_n - t_l) is exact
-    by TwoSum.  weight sums |ku_n r_nl ku_l| + |kl_n r_nl kl_l|, inexact says
-    whether an r_nl is nonzero.  Both sums run as sum_n ku_n (sum_l r_nl ku_l)
-    minus the same for kl, as in _correction_array.
-    """
-    est, weight, inexact = 0.0, 0.0, False
-    for n in range(1, len(t)):
-        tn = t[n]
-        yu = yl = au = al = 0.0
-        for ell in range(n):
-            tl = t[ell]
-            d = tn - tl
-            bb = d - tn
-            r = (tn - (d - bb)) - (tl + bb)
-            if r:
-                inexact = True
-                yu += r * ku[ell]
-                yl += r * kl[ell]
-                au += abs(r * ku[ell])
-                al += abs(r * kl[ell])
-        est += ku[n] * yu - kl[n] * yl
-        weight += abs(ku[n]) * au + abs(kl[n]) * al
-    return est, weight, inexact
-
-
-def _correction_array(t: np.ndarray, k: np.ndarray) -> tuple[float, float, bool]:
-    """_correction_loop for t of shape (n,) and k = (ku, kl) of shape (n, 2).
-
-    The r_nl form the strictly lower triangle of an n x n matrix, built in
-    blocks of rows that matrix products with k and |k| sum.  Every step takes
-    whole blocks: numpy would buffer a broadcast operand, 128 KiB a call.
+    by TwoSum.  R lies within bound of the estimate; inexact says whether an
+    r_nl is nonzero.  The r_nl form the strictly lower triangle of
+    an n x n matrix, built in blocks of rows that matrix products with k and
+    |k| sum.  Every step takes whole blocks: numpy would buffer a broadcast
+    operand, 128 KiB a call.
     """
     import numpy as np
 
@@ -264,7 +241,15 @@ def _correction_array(t: np.ndarray, k: np.ndarray) -> tuple[float, float, bool]
             np.matmul(r, abs_k[:stop], out=y_abs[start:stop])
         est = float(k[:, 0] @ y[:, 0] - k[:, 1] @ y[:, 1])
         weight = float(abs_k[:, 0] @ y_abs[:, 0] + abs_k[:, 1] @ y_abs[:, 1])
-    return est, weight, inexact
+    # weight sums |ku_n r_nl ku_l| + |kl_n r_nl kl_l|, R's terms' magnitudes.
+    # A term passes at most 2n + 1 roundings of relative error u = 2**-53: the
+    # estimate is within gamma_(2n+1) = (2n + 1)u / (1 - (2n + 1)u) of R's
+    # weight, the computed weight within that factor of the true one.  Each of
+    # n*n underflowing products, later scaled by at most kappa = max |k|, and
+    # of 2n others adds at most 2**-1075.  bound is twice all that or more.
+    kappa = float(abs_k.max())
+    bound = (4 * n + 8) * 2.0**-52 * weight + (n * n * kappa + n) * 2.0**-1070
+    return est, bound, inexact
 
 
 def _settled(s: int, exp: int, est: float, bound: float) -> float | None:
@@ -341,9 +326,11 @@ class PulseTable:
         """S = sum over l < n of (k1_n k1_l - k2_n k2_l) fl(t_n - t_l), correctly rounded.
 
         S is the sum over exact differences minus R = sum c_nl r_nl over their
-        rounding errors, R estimated with an error bound and summed exactly
-        only when the bound leaves S's rounding open.  NonFiniteResultError
-        when a time difference overflows or S lies beyond the float range.
+        rounding errors.  Below _ARRAY_MIN_PULSES R is summed exactly; from
+        there on it is estimated in array passes with an error bound and
+        summed exactly only when the bound leaves S's rounding open.
+        NonFiniteResultError when a time difference overflows or S lies
+        beyond the float range.
         """
         t, n = self._fields[0], len(self._T)
         if n < 2:
@@ -353,40 +340,39 @@ class PulseTable:
             raise NonFiniteResultError(
                 f"pulse times {hi!r} s and {lo!r} s are too far apart: their difference overflows"
             )
-        if self._array:
-            k = self._fields[1:].T.copy()
-            est, weight, inexact = _correction_array(t, k)
-            kappa = float(abs(k).max())
-        else:
-            est, weight, inexact = _correction_loop(*self._fields)
-            kappa = max(map(abs, self._fields[1] + self._fields[2]))
         s, exp = self._s, self._et + 2 * self._ek
-        if inexact:
-            # A term passes at most 2n + 1 roundings of relative error u =
-            # 2**-53: the estimate is within gamma_(2n+1) = (2n + 1)u / (1 -
-            # (2n + 1)u) of R's weight (the sum of its terms' magnitudes), the
-            # computed weight within that factor of the true one.  Each of n*n
-            # underflowing products, later scaled by at most kappa, and of 2n
-            # others adds at most 2**-1075.  bound is twice all that or more.
-            bound = (4 * n + 8) * 2.0**-52 * weight + (n * n * kappa + n) * 2.0**-1070
-            settled = _settled(s, exp, est, bound)
-            if settled is not None:
-                return settled
+        if not self._array:
             s -= self._exact_correction()
+        else:
+            est, bound, inexact = _correction_array(t, self._fields[1:].T.copy())
+            if inexact:
+                settled = _settled(s, exp, est, bound)
+                if settled is not None:
+                    return settled
+                s -= self._exact_correction()
         return _rounded(s, exp, "recoil double sum S", "s/m^2")
 
     def _exact_correction(self) -> int:
-        """R in units of 2**(et + 2 ek); fl(t_n - t_l) lies on the grid 2**et as t_n - t_l does."""
-        t, T, KU, KL = self._fields[0], self._T, self._KU, self._KL
-        t, grid = list(map(float, t)), 1 << -self._et
-        total = 0
+        """R = sum over l < n of c_nl r_nl, in units of 2**(et + 2 ek).
+
+        Each r_nl is TwoSum's exact error of fl(t_n - t_l), which lies on the
+        grid 2**et as t_n - t_l does; only a nonzero r_nl is put on that grid.
+        TwoSum's steps do not overflow where the difference does not (Boldo,
+        Graillat & Muller, ACM Trans. Math. Softw. 44, 2017).
+        """
+        t, KU, KL = list(map(float, self._fields[0])), self._KU, self._KL
+        grid, total = 1 << -self._et, 0
         for n in range(1, len(t)):
+            tn = t[n]
             yu = yl = 0
-            for ell in range(n):
-                num, den = (t[n] - t[ell]).as_integer_ratio()
-                r = T[n] - T[ell] - num * (grid // den)
+            for tl, ku, kl in zip(t[:n], KU, KL):
+                d = tn - tl
+                bb = d - tn
+                r = (tn - (d - bb)) - (tl + bb)
                 if r:
-                    yu += r * KU[ell]
-                    yl += r * KL[ell]
+                    num, den = r.as_integer_ratio()
+                    r = num * (grid // den)
+                    yu += r * ku
+                    yl += r * kl
             total += KU[n] * yu - KL[n] * yl
         return total

@@ -17,8 +17,10 @@ exactly from the pulse fields and rounds it once: the correctly rounded real
 sum over the rounded time differences.  That keeps delta_tau bit for bit
 under changes that only add mutually cancelling pulse pairs (a pause in a
 symmetric geometry, say).  The gravito-recoil and laser sums are fsums of
-exact terms.  An S, gravito-recoil or laser sum that overflows, or a time
-difference that does, raises NonFiniteResultError.
+exact terms, or exact integer sums where fsum cannot round them correctly
+(partial sums that overflow, products near the subnormal range).  An S,
+gravito-recoil or laser sum beyond the float range, a non-finite z_g or a
+time difference that overflows raises NonFiniteResultError.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 
 from . import constants
-from ._exactsum import PulseTable, checked_sum, two_product
+from ._exactsum import PulseTable, exact_dot, two_product
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -120,24 +122,30 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
 def _gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
     """gravito_recoil_phase of a sequence that has passed require_valid.
 
-    The fsum of Dekker's products is correctly rounded unless a split or a
-    product overflowed (from |dk| or |z_g| of about 1e300 on) and left a term
-    nan or infinite; then the products are summed as Fractions instead.
+    The fsum of Dekker's products is correctly rounded unless a nonzero
+    product falls below 2**-968, where its error term leaves the normal
+    range, or a split or a product overflows (|dk| or |z_g| from about
+    1e300), which leaves fsum raising or not finite; then dk * z_g are
+    summed exactly in integers.
     """
     terms: list[float] = []
     for p in seq.pulses:
-        zg, _ = gravity_trajectory(env, ics, p.t)
-        terms.extend(two_product(p.delta_k, zg))
-    total = checked_sum(math.fsum, terms)
-    if math.isfinite(total):
-        return total
-    from fractions import Fraction  # here: importing it costs each CLI process ~2.5 ms
-
-    factors = [(p.delta_k, gravity_trajectory(env, ics, p.t)[0]) for p in seq.pulses]
-    try:
-        return float(sum(Fraction(dk) * Fraction(zg) for dk, zg in factors))
-    except (OverflowError, ValueError) as exc:  # an infinite factor, or a sum beyond the floats
-        raise NonFiniteResultError(f"gravito-recoil sum of dk * z_g: {exc}") from None
+        dk, zg = p.delta_k, gravity_trajectory(env, ics, p.t)[0]
+        product, error = two_product(dk, zg)
+        if abs(product) < 2.0**-968 and dk and zg:
+            break
+        terms += product, error
+    else:
+        try:
+            total = math.fsum(terms)
+        except (ValueError, OverflowError):  # inf - inf, or partial sums beyond the floats
+            pass
+        else:
+            if math.isfinite(total):
+                return total
+    dks = [p.delta_k for p in seq.pulses]
+    zgs = [gravity_trajectory(env, ics, p.t)[0] for p in seq.pulses]
+    return exact_dot(dks, zgs, "gravito-recoil sum of dk * z_g", "rad")
 
 
 def laser_phase(seq: PulseSequence) -> float:
@@ -148,7 +156,11 @@ def laser_phase(seq: PulseSequence) -> float:
 
 def _laser_sum(seq: PulseSequence) -> float:
     """laser_phase of a sequence its caller has already validated."""
-    return checked_sum(math.fsum, (x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower)))
+    terms = [x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower)]
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # a partial sum overflowed; the sum may still be a float
+        return exact_dot(terms, [1.0] * len(terms), "laser phase sum", "rad")
 
 
 def total_phase(

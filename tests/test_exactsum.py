@@ -19,17 +19,18 @@ tiny = st.floats(-(2.0**-1020), 2.0**-1020)  # subnormals and the smallest norma
 big_ints = st.integers(-(2**64), 2**64)  # read through float(), which rounds beyond 2**53
 times = st.floats(-1e300, 1e300) | tiny | st.floats(-10.0, 10.0) | big_ints
 wave_numbers = st.floats(-1e300, 1e300) | tiny | st.floats(-1e12, 1e12) | st.just(0.0) | big_ints
-PATHS = ("loop", "array", "exact")
+PATHS = ("loop", "array", "array, exact")
 
 
 def table_outcome(seq: PulseSequence, path: str):
     """(S, moments) of seq by one path, as float_bits or "overflow".
 
-    "loop" and "array" estimate the correction by the scalar loop or the
-    array pass; "exact" skips the estimate and sums the correction exactly.
+    "loop" sums the correction exactly in the scalar loop; "array" estimates
+    it in array passes, and "array, exact" skips that estimate's check
+    (_settled) and so always falls back to the exact loop.
     """
-    min_pulses = 0 if path == "array" else 10**9
-    settled = (lambda *args: None) if path == "exact" else _exactsum._settled
+    min_pulses = 10**9 if path == "loop" else 0
+    settled = (lambda *args: None) if path == "array, exact" else _exactsum._settled
     outcomes = []
     with mock.patch.object(_exactsum, "_ARRAY_MIN_PULSES", min_pulses):
         with mock.patch.object(_exactsum, "_settled", settled):
@@ -61,8 +62,13 @@ def test_sums_are_the_rational_sums_rounded_once(fields, path):
 
 
 # S = 3 * fl((1 + 2**-52) - 2**-80) = 3 + 3 * 2**-52 sits on a rounding tie,
-# and the one inexact difference puts the estimate's bound across it.
-TIE = PulseSequence((Pulse(2.0**-80, 3.0, 0.0), Pulse(1.0 + 2.0**-52, 1.0, 0.0)))
+# and the one inexact difference puts the array estimate's bound across it;
+# the loop path sums every correction exactly.  On the lower branch the sign
+# flips, and the correction's terms come from k_lower alone.
+TIES = (
+    (PulseSequence((Pulse(2.0**-80, 3.0, 0.0), Pulse(1.0 + 2.0**-52, 1.0, 0.0))), 1.0),
+    (PulseSequence((Pulse(2.0**-80, 0.0, 3.0), Pulse(1.0 + 2.0**-52, 0.0, 1.0))), -1.0),
+)
 
 
 @pytest.mark.parametrize("min_pulses", [0, 10**9], ids=["array", "loop"])
@@ -71,9 +77,21 @@ def test_a_sum_on_a_rounding_tie_reaches_the_exact_correction(min_pulses, monkey
     calls = []
     exact = PulseTable._exact_correction
     monkeypatch.setattr(PulseTable, "_exact_correction", lambda t: calls.append(1) or exact(t))
-    s = PulseTable(TIE.pulses).recoil_sum()
-    assert calls == [1]
-    assert s == float(recoil_sum_by_fractions(TIE)) == 3.0 + 4 * 2.0**-52
+    for tie, sign in TIES:
+        s = PulseTable(tie.pulses).recoil_sum()
+        assert s == float(recoil_sum_by_fractions(tie)) == sign * (3.0 + 4 * 2.0**-52)
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("n", range(2, _exactsum._ARRAY_MIN_PULSES))
+def test_short_sums_are_summed_exactly_without_an_estimate(n, monkeypatch):
+    for name in ("_settled", "_correction_array"):
+        monkeypatch.setattr(_exactsum, name, mock.Mock(side_effect=AssertionError(name)))
+    rng = np.random.default_rng(n)
+    times = np.sort(10.0 ** rng.uniform(-3.0, 1.0, n)).tolist()  # most differences round
+    ks = rng.uniform(-1e7, 1e7, (n, 2)).tolist()
+    seq = PulseSequence(tuple(Pulse(t, *k) for t, k in zip(times, ks)))
+    assert float_bits(PulseTable(seq.pulses).recoil_sum()) == rounded(recoil_sum_by_fractions(seq))
 
 
 @pytest.mark.parametrize("min_pulses", [0, 10**9], ids=["array", "loop"])
