@@ -18,9 +18,10 @@ product overflows or a*b of nonzero a and b falls below 2**-968 in magnitude.
 array_fsum returns math.fsum's value for large arrays in a few numpy passes
 of error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
 2008, parts I and II).  The array passes work in a float64 scratch that each
-thread keeps, one buffer per use: freshly allocated temporaries would be
-faulted in again on every call, and threads sharing a buffer would race, as
-numpy releases the GIL inside its loops.
+thread keeps, one buffer per use (the oracle keeps its grid-sized arrays in
+one more): freshly allocated temporaries would be faulted in again on every
+call, and threads sharing a buffer would race, as numpy releases the GIL
+inside its loops.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ which is a pair of running sums, formed here with numpy cumulative sums.
 They apply the same floating-point operations in the same order as the plain
 step-by-step loop, so the outputs match it bit for bit.  The velocity sum
 does not read the positions, so a caller that needs only v skips the second.
+
+A caller that marches one grid several times passes h / 6 and the output and
+work arrays in: the oracle hands in views of its per-thread arena, so a march
+allocates nothing.  Without them the march allocates its arrays itself.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ def march_rk4(
     a_right: np.ndarray,
     z0: float | None,
     v0: float,
+    *,
+    h6: np.ndarray | None = None,
+    z: np.ndarray | None = None,
+    v: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Reduced RK4 as cumulative sums; returns (z, v) on the n+1 grid points.
 
@@ -32,26 +41,34 @@ def march_rk4(
     place into the tail of its output and then summed up in place; the
     operands commute, so the bits are those of the plain expressions above.
     With z0 None no position is formed and z is None.
+
+    The keywords take a caller's arrays instead of fresh ones: h6 holds
+    h / 6, z and v (n+1 elements) receive the outputs, and work (n
+    elements) holds h^2/6 and then h v during the position sum.
     """
-    v = np.empty(h.size + 1)
+    if h6 is None:
+        h6 = h / 6.0
+    if v is None:
+        v = np.empty(h.size + 1)
     v[0] = v0
     dv = v[1:]
     np.multiply(a_mid, 4.0, out=dv)
     np.add(a_left, dv, out=dv)
     dv += a_right
-    np.multiply(h / 6.0, dv, out=dv)
+    np.multiply(h6, dv, out=dv)
     np.cumsum(v, out=v)
     if z0 is None:
         return None, v
 
-    z = np.empty(h.size + 1)
+    if z is None:
+        z = np.empty(h.size + 1)
     z[0] = z0
     dz = z[1:]
     np.multiply(a_mid, 2.0, out=dz)
     np.add(a_left, dz, out=dz)
-    scratch = h * h
-    scratch /= 6.0
-    np.multiply(scratch, dz, out=dz)
-    np.multiply(h, v[:-1], out=scratch)
-    np.add(scratch, dz, out=dz)
+    work = np.multiply(h, h, out=work)
+    work /= 6.0
+    np.multiply(work, dz, out=dz)
+    np.multiply(h, v[:-1], out=work)
+    np.add(work, dz, out=dz)
     return np.cumsum(z, out=z), v

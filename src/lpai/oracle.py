@@ -25,10 +25,16 @@ Accuracy notes, which the tests lean on:
   space the common sigma/2 centroid shift drops out of every closed-form
   quantity, so no recentering is needed.
 
-Each array is built once per call, and only what a result reads is marched:
-the proper time reads the two branches' velocities, so their marches form no
-positions.  Top-hat windows leave the three RK4 stage accelerations equal, so
-one array serves all three.  Cosine windows evaluate their profile once per
+Every grid-sized array of a call (the grid, h / 6, the cosine profiles, the
+stage accelerations, the four marches, the integrand and the Simpson terms)
+is a view of one arena per thread, _exactsum.scratch("oracle"), one slot per
+role, so a repeated call allocates nothing grid-sized.  The arena holds at
+most _SCRATCH_MAX elements (8 MiB); a grid whose slots would not fit gets
+fresh arrays instead.  A view is valid until the next oracle call in the same
+thread, and nothing returned to a caller is one.  Only what a result reads is
+marched: the proper time reads the two branches' velocities, so their marches
+form no positions.  Top-hat windows leave the three RK4 stage accelerations
+equal, so one array serves all three.  Cosine windows evaluate their profile once per
 node and once per step midpoint; the left and right stages are views of the
 node profile, and the window quadrature weights are that same array.  A grid
 over MAX_ORACLE_NODES is refused before anything is allocated, and a kick
@@ -45,8 +51,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import constants, _kernels
-from ._exactsum import array_fsum
+from . import constants, _exactsum, _kernels
+from ._exactsum import array_fsum, exact_dot
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -65,8 +71,9 @@ _SHAPES = ("tophat", "cosine")
 _IMPULSE_HARD_LIMIT = 1e-6
 _RESIDUAL_FLOOR = 1e-12
 # Grid nodes one call may allocate.  Peak resident set of a whole process at
-# this budget (cosine windows, the largest case): 823 MB for oracle_report,
-# proper_time_numeric and `lpai oracle`.
+# this budget (cosine windows, the largest case; mzi, x86-64, numpy 2.4):
+# 724 MB for oracle_report, proper_time_numeric and `lpai oracle`; 529 MB
+# with top-hat windows.
 MAX_ORACLE_NODES = 8_000_000
 
 
@@ -158,14 +165,43 @@ def _check_config(seq: PulseSequence, cfg: OracleConfig) -> None:
             )
 
 
+# The grid-sized roles of the oracle's per-thread arena, in slot order (see _Arena).
+_ROLES = (
+    "ts", "h", "h6", "nodes", "mids", "left", "mid", "right",
+    "v1", "v2", "dz", "dv", "z_g", "v_g", "f", "work", "simpson",
+)
+
+
+class _Arena:
+    """Grid-sized work arrays of one oracle call: one slot of `nodes` elements per role.
+
+    The slots are views of this thread's scratch("oracle") when all of them
+    fit in _SCRATCH_MAX elements; otherwise every request gets a fresh array.
+    """
+
+    def __init__(self, nodes: int) -> None:
+        self.nodes = nodes
+        size = len(_ROLES) * nodes
+        self.buffer = _exactsum.scratch("oracle", size) if size <= _exactsum._SCRATCH_MAX else None
+
+    def __call__(self, role: str, size: int, start: int = 0) -> np.ndarray:
+        """size uninitialised elements of role's slot from index start, start + size <= nodes."""
+        if self.buffer is None:
+            return np.empty(size)
+        start += _ROLES.index(role) * self.nodes
+        return self.buffer[start : start + size]
+
+
 @dataclass(frozen=True)
 class _Grid:
     ts: np.ndarray
     h: np.ndarray
+    h6: np.ndarray  # h / 6, formed once for the grid's marches
     windows: tuple[tuple[int, int], ...]  # node index span of each pulse window
     widths: tuple[float, ...]  # realized width ts[i1] - ts[i0] of each window
     # cosine: per window, the profile on its nodes ts[i0:i1+1] and on its step midpoints
     profiles: tuple[tuple[np.ndarray, np.ndarray], ...] | None
+    arena: _Arena
 
 
 def _breakpoints(seq: PulseSequence, sigma: float) -> tuple[list[float], list[float]]:
@@ -188,18 +224,33 @@ def _require_budget(breakpoints: Sequence[float], steps_per_segment: int) -> int
     return n
 
 
-def _cosine(t: np.ndarray, start: float, width: float) -> np.ndarray:
-    """Raised-cosine window profile 1 - cos(2 pi x / width), x = t - start clipped to the window."""
-    return 1.0 - np.cos(2.0 * np.pi * np.clip(t - start, 0.0, width) / width)
+def _cosine(t: np.ndarray, start: float, width: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Raised-cosine window profile 1 - cos(2 pi x / width), x = t - start clipped to the window.
+
+    out may be t itself.
+    """
+    x = np.subtract(t, start, out=out)
+    np.clip(x, 0.0, width, out=x)
+    np.multiply(2.0 * np.pi, x, out=x)
+    x /= width
+    np.cos(x, out=x)
+    return np.subtract(1.0, x, out=x)
 
 
 def _build_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
+    """The grid, in this thread's oracle arena.
+
+    Windows never share a node, so each window's cosine profiles sit at its
+    own indices of the node-sized and the step-sized profile slots.
+    """
     window_ends, breakpoints = _breakpoints(seq, cfg.pulse_width)
     n = _require_budget(breakpoints, cfg.steps_per_segment)
-    pieces = [np.linspace(a, b, n + 1)[:-1] for a, b in zip(breakpoints[:-1], breakpoints[1:])]
-    pieces.append(np.array([breakpoints[-1]]))
-    ts = np.concatenate(pieces)
-    h = np.diff(ts)
+    arena = _Arena((len(breakpoints) - 1) * n + 1)
+    ts = arena("ts", arena.nodes)
+    for i, (a, b) in enumerate(zip(breakpoints[:-1], breakpoints[1:])):
+        ts[i * n : (i + 1) * n] = np.linspace(a, b, n + 1)[:-1]
+    ts[-1] = breakpoints[-1]
+    h = np.subtract(ts[1:], ts[:-1], out=arena("h", ts.size - 1))
 
     position = {bp: i for i, bp in enumerate(breakpoints)}
     windows = tuple(
@@ -209,10 +260,16 @@ def _build_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     profiles = None
     if cfg.pulse_shape == "cosine":
         profiles = tuple(
-            (_cosine(ts[i0 : i1 + 1], t, width), _cosine(ts[i0:i1] + 0.5 * h[i0:i1], t, width))
-            for t, (i0, i1), width in zip(seq.times, windows, widths)
+            (arena("nodes", i1 - i0 + 1, i0), arena("mids", i1 - i0, i0)) for i0, i1 in windows
         )
-    return _Grid(ts=ts, h=h, windows=windows, widths=widths, profiles=profiles)
+        for t, (i0, i1), width, (node, mid) in zip(seq.times, windows, widths, profiles):
+            _cosine(ts[i0 : i1 + 1], t, width, out=node)
+            np.multiply(h[i0:i1], 0.5, out=mid)
+            _cosine(np.add(ts[i0:i1], mid, out=mid), t, width, out=mid)
+    h6 = np.divide(h, 6.0, out=arena("h6", h.size))
+    return _Grid(
+        ts=ts, h=h, h6=h6, windows=windows, widths=widths, profiles=profiles, arena=arena
+    )
 
 
 def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
@@ -229,15 +286,19 @@ def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
     Top-hat windows, and a forcing without kicks, leave the three stages
     equal, so one array is returned three times.  A cosine window's left and
     right stages read its node profile without the last and the first node.
+    The stages are the arena's; the next forcing overwrites them.
     """
-    base = np.full(grid.h.size, -float(g))
     kicks = [(i, _kick_amplitude(k, mass, grid.widths[i])) for i, k in enumerate(ks) if k != 0.0]
+    base = grid.arena("left", grid.h.size)
+    base.fill(-float(g))
     if grid.profiles is None or not kicks:
         for i, amp in kicks:
             i0, i1 = grid.windows[i]
             base[i0:i1] += amp
         return base, base, base
-    stages = (base, base.copy(), base.copy())
+    stages = (base, grid.arena("mid", base.size), grid.arena("right", base.size))
+    np.copyto(stages[1], base)
+    np.copyto(stages[2], base)
     for i, amp in kicks:
         i0, i1 = grid.windows[i]
         nodes, mid = grid.profiles[i]
@@ -258,16 +319,23 @@ def _kick_amplitude(k: float, mass: float, width: float) -> float:
     return amp
 
 
-def _simpson(f: np.ndarray, ts: np.ndarray) -> float:
+def _simpson(f: np.ndarray, ts: np.ndarray, work: np.ndarray) -> float:
     """Composite Simpson over consecutive node pairs, correctly rounded.
 
-    The per-pair terms are reduced by array_fsum, which returns math.fsum's
-    value bit for bit.
+    The per-pair widths and terms are formed in work (f.size - 1 elements)
+    and the terms reduced by array_fsum, which returns math.fsum's value bit
+    for bit.
     """
     if f.size < 3:
         return 0.0
-    widths = ts[2::2] - ts[:-2:2]
-    terms = (widths / 6.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
+    pairs = (f.size - 1) // 2
+    widths, terms = work[:pairs], work[pairs : 2 * pairs]
+    np.subtract(ts[2::2], ts[:-2:2], out=widths)
+    widths /= 6.0
+    np.multiply(f[1:-1:2], 4.0, out=terms)
+    np.add(f[:-2:2], terms, out=terms)
+    terms += f[2::2]
+    terms *= widths
     return array_fsum(terms)
 
 
@@ -286,9 +354,24 @@ def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float,
         )
 
 
-def _march_branch(grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float):
-    """One impulse-checked branch: (z, v) on the grid nodes, z None when z0 is."""
-    z, v = _kernels.march_rk4(grid.h, *_stage_accels(grid, ks, mass, g), z0, v0)
+def _march(grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float, z: str, v: str):
+    """march_rk4 of one forcing into the arena roles z and v."""
+    arena, nodes = grid.arena, grid.ts.size
+    return _kernels.march_rk4(
+        grid.h, *_stage_accels(grid, ks, mass, g), z0, v0, h6=grid.h6,
+        z=None if z0 is None else arena(z, nodes), v=arena(v, nodes),
+        work=None if z0 is None else arena("work", nodes - 1),
+    )
+
+
+def _march_branch(
+    grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float, role: str = "v_g"
+):
+    """One impulse-checked branch: (z, v) on the grid nodes, z None when z0 is.
+
+    z lands in the arena's z_g role and v in the role named by role.
+    """
+    z, v = _march(grid, ks, mass, g, z0, v0, "z_g", role)
     _impulse_check(grid, v, ks, mass, g)
     return z, v
 
@@ -310,14 +393,23 @@ def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, flo
     k1 = _branch_ks(seq, 1)
     k2 = _branch_ks(seq, 2)
     dk = [a - b for a, b in zip(k1, k2)]
+    arena, nodes = grid.arena, grid.ts.size
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        _, v1 = _march_branch(grid, k1, m, env.g, None, ics.v0)
-        _, v2 = _march_branch(grid, k2, m, env.g, None, ics.v0)
-        dz, dv = _kernels.march_rk4(grid.h, *_stage_accels(grid, dk, m, 0.0), 0.0, 0.0)
-        f = (-0.5 * dv * (v1 + v2) + env.g * dz) / constants.C**2
+        # v1 + v2 in v1's array, before the third march: a grid too large
+        # for the arena then holds one fresh array less at its peak
+        _, v_sum = _march_branch(grid, k1, m, env.g, None, ics.v0, role="v1")
+        v_sum += _march_branch(grid, k2, m, env.g, None, ics.v0, role="v2")[1]
+        dz, dv = _march(grid, dk, m, 0.0, 0.0, 0.0, "dz", "dv")
+        # f = (-0.5 * dv * (v1 + v2) + g * dz) / c**2, one operation at a time
+        f = np.multiply(dv, -0.5, out=arena("f", nodes))
+        f *= v_sum
+        f += np.multiply(dz, env.g, out=arena("work", nodes))
+        f /= constants.C**2
+    dz_end, dv_end = float(dz[-1]), float(dv[-1])
+    del v_sum, dz, dv  # fresh arrays, on a grid too large for the arena, go before the sum
     if not np.isfinite(f).all():
         raise NonFiniteResultError("the proper-time integrand is not finite on the oracle grid")
-    return _simpson(f, grid.ts), float(dz[-1]), float(dv[-1])
+    return _simpson(f, grid.ts, arena("simpson", nodes - 1)), dz_end, dv_end
 
 
 def proper_time_numeric(
@@ -331,18 +423,58 @@ def proper_time_numeric(
     return _proper_time(_quadrature_grid(seq, cfg), seq, species, env, ics)[0]
 
 
-def _window_terms(grid: _Grid, ks: Sequence[float], z: np.ndarray) -> list[float]:
-    """k * (window average of z) for every window with k != 0.
+def _window_terms(
+    grid: _Grid, ks: Sequence[float], z: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """The factors k and the window averages of z, for every window with k != 0.
 
     Top-hat weights are 1/width; cosine weights are the window's node profile
-    over its width.
+    over its width.  A window average beyond the float range raises
+    NonFiniteResultError.
     """
-    terms: list[float] = []
+    factors: list[float] = []
+    averages: list[float] = []
     for i, ((i0, i1), width) in enumerate(zip(grid.windows, grid.widths)):
-        if ks[i] != 0.0:
-            w = 1.0 / width if grid.profiles is None else grid.profiles[i][0] / width
-            terms.append(ks[i] * _simpson(w * z[i0 : i1 + 1], grid.ts[i0 : i1 + 1]))
-    return terms
+        if ks[i] == 0.0:
+            continue
+        weighted = grid.arena("f", i1 - i0 + 1, i0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            if grid.profiles is None:
+                np.multiply(1.0 / width, z[i0 : i1 + 1], out=weighted)
+            else:
+                np.divide(grid.profiles[i][0], width, out=weighted)
+                weighted *= z[i0 : i1 + 1]
+            try:
+                average = _simpson(weighted, grid.ts[i0 : i1 + 1], grid.arena("simpson", i1 - i0))
+            except (ValueError, OverflowError):  # fsum of opposite infinities, or beyond the floats
+                average = math.nan
+        if not math.isfinite(average):
+            raise NonFiniteResultError(
+                f"the window average of the launch trajectory is not finite "
+                f"for the pulse at t = {float(grid.ts[i0])!r}"
+            )
+        factors.append(ks[i])
+        averages.append(average)
+    return factors, averages
+
+
+def _gravito_sum(grid: _Grid, seq: PulseSequence, z_g: np.ndarray) -> float:
+    """sum of delta_k * (window average of z_g), as phase._gravito_recoil_sum sums it.
+
+    math.fsum of the rounded products; when fsum raises or its sum is not
+    finite, the products are summed exactly, and a sum beyond the float range
+    raises NonFiniteResultError.
+    """
+    factors, averages = _window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
+    try:
+        total = math.fsum([k * a for k, a in zip(factors, averages)])
+    except (ValueError, OverflowError):  # inf - inf, or partial sums beyond the floats
+        pass
+    else:
+        if math.isfinite(total):
+            return total
+    what = "oracle gravito-recoil sum of k * window average of z_g"
+    return exact_dot(factors, averages, what, "rad")
 
 
 def _delta_tau_scale(seq: PulseSequence, species: Species) -> float:
@@ -365,9 +497,14 @@ def oracle_report(
     dtau_closed = proper_time_closed(seq, species)  # an open sequence is refused unmarched
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
     z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
-    gravito_num = math.fsum(_window_terms(grid, [p.delta_k for p in seq.pulses], z_g))
+    gravito_num = _gravito_sum(grid, seq, z_g)
 
     total_num = compton_frequency(species) * dtau_num + gravito_num + _laser_sum(seq)
+    if not math.isfinite(total_num):
+        raise NonFiniteResultError(
+            f"the oracle's total phase is not finite: omega_C * delta_tau = "
+            f"{compton_frequency(species) * dtau_num!r}, gravito-recoil = {gravito_num!r} rad"
+        )
 
     diff = abs(dtau_num - dtau_closed)
     denom = max(abs(dtau_closed), _delta_tau_scale(seq, species))

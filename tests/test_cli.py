@@ -595,6 +595,27 @@ class TestOracle:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
+    def test_a_launch_height_near_the_float_range_prints_strict_json(self, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = run(
+            capsys, "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", "--mass", SR_MASS,
+            "--g", "0", "--z0", "1.5e301", "--sigma", "1e-6", "--format", "json",
+        )
+        assert code == 0
+        report = json.loads(out, parse_constant=refuse)["oracle"]
+        assert report["gravito_recoil_numeric"] == 0.0
+
+    @pytest.mark.parametrize("z0", ["3e301", "1e308"])
+    def test_a_window_average_beyond_the_float_range_exits_with_three(self, capsys, z0):
+        code, out, err = run(
+            capsys, "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", "--mass", SR_MASS,
+            "--g", "0", "--z0", z0, "--sigma", "1e-6",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: the window average") and err.count("\n") == 1
+
     def test_tight_tolerance_exits_with_three(self, capsys):
         code, _, _ = run(capsys, *self.BASE, "--sigma", "3.25e-7", "--tol", "1e-12")
         assert code == 3

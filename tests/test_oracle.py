@@ -1,6 +1,9 @@
 """Finite-pulse-width integrator: accuracy invariants and kernel equivalence."""
 
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -27,7 +30,7 @@ from lpai import (
     proper_time_difference,
     proper_time_numeric,
 )
-from lpai import Pulse, _kernels, oracle
+from lpai import Pulse, _exactsum, _kernels, oracle
 
 from _helpers import (
     march_rk4_loop,
@@ -236,6 +239,29 @@ class TestGravitoRecoilNumeric:
         scale = sum(abs(p.delta_k * gravity_trajectory(env, ics, p.t)[0]) for p in seq.pulses)
         assert abs(numeric - gravito_recoil_phase(seq, env, ics)) <= 1e-12 * scale
 
+    def test_a_launch_height_near_the_float_range_is_summed_exactly(self):
+        # k * (window average of z_g) overflows although the sum is zero
+        seq, ics = build_mzi(1e7, 0.1), InitialConditions(1.5e301)
+        report = oracle_report(seq, SR, FLAT, ics, OracleConfig(1e-6))
+        assert report.gravito_recoil_numeric == gravito_recoil_phase(seq, FLAT, ics) == 0.0
+        assert math.isfinite(report.total_phase_numeric)
+
+    @pytest.mark.parametrize("z0", [3e301, 1e308])
+    def test_a_window_average_beyond_the_float_range_is_a_numeric_failure(self, z0):
+        # a numpy warning would be raised here: pytest turns warnings into errors
+        with pytest.raises(NonFiniteResultError, match="window average"):
+            oracle_report(build_mzi(1e7, 0.1), SR, FLAT, InitialConditions(z0), OracleConfig(1e-6))
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [(1e11, "gravito-recoil sum .* overflows"), (1e10, "total phase is not finite")],
+        ids=["gravito-sum", "total"],
+    )
+    def test_a_sum_beyond_the_float_range_is_a_numeric_failure(self, g, message):
+        seq, heavy = build_mzi(1e300, 0.1), Species(1e200)
+        with pytest.raises(NonFiniteResultError, match=message):
+            oracle_report(seq, heavy, GravityEnv(g), REST, OracleConfig(1e-6))
+
 
 class TestConvergence:
     def test_residual_decreases_with_width_and_fits_a_power_law(self):
@@ -306,8 +332,8 @@ class TestMarchedWork:
         calls = []
         march = _kernels.march_rk4
 
-        def recorded(h, a_left, a_mid, a_right, z0, v0):
-            z, v = march(h, a_left, a_mid, a_right, z0, v0)
+        def recorded(h, a_left, a_mid, a_right, z0, v0, **buffers):
+            z, v = march(h, a_left, a_mid, a_right, z0, v0, **buffers)
             calls.append((z0, z))
             return z, v
 
@@ -351,6 +377,71 @@ class TestMarchedWork:
     def test_a_subnormal_mass_is_a_non_finite_kick(self):
         with pytest.raises(NonFiniteResultError, match="kick amplitude"):
             march_branch(build_mzi(1e7, 0.1), 1, Species(5e-324), FLAT, REST, OracleConfig(0.01))
+
+
+def _arena_case(shape, steps=2000, seed=5):
+    seq = random_closed_sequence(
+        np.random.default_rng(seed), 6, k_scale=1e7, with_common_mode=True, with_phases=True
+    )
+    spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+    return seq, GravityEnv(9.81), InitialConditions(0.4, -1.3), OracleConfig(spacing / 50.0, steps, shape)
+
+
+@pytest.mark.parametrize("shape", ["tophat", "cosine"])
+class TestOracleArena:
+    """Grid-sized arrays live in one per-thread arena, or fresh above _SCRATCH_MAX."""
+
+    def test_a_second_report_allocates_nothing_grid_sized(self, shape):
+        seq, env, ics, cfg = _arena_case(shape)
+        nodes = oracle._build_grid(seq, cfg).ts.size
+        assert len(oracle._ROLES) * nodes <= _exactsum._SCRATCH_MAX
+        oracle_report(seq, SR, env, ics, cfg)  # grows this thread's arena
+        tracemalloc.start()
+        try:
+            oracle_report(seq, SR, env, ics, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nodes * 8
+
+    def test_a_grid_above_the_arena_bound_gets_fresh_arrays(self, shape, monkeypatch):
+        seq, env, ics, cfg = _arena_case(shape, steps=100)
+        oracle_report(seq, SR, env, ics, cfg)
+        kept = _exactsum._scratch.buffers["oracle"]
+        monkeypatch.setattr(_exactsum, "_SCRATCH_MAX", 1000)
+        grid = oracle._build_grid(seq, cfg)
+        assert grid.arena.buffer is None
+        assert not np.shares_memory(grid.ts, kept)
+        report = asdict(oracle_report(seq, SR, env, ics, cfg))
+        ref = ref_oracle_report(seq, SR, env, ics, cfg)
+        assert {k: _hex(v) for k, v in report.items()} == {k: _hex(v) for k, v in ref.items()}
+        assert _exactsum._scratch.buffers["oracle"] is kept
+
+    def test_threads_reporting_at_once_get_their_single_thread_bits(self, shape):
+        cases = [_arena_case(shape, steps=400, seed=seed) for seed in range(20, 24)]
+        want = [_hex(list(asdict(oracle_report(seq, SR, *rest)).values())) for seq, *rest in cases]
+        threads = 3 * len(cases)  # more threads than cores, three per input
+        start = threading.Barrier(threads)
+        got: list[list] = [[] for _ in range(threads)]
+
+        def work(i: int) -> None:
+            seq, *rest = cases[i % len(cases)]
+            start.wait(timeout=30)
+            for _ in range(4):
+                got[i].append(_hex(list(asdict(oracle_report(seq, SR, *rest)).values())))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == [[want[i % len(cases)]] * 4 for i in range(threads)]
 
 
 def _hex(value):
@@ -412,7 +503,8 @@ class TestFrozenPipeline:
         grid = oracle._quadrature_grid(seq, cfg)
         z_g, _ = oracle._march_branch(grid, (), SR.mass, env.g, ics.z0, ics.v0)
         assert z_g.tobytes() == run["zg"].tobytes()
-        terms = oracle._window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
+        factors, averages = oracle._window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
+        terms = [k * average for k, average in zip(factors, averages)]
         assert _hex(terms) == _hex(ref_gravito_terms(seq, run, cfg.pulse_shape))
 
     def test_branch_arrays(self, seq, env, ics, cfg):
