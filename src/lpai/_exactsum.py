@@ -1,7 +1,8 @@
 """Exact sums over a pulse table, and correctly rounded float sums.
 
-PulseTable puts a sequence's times and wave numbers on common power-of-two
-integer scales, once per call, and forms in one integer pass the closure
+PulseTable reads a sequence's times and wave numbers once per call; the
+closure scales and the gravito-recoil sum read them there too.  It puts them
+on common power-of-two integer scales and forms in one integer pass the closure
 moments and the recoil double sum S over exact time differences; each is
 rounded once (CPython's int / int true division rounds correctly, subnormals
 included).  S is defined over the rounded differences fl(t_n - t_l), whose
@@ -14,6 +15,7 @@ too, for the gravito-recoil and laser sums when math.fsum cannot give them.
 
 two_product is Dekker's error-free product, exact unless a split or the
 product overflows or a*b of nonzero a and b falls below 2**-968 in magnitude.
+On float64 arrays it runs the same float operations elementwise.
 
 array_fsum returns math.fsum's value for large arrays in a few numpy passes
 of error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
@@ -27,6 +29,7 @@ inside its loops.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from typing import TYPE_CHECKING
 
@@ -273,34 +276,71 @@ def _settled(s: int, exp: int, est: float, bound: float) -> float | None:
 
 
 class PulseTable:
-    """A pulse sequence's times and wave numbers as exact integers, and their sums.
+    """A pulse sequence's times and wave numbers, read once per call, and their sums.
 
-    t_i = T_i * 2**et and k_i = K_i * 2**ek on both branches (et, ek <= 0),
-    fields read through float().  One integer pass forms the closure moments
-    and, per branch, S over exact differences as sum_n K_n (T_n sum_{l<n} K_l
-    - sum_{l<n} K_l T_l).  A table serves one call, shared by closure_check
-    and recoil_double_sum.
+    The fields are read through float() into three lists, or from
+    _ARRAY_MIN_PULSES on into a (3, n) float64 array of t, k_upper and
+    k_lower, and a non-finite one is refused.  A table serves one call:
+    closure_check reads its moments and scales, recoil_double_sum its S and
+    the gravito-recoil sum its fields.  The moments and S come from one
+    integer pass, which an array table runs on first use: t_i = T_i * 2**et
+    and k_i = K_i * 2**ek on both branches (et, ek <= 0), S over exact
+    differences as sum_n K_n (T_n sum_{l<n} K_l - sum_{l<n} K_l T_l).
     """
 
+    # True where an array table's wave numbers are all floats: the difference
+    # of its k rows is then each Pulse.delta_k, which subtracts other numbers
+    # (ints beyond 2**53, say) exactly before it rounds.
+    float_k = False
+
     def __init__(self, pulses) -> None:
-        n = len(pulses)
-        fields = [[float(p.t) for p in pulses], [float(p.k_upper) for p in pulses]]
-        fields.append([float(p.k_lower) for p in pulses])
-        self._array = n >= _ARRAY_MIN_PULSES
-        if self._array:
+        self.pulses = pulses
+        self.array = len(pulses) >= _ARRAY_MIN_PULSES
+        self._s = None
+        if not self.array:
+            self.fields = [[float(p.t) for p in pulses], [float(p.k_upper) for p in pulses]]
+            self.fields.append([float(p.k_lower) for p in pulses])
+            self._integer_pass()  # its conversion refuses a non-finite field
+            return
+        import numpy as np
+
+        ku, kl = [p.k_upper for p in pulses], [p.k_lower for p in pulses]
+        self.float_k = {*map(type, ku), *map(type, kl)} <= {float}
+        if not self.float_k:
+            ku, kl = list(map(float, ku)), list(map(float, kl))
+        self.fields = np.array([[float(p.t) for p in pulses], ku, kl])
+        if not np.isfinite(self.fields).all():
+            raise NonFiniteResultError(_NOT_FINITE)
+
+    def scales(self) -> tuple[float, float]:
+        """Largest |k| and largest |t| * |k| over the pulses and both branches; 0.0 if none.
+
+        Rounding is monotone and sign-symmetric, so the largest |t| * |k| is
+        also the largest |t * k| and the largest |t| times a pulse's larger |k|.
+        """
+        if self.array:
             import numpy as np
 
-            fields = np.array(fields)
-            if not np.isfinite(fields).all():
-                raise NonFiniteResultError(_NOT_FINITE)
-            self._T, self._et, k_ints, self._ek = _integers_array(fields)
+            a = np.abs(self.fields)
+            with np.errstate(over="ignore"):  # an inf scale leaves every moment within tolerance
+                return float(a[1:].max(initial=0.0)), float((a[0] * a[1:]).max(initial=0.0))
+        t, ku, kl = self.fields
+        k = ku + kl
+        return max(map(abs, k), default=0.0), max(map(abs, map(operator.mul, t + t, k)), default=0.0)
+
+    def _integer_pass(self) -> None:
+        """Put the fields on their integer scales and form the moments and S, once."""
+        if self._s is not None:
+            return
+        n = len(self.pulses)
+        if self.array:
+            self._T, self._et, k_ints, self._ek = _integers_array(self.fields)
         else:
             try:
-                self._T, self._et = _integers(fields[0])
-                k_ints, self._ek = _integers(fields[1] + fields[2])
+                self._T, self._et = _integers(self.fields[0])
+                k_ints, self._ek = _integers(self.fields[1] + self.fields[2])
             except (OverflowError, ValueError):  # as_integer_ratio of an inf or a nan
                 raise NonFiniteResultError(_NOT_FINITE) from None
-        self._fields = fields
         self._KU, self._KL = k_ints[:n], k_ints[n:]
         sums = []
         for branch in (self._KU, self._KL):
@@ -317,6 +357,7 @@ class PulseTable:
 
     def moments(self) -> tuple[float, float, float]:
         """sum(dk), sum(t dk), sum(t^2 dk), correctly rounded, or NonFiniteResultError."""
+        self._integer_pass()
         et, ek = self._et, self._ek
         return tuple(
             _rounded(m, exp, *what)
@@ -333,19 +374,20 @@ class PulseTable:
         NonFiniteResultError when a time difference overflows or S lies
         beyond the float range.
         """
-        t, n = self._fields[0], len(self._T)
-        if n < 2:
+        t = self.fields[0]
+        if len(self.pulses) < 2:
             return 0.0
-        hi, lo = map(float, (t.max(), t.min()) if self._array else (max(t), min(t)))
+        hi, lo = map(float, (t.max(), t.min()) if self.array else (max(t), min(t)))
         if not math.isfinite(hi - lo):
             raise NonFiniteResultError(
                 f"pulse times {hi!r} s and {lo!r} s are too far apart: their difference overflows"
             )
+        self._integer_pass()
         s, exp = self._s, self._et + 2 * self._ek
-        if not self._array:
+        if not self.array:
             s -= self._exact_correction()
         else:
-            est, bound, inexact = _correction_array(t, self._fields[1:].T.copy())
+            est, bound, inexact = _correction_array(t, self.fields[1:].T.copy())
             if inexact:
                 settled = _settled(s, exp, est, bound)
                 if settled is not None:
@@ -361,7 +403,7 @@ class PulseTable:
         TwoSum's steps do not overflow where the difference does not (Boldo,
         Graillat & Muller, ACM Trans. Math. Softw. 44, 2017).
         """
-        t, KU, KL = list(map(float, self._fields[0])), self._KU, self._KL
+        t, KU, KL = list(map(float, self.fields[0])), self._KU, self._KL
         grid, total = 1 << -self._et, 0
         for n in range(1, len(t)):
             tn = t[n]

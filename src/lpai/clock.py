@@ -117,10 +117,10 @@ def beat(
     infinite carrier or half-beat raises NonFiniteResultError.
     """
     mean = Species(clock.mean_mass)
-    s = _closed_sum(seq, mean)
+    s, table = _closed_sum(seq, mean)
     eta = clock.eta
     dtau, _ = recoil_parts(s, mean)
-    gk = _gravito_recoil_sum(seq, env, ics)
+    gk = _gravito_recoil_sum(table, env, ics)
     lp = _laser_sum(seq)
     total_a, total_b = (
         PhaseBreakdown.assemble(*recoil_parts(s, clock.state_species(state)), gk, lp).total_phase

@@ -7,8 +7,9 @@ offset is (hbar/m) * sum(dk_l) and the final position offset is
 (hbar/m) * (t_end * sum(dk_l) - sum(t_l * dk_l)), so closure means the zeroth
 and first time-moments of dk vanish.  A vanishing second moment additionally
 removes sensitivity to a uniform acceleration of the launch trajectory.
-The moments are exact integer sums over the stored fields, rounded once
-(_exactsum.PulseTable, shared with the recoil double sum).
+The moments are exact integer sums over the stored fields, rounded once,
+and their tolerances scale with the largest |k| and |t k|; both come from
+_exactsum.PulseTable, shared with the recoil double sum.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ class ClosureReport:
     closed: bool
 
 
-def _closure_scales(seq: PulseSequence) -> tuple[float, float]:
-    """Largest |k| and largest |t*k| over the pulses, both branches; 0.0 if none."""
-    ks = [max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses]
-    return max(ks, default=0.0), max((abs(p.t) * k for p, k in zip(seq.pulses, ks)), default=0.0)
-
-
 def closure_check(
     seq: PulseSequence, species: Species, table: PulseTable | None = None
 ) -> ClosureReport:
@@ -53,11 +48,14 @@ def closure_check(
     The ``closed`` flag depends only on the moments (species-independent);
     the offsets scale with hbar/mass.  Each moment is the correctly rounded
     exact sum over the stored fields; one beyond the float range raises
-    NonFiniteResultError.  table, when given, is PulseTable(seq.pulses),
-    made by a caller that passes the same table to recoil_double_sum.
+    NonFiniteResultError.  The moments' tolerances are _CLOSURE_RTOL times
+    the table's scales(), the largest |k| and |t k|.  table, when given, is
+    PulseTable(seq.pulses), made by a caller that passes the same table to
+    recoil_double_sum.
     """
-    m0, m1, m2 = (table or PulseTable(seq.pulses)).moments()
-    k_scale, tk_scale = _closure_scales(seq)
+    table = table or PulseTable(seq.pulses)
+    m0, m1, m2 = table.moments()
+    k_scale, tk_scale = table.scales()
     closed = abs(m0) <= _CLOSURE_RTOL * k_scale and abs(m1) <= _CLOSURE_RTOL * tk_scale
     hbar_over_m = constants.HBAR / species.mass
     delta_v = hbar_over_m * m0

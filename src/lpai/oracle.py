@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constants, _exactsum, _kernels
-from ._exactsum import array_fsum, exact_dot
+from ._exactsum import PulseTable, array_fsum, exact_dot
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -62,7 +62,6 @@ from .core import (
     require_valid,
 )
 from .errors import NonFiniteResultError, OracleAccuracyError, OracleConfigError
-from .geometry import _closure_scales
 from .kinematics import _branch_ks
 from .phase import _laser_sum
 from .phase import proper_time_difference as proper_time_closed
@@ -386,8 +385,10 @@ def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, flo
     """Numeric delta_tau, and the end point (dz, dv) of the branch-difference system.
 
     The integrand reads the branch velocities only, so the branch marches
-    form no positions.  An integrand beyond the float range (a tiny mass or a
-    huge k) raises NonFiniteResultError.
+    form no positions.  Nodes where -0.5 * dv * (v1 + v2) overflows are
+    formed again with dv and dz divided by c**2 first; an integrand beyond
+    the float range even so (a subnormal mass or a huge k) raises
+    NonFiniteResultError.
     """
     m = species.mass
     k1 = _branch_ks(seq, 1)
@@ -405,9 +406,17 @@ def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, flo
         f *= v_sum
         f += np.multiply(dz, env.g, out=arena("work", nodes))
         f /= constants.C**2
+        finite = np.isfinite(f)
+        if not finite.all():
+            # -0.5 * dv * (v1 + v2) overflows before the division where the
+            # integrand is still a float (a tiny mass): divide by c**2 first
+            # there, and only there, so finite nodes keep their bits
+            bad, c2 = ~finite, constants.C**2
+            f[bad] = -0.5 * (dv[bad] / c2) * v_sum[bad] + env.g * (dz[bad] / c2)
+            finite = np.isfinite(f)
     dz_end, dv_end = float(dz[-1]), float(dv[-1])
     del v_sum, dz, dv  # fresh arrays, on a grid too large for the arena, go before the sum
-    if not np.isfinite(f).all():
+    if not finite.all():
         raise NonFiniteResultError("the proper-time integrand is not finite on the oracle grid")
     return _simpson(f, grid.ts, arena("simpson", nodes - 1)), dz_end, dv_end
 
@@ -459,9 +468,10 @@ def _window_terms(
 
 
 def _gravito_sum(grid: _Grid, seq: PulseSequence, z_g: np.ndarray) -> float:
-    """sum of delta_k * (window average of z_g), as phase._gravito_recoil_sum sums it.
+    """sum of delta_k * (window average of z_g).
 
-    math.fsum of the rounded products; when fsum raises or its sum is not
+    math.fsum of the rounded products (phase._gravito_recoil_sum sums
+    Dekker's exact products instead); when fsum raises or its sum is not
     finite, the products are summed exactly, and a sum beyond the float range
     raises NonFiniteResultError.
     """
@@ -481,7 +491,7 @@ def _delta_tau_scale(seq: PulseSequence, species: Species) -> float:
     """(largest recoil velocity / c)^2 times the time span the grid covers."""
     times = seq.times
     span = max(seq.duration, times[-1]) - min(0.0, times[0]) if times else seq.duration
-    vr = constants.HBAR * _closure_scales(seq)[0] / (species.mass * constants.C)
+    vr = constants.HBAR * PulseTable(seq.pulses).scales()[0] / (species.mass * constants.C)
     return vr * vr * span
 
 

@@ -18,7 +18,10 @@ sum over the rounded time differences.  That keeps delta_tau bit for bit
 under changes that only add mutually cancelling pulse pairs (a pause in a
 symmetric geometry, say).  The gravito-recoil and laser sums are fsums of
 exact terms, or exact integer sums where fsum cannot round them correctly
-(partial sums that overflow, products near the subnormal range).  An S,
+(partial sums that overflow, products near the subnormal range).  One
+PulseTable per call is the one reader of the times and wave numbers: the
+closure moments and scales, S and the gravito-recoil sum all read it, the
+last from _ARRAY_MIN_PULSES on in one array pass over its field array.  An S,
 gravito-recoil or laser sum beyond the float range, a non-finite z_g or a
 time difference that overflows raises NonFiniteResultError.
 """
@@ -71,10 +74,11 @@ def recoil_parts(s: float, species: Species) -> tuple[float, float]:
     return delta_tau, recoil
 
 
-def _closed_sum(seq: PulseSequence, species: Species) -> float:
-    """S of seq, after require_valid and the closure gate of the phase formulas.
+def _closed_sum(seq: PulseSequence, species: Species) -> tuple[float, PulseTable]:
+    """S of seq and its PulseTable, after require_valid and the closure gate.
 
-    The closure moments and S share one PulseTable.  An open sequence raises
+    The closure moments, their scales and S read the one table, returned
+    for the gravito-recoil sum to read as well.  An open sequence raises
     OpenSequenceError; an S beyond the float range raises
     NonFiniteResultError.
     """
@@ -89,7 +93,7 @@ def _closed_sum(seq: PulseSequence, species: Species) -> float:
             "the closed-form decomposition drops boundary terms that do not "
             "vanish for open geometries"
         )
-    return recoil_double_sum(seq, table)
+    return recoil_double_sum(seq, table), table
 
 
 def proper_time_difference(seq: PulseSequence, species: Species) -> float:
@@ -99,12 +103,12 @@ def proper_time_difference(seq: PulseSequence, species: Species) -> float:
     value never reads g, z0 or v0: the launch trajectory drops out of the
     difference for closed sequences.
     """
-    return recoil_parts(_closed_sum(seq, species), species)[0]
+    return recoil_parts(_closed_sum(seq, species)[0], species)[0]
 
 
 def recoil_phase(seq: PulseSequence, species: Species) -> float:
     """Recoil part of the phase, omega_C * delta_tau = hbar S / (2 m), in rad."""
-    return recoil_parts(_closed_sum(seq, species), species)[1]
+    return recoil_parts(_closed_sum(seq, species)[0], species)[1]
 
 
 def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
@@ -116,36 +120,60 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
     for sequences whose first three kick moments vanish) survive numerically.
     """
     require_valid(seq)
-    return _gravito_recoil_sum(seq, env, ics)
+    return _gravito_recoil_sum(PulseTable(seq.pulses), env, ics)
 
 
-def _gravito_recoil_sum(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
-    """gravito_recoil_phase of a sequence that has passed require_valid.
+def _gravito_recoil_sum(table: PulseTable, env: GravityEnv, ics: InitialConditions) -> float:
+    """gravito_recoil_phase over the PulseTable of a sequence that has passed require_valid.
 
     The fsum of Dekker's products is correctly rounded unless a nonzero
     product falls below 2**-968, where its error term leaves the normal
     range, or a split or a product overflows (|dk| or |z_g| from about
     1e300), which leaves fsum raising or not finite; then dk * z_g are
-    summed exactly in integers.
+    summed exactly in integers.  Below _ARRAY_MIN_PULSES, and where a wave
+    number is not a float, a loop calls gravity_trajectory and two_product
+    per pulse.  Otherwise the same float operations run elementwise over
+    the table's field array, and the terms reach fsum in the loop's order,
+    so both give the same bits.
     """
-    terms: list[float] = []
-    for p in seq.pulses:
-        dk, zg = p.delta_k, gravity_trajectory(env, ics, p.t)[0]
-        product, error = two_product(dk, zg)
-        if abs(product) < 2.0**-968 and dk and zg:
-            break
-        terms += product, error
-    else:
-        try:
-            total = math.fsum(terms)
-        except (ValueError, OverflowError):  # inf - inf, or partial sums beyond the floats
-            pass
-        else:
-            if math.isfinite(total):
+    if table.array and table.float_k:
+        import numpy as np
+
+        times, ku, kl = table.fields
+        g, z0, v0 = float(env.g), float(ics.z0), float(ics.v0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            dks = ku - kl
+            zgs = z0 + times * (v0 - 0.5 * g * times)  # gravity_trajectory's z_g
+            product, error = two_product(dks, zgs)
+            tiny = (abs(product) < 2.0**-968) & (dks != 0.0) & (zgs != 0.0)
+        if not tiny.any():
+            total = _finite_fsum(memoryview(np.column_stack((product, error)).ravel()))
+            if total is not None:
                 return total
-    dks = [p.delta_k for p in seq.pulses]
-    zgs = [gravity_trajectory(env, ics, p.t)[0] for p in seq.pulses]
+    else:
+        terms: list[float] = []
+        for p in table.pulses:
+            dk, zg = p.delta_k, gravity_trajectory(env, ics, p.t)[0]
+            product, error = two_product(dk, zg)
+            if abs(product) < 2.0**-968 and dk and zg:
+                break
+            terms += product, error
+        else:
+            total = _finite_fsum(terms)
+            if total is not None:
+                return total
+        dks = [p.delta_k for p in table.pulses]
+        zgs = [gravity_trajectory(env, ics, p.t)[0] for p in table.pulses]
     return exact_dot(dks, zgs, "gravito-recoil sum of dk * z_g", "rad")
+
+
+def _finite_fsum(terms) -> float | None:
+    """math.fsum(terms), or None where it raises or is not finite."""
+    try:
+        total = math.fsum(terms)
+    except (ValueError, OverflowError):  # inf - inf, or partial sums beyond the floats
+        return None
+    return total if math.isfinite(total) else None
 
 
 def laser_phase(seq: PulseSequence) -> float:
@@ -156,7 +184,10 @@ def laser_phase(seq: PulseSequence) -> float:
 
 def _laser_sum(seq: PulseSequence) -> float:
     """laser_phase of a sequence its caller has already validated."""
-    terms = [x for p in seq.pulses for x in (p.phi_upper, -p.phi_lower)]
+    # fsum rounds the exact sum in any order, and an overflow in any order
+    # falls back to the same exact sum
+    terms = [p.phi_upper for p in seq.pulses]
+    terms += [-p.phi_lower for p in seq.pulses]
     try:
         return math.fsum(terms)
     except OverflowError:  # a partial sum overflowed; the sum may still be a float
@@ -170,8 +201,8 @@ def total_phase(
     ics: InitialConditions,
 ) -> PhaseBreakdown:
     """Full decomposition for one internal state of mass species.mass."""
-    s = _closed_sum(seq, species)
+    s, table = _closed_sum(seq, species)
     return PhaseBreakdown.assemble(
-        *recoil_parts(s, species), _gravito_recoil_sum(seq, env, ics), _laser_sum(seq)
+        *recoil_parts(s, species), _gravito_recoil_sum(table, env, ics), _laser_sum(seq)
     )
 

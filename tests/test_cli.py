@@ -595,6 +595,22 @@ class TestOracle:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
+    def test_a_proper_time_whose_product_overflows_is_reported(self, capsys):
+        # At 1e-183 kg, -0.5 * dv * (v1 + v2) overflows before its division
+        # by c**2, while the integrand itself is near 1e291; the relative
+        # residual does not depend on the mass
+        argv = (
+            "oracle", "--geometry", "rbi-asym", "--k", "1e7", "--T", "0.1", "--g", "0",
+            "--sigma", "1e-6", "--steps", "100", "--format", "json",
+        )
+        residuals = []
+        for mass in ("1e-183", "1e-25"):
+            code, out, _ = run(capsys, *argv, "--mass", mass)
+            assert code == 0
+            residuals.append(json.loads(out)["oracle"]["rel_residual"])
+        assert residuals[0] == pytest.approx(6.25e-7, rel=1e-6)
+        assert residuals[0] == pytest.approx(residuals[1], rel=1e-8)
+
     def test_a_launch_height_near_the_float_range_prints_strict_json(self, capsys):
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpai import _exactsum, geometry
+from lpai import _exactsum
 from lpai import (
     GeometryParseError,
     NonFiniteResultError,
@@ -24,6 +24,7 @@ from lpai import (
     parse_geometry,
     serialize_geometry,
 )
+from lpai._exactsum import PulseTable
 
 from _helpers import float_bits, moments_by_fractions, random_closed_sequence
 
@@ -219,13 +220,15 @@ class TestClosure:
                 closure_check(seq, ATOM)
 
     def test_scales_are_the_largest_k_and_t_times_k(self):
-        seq = PulseSequence((Pulse(-3.0, 1.0, -2.0), Pulse(1.0, -5.0, 0.5)))
-        assert geometry._closure_scales(seq) == (5.0, 6.0)
-        seq = random_closed_sequence(np.random.default_rng(5), 40, k_scale=1e7)
-        ks = [max(abs(p.k_upper), abs(p.k_lower)) for p in seq.pulses]
-        tks = [abs(p.t) * k for p, k in zip(seq.pulses, ks)]
-        assert geometry._closure_scales(seq) == (max(ks), max(tks))
-        assert geometry._closure_scales(PulseSequence(())) == (0.0, 0.0)
+        long = random_closed_sequence(np.random.default_rng(5), 40, k_scale=1e7)
+        ks = [max(abs(p.k_upper), abs(p.k_lower)) for p in long.pulses]
+        tks = [abs(p.t) * k for p, k in zip(long.pulses, ks)]
+        short = PulseSequence((Pulse(-3.0, 1.0, -2.0), Pulse(1.0, -5.0, 0.5)))
+        for min_pulses in (0, 10**9):  # the array path, then the loop
+            with mock.patch.object(_exactsum, "_ARRAY_MIN_PULSES", min_pulses):
+                assert PulseTable(short.pulses).scales() == (5.0, 6.0)
+                assert PulseTable(long.pulses).scales() == (max(ks), max(tks))
+                assert PulseTable(()).scales() == (0.0, 0.0)
 
     def test_empty_sequence_is_vacuously_closed(self):
         report = closure_check(PulseSequence(()), ATOM)

@@ -36,8 +36,8 @@ from lpai import (
     recoil_phase,
     total_phase,
 )
-from lpai import _exactsum
-from lpai._exactsum import array_fsum
+from lpai import _exactsum, phase
+from lpai._exactsum import PulseTable, array_fsum
 
 from _helpers import float_bits, random_closed_sequence, recoil_sum_by_fractions, rounded
 
@@ -579,6 +579,126 @@ class TestPartsAgainstFractions:
     def test_laser_phase(self, seq):
         exact = sum(Fraction(p.phi_upper) - Fraction(p.phi_lower) for p in seq.pulses)
         assert laser_phase(seq) == float(exact)
+
+
+def table_sums_outcome(seq: PulseSequence, env: GravityEnv, ics: InitialConditions, min_pulses):
+    """float.hex of the gravito-recoil sum, the laser sum and the closure scales
+    with the given crossover, each or its exception's type and message."""
+
+    def outcome(f):
+        try:
+            value = f()
+        except (NonFiniteResultError, OverflowError) as exc:
+            return type(exc), str(exc)
+        return tuple(map(float.hex, value)) if isinstance(value, tuple) else float.hex(value)
+
+    with mock.patch.object(_exactsum, "_ARRAY_MIN_PULSES", min_pulses):
+        table = PulseTable(seq.pulses)
+        return (
+            outcome(lambda: phase._gravito_recoil_sum(table, env, ics)),
+            outcome(lambda: phase._laser_sum(seq)),
+            outcome(table.scales),
+        )
+
+
+BIG_K = (2**60 + 1, 2**60 - 2**8 + 3)  # read through float() as 2**60 and 2**60 - 2**8
+
+# Sequences whose terms reach the edges of the float range, and int wave
+# numbers that float() rounds: (sequence, env, ics).
+TABLE_CASES = {
+    "products near 2**-968": (
+        PulseSequence(
+            (Pulse(0.0, 3.5e-158, 0.0), Pulse(0.6193926537557488, -3.5e-158, 0.0))
+        ),
+        FLAT,
+        InitialConditions(8.998680847381242e-152, -2.0663905069843966e-151),
+    ),
+    "products that overflow with both signs": (
+        build_mzi(5e307, 0.5), GravityEnv(9.81), InitialConditions(1e10)
+    ),
+    "overflowing splits": (build_mzi(3e300, 0.1), GravityEnv(9.81), InitialConditions(7.0, -2.0)),
+    "an infinite z_g": (
+        PulseSequence((Pulse(0.0, 1e7, 0.0), Pulse(10.0, -1e7, 0.0))), GravityEnv(1e308), REST
+    ),
+    "a sum beyond the float range": (
+        PulseSequence((Pulse(0.0, 1e300, 0.0), Pulse(1.0, -1e300, 0.0))),
+        FLAT,
+        InitialConditions(0.0, 1e10),
+    ),
+    "int wave numbers beyond 2**53": (
+        PulseSequence(tuple(Pulse(float(t), *(BIG_K if t % 2 else BIG_K[::-1])) for t in range(1, 21))),
+        GravityEnv(9.81),
+        InitialConditions(0.4, -1.3),
+    ),
+}
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# products of two of these land near 2**-968, where Dekker's error terms round
+near_tiny = st.floats(-(2.0**-470), 2.0**-470)
+big_ints = st.integers(-(2**64), 2**64)  # float() rounds beyond 2**53
+path_times = st.floats(-1e3, 1e3) | finite | st.integers(-100, 100)
+float_wave_numbers = finite | near_tiny | st.floats(-1e12, 1e12) | st.just(0.0)
+path_phases = finite | st.floats(-10.0, 10.0) | big_ints
+path_launch = finite | near_tiny | st.floats(-10.0, 10.0)
+# all-float wave numbers take the array pass when forced; an int sends a
+# sequence to the loop on both sides
+path_fields = st.sampled_from([float_wave_numbers, float_wave_numbers | big_ints]).flatmap(
+    lambda k: st.lists(st.tuples(path_times, k, k, path_phases, path_phases), max_size=60)
+)
+
+
+class TestTableSumPaths:
+    """The loop and array paths of the sums over a PulseTable give the same bits."""
+
+    @given(
+        fields=path_fields,
+        g=path_launch,
+        z0=path_launch,
+        v0=path_launch,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_and_loop_sums_agree_bit_for_bit(self, fields, g, z0, v0):
+        seq = PulseSequence(tuple(Pulse(*f) for f in fields))
+        env, ics = GravityEnv(g), InitialConditions(z0, v0)
+        assert table_sums_outcome(seq, env, ics, 0) == table_sums_outcome(seq, env, ics, 10**9)
+
+    @pytest.mark.parametrize("name", TABLE_CASES)
+    def test_the_paths_agree_at_the_edges_of_the_float_range(self, name):
+        seq, env, ics = TABLE_CASES[name]
+        spy = mock.Mock(wraps=_exactsum.exact_dot)
+        with mock.patch.object(phase, "exact_dot", spy):
+            assert table_sums_outcome(seq, env, ics, 0) == table_sums_outcome(seq, env, ics, 10**9)
+        # every case but the int one leaves fsum to the exact sum, on both paths
+        assert spy.call_count == (0 if name.startswith("int") else 2)
+
+    def test_int_wave_numbers_are_subtracted_before_they_round(self):
+        # float(ku) - float(kl) over the fields would give 0x1.04c3333333332p+18
+        seq, env, ics = TABLE_CASES["int wave numbers beyond 2**53"]
+        assert len(seq.pulses) == _exactsum._ARRAY_MIN_PULSES
+        assert gravito_recoil_phase(seq, env, ics).hex() == "0x1.02b9accccccccp+18"
+        rounded_fields = sum(
+            Fraction(float(p.k_upper) - float(p.k_lower))
+            * Fraction(gravity_trajectory(env, ics, p.t)[0])
+            for p in seq.pulses
+        )
+        assert float(rounded_fields).hex() == "0x1.04c3333333332p+18"
+
+    def test_a_long_beat_forms_z_g_without_gravity_trajectory(self):
+        spy = mock.Mock(wraps=gravity_trajectory)
+        clock, env, ics = ClockPair(1.443157e-25, 2.7e15), GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        with mock.patch.object(phase, "gravity_trajectory", spy):
+            long = random_closed_sequence(np.random.default_rng(8), 100, with_common_mode=True)
+            beat(long, clock, env, ics)
+            assert spy.call_count == 0
+            beat(build_rbi_double_loop(1e7, 0.1), clock, env, ics)
+            assert spy.call_count == 4
+
+    def test_long_public_sums_run_no_integer_pass(self):
+        seq = random_closed_sequence(np.random.default_rng(9), 100, with_phases=True)
+        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        with mock.patch.object(PulseTable, "_integer_pass", side_effect=AssertionError):
+            assert gravito_recoil_phase(seq, env, ics) == float(gravito_by_fractions(seq, env, ics))
+            laser_phase(seq)
 
 
 class TestPartsRefuseInvalidSequences:
