@@ -1,7 +1,7 @@
 """Exact sums over a pulse table, and correctly rounded float sums.
 
 PulseTable reads a sequence's times and wave numbers once per call; the
-closure scales and the gravito-recoil sum read them there too.  It puts them
+closure scales and the gravito-recoil sum are formed there too.  It puts them
 on common power-of-two integer scales and forms in one integer pass the closure
 moments and the recoil double sum S over exact time differences; each is
 rounded once (CPython's int / int true division rounds correctly, subnormals
@@ -11,11 +11,14 @@ weighted, exactly in integers: below _ARRAY_MIN_PULSES always, from there
 on only when an array-pass estimate with a rigorous error bound straddles a
 rounding boundary (exact integer and expansion sums: Shewchuk, Discrete
 Comput. Geom. 18, 1997).  exact_dot sums float products exactly in integers
-too, for the gravito-recoil and laser sums when math.fsum cannot give them.
+too.  fsum_or_exact is the one rule for correctly rounded sums of terms:
+math.fsum where it is finite, else exact_dot over the terms' factors; the
+gravito-recoil, laser and oracle window sums all go through it.
 
-two_product is Dekker's error-free product, exact unless a split or the
-product overflows or a*b of nonzero a and b falls below 2**-968 in magnitude.
-On float64 arrays it runs the same float operations elementwise.
+two_product is Dekker's error-free product (Numer. Math. 18, 1971), exact
+unless a split or the product overflows or a*b of nonzero a and b falls
+below 2**-968 in magnitude; on float64 arrays it runs the same float
+operations elementwise.
 
 array_fsum returns math.fsum's value for large arrays in a few numpy passes
 of error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import NonFiniteResultError
 
@@ -187,6 +190,22 @@ def exact_dot(xs: list[float], ys: list[float], what: str, unit: str) -> float:
     return _rounded(sum(x * y for x, y in zip(X, Y)), ex + ey, what, unit)
 
 
+def fsum_or_exact(terms, factors: Callable[[], tuple], what: str, unit: str) -> float:
+    """math.fsum(terms) where it is finite, else exact_dot(*factors(), what, unit).
+
+    terms None goes straight to the exact sum; factors is called only when
+    the exact sum runs, so a caller builds its factor lists only then.
+    """
+    if terms is not None:
+        try:
+            total = math.fsum(terms)
+        except (ValueError, OverflowError):  # inf - inf, or partial sums beyond the floats
+            total = math.nan
+        if math.isfinite(total):
+            return total
+    return exact_dot(*factors(), what, unit)
+
+
 def _integers_array(fields: np.ndarray) -> tuple[list[int], int, list[int], int]:
     """(T, et, K, ek): _integers of the times and of both wave-number rows of a
     finite (3, n) float64 array, from one np.frexp pass."""
@@ -282,9 +301,9 @@ class PulseTable:
     _ARRAY_MIN_PULSES on into a (3, n) float64 array of t, k_upper and
     k_lower, and a non-finite one is refused.  A table serves one call:
     closure_check reads its moments and scales, recoil_double_sum its S and
-    the gravito-recoil sum its fields.  The moments and S come from one
-    integer pass, which an array table runs on first use: t_i = T_i * 2**et
-    and k_i = K_i * 2**ek on both branches (et, ek <= 0), S over exact
+    gravito_sum its fields.  The moments and S come from one integer pass,
+    which an array table runs on first use: t_i = T_i * 2**et and
+    k_i = K_i * 2**ek on both branches (et, ek <= 0), S over exact
     differences as sum_n K_n (T_n sum_{l<n} K_l - sum_{l<n} K_l T_l).
     """
 
@@ -327,6 +346,49 @@ class PulseTable:
         t, ku, kl = self.fields
         k = ku + kl
         return max(map(abs, k), default=0.0), max(map(abs, map(operator.mul, t + t, k)), default=0.0)
+
+    def gravito_sum(self, g: float, z0: float, v0: float) -> float:
+        """sum of Pulse.delta_k * z_g(t), z_g = z0 + t (v0 - g t / 2) as
+        kinematics.gravity_trajectory rounds it, correctly rounded.
+
+        The fsum of Dekker's products, or their exact sum where a nonzero
+        product falls below 2**-968 or a split or a product overflows.  A loop
+        forms the terms below _ARRAY_MIN_PULSES and where a wave number is not
+        a float; otherwise the same float operations run elementwise over the
+        field array, terms in the loop's order, so both give the same bits.  A
+        delta_k, a z_g or a sum beyond the float range raises
+        NonFiniteResultError.
+        """
+        terms = []
+        if self.array and self.float_k:
+            import numpy as np
+
+            times, ku, kl = self.fields
+            g, z0, v0 = float(g), float(z0), float(v0)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused by the exact sum instead
+                dks = ku - kl
+                zgs = z0 + times * (v0 - 0.5 * g * times)
+                product, error = two_product(dks, zgs)
+                tiny = (abs(product) < 2.0**-968) & (dks != 0.0) & (zgs != 0.0)
+            terms = None if tiny.any() else memoryview(np.column_stack((product, error)).ravel())
+        else:
+            try:
+                for p in self.pulses:
+                    # two_product would read an int delta_k through float() too
+                    dk, zg = float(p.delta_k), z0 + p.t * (v0 - 0.5 * g * p.t)
+                    product, error = two_product(dk, zg)
+                    if abs(product) < 2.0**-968 and dk and zg:
+                        terms = None
+                        break
+                    terms += product, error
+            except OverflowError:  # an int delta_k beyond the float range, which exact_dot refuses
+                terms = None
+
+        def factors():
+            pulses = self.pulses
+            return [p.delta_k for p in pulses], [z0 + p.t * (v0 - 0.5 * g * p.t) for p in pulses]
+
+        return fsum_or_exact(terms, factors, "gravito-recoil sum of dk * z_g", "rad")
 
     def _integer_pass(self) -> None:
         """Put the fields on their integer scales and form the moments and S, once."""

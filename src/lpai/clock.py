@@ -40,7 +40,6 @@ from .core import (
 from .errors import InternalConsistencyError, NonFiniteResultError
 from .phase import (
     _closed_sum,
-    _gravito_recoil_sum,
     _laser_sum,
     proper_time_difference,
     recoil_parts,
@@ -120,7 +119,7 @@ def beat(
     s, table = _closed_sum(seq, mean)
     eta = clock.eta
     dtau, _ = recoil_parts(s, mean)
-    gk = _gravito_recoil_sum(table, env, ics)
+    gk = table.gravito_sum(env.g, ics.z0, ics.v0)
     lp = _laser_sum(seq)
     total_a, total_b = (
         PhaseBreakdown.assemble(*recoil_parts(s, clock.state_species(state)), gk, lp).total_phase

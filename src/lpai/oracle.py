@@ -6,7 +6,8 @@ each kick by a finite window of width sigma carrying the same impulse
 integrates the classical motion with a fixed-step RK4 aligned to the window
 edges, and evaluates the proper-time difference and the window averages of
 the pulse-free trajectory by composite Simpson quadrature.  Nothing here
-reuses the closed-form results except in the final residual comparison.
+reuses the closed-form results except in the final residual comparison, whose
+closed-form delta_tau and scale read one PulseTable (phase._closed_sum).
 
 Accuracy notes, which the tests lean on:
 
@@ -52,7 +53,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constants, _exactsum, _kernels
-from ._exactsum import PulseTable, array_fsum, exact_dot
+from ._exactsum import PulseTable, array_fsum, fsum_or_exact
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -63,8 +64,7 @@ from .core import (
 )
 from .errors import NonFiniteResultError, OracleAccuracyError, OracleConfigError
 from .kinematics import _branch_ks
-from .phase import _laser_sum
-from .phase import proper_time_difference as proper_time_closed
+from .phase import _closed_sum, _laser_sum, recoil_parts
 
 _SHAPES = ("tophat", "cosine")
 _IMPULSE_HARD_LIMIT = 1e-6
@@ -470,28 +470,22 @@ def _window_terms(
 def _gravito_sum(grid: _Grid, seq: PulseSequence, z_g: np.ndarray) -> float:
     """sum of delta_k * (window average of z_g).
 
-    math.fsum of the rounded products (phase._gravito_recoil_sum sums
-    Dekker's exact products instead); when fsum raises or its sum is not
-    finite, the products are summed exactly, and a sum beyond the float range
-    raises NonFiniteResultError.
+    math.fsum of the rounded products (PulseTable.gravito_sum sums Dekker's
+    exact products instead), through _exactsum.fsum_or_exact: where fsum
+    raises or is not finite, the products are summed exactly, and a sum
+    beyond the float range raises NonFiniteResultError.
     """
     factors, averages = _window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
-    try:
-        total = math.fsum([k * a for k, a in zip(factors, averages)])
-    except (ValueError, OverflowError):  # inf - inf, or partial sums beyond the floats
-        pass
-    else:
-        if math.isfinite(total):
-            return total
+    products = [k * a for k, a in zip(factors, averages)]
     what = "oracle gravito-recoil sum of k * window average of z_g"
-    return exact_dot(factors, averages, what, "rad")
+    return fsum_or_exact(products, lambda: (factors, averages), what, "rad")
 
 
-def _delta_tau_scale(seq: PulseSequence, species: Species) -> float:
-    """(largest recoil velocity / c)^2 times the time span the grid covers."""
+def _delta_tau_scale(seq: PulseSequence, species: Species, table: PulseTable) -> float:
+    """(largest recoil velocity / c)^2 times the time span the grid covers; table is seq's."""
     times = seq.times
     span = max(seq.duration, times[-1]) - min(0.0, times[0]) if times else seq.duration
-    vr = constants.HBAR * PulseTable(seq.pulses).scales()[0] / (species.mass * constants.C)
+    vr = constants.HBAR * table.scales()[0] / (species.mass * constants.C)
     return vr * vr * span
 
 
@@ -504,7 +498,8 @@ def oracle_report(
 ) -> OracleResult:
     """Full numeric-versus-closed-form comparison for a closed sequence."""
     grid = _quadrature_grid(seq, cfg)
-    dtau_closed = proper_time_closed(seq, species)  # an open sequence is refused unmarched
+    s, table = _closed_sum(seq, species)  # an open sequence is refused unmarched
+    dtau_closed = recoil_parts(s, species)[0]
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
     z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
     gravito_num = _gravito_sum(grid, seq, z_g)
@@ -517,7 +512,7 @@ def oracle_report(
         )
 
     diff = abs(dtau_num - dtau_closed)
-    denom = max(abs(dtau_closed), _delta_tau_scale(seq, species))
+    denom = max(abs(dtau_closed), _delta_tau_scale(seq, species, table))
     residual = diff / denom if denom > 0.0 else (0.0 if diff == 0.0 else math.inf)
 
     return OracleResult(

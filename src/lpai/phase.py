@@ -16,14 +16,13 @@ completely for symmetric geometries, so _exactsum.PulseTable forms it
 exactly from the pulse fields and rounds it once: the correctly rounded real
 sum over the rounded time differences.  That keeps delta_tau bit for bit
 under changes that only add mutually cancelling pulse pairs (a pause in a
-symmetric geometry, say).  The gravito-recoil and laser sums are fsums of
-exact terms, or exact integer sums where fsum cannot round them correctly
-(partial sums that overflow, products near the subnormal range).  One
-PulseTable per call is the one reader of the times and wave numbers: the
-closure moments and scales, S and the gravito-recoil sum all read it, the
-last from _ARRAY_MIN_PULSES on in one array pass over its field array.  An S,
-gravito-recoil or laser sum beyond the float range, a non-finite z_g or a
-time difference that overflows raises NonFiniteResultError.
+symmetric geometry, say).  One PulseTable per call is the one reader of the
+times and wave numbers: the closure moments and scales, S and the
+gravito-recoil sum (PulseTable.gravito_sum) all come from it.  The
+gravito-recoil and laser sums are correctly rounded through
+_exactsum.fsum_or_exact.  An S, gravito-recoil or laser sum beyond the float
+range, a non-finite z_g or delta_k or a time difference that overflows raises
+NonFiniteResultError.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 
 from . import constants
-from ._exactsum import PulseTable, exact_dot, two_product
+from ._exactsum import PulseTable, fsum_or_exact
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -43,7 +42,6 @@ from .core import (
 )
 from .errors import NonFiniteResultError, OpenSequenceError
 from .geometry import closure_check
-from .kinematics import gravity_trajectory
 
 
 def recoil_double_sum(seq: PulseSequence, table: PulseTable | None = None) -> float:
@@ -78,9 +76,9 @@ def _closed_sum(seq: PulseSequence, species: Species) -> tuple[float, PulseTable
     """S of seq and its PulseTable, after require_valid and the closure gate.
 
     The closure moments, their scales and S read the one table, returned
-    for the gravito-recoil sum to read as well.  An open sequence raises
-    OpenSequenceError; an S beyond the float range raises
-    NonFiniteResultError.
+    for the gravito-recoil sum and the oracle's delta_tau scale to read as
+    well.  An open sequence raises OpenSequenceError; an S beyond the float
+    range raises NonFiniteResultError.
     """
     require_valid(seq)
     table = PulseTable(seq.pulses)
@@ -115,65 +113,13 @@ def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialCondit
     """Kick-weighted sample of the launch trajectory: sum of dk_ell * z_g(t_ell).
 
     Mass never enters: the weights are wave numbers and z_g is common to both
-    branches.  Products are accumulated exactly and fsum-reduced so that the
-    analytic cancellations (z0 and v0 terms for closed sequences, everything
-    for sequences whose first three kick moments vanish) survive numerically.
+    branches.  The products are summed exactly and rounded once
+    (PulseTable.gravito_sum) so that the analytic cancellations (z0 and v0
+    terms for closed sequences, everything for sequences whose first three
+    kick moments vanish) survive numerically.
     """
     require_valid(seq)
-    return _gravito_recoil_sum(PulseTable(seq.pulses), env, ics)
-
-
-def _gravito_recoil_sum(table: PulseTable, env: GravityEnv, ics: InitialConditions) -> float:
-    """gravito_recoil_phase over the PulseTable of a sequence that has passed require_valid.
-
-    The fsum of Dekker's products is correctly rounded unless a nonzero
-    product falls below 2**-968, where its error term leaves the normal
-    range, or a split or a product overflows (|dk| or |z_g| from about
-    1e300), which leaves fsum raising or not finite; then dk * z_g are
-    summed exactly in integers.  Below _ARRAY_MIN_PULSES, and where a wave
-    number is not a float, a loop calls gravity_trajectory and two_product
-    per pulse.  Otherwise the same float operations run elementwise over
-    the table's field array, and the terms reach fsum in the loop's order,
-    so both give the same bits.
-    """
-    if table.array and table.float_k:
-        import numpy as np
-
-        times, ku, kl = table.fields
-        g, z0, v0 = float(env.g), float(ics.z0), float(ics.v0)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            dks = ku - kl
-            zgs = z0 + times * (v0 - 0.5 * g * times)  # gravity_trajectory's z_g
-            product, error = two_product(dks, zgs)
-            tiny = (abs(product) < 2.0**-968) & (dks != 0.0) & (zgs != 0.0)
-        if not tiny.any():
-            total = _finite_fsum(memoryview(np.column_stack((product, error)).ravel()))
-            if total is not None:
-                return total
-    else:
-        terms: list[float] = []
-        for p in table.pulses:
-            dk, zg = p.delta_k, gravity_trajectory(env, ics, p.t)[0]
-            product, error = two_product(dk, zg)
-            if abs(product) < 2.0**-968 and dk and zg:
-                break
-            terms += product, error
-        else:
-            total = _finite_fsum(terms)
-            if total is not None:
-                return total
-        dks = [p.delta_k for p in table.pulses]
-        zgs = [gravity_trajectory(env, ics, p.t)[0] for p in table.pulses]
-    return exact_dot(dks, zgs, "gravito-recoil sum of dk * z_g", "rad")
-
-
-def _finite_fsum(terms) -> float | None:
-    """math.fsum(terms), or None where it raises or is not finite."""
-    try:
-        total = math.fsum(terms)
-    except (ValueError, OverflowError):  # inf - inf, or partial sums beyond the floats
-        return None
-    return total if math.isfinite(total) else None
+    return PulseTable(seq.pulses).gravito_sum(env.g, ics.z0, ics.v0)
 
 
 def laser_phase(seq: PulseSequence) -> float:
@@ -188,10 +134,7 @@ def _laser_sum(seq: PulseSequence) -> float:
     # falls back to the same exact sum
     terms = [p.phi_upper for p in seq.pulses]
     terms += [-p.phi_lower for p in seq.pulses]
-    try:
-        return math.fsum(terms)
-    except OverflowError:  # a partial sum overflowed; the sum may still be a float
-        return exact_dot(terms, [1.0] * len(terms), "laser phase sum", "rad")
+    return fsum_or_exact(terms, lambda: (terms, [1.0] * len(terms)), "laser phase sum", "rad")
 
 
 def total_phase(
@@ -203,6 +146,6 @@ def total_phase(
     """Full decomposition for one internal state of mass species.mass."""
     s, table = _closed_sum(seq, species)
     return PhaseBreakdown.assemble(
-        *recoil_parts(s, species), _gravito_recoil_sum(table, env, ics), _laser_sum(seq)
+        *recoil_parts(s, species), table.gravito_sum(env.g, ics.z0, ics.v0), _laser_sum(seq)
     )
 

@@ -30,7 +30,7 @@ from lpai import (
     proper_time_difference,
     proper_time_numeric,
 )
-from lpai import Pulse, _exactsum, _kernels, oracle
+from lpai import Pulse, _exactsum, _kernels, oracle, phase
 
 from _helpers import (
     march_rk4_loop,
@@ -373,6 +373,17 @@ class TestMarchedWork:
         with pytest.raises(error, match=message):
             oracle_report(seq, SR, GravityEnv(9.81), REST, OracleConfig(1e-4, 400000))
         assert calls == []
+
+    def test_a_report_reads_one_pulse_table_and_one_recoil_sum(self, monkeypatch):
+        calls = []
+        init, recoil = _exactsum.PulseTable.__init__, phase.recoil_double_sum
+        monkeypatch.setattr(
+            _exactsum.PulseTable, "__init__", lambda *args: calls.append("table") or init(*args)
+        )
+        monkeypatch.setattr(phase, "recoil_double_sum", lambda *args: calls.append("S") or recoil(*args))
+        seq, ics = build_rbi_double_loop(1e7, 0.1), InitialConditions(0.4, -1.3)
+        oracle_report(seq, SR, GravityEnv(9.81), ics, OracleConfig(1e-4, 100))
+        assert calls == ["table", "S"]
 
     def test_a_subnormal_mass_is_a_non_finite_kick(self):
         with pytest.raises(NonFiniteResultError, match="kick amplitude"):
