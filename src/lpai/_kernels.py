@@ -12,9 +12,9 @@ They apply the same floating-point operations in the same order as the plain
 step-by-step loop, so the outputs match it bit for bit.  The velocity sum
 does not read the positions, so a caller that needs only v skips the second.
 
-A caller that marches one grid several times passes h / 6 and the output and
-work arrays in: the oracle hands in views of its per-thread arena, so a march
-allocates nothing.  Without them the march allocates its arrays itself.
+The caller passes h / 6 and the output and work arrays in: the oracle, the
+one caller, hands in views of its per-thread arena (or fresh arrays on a grid
+too large for it), so a march allocates nothing.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ def march_rk4(
     z0: float | None,
     v0: float,
     *,
-    h6: np.ndarray | None = None,
+    h6: np.ndarray,
+    v: np.ndarray,
     z: np.ndarray | None = None,
-    v: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Reduced RK4 as cumulative sums; returns (z, v) on the n+1 grid points.
@@ -42,14 +42,11 @@ def march_rk4(
     operands commute, so the bits are those of the plain expressions above.
     With z0 None no position is formed and z is None.
 
-    The keywords take a caller's arrays instead of fresh ones: h6 holds
-    h / 6, z and v (n+1 elements) receive the outputs, and work (n
-    elements) holds h^2/6 and then h v during the position sum.
+    The keywords are the caller's arrays: h6 holds h / 6, v (n+1 elements)
+    receives the velocities, and z (n+1) and work (n), passed exactly when
+    z0 is, receive the positions and hold h^2/6 and then h v during the
+    position sum.
     """
-    if h6 is None:
-        h6 = h / 6.0
-    if v is None:
-        v = np.empty(h.size + 1)
     v[0] = v0
     dv = v[1:]
     np.multiply(a_mid, 4.0, out=dv)
@@ -60,8 +57,6 @@ def march_rk4(
     if z0 is None:
         return None, v
 
-    if z is None:
-        z = np.empty(h.size + 1)
     z[0] = z0
     dz = z[1:]
     np.multiply(a_mid, 2.0, out=dz)

@@ -23,7 +23,10 @@ from .errors import NonFiniteResultError
 
 
 def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _plain_floats(obj, names: tuple[str, ...]) -> None:

@@ -38,9 +38,11 @@ form no positions.  Top-hat windows leave the three RK4 stage accelerations
 equal, so one array serves all three.  Cosine windows evaluate their profile once per
 node and once per step midpoint; the left and right stages are views of the
 node profile, and the window quadrature weights are that same array.  A grid
-over MAX_ORACLE_NODES is refused before anything is allocated, and a kick
-amplitude or a proper-time integrand beyond the float range raises
-NonFiniteResultError.
+over MAX_ORACLE_NODES is refused before anything is allocated.  Every march,
+through _march, checks each window's velocity change against hbar*k/m -
+g*width (g = 0 for the branch difference).  Every Simpson sum, through
+_simpson, is nan beyond the float range; that, and a kick amplitude or a
+proper-time integrand beyond it, raises NonFiniteResultError.
 """
 
 from __future__ import annotations
@@ -319,23 +321,29 @@ def _kick_amplitude(k: float, mass: float, width: float) -> float:
 
 
 def _simpson(f: np.ndarray, ts: np.ndarray, work: np.ndarray) -> float:
-    """Composite Simpson over consecutive node pairs, correctly rounded.
+    """Composite Simpson over consecutive node pairs, correctly rounded, or nan.
 
-    The per-pair widths and terms are formed in work (f.size - 1 elements)
-    and the terms reduced by array_fsum, which returns math.fsum's value bit
-    for bit.
+    f spans whole grid segments of an even step count, so its node count is
+    odd.  The per-pair widths and terms are formed in work (f.size - 1
+    elements) and the terms reduced by array_fsum, which returns math.fsum's
+    value bit for bit.  A sum that fsum refuses (opposite infinities, or
+    beyond the float range) or that is not finite is nan, which the callers
+    refuse with NonFiniteResultError.
     """
-    if f.size < 3:
-        return 0.0
     pairs = (f.size - 1) // 2
     widths, terms = work[:pairs], work[pairs : 2 * pairs]
-    np.subtract(ts[2::2], ts[:-2:2], out=widths)
-    widths /= 6.0
-    np.multiply(f[1:-1:2], 4.0, out=terms)
-    np.add(f[:-2:2], terms, out=terms)
-    terms += f[2::2]
-    terms *= widths
-    return array_fsum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(ts[2::2], ts[:-2:2], out=widths)
+        widths /= 6.0
+        np.multiply(f[1:-1:2], 4.0, out=terms)
+        np.add(f[:-2:2], terms, out=terms)
+        terms += f[2::2]
+        terms *= widths
+    try:
+        total = array_fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
+    return total if math.isfinite(total) else math.nan
 
 
 def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float, g: float) -> None:
@@ -354,25 +362,18 @@ def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float,
 
 
 def _march(grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float, z: str, v: str):
-    """march_rk4 of one forcing into the arena roles z and v."""
+    """Impulse-checked march_rk4 of one forcing: (z, v) on the grid nodes, z None when z0 is.
+
+    z and v land in the arena roles named by z and v.
+    """
     arena, nodes = grid.arena, grid.ts.size
-    return _kernels.march_rk4(
-        grid.h, *_stage_accels(grid, ks, mass, g), z0, v0, h6=grid.h6,
-        z=None if z0 is None else arena(z, nodes), v=arena(v, nodes),
+    z_out, v_out = _kernels.march_rk4(
+        grid.h, *_stage_accels(grid, ks, mass, g), z0, v0, h6=grid.h6, v=arena(v, nodes),
+        z=None if z0 is None else arena(z, nodes),
         work=None if z0 is None else arena("work", nodes - 1),
     )
-
-
-def _march_branch(
-    grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float, role: str = "v_g"
-):
-    """One impulse-checked branch: (z, v) on the grid nodes, z None when z0 is.
-
-    z lands in the arena's z_g role and v in the role named by role.
-    """
-    z, v = _march(grid, ks, mass, g, z0, v0, "z_g", role)
-    _impulse_check(grid, v, ks, mass, g)
-    return z, v
+    _impulse_check(grid, v_out, ks, mass, g)
+    return z_out, v_out
 
 
 def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
@@ -388,18 +389,16 @@ def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, flo
     form no positions.  Nodes where -0.5 * dv * (v1 + v2) overflows are
     formed again with dv and dz divided by c**2 first; an integrand beyond
     the float range even so (a subnormal mass or a huge k) raises
-    NonFiniteResultError.
+    NonFiniteResultError, and so does an integral beyond it.
     """
     m = species.mass
-    k1 = _branch_ks(seq, 1)
-    k2 = _branch_ks(seq, 2)
-    dk = [a - b for a, b in zip(k1, k2)]
+    dk = [p.delta_k for p in seq.pulses]
     arena, nodes = grid.arena, grid.ts.size
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         # v1 + v2 in v1's array, before the third march: a grid too large
         # for the arena then holds one fresh array less at its peak
-        _, v_sum = _march_branch(grid, k1, m, env.g, None, ics.v0, role="v1")
-        v_sum += _march_branch(grid, k2, m, env.g, None, ics.v0, role="v2")[1]
+        _, v_sum = _march(grid, _branch_ks(seq, 1), m, env.g, None, ics.v0, "z_g", "v1")
+        v_sum += _march(grid, _branch_ks(seq, 2), m, env.g, None, ics.v0, "z_g", "v2")[1]
         dz, dv = _march(grid, dk, m, 0.0, 0.0, 0.0, "dz", "dv")
         # f = (-0.5 * dv * (v1 + v2) + g * dz) / c**2, one operation at a time
         f = np.multiply(dv, -0.5, out=arena("f", nodes))
@@ -418,7 +417,10 @@ def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, flo
     del v_sum, dz, dv  # fresh arrays, on a grid too large for the arena, go before the sum
     if not finite.all():
         raise NonFiniteResultError("the proper-time integrand is not finite on the oracle grid")
-    return _simpson(f, grid.ts, arena("simpson", nodes - 1)), dz_end, dv_end
+    dtau = _simpson(f, grid.ts, arena("simpson", nodes - 1))
+    if not math.isfinite(dtau):
+        raise NonFiniteResultError("the proper-time integral is not finite on the oracle grid")
+    return dtau, dz_end, dv_end
 
 
 def proper_time_numeric(
@@ -453,10 +455,7 @@ def _window_terms(
             else:
                 np.divide(grid.profiles[i][0], width, out=weighted)
                 weighted *= z[i0 : i1 + 1]
-            try:
-                average = _simpson(weighted, grid.ts[i0 : i1 + 1], grid.arena("simpson", i1 - i0))
-            except (ValueError, OverflowError):  # fsum of opposite infinities, or beyond the floats
-                average = math.nan
+        average = _simpson(weighted, grid.ts[i0 : i1 + 1], grid.arena("simpson", i1 - i0))
         if not math.isfinite(average):
             raise NonFiniteResultError(
                 f"the window average of the launch trajectory is not finite "
@@ -501,7 +500,7 @@ def oracle_report(
     s, table = _closed_sum(seq, species)  # an open sequence is refused unmarched
     dtau_closed = recoil_parts(s, species)[0]
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
-    z_g, _ = _march_branch(grid, (), species.mass, env.g, ics.z0, ics.v0)  # pulse-free
+    z_g, _ = _march(grid, (), species.mass, env.g, ics.z0, ics.v0, "z_g", "v_g")  # pulse-free
     gravito_num = _gravito_sum(grid, seq, z_g)
 
     total_num = compton_frequency(species) * dtau_num + gravito_num + _laser_sum(seq)

@@ -119,6 +119,13 @@ class TestSimulate:
         assert code == 1
         assert "--T" in err
 
+    def test_builder_without_k_is_an_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--geometry", "mzi", "--T", "0.4", "--mass", SR_MASS
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: geometry 'mzi' needs --k or --k-in-km\n"
+
     def test_unknown_builder_is_an_error(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--geometry", "sagnac", "--k", "1e7", "--T", "0.4",
@@ -460,6 +467,22 @@ class TestScan:
         traced_peak(100)
         # above ~1500 rows the rows outweigh the fixed working set of a block
         assert (traced_peak(2500) - traced_peak(1500)) / 1000 < 400
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--vary", "T"), "scan over T needs --k or --k-in-km"),
+            (("--vary", "k", "--k", "1e7"), "scan over k needs --T"),
+        ],
+        ids=["T-without-k", "k-without-T"],
+    )
+    def test_a_scan_without_its_fixed_parameter_is_refused(self, capsys, flags, message):
+        code, out, err = run(
+            capsys, "scan", "--geometry", "rbi-asym", *flags, "--from", "0.01", "--to", "0.2",
+            "--steps", "3", "--mass", SR_MASS,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_steps_over_the_row_budget_are_refused(self, capsys):
         code, out, err = run(capsys, *self.SCAN, "--steps", str(cli.MAX_SCAN_ROWS + 1))

@@ -159,6 +159,11 @@ class TestBeat:
         with pytest.raises(NonFiniteResultError):
             beat(seq, ClockPair(5e-324, 0.0), FLAT, REST)
 
+    def test_a_non_finite_carrier_is_a_typed_error(self):
+        # a 1e300 kg clock: omega_C overflows to inf while delta_tau underflows to -0.0
+        with pytest.raises(NonFiniteResultError, match="beat carrier nan rad"):
+            beat(build_rbi_double_loop(1e7, 0.1), ClockPair(1e300, 1e15), GravityEnv(9.81), REST)
+
     @pytest.mark.parametrize("rel, trips", [(1e-9, True), (1e-14, False)])
     def test_a_perturbed_state_total_trips_the_consistency_check(self, monkeypatch, rel, trips):
         # g = 0 and no laser phases: each state's total is its recoil phase

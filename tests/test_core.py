@@ -171,6 +171,27 @@ class TestValidation:
         rules = {v.rule for v in validate_sequence(seq)}
         assert rules == {"non-finite field", "non-monotone times", "duration before last pulse"}
 
+    def test_an_int_beyond_the_float_range_is_a_non_finite_field(self):
+        big = 2**1100
+        seq = PulseSequence((Pulse(0.0, 1.0, 0.0), Pulse(big, -1.0, 0.0)))
+        assert [(v.rule, v.pulse_index) for v in validate_sequence(seq)] == [
+            ("non-finite field", 1),
+            ("non-finite field", None),  # the duration defaults to the last time
+        ]
+        seq = PulseSequence((Pulse(0.0, 1.0, 0.0), Pulse(1.0, -big, 0.0)))
+        assert [(v.rule, v.pulse_index) for v in validate_sequence(seq)] == [("non-finite field", 1)]
+        with pytest.raises(ValueError, match="non-finite field"):
+            require_valid(seq)
+
+    def test_ints_within_the_float_range_are_kept_exactly(self):
+        # 2**1024 - 2**971 is the largest float; one more ulp/2 rounds to inf
+        edge = 2**1024 - 2**971
+        seq = PulseSequence((Pulse(0.0, edge, 0.0), Pulse(1.0, 2**1000 + 1, 0.0)))
+        assert validate_sequence(seq) == []
+        assert seq.pulses[1].k_upper == 2**1000 + 1 and type(seq.pulses[1].k_upper) is int
+        beyond = PulseSequence((Pulse(0.0, edge + 2**970, 0.0), Pulse(1.0, 1.0, 0.0)))
+        assert [v.rule for v in validate_sequence(beyond)] == ["non-finite field"]
+
     def test_validation_is_idempotent(self):
         seq = PulseSequence((Pulse(0.0, 1.0, 0.0),))
         assert validate_sequence(seq) == validate_sequence(seq)
@@ -268,6 +289,28 @@ class TestEnvironment:
     def test_initial_conditions_reject_non_finite(self):
         with pytest.raises(ValueError):
             InitialConditions(z0=math.inf)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda x: GravityEnv(x), "g must be finite"),
+            (lambda x: Species(x), "mass must be positive and finite"),
+            (lambda x: InitialConditions(x, 0.0), "initial conditions must be finite"),
+            (lambda x: InitialConditions(0.0, -x), "initial conditions must be finite"),
+            (lambda x: ClockPair(x, 1.0), "mean_mass must be positive and finite"),
+            (lambda x: ClockPair(SR_MASS, x), "splitting_omega must be non-negative and finite"),
+        ],
+        ids=["g", "mass", "z0", "v0", "mean_mass", "splitting"],
+    )
+    def test_an_int_beyond_the_float_range_is_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make(2**1100)
+        make(3)  # a small int is accepted as before
+
+    def test_an_int_within_the_float_range_is_stored_as_given(self):
+        env, ics = GravityEnv(2**1000), InitialConditions(2**60 + 1, -3)
+        assert (env.g, ics.z0, ics.v0) == (2**1000, 2**60 + 1, -3)
+        assert {type(x) for x in (env.g, ics.z0, ics.v0)} == {int}
 
 
 class TestPhaseBreakdown:

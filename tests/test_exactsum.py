@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from lpai import NonFiniteResultError, Pulse, PulseSequence, _exactsum
 from lpai._exactsum import PulseTable, array_fsum
 
-from _helpers import float_bits, moments_by_fractions, recoil_sum_by_fractions, rounded
+from _helpers import (
+    float_bits,
+    moments_by_fractions,
+    random_closed_sequence,
+    recoil_sum_by_fractions,
+    rounded,
+)
 
 # --- PulseTable against exact rational arithmetic ------------------------------
 
@@ -81,6 +87,28 @@ def test_a_sum_on_a_rounding_tie_reaches_the_exact_correction(min_pulses, monkey
         s = PulseTable(tie.pulses).recoil_sum()
         assert s == float(recoil_sum_by_fractions(tie)) == sign * (3.0 + 4 * 2.0**-52)
     assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("chunk, rows", [(64, 1), (400, 10)])
+@pytest.mark.parametrize("path", ["array", "array, exact"])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_correction_in_several_row_blocks_is_the_rational_sum(
+    seed, path, chunk, rows, monkeypatch
+):
+    # 40 pulses are one row block at the default chunk; these chunks cut the
+    # pair matrix into 40 blocks of one row and into 4 of ten rows
+    monkeypatch.setattr(_exactsum, "_CORRECTION_CHUNK", chunk)
+    sizes, exact_calls = [], []
+    scratch, exact = _exactsum.scratch, PulseTable._exact_correction
+    monkeypatch.setattr(
+        _exactsum, "scratch", lambda use, size: sizes.append((use, size)) or scratch(use, size)
+    )
+    monkeypatch.setattr(PulseTable, "_exact_correction", lambda t: exact_calls.append(1) or exact(t))
+    seq = random_closed_sequence(np.random.default_rng(seed), 40, k_scale=1e7)
+    assert table_outcome(seq, path)[0] == reference_outcome(seq)[0]
+    assert ("_correction_array", 5 * rows * 40) in sizes
+    # the estimate settles S; the forced-exact path sums the correction once
+    assert len(exact_calls) == (0 if path == "array" else 1)
 
 
 @pytest.mark.parametrize("n", range(2, _exactsum._ARRAY_MIN_PULSES))

@@ -394,6 +394,15 @@ class TestParseErrors:
         text = "tend 0.5\npulse 0.0 1.0 0.0\npulse 1.0 -1.0 0.0\n"
         self.check(text, "duration before last pulse", 1, 1)
 
+    @pytest.mark.parametrize(
+        "text, got, line, column",
+        [("tend\n", 0, 1, 1), ("pulse 0.0 1.0 0.0\n  tend 1.0 2.0\n", 2, 2, 3)],
+    )
+    def test_tend_takes_exactly_one_number(self, text, got, line, column):
+        self.check(text, "syntax", line, column)
+        with pytest.raises(GeometryParseError, match=f"'tend' takes one number, got {got}"):
+            parse_geometry(text)
+
     def test_name_takes_exactly_one_token(self):
         self.check("name\n", "syntax", 1, 1)
 

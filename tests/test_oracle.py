@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def march_branch(seq, branch, species, env, ics, cfg):
     """One impulse-checked branch on the oracle's grid: node times, positions, velocities."""
     grid = oracle._quadrature_grid(seq, cfg)
     ks = [p.k_upper if branch == 1 else p.k_lower for p in seq.pulses]
-    z, v = oracle._march_branch(grid, ks, species.mass, env.g, ics.z0, ics.v0)
+    z, v = oracle._march(grid, ks, species.mass, env.g, ics.z0, ics.v0, "z_g", "v_g")
     return grid.ts, z, v
 
 
@@ -114,6 +115,15 @@ class TestConfig:
         with pytest.raises(OracleConfigError, match=f"need {nodes} grid nodes, more than {nodes - 1}"):
             march_branch(seq, 1, SR, FLAT, REST, cfg)
 
+    @pytest.mark.parametrize("entry", [oracle_report, proper_time_numeric])
+    def test_width_below_the_time_resolution_is_refused(self, entry):
+        # 1e20 + 1.0 rounds back to 1e20: the window would have no width
+        seq = PulseSequence(
+            (Pulse(1e20, 1e7, 0.0), Pulse(2e20, -2e7, 0.0), Pulse(3e20, 1e7, 0.0))
+        )
+        with pytest.raises(OracleConfigError, match="below the time resolution at t = 1e\\+20"):
+            entry(seq, SR, GravityEnv(9.81), REST, OracleConfig(pulse_width=1.0))
+
     def test_study_checks_the_budget_before_the_first_width(self, monkeypatch):
         def report(*args, **kwargs):
             raise AssertionError("a width ran before the budget check")
@@ -138,6 +148,25 @@ class TestImpulseInvariant:
             jump, width = window_velocity_jump(ts, v, pulse.t, cfg.pulse_width)
             expected = constants.HBAR * k_here / SR.mass - g * width
             assert abs(jump - expected) <= 1e-9 * scale
+
+    def test_every_march_is_impulse_checked(self, monkeypatch):
+        checked = []
+        check = oracle._impulse_check
+
+        def recorded(grid, v, ks, mass, g):
+            checked.append((list(ks), g))
+            check(grid, v, ks, mass, g)
+
+        monkeypatch.setattr(oracle, "_impulse_check", recorded)
+        seq, env = build_rbi_double_loop(1e7, 0.1), GravityEnv(9.81)
+        oracle_report(seq, SR, env, InitialConditions(0.4, -1.3), OracleConfig(1e-4, 100))
+        # the two branches, the branch difference at g = 0, and the pulse-free launch
+        assert checked == [
+            ([p.k_upper for p in seq.pulses], env.g),
+            ([p.k_lower for p in seq.pulses], env.g),
+            ([p.delta_k for p in seq.pulses], 0.0),
+            ([], env.g),
+        ]
 
     def test_free_fall_matches_the_closed_form(self):
         seq = PulseSequence((), duration=2.0)
@@ -208,6 +237,15 @@ class TestProperTimeNumeric:
         assert abs(dv) <= 1e-9 * v_scale
         assert abs(dz) <= 1e-9 * v_scale * 2.0 * T
 
+    @pytest.mark.parametrize("mass", [5e-190, 3e-190])
+    def test_an_integral_beyond_the_float_range_is_a_numeric_failure(self, mass):
+        # the integrand is finite, but its Simpson terms or their sum are not:
+        # fsum overflowed (5e-190) or numpy warned and the sum was -inf (3e-190);
+        # pytest turns any warning into an error
+        seq, cfg = build_rbi_asymmetric(1e7, 10.0), OracleConfig(1e-3, 100)
+        with pytest.raises(NonFiniteResultError, match="proper-time integral is not finite"):
+            proper_time_numeric(seq, Species(mass), GravityEnv(9.81), REST, cfg)
+
     def test_report_serializes_with_stable_keys(self):
         cfg = OracleConfig(pulse_width=1e-7, steps_per_segment=100)
         report = oracle_report(build_mzi(1e7, 0.1), SR, FLAT, REST, cfg)
@@ -245,6 +283,22 @@ class TestGravitoRecoilNumeric:
         report = oracle_report(seq, SR, FLAT, ics, OracleConfig(1e-6))
         assert report.gravito_recoil_numeric == gravito_recoil_phase(seq, FLAT, ics) == 0.0
         assert math.isfinite(report.total_phase_numeric)
+
+    def test_a_window_without_a_kick_difference_is_skipped(self):
+        # a common-mode pulse at T/2 loads both branches alike: delta_k = 0
+        mzi = build_mzi(1e7, 0.1)
+        pulses = (mzi.pulses[0], Pulse(0.05, 3e6, 3e6), *mzi.pulses[1:])
+        seq, env = PulseSequence(pulses, duration=mzi.duration), GravityEnv(9.81)
+        cfg = OracleConfig(1e-4, 100)
+        report = oracle_report(seq, SR, env, REST, cfg)
+        assert report.residual_vs_closed_form <= 1e-12
+        scale = sum(abs(p.delta_k * gravity_trajectory(env, REST, p.t)[0]) for p in seq.pulses)
+        closed = gravito_recoil_phase(seq, env, REST)
+        assert abs(report.gravito_recoil_numeric - closed) <= 1e-12 * scale
+        grid = oracle._quadrature_grid(seq, cfg)
+        z_g, _ = oracle._march(grid, (), SR.mass, env.g, REST.z0, REST.v0, "z_g", "v_g")
+        factors, averages = oracle._window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
+        assert factors == [1e7, -2e7, 1e7] and len(averages) == 3
 
     @pytest.mark.parametrize("z0", [3e301, 1e308])
     def test_a_window_average_beyond_the_float_range_is_a_numeric_failure(self, z0):
@@ -298,6 +352,22 @@ class TestConvergence:
         assert all(a > b for a, b in zip(study.residuals, study.residuals[1:]))
         assert abs(study.fitted_exponent - 1.0) <= 0.1
 
+    @pytest.mark.parametrize(
+        "residuals, raises",
+        [((1e-6, 2e-6), True), ((1e-6, 1e-6), True), ((2e-13, 5e-13), False)],
+        ids=["growing", "flat", "below-the-floor"],
+    )
+    def test_a_residual_that_does_not_decrease_is_refused(self, monkeypatch, residuals, raises):
+        reports = iter(SimpleNamespace(residual_vs_closed_form=r) for r in residuals)
+        monkeypatch.setattr(oracle, "oracle_report", lambda *args: next(reports))
+        study = lambda: convergence_study(build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 5e-6])
+        if raises:
+            message = rf"residual failed to decrease from width 1e-05 \({residuals[0]:.3e}\) to 5e-06"
+            with pytest.raises(OracleAccuracyError, match=message):
+                study()
+        else:
+            assert math.isnan(study().fitted_exponent)
+
     def test_non_decreasing_widths_are_rejected(self):
         with pytest.raises(OracleConfigError, match="strictly decreasing"):
             convergence_study(build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 1e-4])
@@ -305,6 +375,15 @@ class TestConvergence:
     def test_a_single_width_is_rejected(self):
         with pytest.raises(OracleConfigError, match="at least two"):
             convergence_study(build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5])
+
+
+def march_rk4(h, a_left, a_mid, a_right, z0, v0):
+    """_kernels.march_rk4 into fresh arrays; z and work are passed when z0 is."""
+    n = h.size
+    positions = {} if z0 is None else {"z": np.empty(n + 1), "work": np.empty(n)}
+    return _kernels.march_rk4(
+        h, a_left, a_mid, a_right, z0, v0, h6=h / 6.0, v=np.empty(n + 1), **positions
+    )
 
 
 class TestKernels:
@@ -315,16 +394,16 @@ class TestKernels:
 
     def test_loop_and_cumsum_paths_are_bitwise_identical(self):
         h, al, am, ar, z0, v0 = self.rand_problem()
-        z_np, v_np = _kernels.march_rk4(h, al, am, ar, z0, v0)
+        z_np, v_np = march_rk4(h, al, am, ar, z0, v0)
         z_py, v_py = march_rk4_loop(h, al, am, ar, z0, v0)
         np.testing.assert_array_equal(z_np, z_py)
         np.testing.assert_array_equal(v_np, v_py)
 
     def test_without_a_start_position_only_velocities_are_formed(self):
         h, al, am, ar, z0, v0 = self.rand_problem()
-        z, v = _kernels.march_rk4(h, al, am, ar, None, v0)
+        z, v = march_rk4(h, al, am, ar, None, v0)
         assert z is None
-        assert v.tobytes() == _kernels.march_rk4(h, al, am, ar, z0, v0)[1].tobytes()
+        assert v.tobytes() == march_rk4(h, al, am, ar, z0, v0)[1].tobytes()
 
 
 class TestMarchedWork:
@@ -512,7 +591,7 @@ class TestFrozenPipeline:
         # the gravito-recoil action, window by window, and the launch march it reads
         run = ref_run(seq, SR, env, ics, cfg)
         grid = oracle._quadrature_grid(seq, cfg)
-        z_g, _ = oracle._march_branch(grid, (), SR.mass, env.g, ics.z0, ics.v0)
+        z_g, _ = oracle._march(grid, (), SR.mass, env.g, ics.z0, ics.v0, "z_g", "v_g")
         assert z_g.tobytes() == run["zg"].tobytes()
         factors, averages = oracle._window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
         terms = [k * average for k, average in zip(factors, averages)]

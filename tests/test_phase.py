@@ -754,6 +754,12 @@ class TestTotalPhase:
         assert b.total_phase == pytest.approx(expected, rel=1e-12)
         assert b.laser_phase == 0.0
 
+    def test_terms_whose_sum_overflows_are_refused(self):
+        # recoil -1.05e308 rad and gravito-recoil -1e308 rad are finite; their sum is not
+        seq, light = build_rbi_asymmetric(1e150, 1.0), Species(1e-42)
+        with pytest.raises(NonFiniteResultError, match="phase breakdown is not finite"):
+            total_phase(seq, light, GravityEnv(1e158), REST)
+
     def test_decomposition_identity_holds_bitwise(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

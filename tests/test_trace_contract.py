@@ -52,7 +52,9 @@ def test_march_rk4_takes_the_step_array_first():
     assert first == "h"
     h = np.full(7, 0.1)
     a = np.zeros(7)
-    z, v = _kernels.march_rk4(h, a, a, a, 0.0, 1.0)
+    z, v = _kernels.march_rk4(
+        h, a, a, a, 0.0, 1.0, h6=h / 6.0, v=np.empty(8), z=np.empty(8), work=np.empty(7)
+    )
     nodes, moved = spans.march_work((h, a, a, a, 0.0, 1.0))
     assert nodes == z.size == v.size
     assert moved == 8 * (4 * h.size + 2 * nodes)
