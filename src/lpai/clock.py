@@ -19,7 +19,8 @@ addition from one shared (carrier, half-beat) pair, which keeps the averaged
 signal on the closed form to machine precision.  Agreement with the
 per-state totals, which the two state masses give for the same recoil double
 sum, is asserted in phase space at a relative tolerance, since an ulp of a
-1e11 rad carrier is itself ~1e-5 rad.
+1e11 rad carrier is itself ~1e-5 rad.  The state totals are plain floats:
+ClockPair checks the rounded state masses once, when it is built.
 """
 
 from __future__ import annotations
@@ -113,18 +114,25 @@ def beat(
     check compares them with the per-state totals that the two state-mass
     formulas give for the same S, at a relative tolerance of 1e-12, and
     raises InternalConsistencyError if the two routes disagree; a nan or
-    infinite carrier or half-beat raises NonFiniteResultError.
+    infinite carrier or half-beat raises NonFiniteResultError.  Each state
+    total is the float recoil + gravito-recoil + laser phase in
+    PhaseBreakdown.assemble's order; assemble runs only to refuse one that
+    is not finite.
     """
     mean = Species(clock.mean_mass)
     s, table = _closed_sum(seq, mean)
     eta = clock.eta
-    dtau, _ = recoil_parts(s, mean)
+    dtau, _ = recoil_parts(s, mean.mass)
     gk = table.gravito_sum(env.g, ics.z0, ics.v0)
     lp = _laser_sum(seq)
-    total_a, total_b = (
-        PhaseBreakdown.assemble(*recoil_parts(s, clock.state_species(state)), gk, lp).total_phase
-        for state in ("a", "b")
-    )
+    totals = []
+    for mass in (clock.mass_a, clock.mass_b):
+        parts = recoil_parts(s, mass)
+        total = parts[1] + gk + lp
+        if not math.isfinite(total):
+            PhaseBreakdown.assemble(*parts, gk, lp)  # raises NonFiniteResultError
+        totals.append(total)
+    total_a, total_b = totals
     carrier = eta * (dtau * compton_frequency(mean)) + gk + lp
     half_beat = 0.5 * eta * clock.splitting_omega * dtau
     if not (math.isfinite(carrier) and math.isfinite(half_beat)):

@@ -73,7 +73,8 @@ class ClockPair:
     ``mean_mass +/- delta_m/2`` with ``delta_m = hbar*splitting_omega/c**2``.
     ``eta = 1/(1 - (delta_m/(2*mean_mass))**2)`` is the exact correction that
     relates the state-resolved phases to mean-mass quantities; it is 1.0
-    exactly for a vanishing splitting.
+    exactly for a vanishing splitting.  The constructor refuses a pair whose
+    rounded ``mass_b`` is not positive: both state masses are positive and finite.
     """
 
     mean_mass: float        # kg
@@ -88,7 +89,9 @@ class ClockPair:
             raise ValueError(
                 f"splitting_omega must be non-negative and finite, got {self.splitting_omega!r}"
             )
-        if self.delta_m >= 2.0 * self.mean_mass:
+        # 0.5 * delta_m can round up for a subnormal delta_m, leaving mass_b 0.0 below
+        # delta_m = 2 mean_mass; delta_m <= hbar max float / c^2 ~ 2e257 kg keeps mass_a finite
+        if not self.mass_b > 0.0:
             raise ValueError(
                 "splitting too large: the ground-state mass would not be positive"
             )

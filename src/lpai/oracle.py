@@ -498,7 +498,7 @@ def oracle_report(
     """Full numeric-versus-closed-form comparison for a closed sequence."""
     grid = _quadrature_grid(seq, cfg)
     s, table = _closed_sum(seq, species)  # an open sequence is refused unmarched
-    dtau_closed = recoil_parts(s, species)[0]
+    dtau_closed = recoil_parts(s, species.mass)[0]
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
     z_g, _ = _march(grid, (), species.mass, env.g, ics.z0, ics.v0, "z_g", "v_g")  # pulse-free
     gravito_num = _gravito_sum(grid, seq, z_g)

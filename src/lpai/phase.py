@@ -37,7 +37,6 @@ from .core import (
     PhaseBreakdown,
     PulseSequence,
     Species,
-    compton_frequency,
     require_valid,
 )
 from .errors import NonFiniteResultError, OpenSequenceError
@@ -56,18 +55,20 @@ def recoil_double_sum(seq: PulseSequence, table: PulseTable | None = None) -> fl
     return (table or PulseTable(seq.pulses)).recoil_sum()
 
 
-def recoil_parts(s: float, species: Species) -> tuple[float, float]:
-    """(delta_tau, recoil phase) of species for the recoil double sum s.
+def recoil_parts(s: float, mass: float) -> tuple[float, float]:
+    """(delta_tau, recoil phase) for the recoil double sum s and a state mass in kg.
 
-    Raises NonFiniteResultError when either is nan or infinite, as for a
-    mass so small that hbar*S/m overflows.
+    mass is a Species' mass or a ClockPair state mass, both checked positive
+    and finite at construction; omega_C is compton_frequency's m c^2 / hbar.
+    Raises NonFiniteResultError when either result is nan or infinite, as
+    for a mass so small that hbar*S/m overflows.
     """
-    recoil = 0.5 * constants.HBAR * s / species.mass
-    delta_tau = recoil / compton_frequency(species)
+    recoil = 0.5 * constants.HBAR * s / mass
+    delta_tau = recoil / (mass * constants.C**2 / constants.HBAR)
     if not (math.isfinite(delta_tau) and math.isfinite(recoil)):
         raise NonFiniteResultError(
             f"delta_tau = {delta_tau!r} s and recoil phase = {recoil!r} rad for "
-            f"S = {s!r} s/m^2 and mass {species.mass!r} kg"
+            f"S = {s!r} s/m^2 and mass {mass!r} kg"
         )
     return delta_tau, recoil
 
@@ -101,12 +102,12 @@ def proper_time_difference(seq: PulseSequence, species: Species) -> float:
     value never reads g, z0 or v0: the launch trajectory drops out of the
     difference for closed sequences.
     """
-    return recoil_parts(_closed_sum(seq, species)[0], species)[0]
+    return recoil_parts(_closed_sum(seq, species)[0], species.mass)[0]
 
 
 def recoil_phase(seq: PulseSequence, species: Species) -> float:
     """Recoil part of the phase, omega_C * delta_tau = hbar S / (2 m), in rad."""
-    return recoil_parts(_closed_sum(seq, species)[0], species)[1]
+    return recoil_parts(_closed_sum(seq, species)[0], species.mass)[1]
 
 
 def gravito_recoil_phase(seq: PulseSequence, env: GravityEnv, ics: InitialConditions) -> float:
@@ -146,6 +147,6 @@ def total_phase(
     """Full decomposition for one internal state of mass species.mass."""
     s, table = _closed_sum(seq, species)
     return PhaseBreakdown.assemble(
-        *recoil_parts(s, species), table.gravito_sum(env.g, ics.z0, ics.v0), _laser_sum(seq)
+        *recoil_parts(s, species.mass), table.gravito_sum(env.g, ics.z0, ics.v0), _laser_sum(seq)
     )
 

@@ -126,6 +126,14 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == "error: geometry 'mzi' needs --k or --k-in-km\n"
 
+    def test_a_ground_state_mass_that_rounds_to_zero_is_refused_as_a_splitting(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--geometry", "mzi", "--k", "1e7", "--T", "0.1",
+            "--mass", "1e-323", "--omega", "1.2000373463725388e-272",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: splitting too large: the ground-state mass would not be positive\n"
+
     def test_unknown_builder_is_an_error(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--geometry", "sagnac", "--k", "1e7", "--T", "0.4",

@@ -16,6 +16,7 @@ from lpai import (
     Species,
     beat,
     build_mzi,
+    build_rbi_asymmetric,
     build_rbi_double_loop,
     clock_limit_phase,
     constants,
@@ -164,15 +165,26 @@ class TestBeat:
         with pytest.raises(NonFiniteResultError, match="beat carrier nan rad"):
             beat(build_rbi_double_loop(1e7, 0.1), ClockPair(1e300, 1e15), GravityEnv(9.81), REST)
 
+    def test_a_state_total_beyond_the_floats_is_refused_as_a_phase_breakdown(self):
+        # g = 1e158: a state's recoil phase and the gravito-recoil sum are
+        # finite but their sum is -inf; the state is refused before the carrier
+        with pytest.raises(NonFiniteResultError) as info:
+            beat(build_rbi_asymmetric(1e150, 1.0), ClockPair(1e-42, 0.0), GravityEnv(1e158), REST)
+        assert str(info.value) == (
+            "phase breakdown is not finite: PhaseBreakdown(delta_tau=-1.2374022909929108e+299, "
+            "recoil_phase=-1.0545718169999997e+308, gravito_recoil=-1e+308, laser_phase=0.0, "
+            "total_phase=-inf)"
+        )
+
     @pytest.mark.parametrize("rel, trips", [(1e-9, True), (1e-14, False)])
     def test_a_perturbed_state_total_trips_the_consistency_check(self, monkeypatch, rel, trips):
         # g = 0 and no laser phases: each state's total is its recoil phase
         seq, clock = build_rbi_double_loop(1e7, 0.1), clock_with_ratio(1e-10, SR_MASS)
         exact, unperturbed = lpai.clock.recoil_parts, beat(seq, clock, FLAT, REST)
 
-        def perturbed(s, species):
-            dtau, recoil = exact(s, species)
-            return dtau, recoil * (1.0 + rel) if species.mass == clock.mass_a else recoil
+        def perturbed(s, mass):
+            dtau, recoil = exact(s, mass)
+            return dtau, recoil * (1.0 + rel) if mass == clock.mass_a else recoil
 
         monkeypatch.setattr(lpai.clock, "recoil_parts", perturbed)
         if trips:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,30 @@ class TestClockPair:
         too_big = 2.5 * 1e-25 * constants.C**2 / constants.HBAR
         with pytest.raises(ValueError):
             ClockPair(mean_mass=1e-25, splitting_omega=too_big)
+
+    def test_rejects_a_ground_state_mass_that_rounds_to_zero(self):
+        # delta_m is 3 subnormal units against 2 for the mean: 0.5 * delta_m
+        # rounds up to the mean, so mass_b would be 0.0 with delta_m < 2 mean_mass
+        with pytest.raises(ValueError, match="splitting too large"):
+            ClockPair(1e-323, 1.2000373463725388e-272)
+
+    @given(
+        mean_mass=st.floats(min_value=5e-324, max_value=sys.float_info.max),
+        splitting_omega=st.one_of(
+            st.floats(min_value=0.0, max_value=sys.float_info.max),
+            st.floats(min_value=0.0, max_value=1e-271),  # subnormal delta_m
+        ),
+    )
+    def test_accepted_pairs_have_positive_finite_state_masses(self, mean_mass, splitting_omega):
+        mass_b = mean_mass - 0.5 * (constants.HBAR * splitting_omega / constants.C**2)
+        if not mass_b > 0.0:
+            with pytest.raises(ValueError, match="splitting too large"):
+                ClockPair(mean_mass, splitting_omega)
+            return
+        clock = ClockPair(mean_mass, splitting_omega)
+        assert clock.mass_b == mass_b
+        assert 0.0 < clock.mass_b <= clock.mean_mass <= clock.mass_a < math.inf
+        assert 1.0 <= clock.eta < math.inf
 
     def test_state_species(self):
         omega = 0.1 * 1e-25 * constants.C**2 / constants.HBAR
