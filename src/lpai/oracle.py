@@ -7,7 +7,11 @@ integrates the classical motion with a fixed-step RK4 aligned to the window
 edges, and evaluates the proper-time difference and the window averages of
 the pulse-free trajectory by composite Simpson quadrature.  Nothing here
 reuses the closed-form results except in the final residual comparison, whose
-closed-form delta_tau and scale read one PulseTable (phase._closed_sum).
+closed-form delta_tau and scale read one PulseTable (_closed_form).
+oracle_report forms every quantity of its result; convergence_study reads
+only the residual, so it takes the closed form once per study and, per width,
+integrates the proper time alone: no launch-trajectory march, no window
+averages and no total phase.
 
 Accuracy notes, which the tests lean on:
 
@@ -55,7 +59,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import constants, _exactsum, _kernels
-from ._exactsum import PulseTable, array_fsum, fsum_or_exact
+from ._exactsum import array_fsum, fsum_or_exact
 from .core import (
     GravityEnv,
     InitialConditions,
@@ -480,12 +484,26 @@ def _gravito_sum(grid: _Grid, seq: PulseSequence, z_g: np.ndarray) -> float:
     return fsum_or_exact(products, lambda: (factors, averages), what, "rad")
 
 
-def _delta_tau_scale(seq: PulseSequence, species: Species, table: PulseTable) -> float:
-    """(largest recoil velocity / c)^2 times the time span the grid covers; table is seq's."""
+def _closed_form(seq: PulseSequence, species: Species) -> tuple[float, float]:
+    """Closed-form delta_tau, and the least denominator of a residual against it.
+
+    That scale is (largest recoil velocity / c)^2 times the time span the
+    grid covers.  Both read the one PulseTable of _closed_sum; an open
+    sequence raises OpenSequenceError.
+    """
+    s, table = _closed_sum(seq, species)
+    dtau = recoil_parts(s, species.mass)[0]
     times = seq.times
     span = max(seq.duration, times[-1]) - min(0.0, times[0]) if times else seq.duration
     vr = constants.HBAR * table.scales()[0] / (species.mass * constants.C)
-    return vr * vr * span
+    return dtau, vr * vr * span
+
+
+def _residual(dtau_num: float, dtau_closed: float, scale: float) -> float:
+    """|dtau_num - dtau_closed| / max(|dtau_closed|, scale); 0 or inf where that is 0."""
+    diff = abs(dtau_num - dtau_closed)
+    denom = max(abs(dtau_closed), scale)
+    return diff / denom if denom > 0.0 else (0.0 if diff == 0.0 else math.inf)
 
 
 def oracle_report(
@@ -497,8 +515,7 @@ def oracle_report(
 ) -> OracleResult:
     """Full numeric-versus-closed-form comparison for a closed sequence."""
     grid = _quadrature_grid(seq, cfg)
-    s, table = _closed_sum(seq, species)  # an open sequence is refused unmarched
-    dtau_closed = recoil_parts(s, species.mass)[0]
+    dtau_closed, scale = _closed_form(seq, species)  # an open sequence is refused unmarched
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
     z_g, _ = _march(grid, (), species.mass, env.g, ics.z0, ics.v0, "z_g", "v_g")  # pulse-free
     gravito_num = _gravito_sum(grid, seq, z_g)
@@ -510,21 +527,33 @@ def oracle_report(
             f"{compton_frequency(species) * dtau_num!r}, gravito-recoil = {gravito_num!r} rad"
         )
 
-    diff = abs(dtau_num - dtau_closed)
-    denom = max(abs(dtau_closed), _delta_tau_scale(seq, species, table))
-    residual = diff / denom if denom > 0.0 else (0.0 if diff == 0.0 else math.inf)
-
     return OracleResult(
         sigma=cfg.pulse_width,
         steps_per_segment=cfg.steps_per_segment,
         pulse_shape=cfg.pulse_shape,
         delta_tau_numeric=dtau_num,
         delta_tau_closed=dtau_closed,
-        residual_vs_closed_form=residual,
+        residual_vs_closed_form=_residual(dtau_num, dtau_closed, scale),
         gravito_recoil_numeric=gravito_num,
         total_phase_numeric=total_num,
         closure_residuals=(dz_end, dv_end),
     )
+
+
+def _width_residual(
+    seq: PulseSequence,
+    species: Species,
+    env: GravityEnv,
+    ics: InitialConditions,
+    cfg: OracleConfig,
+    closed: tuple[float, float],
+) -> float:
+    """One width of a convergence study: the grid, the numeric delta_tau and its residual.
+
+    closed is _closed_form's (delta_tau, scale); seq and cfg are already checked.
+    """
+    dtau_num = _proper_time(_build_grid(seq, cfg), seq, species, env, ics)[0]
+    return _residual(dtau_num, *closed)
 
 
 def convergence_study(
@@ -539,6 +568,13 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Residual versus closed form over a strictly decreasing list of widths.
 
+    Every width's config and node budget is checked first, then the closed
+    form (delta_tau and the residual scale) is taken once; so an invalid
+    width or an open sequence is refused before anything is marched.  Each
+    width then builds its grid and integrates the proper time only (three
+    impulse-checked marches and one Simpson sum); its residual is
+    oracle_report's residual_vs_closed_form at that width, bit for bit.
+
     Raises OracleAccuracyError if the residual grows between two widths that
     both sit above the rounding floor; fits log residual against log width
     over the above-floor points and reports the slope (nan when fewer than
@@ -550,13 +586,13 @@ def convergence_study(
     if any(b >= a for a, b in zip(widths[:-1], widths[1:])):
         raise OracleConfigError(f"widths must be strictly decreasing, got {widths!r}")
 
-    for w in widths:
-        _require_budget(_breakpoints(seq, w)[1], steps_per_segment)
-
-    residuals = []
-    for w in widths:
-        cfg = OracleConfig(pulse_width=w, steps_per_segment=steps_per_segment, pulse_shape=pulse_shape)
-        residuals.append(oracle_report(seq, species, env, ics, cfg).residual_vs_closed_form)
+    require_valid(seq, structural_only=True)
+    cfgs = [OracleConfig(w, steps_per_segment, pulse_shape) for w in widths]
+    for cfg in cfgs:
+        _check_config(seq, cfg)
+        _require_budget(_breakpoints(seq, cfg.pulse_width)[1], cfg.steps_per_segment)
+    closed = _closed_form(seq, species)
+    residuals = [_width_residual(seq, species, env, ics, cfg, closed) for cfg in cfgs]
 
     for (w_a, r_a), (w_b, r_b) in zip(zip(widths, residuals), zip(widths[1:], residuals[1:])):
         if r_a > _RESIDUAL_FLOOR and r_b > _RESIDUAL_FLOOR and r_b >= r_a:

@@ -5,7 +5,6 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,14 +124,37 @@ class TestConfig:
             entry(seq, SR, GravityEnv(9.81), REST, OracleConfig(pulse_width=1.0))
 
     def test_study_checks_the_budget_before_the_first_width(self, monkeypatch):
-        def report(*args, **kwargs):
+        def width(*args, **kwargs):
             raise AssertionError("a width ran before the budget check")
 
-        monkeypatch.setattr(oracle, "oracle_report", report)
+        monkeypatch.setattr(oracle, "_width_residual", width)
         with pytest.raises(OracleConfigError, match="grid nodes"):
             convergence_study(
                 build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 1e-6], steps_per_segment=10**9
             )
+
+    @pytest.mark.parametrize("steps", [100.5, "400"])
+    def test_study_refuses_non_integer_steps_as_a_config_error(self, steps):
+        with pytest.raises(OracleConfigError, match="must be an integer"):
+            convergence_study(
+                build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 5e-6], steps_per_segment=steps
+            )
+
+    @pytest.mark.parametrize("pulses", [3, 2], ids=["closed", "open"])
+    def test_study_checks_every_width_before_the_first_march(self, monkeypatch, pulses):
+        # 0.1 + 1e-20 rounds back to 0.1; an open sequence gets the config
+        # error too, since the closed form comes after the width checks
+        calls = []
+        march = _kernels.march_rk4
+        monkeypatch.setattr(
+            _kernels, "march_rk4", lambda *args, **kw: calls.append(1) or march(*args, **kw)
+        )
+        seq = PulseSequence(build_mzi(1e7, 0.1).pulses[:pulses])
+        with pytest.raises(OracleConfigError, match="below the time resolution at t = 0.1"):
+            convergence_study(
+                seq, SR, GravityEnv(9.81), REST, [1e-5, 1e-20], steps_per_segment=100
+            )
+        assert calls == []
 
 
 class TestImpulseInvariant:
@@ -358,8 +380,8 @@ class TestConvergence:
         ids=["growing", "flat", "below-the-floor"],
     )
     def test_a_residual_that_does_not_decrease_is_refused(self, monkeypatch, residuals, raises):
-        reports = iter(SimpleNamespace(residual_vs_closed_form=r) for r in residuals)
-        monkeypatch.setattr(oracle, "oracle_report", lambda *args: next(reports))
+        per_width = iter(residuals)
+        monkeypatch.setattr(oracle, "_width_residual", lambda *args: next(per_width))
         study = lambda: convergence_study(build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 5e-6])
         if raises:
             message = rf"residual failed to decrease from width 1e-05 \({residuals[0]:.3e}\) to 5e-06"
@@ -367,6 +389,44 @@ class TestConvergence:
                 study()
         else:
             assert math.isnan(study().fitted_exponent)
+
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_residual_is_the_reports_residual_at_that_width(self, shape, seed):
+        rng = np.random.default_rng(100 + seed)
+        seq = random_closed_sequence(rng, k_scale=1e7, with_common_mode=True, with_phases=True)
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        widths = [spacing / 50.0, spacing / 100.0, spacing / 200.0]
+        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        study = convergence_study(
+            seq, SR, env, ics, widths, steps_per_segment=100, pulse_shape=shape
+        )
+        reports = [
+            oracle_report(seq, SR, env, ics, OracleConfig(w, 100, shape)).residual_vs_closed_form
+            for w in widths
+        ]
+        assert [r.hex() for r in study.residuals] == [r.hex() for r in reports]
+
+    def test_a_study_integrates_the_proper_time_only(self, monkeypatch):
+        calls = []
+        march, recoil = _kernels.march_rk4, phase.recoil_double_sum
+
+        def recorded(h, a_left, a_mid, a_right, z0, v0, **buffers):
+            calls.append(z0)
+            return march(h, a_left, a_mid, a_right, z0, v0, **buffers)
+
+        def report(*args):
+            raise AssertionError("a study ran oracle_report")
+
+        monkeypatch.setattr(_kernels, "march_rk4", recorded)
+        monkeypatch.setattr(oracle, "oracle_report", report)
+        monkeypatch.setattr(phase, "recoil_double_sum", lambda *args: calls.append("S") or recoil(*args))
+        seq, ics = build_rbi_double_loop(1e7, 0.1), InitialConditions(0.4, -1.3)
+        widths = [1e-4, 5e-5, 2.5e-5, 1.25e-5]
+        convergence_study(seq, SR, GravityEnv(9.81), ics, widths, steps_per_segment=100)
+        # the closed form once, then per width the two branches and the
+        # branch difference; the pulse-free launch march (z0 = 0.4) never runs
+        assert calls == ["S"] + [None, None, 0.0] * 4
 
     def test_non_decreasing_widths_are_rejected(self):
         with pytest.raises(OracleConfigError, match="strictly decreasing"):
