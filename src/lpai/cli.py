@@ -12,11 +12,16 @@ space, 3 numeric failure (oracle residual above tolerance, accuracy or
 consistency errors, a nan or infinite result, an exact sum whose partial
 sums overflow).
 
-Every output embeds a run manifest: '#'-prefixed key = value lines in text
-and CSV, a "manifest" object in JSON.  Outputs are byte-identical for
-identical invocations; --stamp opts into a timestamp line in the manifest.
-Numeric flags are SI; --k-in-km gives the wave number as a multiple of
-K_MAGIC = 1.5e7 /m and the manifest records the resolved SI value.
+Each output is one run manifest plus one payload, written by one writer:
+'#'-prefixed key = value lines then the payload lines in text and CSV, a
+"manifest" object next to the payload fields in JSON.  Outputs are
+byte-identical for identical invocations; --stamp opts into a timestamp
+line in the manifest, taken once per run, so the --dump-trajectory file
+shares it.  Numeric flags are SI; --k-in-km gives the wave number as a
+multiple of K_MAGIC = 1.5e7 /m and the manifest records the resolved SI
+value.  Flags that a run would not use are refused (exit 1): --sigma or
+--tol with --sweep-sigma, --T with `scan --vary T`, --k or --k-in-km with
+`scan --vary k`, and --dump-dt without --dump-trajectory.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__, constants
 from .clock import beat
@@ -54,7 +59,13 @@ from .geometry import (
 from .kinematics import trajectory_table
 from .phase import total_phase
 
-_BUILDERS = ("mzi", "rbi-sym", "rbi-asym", "rbi-double")
+# Each builder is called as builder(k, T, Tprime).
+_BUILDERS = {
+    "mzi": lambda k, t_sep, t_pause: build_mzi(k, t_sep),
+    "rbi-sym": build_rbi_symmetric,
+    "rbi-asym": build_rbi_asymmetric,
+    "rbi-double": lambda k, t_sep, t_pause: build_rbi_double_loop(k, t_sep),
+}
 # Grid points one scan may ask for, checked before the grid is allocated.
 # The rows are formed one at a time and each is held as its CSV line until
 # the last one is in.  Peak RSS of `scan --geometry rbi-double --omega 1e15`
@@ -202,16 +213,14 @@ def _resolve_k(args) -> tuple[float | None, dict]:
     return None, {}
 
 
-def _build_sequence(name: str, k: float, t_sep: float, t_pause: float) -> PulseSequence:
-    if name == "mzi":
-        return build_mzi(k, t_sep)
-    if name == "rbi-sym":
-        return build_rbi_symmetric(k, t_sep, t_pause)
-    if name == "rbi-asym":
-        return build_rbi_asymmetric(k, t_sep, t_pause)
-    if name == "rbi-double":
-        return build_rbi_double_loop(k, t_sep)
-    raise _UsageError(f"unknown geometry {name!r}; expected one of {', '.join(_BUILDERS)} or file:<path>")
+def _build_sequence(name: str) -> Callable[[float, float, float], PulseSequence]:
+    """The builder of a geometry name, refused here when there is none."""
+    try:
+        return _BUILDERS[name]
+    except KeyError:
+        raise _UsageError(
+            f"unknown geometry {name!r}; expected one of {', '.join(_BUILDERS)} or file:<path>"
+        ) from None
 
 
 def _resolve_sequence(args) -> tuple[PulseSequence, dict]:
@@ -230,7 +239,7 @@ def _resolve_sequence(args) -> tuple[PulseSequence, dict]:
     if args.t_sep is None:
         raise _UsageError(f"geometry {geo!r} needs --T")
     params = {"geometry": geo, "T": args.t_sep, "Tprime": args.t_pause, **k_params}
-    return _build_sequence(geo, k, args.t_sep, args.t_pause), params
+    return _build_sequence(geo)(k, args.t_sep, args.t_pause), params
 
 
 def _environment(args) -> tuple[Species, GravityEnv, InitialConditions, dict]:
@@ -238,16 +247,6 @@ def _environment(args) -> tuple[Species, GravityEnv, InitialConditions, dict]:
     env = GravityEnv(args.g)
     ics = InitialConditions(args.z0, args.v0)
     return species, env, ics, {"mass": args.mass, "g": args.g, "z0": args.z0, "v0": args.v0}
-
-
-def _stamp(args) -> str | None:
-    if not args.stamp:
-        return None
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _emit(text: str, output: str | None) -> None:
-    _emit_lines([text], output)
 
 
 def _emit_lines(lines: Iterable[str], output: str | None) -> None:
@@ -262,34 +261,43 @@ def _emit_lines(lines: Iterable[str], output: str | None) -> None:
             raise _UsageError(f"cannot write {output!r}: {exc}") from exc
 
 
+def _write(
+    command: str, params: dict, output_format: str, stamp: str | None, payloads: dict, output
+) -> None:
+    """Write one output: its run manifest, then the payload of the manifest's format.
+
+    payloads maps each format the command offers to its payload: the JSON
+    fields beside the manifest, or the text or CSV lines after it.
+    """
+    manifest = RunManifest(command, params, output_format, stamp)
+    payload = payloads[output_format]
+    if output_format == "json":
+        lines = [json.dumps({"manifest": manifest.as_dict(), **payload}, indent=2) + "\n"]
+    else:
+        lines = itertools.chain((f"{line}\n" for line in manifest.header_lines()), payload)
+    _emit_lines(lines, output)
+
+
 def _table(entries: dict) -> str:
     """One 'name  value' line per entry, the names padded to the longest."""
     width = max(map(len, entries))
     return "\n".join(f"{name:<{width}}  {value}" for name, value in entries.items())
 
 
-def _text_block(manifest: RunManifest, body: str) -> str:
-    return "\n".join(manifest.header_lines()) + "\n" + body + "\n"
-
-
-def _csv_head(manifest: RunManifest, columns: list[str]) -> list[str]:
-    """The manifest lines and the column line of a CSV output, newline-terminated."""
-    return [f"{line}\n" for line in (*manifest.header_lines(), ",".join(columns))]
+def _csv(columns: list[str], lines: Iterable[str]) -> Iterable[str]:
+    """The column line, then the row lines as they come."""
+    return itertools.chain([",".join(columns) + "\n"], lines)
 
 
 def _csv_line(row: Iterable[float]) -> str:
     return ",".join(_fmt(x) for x in row) + "\n"
 
 
-def _csv_block(manifest: RunManifest, columns: list[str], rows: list[list[float]]) -> str:
-    return "".join(_csv_head(manifest, columns)) + "".join(_csv_line(row) for row in rows)
-
-
-def _json_block(manifest: RunManifest, payload: dict) -> str:
-    return json.dumps({"manifest": manifest.as_dict(), **payload}, indent=2) + "\n"
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict, dict]:
+    if args.dump_trajectory is None and args.dump_dt is not None:
+        raise _UsageError("--dump-dt needs --dump-trajectory")
+    if args.dump_trajectory is not None and args.dump_dt is None:
+        raise _UsageError("--dump-trajectory needs --dump-dt")
     seq, geo_params = _resolve_sequence(args)
     species, env, ics, env_params = _environment(args)
     params = {**geo_params, **env_params}
@@ -300,40 +308,25 @@ def cmd_simulate(args) -> int:
         params["omega"] = args.omega
         payload["beat"] = asdict(beat(seq, ClockPair(args.mass, args.omega), env, ics))
 
-    stamp = _stamp(args)  # one run, one stamp in every manifest it writes
-    manifest = RunManifest(
-        command="simulate", parameters=params, output_format=args.format, stamp=stamp
-    )
-
     if args.dump_trajectory is not None:
-        if args.dump_dt is None:
-            raise _UsageError("--dump-trajectory needs --dump-dt")
         table = trajectory_table(seq, species, env, ics, args.dump_dt)
-        dump_manifest = RunManifest(
-            command="simulate --dump-trajectory",
-            parameters={**params, "dump_dt": args.dump_dt},
-            output_format="csv",
-            stamp=stamp,
-        )
         # Rows become lists of floats a block at a time and each line is
         # written as it is formed: the table is the only full copy held.
         rows = (row for i in range(0, len(table), 4096) for row in table[i : i + 4096].tolist())
-        head = _csv_head(dump_manifest, ["t", "z1", "v1", "z2", "v2", "zg"])
-        _emit_lines(itertools.chain(head, map(_csv_line, rows)), args.dump_trajectory)
+        lines = _csv(["t", "z1", "v1", "z2", "v2", "zg"], map(_csv_line, rows))
+        _write(
+            "simulate --dump-trajectory", {**params, "dump_dt": args.dump_dt}, "csv", args.stamp,
+            {"csv": lines}, args.dump_trajectory,
+        )
 
-    if args.format == "json":
-        _emit(_json_block(manifest, payload), args.output)
-    elif args.format == "csv":
-        # the phase columns, then the beat's; each group has its own delta_tau
-        columns = [name for fields in payload.values() for name in fields]
-        row = [value for fields in payload.values() for value in fields.values()]
-        _emit(_csv_block(manifest, columns, [row]), args.output)
-    else:
-        body = breakdown.as_table()
-        if "beat" in payload:
-            body += "\n" + _table({name: f"{_fmt(v):>23}" for name, v in payload["beat"].items()})
-        _emit(_text_block(manifest, body), args.output)
-    return 0
+    body = breakdown.as_table()
+    if "beat" in payload:
+        body += "\n" + _table({name: f"{_fmt(v):>23}" for name, v in payload["beat"].items()})
+    # the phase columns, then the beat's; each group has its own delta_tau
+    columns = [name for fields in payload.values() for name in fields]
+    row = [value for fields in payload.values() for value in fields.values()]
+    csv = _csv(columns, [_csv_line(row)])
+    return 0, params, {"json": payload, "text": [body + "\n"], "csv": csv}
 
 
 def _linspace(start: float, stop: float, steps: int) -> list[float]:
@@ -356,9 +349,10 @@ def _linspace(start: float, stop: float, steps: int) -> list[float]:
     return values
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[int, dict, dict]:
     if args.geometry.startswith("file:"):
         raise _UsageError("scan varies builder parameters; geometry files are fixed")
+    build = _build_sequence(args.geometry)
     if args.steps < 1:
         raise _UsageError(f"empty scan range: --steps {args.steps}")
     if args.steps > MAX_SCAN_ROWS:
@@ -369,16 +363,20 @@ def cmd_scan(args) -> int:
     if args.stop < args.start:
         raise _UsageError(f"empty scan range: --from {args.start} exceeds --to {args.stop}")
     species, env, ics, env_params = _environment(args)
-    k, k_params = _resolve_k(args)
-
     if args.vary == "T":
+        k, grid_params = _resolve_k(args)
         if k is None:
             raise _UsageError("scan over T needs --k or --k-in-km")
-        grid_params = k_params
+        unused = (("--T", args.t_sep),)
     else:
         if args.t_sep is None:
             raise _UsageError("scan over k needs --T")
-        grid_params = {"T": args.t_sep}
+        k, grid_params = None, {"T": args.t_sep}
+        unused = (("--k", args.k), ("--k-in-km", args.k_in_km))
+    # the grid sets the varied parameter, so a fixed value for it would go unused
+    for flag, value in unused:
+        if value is not None:
+            raise _UsageError(f"{flag} cannot be combined with --vary {args.vary}")
 
     values = _linspace(args.start, args.stop, args.steps)
     if args.omega is None:
@@ -395,7 +393,7 @@ def cmd_scan(args) -> int:
         # no dephasing, and the builders reject it.
         if k_here == 0.0 or t_sep == 0.0:
             return [value, *degenerate]
-        seq = _build_sequence(args.geometry, k_here, t_sep, args.t_pause)
+        seq = build(k_here, t_sep, args.t_pause)
         if args.omega is None:
             b = total_phase(seq, species, env, ics)
             return [
@@ -409,44 +407,25 @@ def cmd_scan(args) -> int:
     lines = [_csv_line(row(value)) for value in values]
 
     params = {
-        **grid_params,
-        **env_params,
-        "Tprime": args.t_pause,
-        "geometry": args.geometry,
-        "vary": args.vary,
-        "from": args.start,
-        "to": args.stop,
-        "steps": args.steps,
+        **grid_params, **env_params, "Tprime": args.t_pause, "geometry": args.geometry,
+        "vary": args.vary, "from": args.start, "to": args.stop, "steps": args.steps,
     }
     if args.omega is not None:
         params["omega"] = args.omega
-    manifest = RunManifest(command="scan", parameters=params, output_format="csv", stamp=_stamp(args))
-    head = _csv_head(manifest, [args.vary, *columns])
-    _emit_lines(itertools.chain(head, lines), args.output)
-    return 0
+    return 0, params, {"csv": _csv([args.vary, *columns], lines)}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict, dict]:
     seq, geo_params = _resolve_sequence(args)
-    report = closure_check(seq, Species(args.mass))
-    manifest = RunManifest(
-        command="check",
-        parameters={**geo_params, "mass": args.mass},
-        output_format=args.format,
-        stamp=_stamp(args),
-    )
-    if args.format == "json":
-        _emit(_json_block(manifest, {"closure": asdict(report)}), args.output)
-    else:
-        entries = {
-            name: _fmt(v) if isinstance(v, float) else str(v).lower()
-            for name, v in asdict(report).items()
-        }
-        _emit(_text_block(manifest, _table(entries)), args.output)
-    return 0 if report.closed else 2
+    report = asdict(closure_check(seq, Species(args.mass)))
+    entries = {
+        name: _fmt(v) if isinstance(v, float) else str(v).lower() for name, v in report.items()
+    }
+    payloads = {"json": {"closure": report}, "text": [_table(entries) + "\n"]}
+    return 0 if report["closed"] else 2, {**geo_params, "mass": args.mass}, payloads
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[int, dict, dict]:
     from .oracle import OracleConfig, convergence_study, oracle_report
 
     if args.sweep_sigma is not None:
@@ -460,69 +439,50 @@ def cmd_oracle(args) -> int:
         raise _UsageError(f"--tol must be a non-negative number, got {tol!r}")
     seq, geo_params = _resolve_sequence(args)
     species, env, ics, env_params = _environment(args)
+    params = {**geo_params, **env_params, "steps": args.steps, "shape": args.shape}
 
     if args.sweep_sigma is not None:
         study = convergence_study(
             seq, species, env, ics, args.sweep_sigma,
             steps_per_segment=args.steps, pulse_shape=args.shape,
         )
-        params = {
-            **geo_params, **env_params,
-            "steps": args.steps, "shape": args.shape,
-            "sweep_sigma": ",".join(repr(w) for w in study.widths),
-        }
-        manifest = RunManifest(
-            command="oracle", parameters=params, output_format=args.format, stamp=_stamp(args)
-        )
-        if args.format == "json":
-            payload = {
-                "widths": list(study.widths),
-                "residuals": list(study.residuals),
-                # nan (fewer than two residuals above the floor) is not JSON
-                "fitted_exponent": (
-                    study.fitted_exponent if math.isfinite(study.fitted_exponent) else None
-                ),
-                "floor": study.floor,
-            }
-            _emit(_json_block(manifest, payload), args.output)
-        else:
-            rows = [[w, r] for w, r in zip(study.widths, study.residuals)]
-            block = _csv_block(manifest, ["sigma", "rel_residual"], rows)
-            block += f"# fitted_exponent = {_fmt(study.fitted_exponent)}\n"
-            _emit(block, args.output)
-        return 0
+        params["sweep_sigma"] = ",".join(repr(w) for w in study.widths)
+        fit = study.fitted_exponent
+        # nan (fewer than two residuals above the floor) is not JSON
+        payload = {**asdict(study), "fitted_exponent": fit if math.isfinite(fit) else None}
+        rows = map(_csv_line, zip(study.widths, study.residuals))
+        fitted = f"# fitted_exponent = {_fmt(fit)}\n"
+        # a sweep's text output is its CSV table
+        table = list(_csv(["sigma", "rel_residual"], [*rows, fitted]))
+        return 0, params, {"json": payload, "text": table, "csv": table}
 
     if args.sigma is None:
         raise _UsageError("oracle needs --sigma (or --sweep-sigma)")
     cfg = OracleConfig(pulse_width=args.sigma, steps_per_segment=args.steps, pulse_shape=args.shape)
     result = oracle_report(seq, species, env, ics, cfg)
-    params = {
-        **geo_params, **env_params,
-        "sigma": args.sigma, "steps": args.steps, "shape": args.shape, "tol": tol,
+    params.update(sigma=args.sigma, tol=tol)
+    report = result.as_report()
+    # one column per float field of the report; steps, shape and the
+    # closure residual pair are in the manifest or not a single number
+    fields = {name: v for name, v in report.items() if isinstance(v, float)}
+    payloads = {
+        "json": {"oracle": report},
+        "text": [_table(report) + "\n"],
+        "csv": _csv(list(fields), [_csv_line(fields.values())]),
     }
-    manifest = RunManifest(
-        command="oracle", parameters=params, output_format=args.format, stamp=_stamp(args)
-    )
-    if args.format == "json":
-        _emit(_json_block(manifest, {"oracle": result.as_report()}), args.output)
-    elif args.format == "csv":
-        # one column per float field of the report; steps, shape and the
-        # closure residual pair are in the manifest or not a single number
-        fields = {name: v for name, v in result.as_report().items() if isinstance(v, float)}
-        _emit(_csv_block(manifest, list(fields), [list(fields.values())]), args.output)
-    else:
-        _emit(_text_block(manifest, _table(result.as_report())), args.output)
-    return 3 if result.residual_vs_closed_form > tol else 0
+    return 3 if result.residual_vs_closed_form > tol else 0, params, payloads
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # one run, one stamp in every manifest it writes
+        args.stamp = datetime.now(timezone.utc).isoformat() if args.stamp else None
+        # each command gives its exit code, manifest parameters and payloads
+        code, params, payloads = args.func(args)
+        _write(args.subcommand, params, args.format, args.stamp, payloads, args.output)
+        return code
     except GeometryParseError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return 1
@@ -537,7 +497,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from datetime import datetime
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,45 @@ from lpai import (
     total_phase,
 )
 from lpai.cli import main
+from test_cli_golden import CASES as CLI_CASES
+from test_cli_golden import GOLDEN as CLI_GOLDEN
+from test_cli_golden import run_in_golden_dir
+from test_scan_golden import CASES as SCAN_CASES
+from test_scan_golden import GOLDEN as SCAN_GOLDEN
+from test_scan_golden import load_golden
 
 SR_MASS = "1.443157e-25"
+
+GOLDEN_RUNS = [
+    *((CLI_GOLDEN, name, argv) for name, argv in CLI_CASES.items()),
+    *((SCAN_GOLDEN, name, ("scan", *argv)) for name, argv in SCAN_CASES.items()),
+]
+GOLDEN_OUTPUTS = {path: load_golden(path) for path in (CLI_GOLDEN, SCAN_GOLDEN)}
+
+ORACLE_MZI = (
+    "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", "--mass", SR_MASS,
+    "--g", "9.81", "--steps", "100",
+)
+# one run of each command, run in each format it offers
+STAMPED = {
+    "simulate": (
+        ("simulate", "--geometry", "mzi", "--k", "1e7", "--T", "0.4", "--mass", SR_MASS),
+        ("text", "json", "csv"),
+    ),
+    "scan": (
+        ("scan", "--geometry", "mzi", "--k", "1e7", "--mass", SR_MASS, "--vary", "T",
+         "--from", "0.1", "--to", "0.2", "--steps", "2"),
+        ("csv",),
+    ),
+    "check": (("check", "--geometry", "mzi", "--k", "1e7", "--T", "0.4"), ("text", "json")),
+    "oracle": ((*ORACLE_MZI, "--sigma", "1e-6"), ("text", "json", "csv")),
+    "oracle-sweep": ((*ORACLE_MZI, "--sweep-sigma", "1e-4", "5e-5"), ("text", "json", "csv")),
+}
+STAMPED_RUNS = [
+    pytest.param(argv, fmt, id=f"{name}-{fmt}")
+    for name, (argv, formats) in STAMPED.items()
+    for fmt in formats
+]
 
 
 def run(capsys, *argv):
@@ -362,6 +400,10 @@ class TestSimulate:
         assert code == 1
         assert "--dump-dt" in err
 
+    def test_a_dump_step_without_a_dump_is_refused(self, capsys):
+        code, out, err = run(capsys, *self.BASE, "--dump-dt", "0.1")
+        assert (code, out, err) == (1, "", "error: --dump-dt needs --dump-trajectory\n")
+
 
 class TestScan:
     def test_sweep_over_T_with_a_degenerate_origin(self, capsys):
@@ -494,6 +536,35 @@ class TestScan:
         )
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, refused",
+        [
+            (("--vary", "T", "--k", "1e7", "--T", "5"), "--T"),
+            (("--vary", "k", "--T", "0.1", "--k", "-5"), "--k"),
+            (("--vary", "k", "--T", "0.1", "--k-in-km", "2"), "--k-in-km"),
+        ],
+        ids=["T", "k", "k-in-km"],
+    )
+    def test_a_fixed_value_of_the_varied_parameter_is_refused(self, capsys, flags, refused):
+        code, out, err = run(
+            capsys, "scan", "--geometry", "mzi", *flags, "--from", "0.1", "--to", "0.2",
+            "--steps", "2", "--mass", "1e-25",
+        )
+        message = f"error: {refused} cannot be combined with --vary {flags[1]}\n"
+        assert (code, out, err) == (1, "", message)
+
+    def test_an_unknown_geometry_is_refused_before_any_row(self, capsys):
+        # every row of this grid is degenerate, so no row calls a builder
+        code, out, err = run(
+            capsys, "scan", "--geometry", "bogus", "--k", "1e7", "--mass", "1e-25",
+            "--vary", "T", "--from", "0", "--to", "0", "--steps", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: unknown geometry 'bogus'; expected one of mzi, rbi-sym, rbi-asym, rbi-double "
+            "or file:<path>\n"
+        )
 
     def test_steps_over_the_row_budget_are_refused(self, capsys):
         code, out, err = run(capsys, *self.SCAN, "--steps", str(cli.MAX_SCAN_ROWS + 1))
@@ -826,3 +897,43 @@ class TestHarness:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text(encoding="utf-8"))["manifest"]["format"] == "json"
+
+
+class TestOneWriter:
+    """Every output goes through one writer: the same bytes to --output, one stamp per run."""
+
+    @pytest.mark.parametrize(
+        "golden, name, argv", GOLDEN_RUNS, ids=[f"{g.stem}-{n}" for g, n, _ in GOLDEN_RUNS]
+    )
+    def test_output_flag_writes_the_golden_stdout_to_the_file(
+        self, tmp_path, golden, name, argv
+    ):
+        want = GOLDEN_OUTPUTS[golden][name]
+        path = tmp_path / "out"
+        result = run_in_golden_dir([*argv, "--output", str(path)])
+        assert result == {"exit": want["exit"], "stdout": "", "stderr": want["stderr"]}
+        # a run that fails before its output is written leaves no file
+        written = path.read_bytes().decode("utf-8") if path.exists() else ""
+        assert written == want["stdout"]
+
+    @pytest.mark.parametrize("argv, fmt", STAMPED_RUNS)
+    def test_a_stamp_is_the_one_difference_from_an_unstamped_run(self, capsys, argv, fmt):
+        code, plain, _ = run(capsys, *argv, "--format", fmt)
+        stamped_code, stamped, _ = run(capsys, *argv, "--format", fmt, "--stamp")
+        assert code == stamped_code == 0
+        if fmt == "json":
+            assert stamped.count('"stamp"') == 1
+            doc = json.loads(stamped)
+            stamp = doc["manifest"].pop("stamp")
+            assert doc["manifest"]["deterministic"] is False
+            doc["manifest"]["deterministic"] = True
+            assert doc == json.loads(plain)
+        else:
+            lines = stamped.splitlines(keepends=True)
+            stamps = [line for line in lines if line.startswith("# stamp = ")]
+            assert len(stamps) == 1
+            lines.remove(stamps[0])
+            unstamped = plain.replace("# deterministic = true\n", "# deterministic = false\n")
+            assert "".join(lines) == unstamped != plain
+            stamp = stamps[0][len("# stamp = ") :].rstrip("\n")
+        assert datetime.fromisoformat(stamp).tzinfo is not None

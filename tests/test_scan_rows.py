@@ -54,7 +54,7 @@ def scans(draw, omegas):
     varied, fixed = (SEPARATIONS, WAVE_NUMBERS) if vary == "T" else (WAVE_NUMBERS, SEPARATIONS)
     start, stop = sorted(draw(st.lists(varied, min_size=2, max_size=2)))
     return {
-        "geometry": draw(st.sampled_from(_BUILDERS)),
+        "geometry": draw(st.sampled_from(list(_BUILDERS))),
         "vary": vary,
         "start": start,
         "stop": stop,
@@ -102,7 +102,7 @@ def expected(scan):
             if k == 0.0 or t_sep == 0.0:
                 fields = [0.0] * 5 if clock is None else [0.0, 1.0, 0.0, 1.0]
             else:
-                seq = _build_sequence(scan["geometry"], k, t_sep, scan["t_pause"])
+                seq = _build_sequence(scan["geometry"])(k, t_sep, scan["t_pause"])
                 if clock is None:
                     fields = astuple(total_phase(seq, species, env, ics))
                 else:
