@@ -19,9 +19,13 @@ byte-identical for identical invocations; --stamp opts into a timestamp
 line in the manifest, taken once per run, so the --dump-trajectory file
 shares it.  Numeric flags are SI; --k-in-km gives the wave number as a
 multiple of K_MAGIC = 1.5e7 /m and the manifest records the resolved SI
-value.  Flags that a run would not use are refused (exit 1): --sigma or
---tol with --sweep-sigma, --T with `scan --vary T`, --k or --k-in-km with
-`scan --vary k`, and --dump-dt without --dump-trajectory.
+value.  Each run reads one set of flags, and its manifest records exactly
+that set.  The geometry decides the builder flags: mzi and rbi-double read
+--k and --T, rbi-sym and rbi-asym also --Tprime, a file:<path> none, and
+scan takes no file.  The mode then removes flags: `scan --vary X` X's flag,
+--sweep-sigma --sigma and --tol, and --dump-dt is read only with
+--dump-trajectory.  A given flag outside the set, or a missing one that the
+set needs, exits 1 before anything is computed.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import __version__, constants
 from .clock import beat
@@ -59,13 +63,26 @@ from .geometry import (
 from .kinematics import trajectory_table
 from .phase import total_phase
 
-# Each builder is called as builder(k, T, Tprime).
+# Each builder with the parameters it reads, in the order it takes them.
 _BUILDERS = {
-    "mzi": lambda k, t_sep, t_pause: build_mzi(k, t_sep),
-    "rbi-sym": build_rbi_symmetric,
-    "rbi-asym": build_rbi_asymmetric,
-    "rbi-double": lambda k, t_sep, t_pause: build_rbi_double_loop(k, t_sep),
+    "mzi": (build_mzi, ("k", "T")),
+    "rbi-sym": (build_rbi_symmetric, ("k", "T", "Tprime")),
+    "rbi-asym": (build_rbi_asymmetric, ("k", "T", "Tprime")),
+    "rbi-double": (build_rbi_double_loop, ("k", "T")),
 }
+# A read parameter whose flag is not given takes its default here, or is
+# refused with its message here.  Every other flag is required or has a
+# default in argparse, or selects a mode by being given (--omega,
+# --sweep-sigma, --dump-trajectory).
+_DEFAULTS = {"Tprime": 0.0, "tol": 1e-6}
+_NEEDS = {
+    "k": "geometry {geometry!r} needs --k or --k-in-km",
+    "T": "geometry {geometry!r} needs --T",
+    "sigma": "oracle needs --sigma (or --sweep-sigma)",
+    "dump_dt": "--dump-trajectory needs --dump-dt",
+}
+# argparse destinations that say where and how to write, not what to compute
+_NOT_PARAMETERS = ("subcommand", "func", "format", "output", "stamp", "dump_trajectory")
 # Grid points one scan may ask for, checked before the grid is allocated.
 # The rows are formed one at a time and each is held as its CSV line until
 # the last one is in.  Peak RSS of `scan --geometry rbi-double --omega 1e15`
@@ -93,12 +110,17 @@ class RunManifest:
     stamp: str | None = None
 
     def as_dict(self) -> dict:
+        """The manifest's fields; a list parameter is recorded as its comma-joined reprs."""
+        parameters = {
+            name: ",".join(map(repr, v)) if isinstance(v, list) else v
+            for name, v in sorted(self.parameters.items())
+        }
         out = {
             "command": self.command,
             "version": __version__,
             "format": self.output_format,
             "deterministic": self.stamp is None,
-            "parameters": dict(sorted(self.parameters.items())),
+            "parameters": parameters,
         }
         if self.stamp is not None:
             out["stamp"] = self.stamp
@@ -121,17 +143,17 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--geometry",
         required=True,
-        help=f"one of {', '.join(_BUILDERS)}, or file:<path>",
+        help="mzi or rbi-double (read --k and --T), rbi-sym or rbi-asym (read --k, --T and "
+        "--Tprime), or file:<path> (reads no builder flag; not for scan)",
     )
     p.add_argument("--k", type=float, help="wave number transfer (1/m)")
     p.add_argument(
-        "--k-in-km",
-        type=float,
-        dest="k_in_km",
-        help=f"wave number as a multiple of {constants.K_MAGIC:g} /m",
+        "--k-in-km", type=float, help=f"wave number as a multiple of {constants.K_MAGIC:g} /m"
     )
-    p.add_argument("--T", type=float, dest="t_sep", help="pulse separation (s)")
-    p.add_argument("--Tprime", type=float, dest="t_pause", default=0.0, help="pause (s)")
+    p.add_argument("--T", type=float, help="pulse separation (s)")
+    p.add_argument(
+        "--Tprime", type=float, help="pause (s), read by rbi-sym and rbi-asym only; default 0"
+    )
 
 
 def _add_environment_flags(p: argparse.ArgumentParser, *, require_mass: bool) -> None:
@@ -156,8 +178,8 @@ def build_parser() -> _Parser:
     _add_geometry_flags(sim)
     _add_environment_flags(sim, require_mass=True)
     sim.add_argument("--omega", type=float, default=None, help="clock splitting (rad/s); enables beat output")
-    sim.add_argument("--dump-trajectory", dest="dump_trajectory", help="write t,z1,v1,z2,v2,zg CSV here")
-    sim.add_argument("--dump-dt", dest="dump_dt", type=float, default=None, help="sampling step for the dump (s)")
+    sim.add_argument("--dump-trajectory", help="write t,z1,v1,z2,v2,zg CSV here")
+    sim.add_argument("--dump-dt", type=float, help="sampling step for the dump (s)")
     _add_output_flags(sim)
     sim.set_defaults(func=cmd_simulate)
 
@@ -166,8 +188,8 @@ def build_parser() -> _Parser:
     _add_environment_flags(scan, require_mass=True)
     scan.add_argument("--omega", type=float, default=None, help="clock splitting (rad/s); beat columns")
     scan.add_argument("--vary", choices=("T", "k"), required=True)
-    scan.add_argument("--from", dest="start", type=float, required=True)
-    scan.add_argument("--to", dest="stop", type=float, required=True)
+    scan.add_argument("--from", type=float, required=True)
+    scan.add_argument("--to", type=float, required=True)
     scan.add_argument("--steps", type=int, required=True, help="number of grid points")
     _add_output_flags(scan, formats=("csv",))
     scan.set_defaults(func=cmd_scan)
@@ -190,7 +212,6 @@ def build_parser() -> _Parser:
     )
     orc.add_argument(
         "--sweep-sigma",
-        dest="sweep_sigma",
         type=float,
         nargs="+",
         default=None,
@@ -202,51 +223,64 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_k(args) -> tuple[float | None, dict]:
-    if args.k is not None and args.k_in_km is not None:
-        raise _UsageError("--k and --k-in-km are mutually exclusive")
-    if args.k_in_km is not None:
-        k = args.k_in_km * constants.K_MAGIC
-        return k, {"k": k, "k_in_km": args.k_in_km}
-    if args.k is not None:
-        return args.k, {"k": args.k}
-    return None, {}
+def _read(args) -> dict:
+    """The run's parameters: each flag of its read set, given or defaulted.
 
-
-def _build_sequence(name: str) -> Callable[[float, float, float], PulseSequence]:
-    """The builder of a geometry name, refused here when there is none."""
-    try:
-        return _BUILDERS[name]
-    except KeyError:
+    The geometry decides the builder flags, then the mode removes flags.  A
+    given flag outside the set, or a missing one that the set needs, is
+    refused before anything is computed.
+    """
+    command, geo = args.subcommand, args.geometry
+    values = {n: v for n, v in vars(args).items() if v is not None and n not in _NOT_PARAMETERS}
+    if geo in _BUILDERS:
+        reads = _BUILDERS[geo][1]
+    elif geo.startswith("file:") and command != "scan":
+        reads = ()
+    else:
+        kinds = [*_BUILDERS] if command == "scan" else [*_BUILDERS, "file:<path>"]
         raise _UsageError(
-            f"unknown geometry {name!r}; expected one of {', '.join(_BUILDERS)} or file:<path>"
-        ) from None
+            f"unknown geometry {geo!r}; expected one of {', '.join(kinds[:-1])} or {kinds[-1]}"
+        )
+    # each parameter that the run does not read, with what leaves it unread
+    unread = dict.fromkeys({"k", "T", "Tprime"}.difference(reads), f"with geometry {geo!r}")
+    if command == "scan":
+        unread[args.vary] = f"with --vary {args.vary}"
+    if "sweep_sigma" in values:
+        unread.update(sigma="with --sweep-sigma", tol="with --sweep-sigma")
+    if getattr(args, "dump_trajectory", None) is None:
+        unread["dump_dt"] = "without --dump-trajectory"
+    for name in values:
+        context = unread.get("k" if name == "k_in_km" else name)
+        if context is not None:
+            raise _UsageError(f"--{name.replace('_', '-')} is not read {context}")
+    if "k_in_km" in values:
+        if "k" in values:
+            raise _UsageError("--k and --k-in-km are mutually exclusive")
+        values["k"] = values["k_in_km"] * constants.K_MAGIC
+    offered = vars(args).keys() - unread.keys()
+    for name, message in _NEEDS.items():
+        if name in offered and name not in values:
+            raise _UsageError(message.format(geometry=geo))
+    return {**{n: v for n, v in _DEFAULTS.items() if n in offered}, **values}
 
 
-def _resolve_sequence(args) -> tuple[PulseSequence, dict]:
-    """Sequence plus the manifest parameters describing where it came from."""
-    geo = args.geometry
-    if geo.startswith("file:"):
-        path = geo[len("file:") :]
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _UsageError(f"cannot read geometry file {path!r}: {exc}") from exc
-        return parse_geometry(text), {"geometry": geo}
-    k, k_params = _resolve_k(args)
-    if k is None:
-        raise _UsageError(f"geometry {geo!r} needs --k or --k-in-km")
-    if args.t_sep is None:
-        raise _UsageError(f"geometry {geo!r} needs --T")
-    params = {"geometry": geo, "T": args.t_sep, "Tprime": args.t_pause, **k_params}
-    return _build_sequence(geo)(k, args.t_sep, args.t_pause), params
+def _sequence(params: dict) -> PulseSequence:
+    """The run's sequence: built from its parameters, or parsed from its file."""
+    geo = params["geometry"]
+    if geo in _BUILDERS:
+        build, reads = _BUILDERS[geo]
+        return build(*(params[name] for name in reads))
+    path = geo[len("file:") :]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot read geometry file {path!r}: {exc}") from exc
+    return parse_geometry(text)
 
 
-def _environment(args) -> tuple[Species, GravityEnv, InitialConditions, dict]:
-    species = Species(args.mass)
-    env = GravityEnv(args.g)
-    ics = InitialConditions(args.z0, args.v0)
-    return species, env, ics, {"mass": args.mass, "g": args.g, "z0": args.z0, "v0": args.v0}
+def _environment(params: dict) -> tuple[Species, GravityEnv, InitialConditions]:
+    ics = InitialConditions(params["z0"], params["v0"])
+    return Species(params["mass"]), GravityEnv(params["g"]), ics
 
 
 def _emit_lines(lines: Iterable[str], output: str | None) -> None:
@@ -293,30 +327,23 @@ def _csv_line(row: Iterable[float]) -> str:
     return ",".join(_fmt(x) for x in row) + "\n"
 
 
-def cmd_simulate(args) -> tuple[int, dict, dict]:
-    if args.dump_trajectory is None and args.dump_dt is not None:
-        raise _UsageError("--dump-dt needs --dump-trajectory")
-    if args.dump_trajectory is not None and args.dump_dt is None:
-        raise _UsageError("--dump-trajectory needs --dump-dt")
-    seq, geo_params = _resolve_sequence(args)
-    species, env, ics, env_params = _environment(args)
-    params = {**geo_params, **env_params}
-
+def cmd_simulate(args, params: dict) -> tuple[int, dict]:
+    seq = _sequence(params)
+    species, env, ics = _environment(params)
     breakdown = total_phase(seq, species, env, ics)
     payload = {"phase": asdict(breakdown)}
-    if args.omega is not None:
-        params["omega"] = args.omega
-        payload["beat"] = asdict(beat(seq, ClockPair(args.mass, args.omega), env, ics))
+    if "omega" in params:
+        payload["beat"] = asdict(beat(seq, ClockPair(params["mass"], params["omega"]), env, ics))
 
     if args.dump_trajectory is not None:
-        table = trajectory_table(seq, species, env, ics, args.dump_dt)
+        table = trajectory_table(seq, species, env, ics, params["dump_dt"])
         # Rows become lists of floats a block at a time and each line is
         # written as it is formed: the table is the only full copy held.
         rows = (row for i in range(0, len(table), 4096) for row in table[i : i + 4096].tolist())
         lines = _csv(["t", "z1", "v1", "z2", "v2", "zg"], map(_csv_line, rows))
         _write(
-            "simulate --dump-trajectory", {**params, "dump_dt": args.dump_dt}, "csv", args.stamp,
-            {"csv": lines}, args.dump_trajectory,
+            "simulate --dump-trajectory", params, "csv", args.stamp, {"csv": lines},
+            args.dump_trajectory,
         )
 
     body = breakdown.as_table()
@@ -326,7 +353,7 @@ def cmd_simulate(args) -> tuple[int, dict, dict]:
     columns = [name for fields in payload.values() for name in fields]
     row = [value for fields in payload.values() for value in fields.values()]
     csv = _csv(columns, [_csv_line(row)])
-    return 0, params, {"json": payload, "text": [body + "\n"], "csv": csv}
+    return 0, {"json": payload, "text": [body + "\n"], "csv": csv}
 
 
 def _linspace(start: float, stop: float, steps: int) -> list[float]:
@@ -349,52 +376,37 @@ def _linspace(start: float, stop: float, steps: int) -> list[float]:
     return values
 
 
-def cmd_scan(args) -> tuple[int, dict, dict]:
-    if args.geometry.startswith("file:"):
-        raise _UsageError("scan varies builder parameters; geometry files are fixed")
-    build = _build_sequence(args.geometry)
-    if args.steps < 1:
-        raise _UsageError(f"empty scan range: --steps {args.steps}")
-    if args.steps > MAX_SCAN_ROWS:
-        raise _UsageError(f"--steps {args.steps} exceeds the scan row budget of {MAX_SCAN_ROWS}")
-    for flag, value in (("--from", args.start), ("--to", args.stop)):
+def cmd_scan(args, params: dict) -> tuple[int, dict]:
+    build, reads = _BUILDERS[params["geometry"]]  # _read refused every other geometry
+    vary, start, stop, steps = params["vary"], params["from"], params["to"], params["steps"]
+    if steps < 1:
+        raise _UsageError(f"empty scan range: --steps {steps}")
+    if steps > MAX_SCAN_ROWS:
+        raise _UsageError(f"--steps {steps} exceeds the scan row budget of {MAX_SCAN_ROWS}")
+    for flag, value in (("--from", start), ("--to", stop)):
         if not math.isfinite(value):
             raise _UsageError(f"{flag} must be finite, got {value!r}")
-    if args.stop < args.start:
-        raise _UsageError(f"empty scan range: --from {args.start} exceeds --to {args.stop}")
-    species, env, ics, env_params = _environment(args)
-    if args.vary == "T":
-        k, grid_params = _resolve_k(args)
-        if k is None:
-            raise _UsageError("scan over T needs --k or --k-in-km")
-        unused = (("--T", args.t_sep),)
-    else:
-        if args.t_sep is None:
-            raise _UsageError("scan over k needs --T")
-        k, grid_params = None, {"T": args.t_sep}
-        unused = (("--k", args.k), ("--k-in-km", args.k_in_km))
-    # the grid sets the varied parameter, so a fixed value for it would go unused
-    for flag, value in unused:
-        if value is not None:
-            raise _UsageError(f"{flag} cannot be combined with --vary {args.vary}")
+    if stop < start:
+        raise _UsageError(f"empty scan range: --from {start} exceeds --to {stop}")
+    species, env, ics = _environment(params)
 
-    values = _linspace(args.start, args.stop, args.steps)
-    if args.omega is None:
+    values = _linspace(start, stop, steps)
+    if "omega" not in params:
         columns = ["delta_tau", "recoil_phase", "gravito_recoil", "laser_phase", "total_phase"]
         degenerate = [0.0] * 5
     else:
-        clock = ClockPair(args.mass, args.omega)
+        clock = ClockPair(params["mass"], params["omega"])
         columns = ["delta_tau", "envelope", "carrier_phase", "P"]
         degenerate = [0.0, 1.0, 0.0, 1.0]
 
     def row(value: float) -> list[float]:
-        k_here, t_sep = (k, value) if args.vary == "T" else (value, args.t_sep)
+        point = {**params, vary: value}
         # A zero parameter is the degenerate corner of the sweep: no kicks and
         # no dephasing, and the builders reject it.
-        if k_here == 0.0 or t_sep == 0.0:
+        if point["k"] == 0.0 or point["T"] == 0.0:
             return [value, *degenerate]
-        seq = build(k_here, t_sep, args.t_pause)
-        if args.omega is None:
+        seq = build(*(point[name] for name in reads))
+        if "omega" not in params:
             b = total_phase(seq, species, env, ics)
             return [
                 value, b.delta_tau, b.recoil_phase, b.gravito_recoil, b.laser_phase, b.total_phase
@@ -405,48 +417,33 @@ def cmd_scan(args) -> tuple[int, dict, dict]:
     # Each row becomes its CSV line as it is formed, and nothing is written
     # before the last one: a failing row leaves stdout empty.
     lines = [_csv_line(row(value)) for value in values]
-
-    params = {
-        **grid_params, **env_params, "Tprime": args.t_pause, "geometry": args.geometry,
-        "vary": args.vary, "from": args.start, "to": args.stop, "steps": args.steps,
-    }
-    if args.omega is not None:
-        params["omega"] = args.omega
-    return 0, params, {"csv": _csv([args.vary, *columns], lines)}
+    return 0, {"csv": _csv([vary, *columns], lines)}
 
 
-def cmd_check(args) -> tuple[int, dict, dict]:
-    seq, geo_params = _resolve_sequence(args)
-    report = asdict(closure_check(seq, Species(args.mass)))
+def cmd_check(args, params: dict) -> tuple[int, dict]:
+    report = asdict(closure_check(_sequence(params), Species(params["mass"])))
     entries = {
         name: _fmt(v) if isinstance(v, float) else str(v).lower() for name, v in report.items()
     }
     payloads = {"json": {"closure": report}, "text": [_table(entries) + "\n"]}
-    return 0 if report["closed"] else 2, {**geo_params, "mass": args.mass}, payloads
+    return 0 if report["closed"] else 2, payloads
 
 
-def cmd_oracle(args) -> tuple[int, dict, dict]:
+def cmd_oracle(args, params: dict) -> tuple[int, dict]:
     from .oracle import OracleConfig, convergence_study, oracle_report
 
-    if args.sweep_sigma is not None:
-        # a sweep sets its own widths and reports residuals without a limit
-        for flag, value in (("--sigma", args.sigma), ("--tol", args.tol)):
-            if value is not None:
-                raise _UsageError(f"{flag} cannot be combined with --sweep-sigma")
-    tol = 1e-6 if args.tol is None else args.tol
     # nan would pass every `residual > tol` test and never exit 3
-    if not tol >= 0.0:
-        raise _UsageError(f"--tol must be a non-negative number, got {tol!r}")
-    seq, geo_params = _resolve_sequence(args)
-    species, env, ics, env_params = _environment(args)
-    params = {**geo_params, **env_params, "steps": args.steps, "shape": args.shape}
+    if not params.get("tol", 0.0) >= 0.0:
+        raise _UsageError(f"--tol must be a non-negative number, got {params['tol']!r}")
+    seq = _sequence(params)
+    species, env, ics = _environment(params)
+    steps, shape = params["steps"], params["shape"]
 
-    if args.sweep_sigma is not None:
+    if "sweep_sigma" in params:
         study = convergence_study(
-            seq, species, env, ics, args.sweep_sigma,
-            steps_per_segment=args.steps, pulse_shape=args.shape,
+            seq, species, env, ics, params["sweep_sigma"],
+            steps_per_segment=steps, pulse_shape=shape,
         )
-        params["sweep_sigma"] = ",".join(repr(w) for w in study.widths)
         fit = study.fitted_exponent
         # nan (fewer than two residuals above the floor) is not JSON
         payload = {**asdict(study), "fitted_exponent": fit if math.isfinite(fit) else None}
@@ -454,13 +451,10 @@ def cmd_oracle(args) -> tuple[int, dict, dict]:
         fitted = f"# fitted_exponent = {_fmt(fit)}\n"
         # a sweep's text output is its CSV table
         table = list(_csv(["sigma", "rel_residual"], [*rows, fitted]))
-        return 0, params, {"json": payload, "text": table, "csv": table}
+        return 0, {"json": payload, "text": table, "csv": table}
 
-    if args.sigma is None:
-        raise _UsageError("oracle needs --sigma (or --sweep-sigma)")
-    cfg = OracleConfig(pulse_width=args.sigma, steps_per_segment=args.steps, pulse_shape=args.shape)
+    cfg = OracleConfig(pulse_width=params["sigma"], steps_per_segment=steps, pulse_shape=shape)
     result = oracle_report(seq, species, env, ics, cfg)
-    params.update(sigma=args.sigma, tol=tol)
     report = result.as_report()
     # one column per float field of the report; steps, shape and the
     # closure residual pair are in the manifest or not a single number
@@ -470,17 +464,19 @@ def cmd_oracle(args) -> tuple[int, dict, dict]:
         "text": [_table(report) + "\n"],
         "csv": _csv(list(fields), [_csv_line(fields.values())]),
     }
-    return 3 if result.residual_vs_closed_form > tol else 0, params, payloads
+    return 3 if result.residual_vs_closed_form > params["tol"] else 0, payloads
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # what the run reads is what its manifest records
+        params = _read(args)
         # one run, one stamp in every manifest it writes
         args.stamp = datetime.now(timezone.utc).isoformat() if args.stamp else None
-        # each command gives its exit code, manifest parameters and payloads
-        code, params, payloads = args.func(args)
+        # each command gives its exit code and payloads
+        code, payloads = args.func(args, params)
         _write(args.subcommand, params, args.format, args.stamp, payloads, args.output)
         return code
     except GeometryParseError as exc:

@@ -261,7 +261,7 @@ class TestSimulate:
                     "--z0", "1.0", "--v0", "-0.5", "--dump-dt", "0.003",
                 ),
                 335,
-                "87422a45586dfb7cd0886148178457b2a64f834d77ed077e4fb9de73fa7ec848",
+                "00f88e8382570f08f78eb5da1cb1cc468593083c4844d28682aadbd434ea7969",
             ),
         ],
         ids=["on-grid-end", "t-end-row"],
@@ -400,10 +400,6 @@ class TestSimulate:
         assert code == 1
         assert "--dump-dt" in err
 
-    def test_a_dump_step_without_a_dump_is_refused(self, capsys):
-        code, out, err = run(capsys, *self.BASE, "--dump-dt", "0.1")
-        assert (code, out, err) == (1, "", "error: --dump-dt needs --dump-trajectory\n")
-
 
 class TestScan:
     def test_sweep_over_T_with_a_degenerate_origin(self, capsys):
@@ -524,8 +520,8 @@ class TestScan:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--vary", "T"), "scan over T needs --k or --k-in-km"),
-            (("--vary", "k", "--k", "1e7"), "scan over k needs --T"),
+            (("--vary", "T"), "geometry 'rbi-asym' needs --k or --k-in-km"),
+            (("--vary", "k"), "geometry 'rbi-asym' needs --T"),
         ],
         ids=["T-without-k", "k-without-T"],
     )
@@ -537,23 +533,6 @@ class TestScan:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "flags, refused",
-        [
-            (("--vary", "T", "--k", "1e7", "--T", "5"), "--T"),
-            (("--vary", "k", "--T", "0.1", "--k", "-5"), "--k"),
-            (("--vary", "k", "--T", "0.1", "--k-in-km", "2"), "--k-in-km"),
-        ],
-        ids=["T", "k", "k-in-km"],
-    )
-    def test_a_fixed_value_of_the_varied_parameter_is_refused(self, capsys, flags, refused):
-        code, out, err = run(
-            capsys, "scan", "--geometry", "mzi", *flags, "--from", "0.1", "--to", "0.2",
-            "--steps", "2", "--mass", "1e-25",
-        )
-        message = f"error: {refused} cannot be combined with --vary {flags[1]}\n"
-        assert (code, out, err) == (1, "", message)
-
     def test_an_unknown_geometry_is_refused_before_any_row(self, capsys):
         # every row of this grid is degenerate, so no row calls a builder
         code, out, err = run(
@@ -562,8 +541,7 @@ class TestScan:
         )
         assert (code, out) == (1, "")
         assert err == (
-            "error: unknown geometry 'bogus'; expected one of mzi, rbi-sym, rbi-asym, rbi-double "
-            "or file:<path>\n"
+            "error: unknown geometry 'bogus'; expected one of mzi, rbi-sym, rbi-asym or rbi-double\n"
         )
 
     def test_steps_over_the_row_budget_are_refused(self, capsys):
@@ -590,15 +568,6 @@ class TestScan:
         )
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: ")
-
-    def test_geometry_files_cannot_be_scanned(self, capsys, tmp_path):
-        path = tmp_path / "g.geom"
-        path.write_text(serialize_geometry(build_mzi(1e7, 0.4)), encoding="utf-8")
-        code, _, err = run(
-            capsys, "scan", "--geometry", f"file:{path}", "--vary", "T",
-            "--from", "0", "--to", "1", "--steps", "2", "--mass", SR_MASS,
-        )
-        assert code == 1
 
 
 @st.composite
@@ -801,13 +770,6 @@ class TestOracle:
         assert code == 0
         assert "# fitted_exponent = nan" in out
 
-    @pytest.mark.parametrize("flag", [("--sigma", "1e-2"), ("--tol", "1e-30")])
-    def test_sweep_refuses_a_single_width_flag(self, capsys, flag):
-        code, out, err = run(capsys, *self.BASE, *flag, "--sweep-sigma", "3.25e-4", "3.25e-5")
-        assert code == 1
-        assert out == ""
-        assert err == f"error: {flag[0]} cannot be combined with --sweep-sigma\n"
-
     def test_increasing_sweep_is_rejected(self, capsys):
         code, _, err = run(capsys, *self.BASE, "--sweep-sigma", "1e-6", "1e-5")
         assert code == 1
@@ -937,3 +899,122 @@ class TestOneWriter:
             assert "".join(lines) == unstamped != plain
             stamp = stamps[0][len("# stamp = ") :].rstrip("\n")
         assert datetime.fromisoformat(stamp).tzinfo is not None
+
+
+# The refusal cases: each argv gives one flag outside its run's read set, or
+# gives scan a file: geometry, which scan does not take.
+PHASES_FILE = f"file:{CLI_GOLDEN.parent / 'laser-phases.geom'}"
+# each command's flags beside --geometry: the builder flags that mzi and
+# rbi-double read, then the rest
+READ_SET_RUNS = {
+    "simulate": (("--k", "1e7", "--T", "0.1"), ("--mass", "1e-25")),
+    "check": (("--k", "1e7", "--T", "0.1"), ()),
+    "oracle": (("--k", "1e7", "--T", "0.1"), ("--mass", "1e-25", "--sigma", "1e-6")),
+    "scan": (
+        ("--k", "1e7"),
+        ("--mass", "1e-25", "--vary", "T", "--from", "0.1", "--to", "0.2", "--steps", "2"),
+    ),
+}
+BUILDER_FLAGS = (("--k", "5"), ("--k-in-km", "2"), ("--T", "3"), ("--Tprime", "0.3"))
+REFUSALS = {
+    **{
+        f"{command}-{geometry}-Tprime": (
+            (command, "--geometry", geometry, *builder, *rest, "--Tprime", "0.3"),
+            f"--Tprime is not read with geometry {geometry!r}",
+        )
+        for command, (builder, rest) in READ_SET_RUNS.items()
+        for geometry in ("mzi", "rbi-double")
+    },
+    **{
+        f"{command}-file-{flag[2:]}": (
+            (command, "--geometry", PHASES_FILE, *READ_SET_RUNS[command][1], flag, value),
+            f"{flag} is not read with geometry {PHASES_FILE!r}",
+        )
+        for command in ("simulate", "check", "oracle")
+        for flag, value in BUILDER_FLAGS
+    },
+    "scan-file": (
+        ("scan", "--geometry", PHASES_FILE, *READ_SET_RUNS["scan"][1]),
+        f"unknown geometry {PHASES_FILE!r}; expected one of mzi, rbi-sym, rbi-asym or rbi-double",
+    ),
+    # the grid sets the varied parameter
+    **{
+        f"scan-vary-{vary}-{flag}": (
+            ("scan", "--geometry", "mzi", *fixed, "--vary", vary, "--from", "0.1", "--to", "0.2",
+             "--steps", "2", "--mass", "1e-25", f"--{flag}", value),
+            f"--{flag} is not read with --vary {vary}",
+        )
+        for vary, fixed, flag, value in (
+            ("T", ("--k", "1e7"), "T", "5"),
+            ("k", ("--T", "0.1"), "k", "-5"),
+            ("k", ("--T", "0.1"), "k-in-km", "2"),
+        )
+    },
+    # a sweep sets its own widths and reports residuals without a limit
+    **{
+        f"oracle-sweep-{flag}": (
+            ("oracle", "--geometry", "rbi-asym", "--k", "1.8e10", "--T", "0.325", "--mass",
+             SR_MASS, "--sweep-sigma", "3.25e-4", "3.25e-5", f"--{flag}", value),
+            f"--{flag} is not read with --sweep-sigma",
+        )
+        for flag, value in (("sigma", "1e-2"), ("tol", "1e-30"))
+    },
+    "simulate-dump-dt": (
+        ("simulate", "--geometry", "mzi", "--k", "1e7", "--T", "0.4", "--mass", SR_MASS,
+         "--dump-dt", "0.1"),
+        "--dump-dt is not read without --dump-trajectory",
+    ),
+    # two runs that used to exit 0 with flags that never entered the result
+    "file-k-and-T": (
+        ("simulate", "--geometry", PHASES_FILE, "--k", "5", "--T", "3", "--mass", "1e-25"),
+        f"--k is not read with geometry {PHASES_FILE!r}",
+    ),
+    "mzi-Tprime": (
+        ("simulate", "--geometry", "mzi", "--k", "1e7", "--T", "0.4", "--Tprime", "0.3",
+         "--mass", "1e-25"),
+        "--Tprime is not read with geometry 'mzi'",
+    ),
+}
+
+
+def flag_names(argv):
+    """The parameter name of each flag in argv: --k-in-km is k_in_km, --from=-1 is from."""
+    return {a[2:].partition("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
+
+
+def read_defaults(argv):
+    """The parameters a golden run reads without their flags: defaults, and k from --k-in-km."""
+    names, command = flag_names(argv), argv[0]
+    defaults = {"mass"} if command == "check" else {"g", "z0", "v0"}
+    if command == "oracle":
+        defaults |= {"steps", "shape"} | (set() if "sweep_sigma" in names else {"tol"})
+    if argv[argv.index("--geometry") + 1] in ("rbi-sym", "rbi-asym"):
+        defaults.add("Tprime")
+    if "k_in_km" in names:
+        defaults.add("k")
+    return defaults - names
+
+
+class TestReadSet:
+    """A run reads one set of flags: it refuses the rest, and its manifest lists the set."""
+
+    @pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_a_flag_outside_the_read_set_is_refused(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "golden, name, argv", GOLDEN_RUNS, ids=[f"{g.stem}-{n}" for g, n, _ in GOLDEN_RUNS]
+    )
+    def test_the_manifest_lists_what_the_run_read(self, golden, name, argv):
+        stdout = GOLDEN_OUTPUTS[golden][name]["stdout"]
+        if not stdout:  # a failed run writes no manifest
+            return
+        if stdout.startswith("{"):
+            params = json.loads(stdout)["manifest"]["parameters"]
+        else:
+            params = manifest_params(stdout)
+        names = flag_names(argv) - {"format", "output", "stamp"}
+        assert set(params) == names | read_defaults(argv)

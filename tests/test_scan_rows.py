@@ -29,7 +29,7 @@ from lpai import (
     total_phase,
     visibility_scan,
 )
-from lpai.cli import _BUILDERS, _build_sequence, _csv_line, _linspace, main
+from lpai.cli import _BUILDERS, _csv_line, _linspace, main
 
 
 def mostly(typical, extremes):
@@ -73,8 +73,11 @@ def argv(scan):
         "scan", "--geometry", scan["geometry"], "--vary", scan["vary"],
         f"--from={scan['start']!r}", f"--to={scan['stop']!r}", "--steps", str(scan["steps"]),
         f"--{'k' if scan['vary'] == 'T' else 'T'}={scan['fixed']!r}",
-        f"--Tprime={scan['t_pause']!r}", f"--mass={scan['mass']!r}", f"--g={scan['g']!r}",
+        f"--mass={scan['mass']!r}", f"--g={scan['g']!r}",
     ]
+    # only the pause builders read --Tprime; the others refuse it
+    if "Tprime" in _BUILDERS[scan["geometry"]][1]:
+        out.append(f"--Tprime={scan['t_pause']!r}")
     if scan["omega"] is not None:
         out.append(f"--omega={scan['omega']!r}")
     return out
@@ -94,6 +97,7 @@ def failure(exc):
 def expected(scan):
     """(exit code, CSV lines after the column line, stderr) from per-row library calls."""
     species, env, ics = Species(scan["mass"]), GravityEnv(scan["g"]), InitialConditions()
+    build, reads = _BUILDERS[scan["geometry"]]
     lines = []
     try:
         clock = None if scan["omega"] is None else ClockPair(scan["mass"], scan["omega"])
@@ -102,7 +106,8 @@ def expected(scan):
             if k == 0.0 or t_sep == 0.0:
                 fields = [0.0] * 5 if clock is None else [0.0, 1.0, 0.0, 1.0]
             else:
-                seq = _build_sequence(scan["geometry"])(k, t_sep, scan["t_pause"])
+                point = {"k": k, "T": t_sep, "Tprime": scan["t_pause"]}
+                seq = build(*(point[name] for name in reads))
                 if clock is None:
                     fields = astuple(total_phase(seq, species, env, ics))
                 else:
