@@ -299,12 +299,12 @@ class PulseTable:
 
     The fields are read through float() into three lists, or from
     _ARRAY_MIN_PULSES on into a (3, n) float64 array of t, k_upper and
-    k_lower, and a non-finite one is refused.  A table serves one call:
-    closure_check reads its moments and scales, recoil_double_sum its S and
-    gravito_sum its fields.  The moments and S come from one integer pass,
-    which an array table runs on first use: t_i = T_i * 2**et and
-    k_i = K_i * 2**ek on both branches (et, ek <= 0), S over exact
-    differences as sum_n K_n (T_n sum_{l<n} K_l - sum_{l<n} K_l T_l).
+    k_lower; a non-finite one, or an int beyond the float range, is refused.
+    A table serves one call: closure_check reads its moments and scales,
+    recoil_double_sum its S and gravito_sum its fields.  The moments and S
+    come from one integer pass, which an array table runs on first use:
+    t_i = T_i * 2**et and k_i = K_i * 2**ek on both branches (et, ek <= 0),
+    S over exact differences as sum_n K_n (T_n sum_{l<n} K_l - sum_{l<n} K_l T_l).
     """
 
     # True where an array table's wave numbers are all floats: the difference
@@ -316,18 +316,22 @@ class PulseTable:
         self.pulses = pulses
         self.array = len(pulses) >= _ARRAY_MIN_PULSES
         self._s = None
+        ku, kl = [p.k_upper for p in pulses], [p.k_lower for p in pulses]
+        if self.array:
+            self.float_k = {*map(type, ku), *map(type, kl)} <= {float}
+        try:
+            t = [float(p.t) for p in pulses]
+            if not self.float_k:
+                ku, kl = list(map(float, ku)), list(map(float, kl))
+        except OverflowError:  # an int beyond the float range
+            raise NonFiniteResultError(_NOT_FINITE) from None
         if not self.array:
-            self.fields = [[float(p.t) for p in pulses], [float(p.k_upper) for p in pulses]]
-            self.fields.append([float(p.k_lower) for p in pulses])
+            self.fields = [t, ku, kl]
             self._integer_pass()  # its conversion refuses a non-finite field
             return
         import numpy as np
 
-        ku, kl = [p.k_upper for p in pulses], [p.k_lower for p in pulses]
-        self.float_k = {*map(type, ku), *map(type, kl)} <= {float}
-        if not self.float_k:
-            ku, kl = list(map(float, ku)), list(map(float, kl))
-        self.fields = np.array([[float(p.t) for p in pulses], ku, kl])
+        self.fields = np.array([t, ku, kl])
         if not np.isfinite(self.fields).all():
             raise NonFiniteResultError(_NOT_FINITE)
 

@@ -10,6 +10,13 @@ removes sensitivity to a uniform acceleration of the launch trajectory.
 The moments are exact integer sums over the stored fields, rounded once,
 and their tolerances scale with the largest |k| and |t k|; both come from
 _exactsum.PulseTable, shared with the recoil double sum.
+
+The four builders are one pulse train at (0, T, T+Tp, 2T+Tp); a zero pause
+merges its central pair, the Tp -> 0 limit in which rbi-sym is mzi's train.
+A geometry file's sequence rules are PulseSequence's structural ones,
+reported at the pulse's time token or at 'tend'.  serialize_geometry refuses
+whatever parse_geometry would refuse, so the round trip holds for every
+sequence it accepts.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 from . import constants
 from ._exactsum import PulseTable
-from .core import Pulse, PulseSequence, Species
+from .core import STRUCTURAL_RULES, Pulse, PulseSequence, Species, require_valid, validate_sequence
 from .errors import GeometryParseError
 
 # Relative weight for the moment tolerances; scaled by the largest |k| and
@@ -72,17 +79,30 @@ def _check_builder_args(k: float, T: float, Tp: float | None = None) -> None:
         raise ValueError(f"Tprime must be non-negative and finite, got {Tp!r}")
 
 
+def _train(name: str, k: float, T: float, Tp: float, upper, lower) -> PulseSequence:
+    """Pulses at (0, T, T+Tp, 2T+Tp) kicking each branch by its multiples of k.
+
+    upper and lower hold one multiple (0, +-1 or +-2) per pulse.  Tp == 0.0
+    (-0.0 included) merges the central pair into one pulse at T carrying both
+    kicks; other coincident times are kept, for validation to refuse.
+    """
+    times, upper, lower = [0.0, T, T + Tp, 2.0 * T + Tp], list(upper), list(lower)
+    if Tp == 0.0:
+        del times[2]
+        upper[1:3], lower[1:3] = [upper[1] + upper[2]], [lower[1] + lower[2]]
+    kick = {0: 0.0, 1: k, -1: -k, 2: 2.0 * k, -2: -2.0 * k}
+    pulses = tuple(Pulse(t, kick[u], kick[l]) for t, u, l in zip(times, upper, lower))
+    return PulseSequence(pulses, name=name)
+
+
+# One beam-splitter pair per branch: the first pair on the upper branch
+_SYMMETRIC = ((1, -1, 0, 0), (0, 0, 1, -1))
+
+
 def build_mzi(k: float, T: float) -> PulseSequence:
-    """Three-pulse Mach-Zehnder: split, redirect, recombine at (0, T, 2T)."""
+    """Three-pulse Mach-Zehnder: split, redirect, recombine at (0, T, 2T); rbi-sym at Tp = 0."""
     _check_builder_args(k, T)
-    return PulseSequence(
-        (
-            Pulse(0.0, k, 0.0),
-            Pulse(T, -k, k),
-            Pulse(2.0 * T, 0.0, -k),
-        ),
-        name="mzi",
-    )
+    return _train("mzi", k, T, 0.0, *_SYMMETRIC)
 
 
 def build_rbi_symmetric(k: float, T: float, Tp: float = 0.0) -> PulseSequence:
@@ -93,26 +113,7 @@ def build_rbi_symmetric(k: float, T: float, Tp: float = 0.0) -> PulseSequence:
     pulses into one pulse acting on both branches.
     """
     _check_builder_args(k, T, Tp)
-    if Tp == 0.0:
-        return PulseSequence(
-            (
-                Pulse(0.0, k, 0.0),
-                Pulse(T, -k, k),
-                Pulse(2.0 * T, 0.0, -k),
-            ),
-            name="rbi-sym",
-        )
-    t3 = T + Tp
-    t4 = 2.0 * T + Tp
-    return PulseSequence(
-        (
-            Pulse(0.0, k, 0.0),
-            Pulse(T, -k, 0.0),
-            Pulse(t3, 0.0, k),
-            Pulse(t4, 0.0, -k),
-        ),
-        name="rbi-sym",
-    )
+    return _train("rbi-sym", k, T, Tp, *_SYMMETRIC)
 
 
 def build_rbi_asymmetric(k: float, T: float, Tp: float = 0.0) -> PulseSequence:
@@ -123,26 +124,7 @@ def build_rbi_asymmetric(k: float, T: float, Tp: float = 0.0) -> PulseSequence:
     pause Tp.  A zero pause merges the two central pulses.
     """
     _check_builder_args(k, T, Tp)
-    if Tp == 0.0:
-        return PulseSequence(
-            (
-                Pulse(0.0, k, 0.0),
-                Pulse(T, -2.0 * k, 0.0),
-                Pulse(2.0 * T, k, 0.0),
-            ),
-            name="rbi-asym",
-        )
-    t3 = T + Tp
-    t4 = 2.0 * T + Tp
-    return PulseSequence(
-        (
-            Pulse(0.0, k, 0.0),
-            Pulse(T, -k, 0.0),
-            Pulse(t3, -k, 0.0),
-            Pulse(t4, k, 0.0),
-        ),
-        name="rbi-asym",
-    )
+    return _train("rbi-asym", k, T, Tp, (1, -1, -1, 1), (0, 0, 0, 0))
 
 
 def build_rbi_double_loop(k: float, T: float) -> PulseSequence:
@@ -150,18 +132,10 @@ def build_rbi_double_loop(k: float, T: float) -> PulseSequence:
 
     All three closure moments vanish, so the signal is insensitive to the
     launch trajectory and to a uniform acceleration; what remains is the pure
-    recoil phase -2*hbar*k^2*T/mass.
+    recoil phase -2*hbar*k^2*T/mass.  Its times are the train's at Tp = 2T.
     """
     _check_builder_args(k, T)
-    return PulseSequence(
-        (
-            Pulse(0.0, k, 0.0),
-            Pulse(T, -2.0 * k, 0.0),
-            Pulse(3.0 * T, 2.0 * k, 0.0),
-            Pulse(4.0 * T, -k, 0.0),
-        ),
-        name="rbi-double",
-    )
+    return _train("rbi-double", k, T, 2.0 * T, (1, -2, 2, -1), (0, 0, 0, 0))
 
 
 # --- geometry file format ---------------------------------------------------
@@ -171,9 +145,9 @@ def build_rbi_double_loop(k: float, T: float) -> PulseSequence:
 #   tend <float>                 (optional, at most once; default: last pulse)
 #   pulse <t> <k_upper> <k_lower> [<phi_upper> <phi_lower>]
 #
-# Numbers are plain decimal floats; pulse times must strictly increase in
-# file order.  Serialization writes 17 significant digits, so a
-# parse(serialize(seq)) round trip reproduces every float bit-exactly.
+# Numbers are plain decimal floats.  Serialization writes 17 significant
+# digits, so a parse(serialize(seq)) round trip reproduces every float
+# bit-exactly.
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 _NONFINITE_RE = re.compile(r"[+-]?(nan|inf|infinity)\Z", re.IGNORECASE)
@@ -189,7 +163,8 @@ def _phase_worth_writing(x: float) -> bool:
 
 
 def serialize_geometry(seq: PulseSequence) -> str:
-    """Render a sequence in the line-oriented geometry format."""
+    """Render a sequence in the geometry format; ValueError for one parsing would refuse."""
+    require_valid(seq, structural_only=True)
     lines = []
     if seq.name is not None:
         if not seq.name or re.search(r"[\s#]", seq.name):
@@ -232,8 +207,8 @@ def parse_geometry(text: str) -> PulseSequence:
     """Parse the geometry file format; raises GeometryParseError with line/column."""
     name: str | None = None
     tend: float | None = None
-    tend_pos: tuple[int, int] | None = None
     pulses: list[Pulse] = []
+    where: dict[int | None, tuple[int, int]] = {}  # time token by pulse index; None: 'tend'
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw)
@@ -261,36 +236,24 @@ def parse_geometry(text: str) -> PulseSequence:
                     f"'tend' takes one number, got {len(args)}", line=line_no, column=col0, rule="syntax"
                 )
             tend = _parse_number(args[0][1], line_no, args[0][0])
-            tend_pos = (line_no, col0)
+            where[None] = (line_no, col0)
         elif head == "pulse":
             if len(args) not in (3, 5):
                 raise GeometryParseError(
-                    f"'pulse' takes 3 or 5 numbers, got {len(args)}",
-                    line=line_no,
-                    column=col0,
-                    rule="syntax",
+                    f"'pulse' takes 3 or 5 numbers, got {len(args)}", line=line_no, column=col0, rule="syntax"
                 )
-            values = [_parse_number(tok, line_no, col) for col, tok in args]
-            if pulses and values[0] <= pulses[-1].t:
-                raise GeometryParseError(
-                    f"pulse time {values[0]!r} does not exceed previous time {pulses[-1].t!r}",
-                    line=line_no,
-                    column=args[0][0],
-                    rule="non-monotone times",
-                )
-            phi_u, phi_l = (values[3], values[4]) if len(values) == 5 else (0.0, 0.0)
-            pulses.append(Pulse(values[0], values[1], values[2], phi_u, phi_l))
+            where[len(pulses)] = (line_no, args[0][0])
+            # the phases default to 0.0 when the line has no phase columns
+            pulses.append(Pulse(*(_parse_number(tok, line_no, col) for col, tok in args)))
         else:
             raise GeometryParseError(
                 f"unknown directive {head!r}", line=line_no, column=col0, rule="syntax"
             )
 
-    if tend is not None and pulses and tend < pulses[-1].t:
-        line_no, col0 = tend_pos  # type: ignore[misc]
-        raise GeometryParseError(
-            f"tend {tend!r} precedes last pulse time {pulses[-1].t!r}",
-            line=line_no,
-            column=col0,
-            rule="duration before last pulse",
-        )
-    return PulseSequence(tuple(pulses), duration=tend, name=name)
+    seq = PulseSequence(tuple(pulses), duration=tend, name=name)
+    for v in validate_sequence(seq):
+        if v.rule in STRUCTURAL_RULES:
+            # a sequence-level finding needs a 'tend': the default duration is the last time
+            line_no, col = where[v.pulse_index]
+            raise GeometryParseError(v.message, line=line_no, column=col, rule=v.rule)
+    return seq

@@ -361,7 +361,8 @@ def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float,
     if worst > _IMPULSE_HARD_LIMIT * scale:
         raise OracleAccuracyError(
             f"velocity change per pulse off by {worst / scale:.3e} relative "
-            f"(limit {_IMPULSE_HARD_LIMIT:.0e}); raise steps_per_segment"
+            f"(limit {_IMPULSE_HARD_LIMIT:.0e}): too few steps_per_segment, or a kick "
+            "hbar*k/m below the float rounding of the free-fall velocity g*t"
         )
 
 

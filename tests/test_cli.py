@@ -669,6 +669,15 @@ class TestOracle:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
+    def test_a_failed_impulse_check_exits_with_three(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--geometry", "mzi", "--k", "1e-3", "--T", "10", "--mass", SR_MASS,
+            "--g", "9.81", "--sigma", "1e-2", "--steps", "100",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: velocity change per pulse off by")
+        assert "too few steps_per_segment, or a kick" in err
+
     def test_a_proper_time_whose_product_overflows_is_reported(self, capsys):
         # At 1e-183 kg, -0.5 * dv * (v1 + v2) overflows before its division
         # by c**2, while the integrand itself is near 1e291; the relative

@@ -123,7 +123,9 @@ def test_short_sums_are_summed_exactly_without_an_estimate(n, monkeypatch):
 
 
 @pytest.mark.parametrize("min_pulses", [0, 10**9], ids=["array", "loop"])
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, pytest.param(2**1100, id="int-beyond-floats")]
+)
 def test_non_finite_fields_are_refused(bad, min_pulses, monkeypatch):
     monkeypatch.setattr(_exactsum, "_ARRAY_MIN_PULSES", min_pulses)
     for fields in ((bad, 1.0, 0.0), (0.5, 1.0, bad)):

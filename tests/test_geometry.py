@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpai import _exactsum
@@ -16,6 +16,7 @@ from lpai import (
     Pulse,
     PulseSequence,
     Species,
+    Violation,
     build_mzi,
     build_rbi_asymmetric,
     build_rbi_double_loop,
@@ -23,6 +24,7 @@ from lpai import (
     closure_check,
     parse_geometry,
     serialize_geometry,
+    validate_sequence,
 )
 from lpai._exactsum import PulseTable
 
@@ -76,7 +78,61 @@ def closed_sequences(draw):
         )
 
 
+def written_out(k, T, Tp):
+    """Each builder's train, pulse by pulse, as the paper draws it."""
+    if Tp == 0.0:  # the central pair of the Ramsey-Borde trains acts as one pulse
+        sym = (Pulse(0.0, k, 0.0), Pulse(T, -k, k), Pulse(2.0 * T, 0.0, -k))
+        asym = (Pulse(0.0, k, 0.0), Pulse(T, -2.0 * k, 0.0), Pulse(2.0 * T, k, 0.0))
+    else:
+        t3, t4 = T + Tp, 2.0 * T + Tp
+        sym = (Pulse(0.0, k, 0.0), Pulse(T, -k, 0.0), Pulse(t3, 0.0, k), Pulse(t4, 0.0, -k))
+        asym = (Pulse(0.0, k, 0.0), Pulse(T, -k, 0.0), Pulse(t3, -k, 0.0), Pulse(t4, k, 0.0))
+    return {
+        "mzi": (Pulse(0.0, k, 0.0), Pulse(T, -k, k), Pulse(2.0 * T, 0.0, -k)),
+        "rbi-sym": sym,
+        "rbi-asym": asym,
+        "rbi-double": (
+            Pulse(0.0, k, 0.0),
+            Pulse(T, -2.0 * k, 0.0),
+            Pulse(3.0 * T, 2.0 * k, 0.0),
+            Pulse(4.0 * T, -k, 0.0),
+        ),
+    }
+
+
+# Signed k and positive T over the whole float range, the pause's zeros and
+# subnormals included
+wide_k = st.floats(min_value=5e-324, max_value=1e300).flatmap(lambda k: st.sampled_from([k, -k]))
+wide_T = st.floats(min_value=5e-324, max_value=1.7e308)
+wide_Tp = st.sampled_from([0.0, -0.0, 5e-324, 1e-310]) | st.floats(min_value=0.0, max_value=1e300)
+
+
 class TestBuilders:
+    @given(k=wide_k, T=wide_T, Tp=wide_Tp)
+    @example(k=2.0, T=0.5, Tp=-0.0)
+    @example(k=2.0, T=1.0, Tp=1e-17)  # Tp below the resolution at T: T + Tp == T
+    @example(k=2.0, T=1e-20, Tp=1.0)  # T negligible next to Tp: 2T + Tp == T + Tp
+    @example(k=1e300, T=1e308, Tp=1e300)  # 2T and 3T overflow
+    @settings(max_examples=300)
+    def test_builders_are_the_written_out_trains(self, k, T, Tp):
+        built = {
+            "mzi": build_mzi(k, T),
+            "rbi-sym": build_rbi_symmetric(k, T, Tp),
+            "rbi-asym": build_rbi_asymmetric(k, T, Tp),
+            "rbi-double": build_rbi_double_loop(k, T),
+        }
+        for name, pulses in written_out(k, T, Tp).items():
+            want = PulseSequence(pulses, name=name)
+            assert_bit_identical(built[name], want)
+            assert validate_sequence(built[name]) == validate_sequence(want)
+
+    def test_a_pause_below_the_resolution_at_T_keeps_four_pulses(self):
+        seq = build_rbi_symmetric(2.0, 1.0, 1e-17)
+        assert seq.n_pulses == 4
+        assert validate_sequence(seq) == [
+            Violation("non-monotone times", 2, "pulse 2: t = 1.0 does not exceed previous t = 1.0")
+        ]
+
     def test_mzi_structure(self):
         seq = build_mzi(2.0, 0.5)
         assert seq.pulses == (
@@ -350,6 +406,20 @@ class TestFileFormat:
         assert seq.pulses == ()
         assert seq.duration == 0.0
 
+    @pytest.mark.parametrize(
+        "pulses, duration, rule",
+        [
+            ((Pulse(0.0, 1.0, 0.0), Pulse(1.0, math.nan, 0.0)), None, "non-finite field"),
+            ((Pulse(1.0, 1.0, 0.0), Pulse(0.5, -1.0, 0.0)), None, "non-monotone times"),
+            ((Pulse(0.0, 1.0, 0.0), Pulse(2**1100, -1.0, 0.0)), None, "non-finite field"),
+            ((Pulse(0.0, 1.0, 0.0), Pulse(1.0, -1.0, 0.0)), 0.5, "duration before last pulse"),
+        ],
+        ids=["nan", "non-monotone", "int-beyond-floats", "tend-before-last-pulse"],
+    )
+    def test_serializing_what_parsing_refuses_fails(self, pulses, duration, rule):
+        with pytest.raises(ValueError, match=f"invalid pulse sequence: \\[{rule}\\]"):
+            serialize_geometry(PulseSequence(pulses, duration=duration))
+
     def test_serializing_a_bad_name_fails(self):
         seq = PulseSequence(build_mzi(1.0, 1.0).pulses, name="two words")
         with pytest.raises(ValueError, match="single token"):
@@ -383,6 +453,23 @@ class TestParseErrors:
 
     def test_non_monotone_times(self):
         self.check("pulse 0.0 1.0 0.0\npulse 0.0 -1.0 0.0\n", "non-monotone times", 2, 7)
+
+    def test_the_message_is_the_sequence_scan_finding(self):
+        text = "pulse 1.0 1.0 0.0\n  pulse 0.5 -1.0 0.0\n"
+        with pytest.raises(GeometryParseError) as err:
+            parse_geometry(text)
+        assert str(err.value) == (
+            "line 2, column 9: pulse 1: t = 0.5 does not exceed previous t = 1.0"
+        )
+
+    def test_a_later_syntax_error_wins_over_an_earlier_rule_violation(self):
+        text = "pulse 1.0 1.0 0.0\npulse 0.5 -1.0 0.0\npulse 2.0 bogus 0.0\n"
+        self.check(text, "syntax", 3, 11)
+
+    def test_a_decimal_beyond_the_float_range_is_a_non_finite_field(self):
+        # the time token stands for the pulse, whichever field overflowed
+        self.check("pulse 0.0 1.0 0.0\npulse 1.0 -1e400 0.0\n", "non-finite field", 2, 7)
+        self.check("tend 1e999\npulse 0.0 1.0 0.0\n", "non-finite field", 1, 1)
 
     def test_duplicate_name(self):
         self.check("name a\nname b\n", "duplicate directive", 2, 1)

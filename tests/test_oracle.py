@@ -171,6 +171,14 @@ class TestImpulseInvariant:
             expected = constants.HBAR * k_here / SR.mass - g * width
             assert abs(jump - expected) <= 1e-9 * scale
 
+    def test_a_kick_below_the_rounding_of_the_free_fall_velocity_is_refused(self):
+        # hbar*k/m ~ 7e-13 m/s against g*t ~ 200 m/s: each velocity rounds by
+        # ~3e-14, so the window's jump is off by far more than the limit, and
+        # more steps only add roundings
+        seq, cfg = build_mzi(1e-3, 10.0), OracleConfig(pulse_width=1e-2, steps_per_segment=100)
+        with pytest.raises(OracleAccuracyError, match="below the float rounding"):
+            oracle_report(seq, SR, GravityEnv(9.81), REST, cfg)
+
     def test_every_march_is_impulse_checked(self, monkeypatch):
         checked = []
         check = oracle._impulse_check
