@@ -204,7 +204,7 @@ def build_parser() -> _Parser:
     _add_geometry_flags(orc)
     _add_environment_flags(orc, require_mass=True)
     orc.add_argument("--sigma", type=float, default=None, help="pulse width (s)")
-    orc.add_argument("--steps", type=int, default=400, help="integration steps per grid segment")
+    orc.add_argument("--steps", type=int, default=400, help="integration steps per pulse window")
     orc.add_argument("--shape", choices=("tophat", "cosine"), default="tophat")
     orc.add_argument(
         "--tol", type=float, default=None,

@@ -13,6 +13,8 @@ _exactsum.PulseTable, shared with the recoil double sum.
 
 The four builders are one pulse train at (0, T, T+Tp, 2T+Tp); a zero pause
 merges its central pair, the Tp -> 0 limit in which rbi-sym is mzi's train.
+Arguments whose train has a time or kick beyond the float range, or times
+that do not increase strictly, are refused with a ValueError naming them.
 A geometry file's sequence rules are PulseSequence's structural ones,
 reported at the pulse's time token or at 'tend'.  serialize_geometry refuses
 whatever parse_geometry would refuse, so the round trip holds for every
@@ -79,12 +81,17 @@ def _check_builder_args(k: float, T: float, Tp: float | None = None) -> None:
         raise ValueError(f"Tprime must be non-negative and finite, got {Tp!r}")
 
 
-def _train(name: str, k: float, T: float, Tp: float, upper, lower) -> PulseSequence:
+def _train(
+    name: str, k: float, T: float, Tp: float, upper, lower, arg_names: tuple
+) -> PulseSequence:
     """Pulses at (0, T, T+Tp, 2T+Tp) kicking each branch by its multiples of k.
 
     upper and lower hold one multiple (0, +-1 or +-2) per pulse.  Tp == 0.0
     (-0.0 included) merges the central pair into one pulse at T carrying both
-    kicks; other coincident times are kept, for validation to refuse.
+    kicks.  A train whose times are not finite and strictly increasing, or
+    whose kicks are not finite (T + Tp rounding to T, 2T + Tp or 2k beyond
+    the float range), raises ValueError naming the builder's arguments,
+    arg_names among (k, T, Tprime).
     """
     times, upper, lower = [0.0, T, T + Tp, 2.0 * T + Tp], list(upper), list(lower)
     if Tp == 0.0:
@@ -92,7 +99,14 @@ def _train(name: str, k: float, T: float, Tp: float, upper, lower) -> PulseSeque
         upper[1:3], lower[1:3] = [upper[1] + upper[2]], [lower[1] + lower[2]]
     kick = {0: 0.0, 1: k, -1: -k, 2: 2.0 * k, -2: -2.0 * k}
     pulses = tuple(Pulse(t, kick[u], kick[l]) for t, u, l in zip(times, upper, lower))
-    return PulseSequence(pulses, name=name)
+    seq = PulseSequence(pulses, name=name)
+    if seq._violations:  # the sequence's own scan, made when it was built
+        given = ", ".join(f"{n} = {v!r}" for n, v in zip(arg_names, (k, T, Tp)))
+        raise ValueError(
+            f"{name} at {given} has no valid pulse train ({seq._violations[0].rule}): its "
+            "times must be finite and strictly increasing and its kicks finite"
+        )
+    return seq
 
 
 # One beam-splitter pair per branch: the first pair on the upper branch
@@ -102,7 +116,7 @@ _SYMMETRIC = ((1, -1, 0, 0), (0, 0, 1, -1))
 def build_mzi(k: float, T: float) -> PulseSequence:
     """Three-pulse Mach-Zehnder: split, redirect, recombine at (0, T, 2T); rbi-sym at Tp = 0."""
     _check_builder_args(k, T)
-    return _train("mzi", k, T, 0.0, *_SYMMETRIC)
+    return _train("mzi", k, T, 0.0, *_SYMMETRIC, ("k", "T"))
 
 
 def build_rbi_symmetric(k: float, T: float, Tp: float = 0.0) -> PulseSequence:
@@ -113,7 +127,7 @@ def build_rbi_symmetric(k: float, T: float, Tp: float = 0.0) -> PulseSequence:
     pulses into one pulse acting on both branches.
     """
     _check_builder_args(k, T, Tp)
-    return _train("rbi-sym", k, T, Tp, *_SYMMETRIC)
+    return _train("rbi-sym", k, T, Tp, *_SYMMETRIC, ("k", "T", "Tprime"))
 
 
 def build_rbi_asymmetric(k: float, T: float, Tp: float = 0.0) -> PulseSequence:
@@ -124,7 +138,7 @@ def build_rbi_asymmetric(k: float, T: float, Tp: float = 0.0) -> PulseSequence:
     pause Tp.  A zero pause merges the two central pulses.
     """
     _check_builder_args(k, T, Tp)
-    return _train("rbi-asym", k, T, Tp, (1, -1, -1, 1), (0, 0, 0, 0))
+    return _train("rbi-asym", k, T, Tp, (1, -1, -1, 1), (0, 0, 0, 0), ("k", "T", "Tprime"))
 
 
 def build_rbi_double_loop(k: float, T: float) -> PulseSequence:
@@ -135,7 +149,7 @@ def build_rbi_double_loop(k: float, T: float) -> PulseSequence:
     recoil phase -2*hbar*k^2*T/mass.  Its times are the train's at Tp = 2T.
     """
     _check_builder_args(k, T)
-    return _train("rbi-double", k, T, 2.0 * T, (1, -2, 2, -1), (0, 0, 0, 0))
+    return _train("rbi-double", k, T, 2.0 * T, (1, -2, 2, -1), (0, 0, 0, 0), ("k", "T"))
 
 
 # --- geometry file format ---------------------------------------------------

@@ -21,6 +21,12 @@ Accuracy notes, which the tests lean on:
   take the one-sided value belonging to the step), which makes both the RK4
   march and the quadrature exact up to rounding; what remains in the residual
   is genuinely the physics of the finite width.
+- Only the pulse windows take steps_per_segment steps; every other segment
+  (free flight) takes one Simpson pair.  There every march has a constant
+  acceleration (-g, or 0 for the branch difference), on which RK4 is exact,
+  and the proper-time integrand is linear in t, which Simpson integrates
+  exactly; so a free segment's step count moves results at rounding level
+  only.
 - The proper-time integrand is evaluated from a separately integrated
   branch-difference system (initial conditions zero, kick-difference forcing,
   gravity cancels), as -dv*(v1+v2)/2 + g*dz.  Forming v1 - v2 from the two
@@ -51,6 +57,7 @@ proper-time integrand beyond it, raises NonFiniteResultError.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -86,8 +93,11 @@ MAX_ORACLE_NODES = 8_000_000
 class OracleConfig:
     """Finite-pulse-width integration parameters.
 
-    ``steps_per_segment`` takes any integer type (``operator.index``) and is
-    stored as a Python int; a float or a string is refused.
+    ``steps_per_segment`` is the RK4 step count of each pulse window, rounded
+    up to even on the grid; the free flight between windows takes 2 steps per
+    segment, so a grid has windows * steps + 2 * free segments + 1 nodes.  It
+    takes any integer type (``operator.index``) and is stored as a Python int;
+    a float or a string is refused.
     """
 
     pulse_width: float
@@ -209,24 +219,30 @@ class _Grid:
     arena: _Arena
 
 
-def _breakpoints(seq: PulseSequence, sigma: float) -> tuple[list[float], list[float]]:
-    """Window end times, and the sorted grid breakpoints."""
+def _layout(seq: PulseSequence, cfg: OracleConfig) -> tuple[list[float], list[int]]:
+    """Sorted grid breakpoints and each segment's step count, once the grid fits the budget.
+
+    A pulse window [t, t + sigma] takes steps_per_segment rounded up to even;
+    every other segment is free flight and takes one Simpson pair, 2 steps.
+    """
     times = seq.times
-    window_ends = [t + sigma for t in times]
-    t_stop = max([seq.duration, *window_ends])
-    return window_ends, sorted({min([0.0, *times]), t_stop, *times, *window_ends})
+    ends = {t: t + cfg.pulse_width for t in times}  # each window's end, by its start
+    t_stop = max([seq.duration, *ends.values()])
+    breakpoints = sorted({min([0.0, *times]), t_stop, *times, *ends.values()})
+    n = cfg.steps_per_segment + (cfg.steps_per_segment % 2)
+    steps = [n if ends.get(a) == b else 2 for a, b in zip(breakpoints[:-1], breakpoints[1:])]
+    _require_budget(steps, len(times), n)
+    return breakpoints, steps
 
 
-def _require_budget(breakpoints: Sequence[float], steps_per_segment: int) -> int:
-    """Even step count per segment, once the grid fits in MAX_ORACLE_NODES."""
-    n = steps_per_segment + (steps_per_segment % 2)
-    nodes = (len(breakpoints) - 1) * n + 1
+def _require_budget(steps: Sequence[int], windows: int, n: int) -> None:
+    """Refuse a grid of more than MAX_ORACLE_NODES nodes, sum(steps) + 1."""
+    nodes = sum(steps) + 1
     if nodes > MAX_ORACLE_NODES:
         raise OracleConfigError(
-            f"{len(breakpoints) - 1} segments of {n} steps need {nodes} grid nodes, "
-            f"more than {MAX_ORACLE_NODES}; lower steps_per_segment"
+            f"{windows} pulse windows of {n} steps and {len(steps) - windows} free segments "
+            f"need {nodes} grid nodes, more than {MAX_ORACLE_NODES}; lower steps_per_segment"
         )
-    return n
 
 
 def _cosine(t: np.ndarray, start: float, width: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -248,19 +264,17 @@ def _build_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     Windows never share a node, so each window's cosine profiles sit at its
     own indices of the node-sized and the step-sized profile slots.
     """
-    window_ends, breakpoints = _breakpoints(seq, cfg.pulse_width)
-    n = _require_budget(breakpoints, cfg.steps_per_segment)
-    arena = _Arena((len(breakpoints) - 1) * n + 1)
+    breakpoints, steps = _layout(seq, cfg)
+    offsets = [0, *itertools.accumulate(steps)]
+    arena = _Arena(offsets[-1] + 1)
     ts = arena("ts", arena.nodes)
-    for i, (a, b) in enumerate(zip(breakpoints[:-1], breakpoints[1:])):
-        ts[i * n : (i + 1) * n] = np.linspace(a, b, n + 1)[:-1]
+    for a, b, i0, i1 in zip(breakpoints, breakpoints[1:], offsets, offsets[1:]):
+        ts[i0:i1] = np.linspace(a, b, i1 - i0 + 1)[:-1]
     ts[-1] = breakpoints[-1]
     h = np.subtract(ts[1:], ts[:-1], out=arena("h", ts.size - 1))
 
-    position = {bp: i for i, bp in enumerate(breakpoints)}
-    windows = tuple(
-        (position[t] * n, position[end] * n) for t, end in zip(seq.times, window_ends)
-    )
+    start = dict(zip(breakpoints, offsets))
+    windows = tuple((start[t], start[t + cfg.pulse_width]) for t in seq.times)
     widths = tuple(float(ts[i1] - ts[i0]) for i0, i1 in windows)
     profiles = None
     if cfg.pulse_shape == "cosine":
@@ -591,7 +605,7 @@ def convergence_study(
     cfgs = [OracleConfig(w, steps_per_segment, pulse_shape) for w in widths]
     for cfg in cfgs:
         _check_config(seq, cfg)
-        _require_budget(_breakpoints(seq, cfg.pulse_width)[1], cfg.steps_per_segment)
+        _layout(seq, cfg)
     closed = _closed_form(seq, species)
     residuals = [_width_residual(seq, species, env, ics, cfg, closed) for cfg in cfgs]
 

@@ -138,21 +138,30 @@ def float_bits(x: float) -> bytes:
 #
 # The finite-width oracle as it stood before its stage arrays were shared: a
 # separate stage array per stage and forcing, four full marches per run, numpy
-# scalars into fsum.  The tests hold lpai.oracle to these values bit for bit.
+# scalars into fsum.  Its grid follows the oracle's layout rule, written out
+# again in _ref_grid.  The tests hold lpai.oracle to these values bit for bit.
 
 
-def _ref_grid(seq: PulseSequence, sigma: float, steps: int):
+def _ref_grid(seq: PulseSequence, sigma: float, steps: int, uniform: bool = False):
+    """Node times, step midpoints, steps and window node spans.
+
+    A pulse window takes steps rounded up to even, every other segment 2
+    steps; uniform=True gives every segment the window's count, the grid the
+    oracle used before free flight took one Simpson pair.
+    """
     times = seq.times
     window_ends = [t + sigma for t in times]
     t_lo = min([0.0, *times])
     t_stop = max([seq.duration, *window_ends]) if times else seq.duration
     breakpoints = sorted({t_lo, t_stop, *times, *window_ends})
     n = steps + (steps % 2)
-    pieces = [np.linspace(a, b, n + 1)[:-1] for a, b in zip(breakpoints[:-1], breakpoints[1:])]
+    segments = list(zip(breakpoints[:-1], breakpoints[1:]))
+    counts = [n if uniform or (a, b) in zip(times, window_ends) else 2 for a, b in segments]
+    pieces = [np.linspace(a, b, c + 1)[:-1] for (a, b), c in zip(segments, counts)]
     pieces.append(np.array([breakpoints[-1]]))
     ts = np.concatenate(pieces)
-    position = {bp: i for i, bp in enumerate(breakpoints)}
-    windows = [(position[t] * n, position[end] * n) for t, end in zip(times, window_ends)]
+    first_node = {bp: sum(counts[:i]) for i, bp in enumerate(breakpoints)}
+    windows = [(first_node[t], first_node[end]) for t, end in zip(times, window_ends)]
     h = np.diff(ts)
     return ts, ts[:-1] + 0.5 * h, h, windows
 
@@ -208,9 +217,9 @@ def _ref_window_integral(grid, shape: str, pulse_t: float, span, values) -> floa
     return _ref_simpson(w * values[i0 : i1 + 1], ts)
 
 
-def ref_run(seq: PulseSequence, species, env, ics, cfg) -> dict:
+def ref_run(seq: PulseSequence, species, env, ics, cfg, uniform: bool = False) -> dict:
     """Grid and all four marches (branches, difference system, launch) of one oracle run."""
-    grid = _ref_grid(seq, cfg.pulse_width, cfg.steps_per_segment)
+    grid = _ref_grid(seq, cfg.pulse_width, cfg.steps_per_segment, uniform)
     m, shape = species.mass, cfg.pulse_shape
     k1 = [p.k_upper for p in seq.pulses]
     k2 = [p.k_lower for p in seq.pulses]
@@ -254,11 +263,11 @@ def ref_gravito_terms(seq: PulseSequence, run: dict, shape: str) -> list[float]:
     ]
 
 
-def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg) -> dict:
-    """OracleResult fields, as the frozen pipeline computes them."""
+def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg, uniform: bool = False) -> dict:
+    """OracleResult fields, as the frozen pipeline computes them; uniform as in _ref_grid."""
     from lpai import proper_time_difference
 
-    run = ref_run(seq, species, env, ics, cfg)
+    run = ref_run(seq, species, env, ics, cfg, uniform)
     grid = run["grid"]
     f = (-0.5 * run["dv"] * (run["v1"] + run["v2"]) + env.g * run["dz"]) / constants.C**2
     dtau_num = _ref_simpson(f, grid[0])

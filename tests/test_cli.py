@@ -208,6 +208,22 @@ class TestSimulate:
         assert "geometry error" in err
         assert "line 1" in err or "bogus" in err
 
+    @pytest.mark.parametrize(
+        "flags, given",
+        [
+            (("--T", "1", "--Tprime", "1e-17"), "T = 1.0, Tprime = 1e-17"),  # T + Tp == T
+            (("--T", "1e308"), "T = 1e+308, Tprime = 0.0"),  # 2T overflows
+        ],
+        ids=["pause-below-resolution", "overflowing-times"],
+    )
+    def test_arguments_without_a_valid_pulse_train_exit_with_one(self, capsys, flags, given):
+        code, out, err = run(
+            capsys, "simulate", "--geometry", "rbi-sym", "--k", "1e7", *flags, "--mass", "1e-25"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: rbi-sym at k = 10000000.0, {given} has no valid pulse train")
+        assert "pulse 2" not in err
+
     def test_open_geometry_exits_with_two(self, capsys, tmp_path):
         path = tmp_path / "open.geom"
         path.write_text("pulse 0.0 1.0 0.0\npulse 1.0 1.0 0.0\n", encoding="utf-8")
@@ -763,7 +779,7 @@ class TestOracle:
         assert "# fitted_exponent = " in out
 
     def test_sweep_without_a_fit_prints_strict_json(self, capsys):
-        # all but one residual sit below the floor, so no exponent is fitted
+        # every residual sits below the floor, so no exponent is fitted
         argv = (
             "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1",
             "--mass", SR_MASS, "--g", "9.81", "--sweep-sigma", "1e-4", "5e-5", "2.5e-5",
@@ -786,7 +802,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("width", [("--sigma", "3.25e-7"), ("--sweep-sigma", "1e-4", "1e-5")])
     def test_grid_over_the_node_budget_is_refused(self, capsys, width):
-        # 5 segments of 4e6 steps: 2e7 nodes, about 2 GB
+        # 3 windows of 4e6 steps and 2 free segments: 1.2e7 nodes, about 1 GB
         code, out, err = run(capsys, *self.BASE, "--steps", "4000000", *width)
         assert code == 1
         assert out == ""

@@ -1,6 +1,7 @@
 """Builders, closure diagnostics and the geometry file format."""
 
 import math
+import re
 from dataclasses import asdict
 from unittest import mock
 
@@ -16,7 +17,6 @@ from lpai import (
     Pulse,
     PulseSequence,
     Species,
-    Violation,
     build_mzi,
     build_rbi_asymmetric,
     build_rbi_double_loop,
@@ -102,7 +102,7 @@ def written_out(k, T, Tp):
 
 # Signed k and positive T over the whole float range, the pause's zeros and
 # subnormals included
-wide_k = st.floats(min_value=5e-324, max_value=1e300).flatmap(lambda k: st.sampled_from([k, -k]))
+wide_k = st.floats(min_value=5e-324, max_value=1.7e308).flatmap(lambda k: st.sampled_from([k, -k]))
 wide_T = st.floats(min_value=5e-324, max_value=1.7e308)
 wide_Tp = st.sampled_from([0.0, -0.0, 5e-324, 1e-310]) | st.floats(min_value=0.0, max_value=1e300)
 
@@ -113,25 +113,41 @@ class TestBuilders:
     @example(k=2.0, T=1.0, Tp=1e-17)  # Tp below the resolution at T: T + Tp == T
     @example(k=2.0, T=1e-20, Tp=1.0)  # T negligible next to Tp: 2T + Tp == T + Tp
     @example(k=1e300, T=1e308, Tp=1e300)  # 2T and 3T overflow
+    @example(k=1e308, T=1.0, Tp=0.0)  # 2k overflows
     @settings(max_examples=300)
     def test_builders_are_the_written_out_trains(self, k, T, Tp):
-        built = {
-            "mzi": build_mzi(k, T),
-            "rbi-sym": build_rbi_symmetric(k, T, Tp),
-            "rbi-asym": build_rbi_asymmetric(k, T, Tp),
-            "rbi-double": build_rbi_double_loop(k, T),
+        """Each builder returns its written-out train, or refuses it when that train is invalid."""
+        builders = {
+            "mzi": lambda: build_mzi(k, T),
+            "rbi-sym": lambda: build_rbi_symmetric(k, T, Tp),
+            "rbi-asym": lambda: build_rbi_asymmetric(k, T, Tp),
+            "rbi-double": lambda: build_rbi_double_loop(k, T),
         }
         for name, pulses in written_out(k, T, Tp).items():
             want = PulseSequence(pulses, name=name)
-            assert_bit_identical(built[name], want)
-            assert validate_sequence(built[name]) == validate_sequence(want)
+            if validate_sequence(want):
+                with pytest.raises(ValueError, match=re.escape(f"{name} at k = {k!r}, T = {T!r}")):
+                    builders[name]()
+                continue
+            built = builders[name]()
+            assert_bit_identical(built, want)
+            assert validate_sequence(built) == []
 
-    def test_a_pause_below_the_resolution_at_T_keeps_four_pulses(self):
-        seq = build_rbi_symmetric(2.0, 1.0, 1e-17)
-        assert seq.n_pulses == 4
-        assert validate_sequence(seq) == [
-            Violation("non-monotone times", 2, "pulse 2: t = 1.0 does not exceed previous t = 1.0")
-        ]
+    @pytest.mark.parametrize(
+        "build, args, rule",
+        [
+            (build_rbi_symmetric, (2.0, 1.0, 1e-17), "non-monotone times"),  # T + Tp == T
+            (build_rbi_asymmetric, (2.0, 1e308, 1.0), "non-monotone times"),
+            (build_rbi_symmetric, (2.0, 1e308, 0.0), "non-finite field"),  # 2T overflows
+            (build_mzi, (2.0, 1e308), "non-finite field"),
+            (build_rbi_double_loop, (2.0, 5e307), "non-finite field"),  # 3T and 4T overflow
+            (build_rbi_double_loop, (1e308, 1.0), "non-finite field"),  # 2k overflows
+        ],
+    )
+    def test_an_invalid_train_is_refused_naming_the_arguments(self, build, args, rule):
+        given = ", ".join(f"{n} = {v!r}" for n, v in zip(("k", "T", "Tprime"), args))
+        with pytest.raises(ValueError, match=re.escape(f"at {given} has no valid pulse train ({rule})")):
+            build(*args)
 
     def test_mzi_structure(self):
         seq = build_mzi(2.0, 0.5)
@@ -214,7 +230,11 @@ class TestClosure:
     @settings(max_examples=100)
     def test_ramsey_borde_variants_close(self, k, T, Tp):
         for builder in (build_rbi_symmetric, build_rbi_asymmetric):
-            assert closure_check(builder(k, T, Tp), ATOM).closed
+            if Tp != 0.0 and T + Tp == T:  # a pause below the resolution at T
+                with pytest.raises(ValueError, match="non-monotone times"):
+                    builder(k, T, Tp)
+            else:
+                assert closure_check(builder(k, T, Tp), ATOM).closed
 
     @given(k=signed_k, T=sep_T)
     @settings(max_examples=100)

@@ -8,6 +8,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpai import (
     GravityEnv,
@@ -105,13 +107,17 @@ class TestConfig:
             entry(build_rbi_asymmetric(1e7, 0.1), SR, FLAT, REST, cfg)
 
     def test_node_budget_boundary(self, monkeypatch):
-        seq = build_rbi_asymmetric(1e7, 0.1)  # 3 windows: 5 segments
+        seq = build_rbi_asymmetric(1e7, 0.1)  # 3 windows and the 2 free segments between them
         cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=101)  # rounds up to 102
-        nodes = 5 * 102 + 1
+        nodes = 3 * 102 + 2 * 2 + 1
         monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes)
         assert march_branch(seq, 1, SR, FLAT, REST, cfg)[0].size == nodes
         monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes - 1)
-        with pytest.raises(OracleConfigError, match=f"need {nodes} grid nodes, more than {nodes - 1}"):
+        message = (
+            f"3 pulse windows of 102 steps and 2 free segments need {nodes} grid nodes, "
+            f"more than {nodes - 1}"
+        )
+        with pytest.raises(OracleConfigError, match=message):
             march_branch(seq, 1, SR, FLAT, REST, cfg)
 
     @pytest.mark.parametrize("entry", [oracle_report, proper_time_numeric])
@@ -155,6 +161,41 @@ class TestConfig:
                 seq, SR, GravityEnv(9.81), REST, [1e-5, 1e-20], steps_per_segment=100
             )
         assert calls == []
+
+
+class TestWindowedGrid:
+    """Only the pulse windows take steps_per_segment steps; free flight takes one Simpson pair."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["tophat", "cosine"]),
+        steps=st.sampled_from([100, 400]),
+        width_divisor=st.sampled_from([50, 100, 200, 400]),
+        g=st.floats(0.0, 20.0),
+        z0=st.floats(-10.0, 10.0),
+        v0=st.floats(-10.0, 10.0),
+        tail=st.floats(1e-3, 5.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_residual_agrees_with_the_uniform_grid_to_rounding(
+        self, seed, shape, steps, width_divisor, g, z0, v0, tail
+    ):
+        seq = random_closed_sequence(
+            np.random.default_rng(seed), k_scale=1e7, with_common_mode=True, with_phases=True
+        )
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        cfg = OracleConfig(spacing / width_divisor, steps, shape)
+        env, ics = GravityEnv(g), InitialConditions(z0, v0)
+        # the same pulses with a free flight after the last window
+        later = PulseSequence(seq.pulses, duration=seq.times[-1] + cfg.pulse_width + tail)
+        windows, n = len(seq.pulses), steps + steps % 2
+        nodes = windows * n + 2 * (windows - 1) + 1  # the first pulse is at t = 0
+        assert oracle._build_grid(seq, cfg).ts.size == nodes
+        assert oracle._build_grid(later, cfg).ts.size == nodes + 2
+        for s in (seq, later):
+            new = oracle_report(s, SR, env, ics, cfg).residual_vs_closed_form
+            uniform = ref_oracle_report(s, SR, env, ics, cfg, uniform=True)
+            assert abs(new - uniform["residual_vs_closed_form"]) <= 1e-10
 
 
 class TestImpulseInvariant:

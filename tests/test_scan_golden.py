@@ -90,8 +90,8 @@ CASES = {
     "error-first-failing-row": ("--geometry", "mzi", "--k", "1e155", "--mass", "1e-25",
                                 "--vary", "T", "--from", "0.1", "--to", "1.7e308", "--steps", "3",
                                 "--omega", "1e15"),
-    # Row 0 passes (mzi's exact S is 0) and row 1 fails validation; the
-    # name stays because the test id carries it.
+    # Row 0 passes (mzi's exact S is 0) and the builder refuses row 1, whose
+    # 2T overflows; the name stays because the test id carries it.
     "error-recoil-sum-before-validation": ("--geometry", "mzi", "--k", "1e155", "--mass", "1e-25",
                                            "--vary", "T", "--from", "0.1", "--to", "1.7e308",
                                            "--steps", "2"),
