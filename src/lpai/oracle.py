@@ -32,27 +32,32 @@ Accuracy notes, which the tests lean on:
   gravity cancels), as -dv*(v1+v2)/2 + g*dz.  Forming v1 - v2 from the two
   branch solutions instead would inherit the rounding of the large common
   free-fall signal and ruin the gravity-independence of the result.
+- Every window takes the same even step count n, so one raised cosine per
+  call, sampled at the window fractions j/n and (j + 1/2)/n, serves every
+  window of every width.  The nodes sit eps * t off those fractions, so a
+  cosine kick is scaled by the profile's integral under the march's step
+  weights, and a window average by its Simpson integral on the grid.
 - Pulse windows span [t_ell, t_ell + sigma].  For sequences closed in phase
   space the common sigma/2 centroid shift drops out of every closed-form
   quantity, so no recentering is needed.
 
-Every grid-sized array of a call (the grid, h / 6, the cosine profiles, the
-stage accelerations, the four marches, the integrand and the Simpson terms)
-is a view of one arena per thread, _exactsum.scratch("oracle"), one slot per
-role, so a repeated call allocates nothing grid-sized.  The arena holds at
-most _SCRATCH_MAX elements (8 MiB); a grid whose slots would not fit gets
-fresh arrays instead.  A view is valid until the next oracle call in the same
+Every grid-sized array of a call (the grid, h / 6, the stage accelerations,
+the four marches, the integrand and the Simpson terms) is a view of one
+arena per thread, _exactsum.scratch("oracle"), one slot per role, so a
+repeated call allocates nothing grid-sized.  The arena holds at most
+_SCRATCH_MAX elements (8 MiB); a grid whose slots would not fit gets fresh
+arrays instead.  A view is valid until the next oracle call in the same
 thread, and nothing returned to a caller is one.  Only what a result reads is
 marched: the proper time reads the two branches' velocities, so their marches
 form no positions.  Top-hat windows leave the three RK4 stage accelerations
-equal, so one array serves all three.  Cosine windows evaluate their profile once per
-node and once per step midpoint; the left and right stages are views of the
-node profile, and the window quadrature weights are that same array.  A grid
-over MAX_ORACLE_NODES is refused before anything is allocated.  Every march,
-through _march, checks each window's velocity change against hbar*k/m -
-g*width (g = 0 for the branch difference).  Every Simpson sum, through
-_simpson, is nan beyond the float range; that, and a kick amplitude or a
-proper-time integrand beyond it, raises NonFiniteResultError.
+equal, so one array serves all three.  A cosine forcing has two, its
+accelerations on the nodes and on the step midpoints; the left and right
+stages are views of the node array.  A grid over MAX_ORACLE_NODES is refused
+before anything is allocated.  Every march, through _march, checks each
+window's velocity change against hbar*k/m - g*width (g = 0 for the branch
+difference).  Every Simpson sum, through _simpson, is nan beyond the float
+range; that, and a kick amplitude or a proper-time integrand beyond it,
+raises NonFiniteResultError.
 """
 
 from __future__ import annotations
@@ -182,7 +187,7 @@ def _check_config(seq: PulseSequence, cfg: OracleConfig) -> None:
 
 # The grid-sized roles of the oracle's per-thread arena, in slot order (see _Arena).
 _ROLES = (
-    "ts", "h", "h6", "nodes", "mids", "left", "mid", "right",
+    "ts", "h", "h6", "a_node", "a_mid",
     "v1", "v2", "dz", "dv", "z_g", "v_g", "f", "work", "simpson",
 )
 
@@ -207,6 +212,9 @@ class _Arena:
         return self.buffer[start : start + size]
 
 
+_Profile = tuple[np.ndarray, np.ndarray]  # a cosine window's profile: (nodes, step midpoints)
+
+
 @dataclass(frozen=True)
 class _Grid:
     ts: np.ndarray
@@ -214,8 +222,9 @@ class _Grid:
     h6: np.ndarray  # h / 6, formed once for the grid's marches
     windows: tuple[tuple[int, int], ...]  # node index span of each pulse window
     widths: tuple[float, ...]  # realized width ts[i1] - ts[i0] of each window
-    # cosine: per window, the profile on its nodes ts[i0:i1+1] and on its step midpoints
-    profiles: tuple[tuple[np.ndarray, np.ndarray], ...] | None
+    profile: _Profile | None  # _raised_cosine's, None for top-hat
+    # each window's profile integrated by the march's step rule; top-hat: widths
+    kick_areas: tuple[float, ...]
     arena: _Arena
 
 
@@ -229,7 +238,7 @@ def _layout(seq: PulseSequence, cfg: OracleConfig) -> tuple[list[float], list[in
     ends = {t: t + cfg.pulse_width for t in times}  # each window's end, by its start
     t_stop = max([seq.duration, *ends.values()])
     breakpoints = sorted({min([0.0, *times]), t_stop, *times, *ends.values()})
-    n = cfg.steps_per_segment + (cfg.steps_per_segment % 2)
+    n = _window_steps(cfg)
     steps = [n if ends.get(a) == b else 2 for a, b in zip(breakpoints[:-1], breakpoints[1:])]
     _require_budget(steps, len(times), n)
     return breakpoints, steps
@@ -245,25 +254,31 @@ def _require_budget(steps: Sequence[int], windows: int, n: int) -> None:
         )
 
 
-def _cosine(t: np.ndarray, start: float, width: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Raised-cosine window profile 1 - cos(2 pi x / width), x = t - start clipped to the window.
+def _window_steps(cfg: OracleConfig) -> int:
+    """The step count of every pulse window: steps_per_segment rounded up to even."""
+    return cfg.steps_per_segment + cfg.steps_per_segment % 2
 
-    out may be t itself.
+
+def _raised_cosine(cfg: OracleConfig) -> _Profile | None:
+    """1 - cos(2 pi x) on a window's n + 1 nodes and n step midpoints; None for top-hat.
+
+    x = j/n or (j + 1/2)/n, correctly rounded.  Both ends are exactly 0.0 (x = 1
+    gives fl(2 pi)), so edge nodes read -g.  The two arrays are read-only.
     """
-    x = np.subtract(t, start, out=out)
-    np.clip(x, 0.0, width, out=x)
-    np.multiply(2.0 * np.pi, x, out=x)
-    x /= width
-    np.cos(x, out=x)
-    return np.subtract(1.0, x, out=x)
+    if cfg.pulse_shape != "cosine":
+        return None
+    n = _window_steps(cfg)
+    profile = (np.arange(n + 1, dtype=float), np.arange(n, dtype=float) + 0.5)
+    for x in profile:
+        x /= n
+        x *= 2.0 * np.pi
+        np.subtract(1.0, np.cos(x, out=x), out=x)
+        x.flags.writeable = False
+    return profile
 
 
-def _build_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
-    """The grid, in this thread's oracle arena.
-
-    Windows never share a node, so each window's cosine profiles sit at its
-    own indices of the node-sized and the step-sized profile slots.
-    """
+def _build_grid(seq: PulseSequence, cfg: OracleConfig, profile: _Profile | None) -> _Grid:
+    """The grid, in this thread's oracle arena; profile is _raised_cosine(cfg)'s."""
     breakpoints, steps = _layout(seq, cfg)
     offsets = [0, *itertools.accumulate(steps)]
     arena = _Arena(offsets[-1] + 1)
@@ -276,19 +291,17 @@ def _build_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     start = dict(zip(breakpoints, offsets))
     windows = tuple((start[t], start[t + cfg.pulse_width]) for t in seq.times)
     widths = tuple(float(ts[i1] - ts[i0]) for i0, i1 in windows)
-    profiles = None
-    if cfg.pulse_shape == "cosine":
-        profiles = tuple(
-            (arena("nodes", i1 - i0 + 1, i0), arena("mids", i1 - i0, i0)) for i0, i1 in windows
-        )
-        for t, (i0, i1), width, (node, mid) in zip(seq.times, windows, widths, profiles):
-            _cosine(ts[i0 : i1 + 1], t, width, out=node)
-            np.multiply(h[i0:i1], 0.5, out=mid)
-            _cosine(np.add(ts[i0:i1], mid, out=mid), t, width, out=mid)
     h6 = np.divide(h, 6.0, out=arena("h6", h.size))
-    return _Grid(
-        ts=ts, h=h, h6=h6, windows=windows, widths=widths, profiles=profiles, arena=arena
-    )
+    kick_areas = widths
+    if profile is not None:  # pairwise sums (np.sum): a scale, not a result
+        nodes, mids = profile
+        weights = nodes[:-1] + 4.0 * mids  # left + 4 mid + right, per step
+        weights += nodes[1:]
+        kick_areas = tuple(
+            float(np.multiply(h6[i0:i1], weights, out=arena("work", i1 - i0)).sum())
+            for i0, i1 in windows
+        )
+    return _Grid(ts, h, h6, windows, widths, profile, kick_areas, arena)
 
 
 def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
@@ -298,42 +311,45 @@ def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
     by comparing stage times against the window edges: t_ell + sigma - t_ell
     does not round back to sigma in general, and one misassigned edge sample
     costs a whole Simpson weight of impulse.  For the same reason the
-    amplitude is normalized by the realized width ts[i1] - ts[i0] instead of
-    the nominal one; otherwise every kick is off by a relative eps * t/sigma
-    and gravity couples to the broken closure.
+    amplitude is normalized by the realized kick area (ts[i1] - ts[i0] for
+    top-hat) instead of the nominal width; otherwise every kick is off by a
+    relative eps * t/sigma and gravity couples to the broken closure.
 
     Top-hat windows, and a forcing without kicks, leave the three stages
-    equal, so one array is returned three times.  A cosine window's left and
-    right stages read its node profile without the last and the first node.
-    The stages are the arena's; the next forcing overwrites them.
+    equal, so one array is returned three times.  A cosine window adds amp
+    times the profile to the node and the midpoint arrays; the left and right
+    stages are the node array without its last and its first node.  The
+    stages are the arena's; the next forcing overwrites them.
     """
-    kicks = [(i, _kick_amplitude(k, mass, grid.widths[i])) for i, k in enumerate(ks) if k != 0.0]
-    base = grid.arena("left", grid.h.size)
-    base.fill(-float(g))
-    if grid.profiles is None or not kicks:
+    areas = grid.kick_areas
+    kicks = [(i, _kick_amplitude(k, mass, areas[i])) for i, k in enumerate(ks) if k != 0.0]
+    if grid.profile is None or not kicks:
+        base = grid.arena("a_node", grid.h.size)
+        base.fill(-float(g))
         for i, amp in kicks:
             i0, i1 = grid.windows[i]
             base[i0:i1] += amp
         return base, base, base
-    stages = (base, grid.arena("mid", base.size), grid.arena("right", base.size))
-    np.copyto(stages[1], base)
-    np.copyto(stages[2], base)
-    for i, amp in kicks:
+    nodes, mids = grid.arena("a_node", grid.ts.size), grid.arena("a_mid", grid.h.size)
+    nodes.fill(-float(g))
+    mids.fill(-float(g))
+    node_profile, mid_profile = grid.profile
+    for i, amp in kicks:  # amp * P - g: the bits of -g + amp * P, with no temporary
         i0, i1 = grid.windows[i]
-        nodes, mid = grid.profiles[i]
-        for arr, profile in zip(stages, (nodes[:-1], mid, nodes[1:])):
-            arr[i0:i1] += amp * profile
-    return stages
+        for stage, profile in ((nodes[i0 : i1 + 1], node_profile), (mids[i0:i1], mid_profile)):
+            np.multiply(profile, amp, out=stage)
+            stage -= g
+    return nodes[:-1], mids, nodes[1:]
 
 
-def _kick_amplitude(k: float, mass: float, width: float) -> float:
-    """hbar*k/(m*width), refused with NonFiniteResultError beyond the float range."""
-    denom = mass * width  # underflows to 0 for a subnormal mass
+def _kick_amplitude(k: float, mass: float, area: float) -> float:
+    """hbar*k/(m*area), area a window's kick area; NonFiniteResultError beyond the float range."""
+    denom = mass * area  # underflows to 0 for a subnormal mass
     amp = constants.HBAR * k / denom if denom != 0.0 else math.inf
     if not math.isfinite(amp):
         raise NonFiniteResultError(
-            f"kick amplitude hbar*k/(m*width) is not finite for k = {k!r}, "
-            f"mass = {mass!r}, width = {width!r}"
+            f"kick amplitude hbar*k/(m*area) is not finite for k = {k!r}, "
+            f"mass = {mass!r}, window area = {area!r}"
         )
     return amp
 
@@ -398,7 +414,7 @@ def _march(grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float, 
 def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     require_valid(seq, structural_only=True)
     _check_config(seq, cfg)
-    return _build_grid(seq, cfg)
+    return _build_grid(seq, cfg, _raised_cosine(cfg))
 
 
 def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, float]:
@@ -458,23 +474,24 @@ def _window_terms(
 ) -> tuple[list[float], list[float]]:
     """The factors k and the window averages of z, for every window with k != 0.
 
-    Top-hat weights are 1/width; cosine weights are the window's node profile
-    over its width.  A window average beyond the float range raises
-    NonFiniteResultError.
+    Top-hat weights are 1/width; cosine weights are the node profile over
+    its Simpson integral on the window.  A window average beyond the float
+    range raises NonFiniteResultError.
     """
     factors: list[float] = []
     averages: list[float] = []
     for i, ((i0, i1), width) in enumerate(zip(grid.windows, grid.widths)):
         if ks[i] == 0.0:
             continue
-        weighted = grid.arena("f", i1 - i0 + 1, i0)
+        ts, weighted = grid.ts[i0 : i1 + 1], grid.arena("f", i1 - i0 + 1, i0)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            if grid.profiles is None:
+            if grid.profile is None:
                 np.multiply(1.0 / width, z[i0 : i1 + 1], out=weighted)
             else:
-                np.divide(grid.profiles[i][0], width, out=weighted)
+                area = _simpson(grid.profile[0], ts, grid.arena("simpson", i1 - i0))
+                np.divide(grid.profile[0], area, out=weighted)
                 weighted *= z[i0 : i1 + 1]
-        average = _simpson(weighted, grid.ts[i0 : i1 + 1], grid.arena("simpson", i1 - i0))
+        average = _simpson(weighted, ts, grid.arena("simpson", i1 - i0))
         if not math.isfinite(average):
             raise NonFiniteResultError(
                 f"the window average of the launch trajectory is not finite "
@@ -562,12 +579,14 @@ def _width_residual(
     ics: InitialConditions,
     cfg: OracleConfig,
     closed: tuple[float, float],
+    profile: _Profile | None,
 ) -> float:
     """One width of a convergence study: the grid, the numeric delta_tau and its residual.
 
-    closed is _closed_form's (delta_tau, scale); seq and cfg are already checked.
+    closed is _closed_form's (delta_tau, scale) and profile _raised_cosine's;
+    seq and cfg are already checked.
     """
-    dtau_num = _proper_time(_build_grid(seq, cfg), seq, species, env, ics)[0]
+    dtau_num = _proper_time(_build_grid(seq, cfg, profile), seq, species, env, ics)[0]
     return _residual(dtau_num, *closed)
 
 
@@ -607,7 +626,8 @@ def convergence_study(
         _check_config(seq, cfg)
         _layout(seq, cfg)
     closed = _closed_form(seq, species)
-    residuals = [_width_residual(seq, species, env, ics, cfg, closed) for cfg in cfgs]
+    profile = _raised_cosine(cfgs[0])  # every width's windows take the same steps
+    residuals = [_width_residual(seq, species, env, ics, cfg, closed, profile) for cfg in cfgs]
 
     for (w_a, r_a), (w_b, r_b) in zip(zip(widths, residuals), zip(widths[1:], residuals[1:])):
         if r_a > _RESIDUAL_FLOOR and r_b > _RESIDUAL_FLOOR and r_b >= r_a:

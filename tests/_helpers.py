@@ -139,11 +139,14 @@ def float_bits(x: float) -> bytes:
 # The finite-width oracle as it stood before its stage arrays were shared: a
 # separate stage array per stage and forcing, four full marches per run, numpy
 # scalars into fsum.  Its grid follows the oracle's layout rule, written out
-# again in _ref_grid.  The tests hold lpai.oracle to these values bit for bit.
+# again in _ref_grid.  A cosine window evaluates its profile at the window
+# fractions j/n of its nodes and (j + 1/2)/n of its step midpoints, window by
+# window (_ref_cosine), and scales its kick and its average by the profile's
+# integral on the grid.  The tests hold lpai.oracle to these values bit for bit.
 
 
 def _ref_grid(seq: PulseSequence, sigma: float, steps: int, uniform: bool = False):
-    """Node times, step midpoints, steps and window node spans.
+    """Node times, steps and window node spans.
 
     A pulse window takes steps rounded up to even, every other segment 2
     steps; uniform=True gives every segment the window's count, the grid the
@@ -162,17 +165,21 @@ def _ref_grid(seq: PulseSequence, sigma: float, steps: int, uniform: bool = Fals
     ts = np.concatenate(pieces)
     first_node = {bp: sum(counts[:i]) for i, bp in enumerate(breakpoints)}
     windows = [(first_node[t], first_node[end]) for t, end in zip(times, window_ends)]
-    h = np.diff(ts)
-    return ts, ts[:-1] + 0.5 * h, h, windows
+    return ts, np.diff(ts), windows
 
 
-def ref_stage_accels(grid, seq: PulseSequence, ks, shape: str, mass: float, g: float):
+def _ref_cosine(n: int, j0: float, count: int):
+    """Raised cosine 1 - cos(2 pi (j0 + j) / n) at the window fractions j = 0 .. count - 1."""
+    return 1.0 - np.cos(2.0 * np.pi * ((np.arange(count) + j0) / n))
+
+
+def ref_stage_accels(grid, ks, shape: str, mass: float, g: float):
     """Acceleration arrays (left, mid, right) of one forcing, one array per stage."""
-    ts, t_mid, h, windows = grid
+    ts, h, windows = grid
     a_left = np.full(h.size, -float(g))
     a_mid = np.full(h.size, -float(g))
     a_right = np.full(h.size, -float(g))
-    for (i0, i1), p, k in zip(windows, seq.pulses, ks):
+    for (i0, i1), k in zip(windows, ks):
         if k == 0.0:
             continue
         width = ts[i1] - ts[i0]
@@ -183,9 +190,14 @@ def ref_stage_accels(grid, seq: PulseSequence, ks, shape: str, mass: float, g: f
             a_mid[steps] += amp
             a_right[steps] += amp
         else:
-            for stage_t, arr in ((ts[:-1], a_left), (t_mid, a_mid), (ts[1:], a_right)):
-                x = np.clip(stage_t[steps] - p.t, 0.0, width)
-                arr[steps] += amp * (1.0 - np.cos(2.0 * np.pi * x / width))
+            n = i1 - i0
+            left, mid, right = (_ref_cosine(n, j0, n) for j0 in (0.0, 0.5, 1.0))
+            # scaled by the profile's integral under the march's own step rule
+            area = float(np.sum((h[steps] / 6.0) * (left + 4.0 * mid + right)))
+            amp = constants.HBAR * k / (mass * area)
+            a_left[steps] += amp * left
+            a_mid[steps] += amp * mid
+            a_right[steps] += amp * right
     return a_left, a_mid, a_right
 
 
@@ -205,15 +217,15 @@ def _ref_simpson(f, ts) -> float:
     return math.fsum((widths / 6.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2]))
 
 
-def _ref_window_integral(grid, shape: str, pulse_t: float, span, values) -> float:
+def _ref_window_integral(grid, shape: str, span, values) -> float:
     i0, i1 = span
     ts = grid[0][i0 : i1 + 1]
     width = ts[-1] - ts[0]
     if shape == "tophat":
         w = np.full(ts.shape, 1.0 / width)
     else:
-        x = np.clip(ts - pulse_t, 0.0, width)
-        w = (1.0 - np.cos(2.0 * np.pi * x / width)) / width
+        profile = _ref_cosine(i1 - i0, 0.0, i1 - i0 + 1)
+        w = profile / _ref_simpson(profile, ts)
     return _ref_simpson(w * values[i0 : i1 + 1], ts)
 
 
@@ -225,11 +237,11 @@ def ref_run(seq: PulseSequence, species, env, ics, cfg, uniform: bool = False) -
     k2 = [p.k_lower for p in seq.pulses]
     dk = [a - b for a, b in zip(k1, k2)]
     run = {"grid": grid}
-    run["z1"], run["v1"] = _ref_march(grid[2], ref_stage_accels(grid, seq, k1, shape, m, env.g), ics.z0, ics.v0)
-    run["z2"], run["v2"] = _ref_march(grid[2], ref_stage_accels(grid, seq, k2, shape, m, env.g), ics.z0, ics.v0)
-    run["dz"], run["dv"] = _ref_march(grid[2], ref_stage_accels(grid, seq, dk, shape, m, 0.0), 0.0, 0.0)
+    run["z1"], run["v1"] = _ref_march(grid[1], ref_stage_accels(grid, k1, shape, m, env.g), ics.z0, ics.v0)
+    run["z2"], run["v2"] = _ref_march(grid[1], ref_stage_accels(grid, k2, shape, m, env.g), ics.z0, ics.v0)
+    run["dz"], run["dv"] = _ref_march(grid[1], ref_stage_accels(grid, dk, shape, m, 0.0), 0.0, 0.0)
     zero = [0.0] * len(k1)
-    run["zg"], run["vg"] = _ref_march(grid[2], ref_stage_accels(grid, seq, zero, shape, m, env.g), ics.z0, ics.v0)
+    run["zg"], run["vg"] = _ref_march(grid[1], ref_stage_accels(grid, zero, shape, m, env.g), ics.z0, ics.v0)
     return run
 
 
@@ -257,8 +269,8 @@ def _ref_k_max(seq: PulseSequence) -> float:
 def ref_gravito_terms(seq: PulseSequence, run: dict, shape: str) -> list[float]:
     """dk * (window average of the pulse-free trajectory), per window with dk != 0."""
     return [
-        p.delta_k * _ref_window_integral(run["grid"], shape, p.t, span, run["zg"])
-        for p, span in zip(seq.pulses, run["grid"][3])
+        p.delta_k * _ref_window_integral(run["grid"], shape, span, run["zg"])
+        for p, span in zip(seq.pulses, run["grid"][2])
         if p.delta_k != 0.0
     ]
 

@@ -190,8 +190,8 @@ class TestWindowedGrid:
         later = PulseSequence(seq.pulses, duration=seq.times[-1] + cfg.pulse_width + tail)
         windows, n = len(seq.pulses), steps + steps % 2
         nodes = windows * n + 2 * (windows - 1) + 1  # the first pulse is at t = 0
-        assert oracle._build_grid(seq, cfg).ts.size == nodes
-        assert oracle._build_grid(later, cfg).ts.size == nodes + 2
+        assert oracle._quadrature_grid(seq, cfg).ts.size == nodes
+        assert oracle._quadrature_grid(later, cfg).ts.size == nodes + 2
         for s in (seq, later):
             new = oracle_report(s, SR, env, ics, cfg).residual_vs_closed_form
             uniform = ref_oracle_report(s, SR, env, ics, cfg, uniform=True)
@@ -532,22 +532,58 @@ class TestMarchedWork:
         # the two branches, then the branch-difference system, whose dz is read
         assert [z0 for z0, _ in calls] == [None, None, 0.0]
         assert calls[0][1] is None and calls[1][1] is None
-        assert calls[2][1].size == oracle._build_grid(seq, cfg).ts.size
+        assert calls[2][1].size == oracle._quadrature_grid(seq, cfg).ts.size
 
+    def test_a_study_forms_the_cosine_profile_once(self, monkeypatch):
+        calls = []
+        profile = oracle._raised_cosine
+        monkeypatch.setattr(oracle, "_raised_cosine", lambda cfg: calls.append(1) or profile(cfg))
+        seq, env = build_rbi_double_loop(1e7, 0.1), GravityEnv(9.81)
+        widths = [4e-4, 2e-4, 1e-4, 5e-5]
+        convergence_study(seq, SR, env, REST, widths, steps_per_segment=100, pulse_shape="cosine")
+        assert calls == [1]
+
+    @given(n=st.integers(50, 5000).map(lambda half: 2 * half))
+    def test_the_cosine_profile_is_zero_at_both_window_edges(self, n):
+        nodes, mids = oracle._raised_cosine(OracleConfig(1.0, n, "cosine"))
+        assert (nodes.size, mids.size) == (n + 1, n)
+        assert not (nodes.flags.writeable or mids.flags.writeable)  # shared by every window
+        assert float.hex(float(nodes[0])) == float.hex(float(nodes[-1])) == float.hex(0.0)
+
+    @pytest.mark.parametrize("g", [0.0, 9.81])
     @pytest.mark.parametrize("steps", [100, 101, 1000])
-    def test_node_profile_slices_are_the_stage_profiles(self, steps):
-        seq = random_closed_sequence(np.random.default_rng(3), 8, k_scale=1e7)
-        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
-        grid = oracle._build_grid(seq, OracleConfig(spacing / 50.0, steps, "cosine"))
-        ts, h = grid.ts, grid.h
-        for t, (i0, i1), width, (nodes, mid) in zip(
-            seq.times, grid.windows, grid.widths, grid.profiles
-        ):
-            left = oracle._cosine(ts[i0:i1], t, width)
-            right = oracle._cosine(ts[i0 + 1 : i1 + 1], t, width)
-            assert nodes[:-1].tobytes() == left.tobytes()
-            assert nodes[1:].tobytes() == right.tobytes()
-            assert mid.tobytes() == oracle._cosine(ts[i0:i1] + 0.5 * h[i0:i1], t, width).tobytes()
+    def test_every_window_reads_the_one_profile_far_from_the_origin(self, steps, g):
+        rng = np.random.default_rng(3)
+        base = random_closed_sequence(rng, 8, k_scale=1e7, with_common_mode=True)
+        seq = PulseSequence(
+            tuple(Pulse(p.t + 1e3, p.k_upper, p.k_lower) for p in base.pulses),
+            duration=base.duration + 1e3,
+        )
+        grid = oracle._quadrature_grid(seq, OracleConfig(1e-6, steps, "cosine"))
+        node_profile, mid_profile = grid.profile
+        forcings = [
+            ([p.k_upper for p in seq.pulses], g),
+            ([p.k_lower for p in seq.pulses], g),
+            ([p.delta_k for p in seq.pulses], 0.0),
+        ]
+        for ks, g_forcing in forcings:
+            left, mid, right = oracle._stage_accels(grid, ks, SR.mass, g_forcing)
+            assert right.ctypes.data == left.ctypes.data + left.itemsize  # one node array
+            for (i0, i1), k, area in zip(grid.windows, ks, grid.kick_areas):
+                amp = oracle._kick_amplitude(k, SR.mass, area)
+                nodes = -g_forcing + amp * node_profile
+                assert left[i0:i1].tobytes() == nodes[:-1].tobytes()
+                assert right[i0:i1].tobytes() == nodes[1:].tobytes()
+                assert mid[i0:i1].tobytes() == (-g_forcing + amp * mid_profile).tobytes()
+            # the impulse check passes on every window
+            oracle._march(grid, ks, SR.mass, g_forcing, None, -1.3, "z_g", "v_g")
+        # marched from rest, the branch difference carries hbar*dk/m per window
+        # to rounding: each kick is scaled by its profile's area on the grid
+        dk = forcings[2][0]
+        _, dv = oracle._march(grid, dk, SR.mass, 0.0, None, 0.0, "z_g", "v_g")
+        for (i0, i1), k in zip(grid.windows, dk):
+            impulse = constants.HBAR * k / SR.mass
+            assert abs((dv[i1] - dv[i0]) - impulse) <= 1e-10 * abs(impulse)
 
     @pytest.mark.parametrize(
         "pulses, error, message",
@@ -592,7 +628,7 @@ class TestOracleArena:
 
     def test_a_second_report_allocates_nothing_grid_sized(self, shape):
         seq, env, ics, cfg = _arena_case(shape)
-        nodes = oracle._build_grid(seq, cfg).ts.size
+        nodes = oracle._quadrature_grid(seq, cfg).ts.size
         assert len(oracle._ROLES) * nodes <= _exactsum._SCRATCH_MAX
         oracle_report(seq, SR, env, ics, cfg)  # grows this thread's arena
         tracemalloc.start()
@@ -608,9 +644,11 @@ class TestOracleArena:
         oracle_report(seq, SR, env, ics, cfg)
         kept = _exactsum._scratch.buffers["oracle"]
         monkeypatch.setattr(_exactsum, "_SCRATCH_MAX", 1000)
-        grid = oracle._build_grid(seq, cfg)
+        grid = oracle._quadrature_grid(seq, cfg)
         assert grid.arena.buffer is None
         assert not np.shares_memory(grid.ts, kept)
+        stages = oracle._stage_accels(grid, [p.k_upper for p in seq.pulses], SR.mass, env.g)
+        assert not any(np.shares_memory(stage, kept) for stage in stages)
         report = asdict(oracle_report(seq, SR, env, ics, cfg))
         ref = ref_oracle_report(seq, SR, env, ics, cfg)
         assert {k: _hex(v) for k, v in report.items()} == {k: _hex(v) for k, v in ref.items()}

@@ -73,7 +73,7 @@ def test_every_oracle_march_goes_through_march_rk4():
     counts = {name: calls for name, (calls, _) in spans.self_times(recorder.spans).items()}
     # two branches, the branch-difference system and the pulse-free launch
     assert counts["kernels.march_rk4"] == 4
-    assert recorder.nodes == 4 * oracle._build_grid(seq, cfg).ts.size
+    assert recorder.nodes == 4 * oracle._quadrature_grid(seq, cfg).ts.size
 
 
 def test_a_scan_runs_one_beat_per_row(capsys):
