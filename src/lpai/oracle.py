@@ -52,12 +52,15 @@ marched: the proper time reads the two branches' velocities, so their marches
 form no positions.  Top-hat windows leave the three RK4 stage accelerations
 equal, so one array serves all three.  A cosine forcing has two, its
 accelerations on the nodes and on the step midpoints; the left and right
-stages are views of the node array.  A grid over MAX_ORACLE_NODES is refused
-before anything is allocated.  Every march, through _march, checks each
-window's velocity change against hbar*k/m - g*width (g = 0 for the branch
-difference).  Every Simpson sum, through _simpson, is nan beyond the float
-range; that, and a kick amplitude or a proper-time integrand beyond it,
-raises NonFiniteResultError.
+stages are views of the node array.  _layout is the one function that
+relates a config to a sequence, and every entry point lays its config out
+first: a width too wide for the pulse spacing or below the time resolution
+at a pulse, and a grid over MAX_ORACLE_NODES, are refused before anything is
+allocated, the cosine profile included.  Every march, through _march, checks
+each window's velocity change against hbar*k/m - g*width (g = 0 for the
+branch difference).  Every Simpson sum, through _simpson, is nan beyond the
+float range; that, and a kick amplitude or a proper-time integrand beyond
+it, raises NonFiniteResultError.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ class OracleConfig:
     up to even on the grid; the free flight between windows takes 2 steps per
     segment, so a grid has windows * steps + 2 * free segments + 1 nodes.  It
     takes any integer type (``operator.index``) and is stored as a Python int;
-    a float or a string is refused.
+    a float or a string is refused.  What depends on the sequence too (the
+    width against the pulse spacing and the time resolution, and the node
+    budget) is checked where the config is laid out, before anything is formed.
     """
 
     pulse_width: float
@@ -168,23 +173,6 @@ class ConvergenceStudy:
     floor: float
 
 
-def _check_config(seq: PulseSequence, cfg: OracleConfig) -> None:
-    times = seq.times
-    sigma = cfg.pulse_width
-    if len(times) >= 2:
-        spacing = min(b - a for a, b in zip(times[:-1], times[1:]))
-        if not sigma < 0.5 * spacing:
-            raise OracleConfigError(
-                f"pulse_width {sigma!r} must be smaller than half the minimum "
-                f"pulse spacing {spacing!r}"
-            )
-    for t in times:
-        if t + sigma <= t:
-            raise OracleConfigError(
-                f"pulse_width {sigma!r} is below the time resolution at t = {t!r}"
-            )
-
-
 # The grid-sized roles of the oracle's per-thread arena, in slot order (see _Arena).
 _ROLES = (
     "ts", "h", "h6", "a_node", "a_mid",
@@ -213,6 +201,7 @@ class _Arena:
 
 
 _Profile = tuple[np.ndarray, np.ndarray]  # a cosine window's profile: (nodes, step midpoints)
+_Layout = tuple[list[float], list[int]]  # _layout's grid breakpoints and segment step counts
 
 
 @dataclass(frozen=True)
@@ -228,30 +217,41 @@ class _Grid:
     arena: _Arena
 
 
-def _layout(seq: PulseSequence, cfg: OracleConfig) -> tuple[list[float], list[int]]:
-    """Sorted grid breakpoints and each segment's step count, once the grid fits the budget.
+def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
+    """Sorted grid breakpoints and each segment's step count: the one rule relating cfg to seq.
 
-    A pulse window [t, t + sigma] takes steps_per_segment rounded up to even;
-    every other segment is free flight and takes one Simpson pair, 2 steps.
+    Refuses, in this order and before anything grid- or profile-sized is
+    formed, a width not below half the least pulse spacing, a width below
+    the time resolution at a pulse and a grid of more than MAX_ORACLE_NODES
+    nodes, sum(steps) + 1.  A pulse window [t, t + sigma] takes
+    steps_per_segment rounded up to even; every other segment is free flight
+    and takes one Simpson pair, 2 steps.
     """
-    times = seq.times
-    ends = {t: t + cfg.pulse_width for t in times}  # each window's end, by its start
+    times, sigma = seq.times, cfg.pulse_width
+    if len(times) >= 2:
+        spacing = min(b - a for a, b in zip(times[:-1], times[1:]))
+        if not sigma < 0.5 * spacing:
+            raise OracleConfigError(
+                f"pulse_width {sigma!r} must be smaller than half the minimum "
+                f"pulse spacing {spacing!r}"
+            )
+    ends = {t: t + sigma for t in times}  # each window's end, by its start
+    for t, end in ends.items():
+        if end <= t:
+            raise OracleConfigError(
+                f"pulse_width {sigma!r} is below the time resolution at t = {t!r}"
+            )
     t_stop = max([seq.duration, *ends.values()])
     breakpoints = sorted({min([0.0, *times]), t_stop, *times, *ends.values()})
     n = _window_steps(cfg)
     steps = [n if ends.get(a) == b else 2 for a, b in zip(breakpoints[:-1], breakpoints[1:])]
-    _require_budget(steps, len(times), n)
-    return breakpoints, steps
-
-
-def _require_budget(steps: Sequence[int], windows: int, n: int) -> None:
-    """Refuse a grid of more than MAX_ORACLE_NODES nodes, sum(steps) + 1."""
-    nodes = sum(steps) + 1
+    nodes, windows = sum(steps) + 1, len(times)
     if nodes > MAX_ORACLE_NODES:
         raise OracleConfigError(
             f"{windows} pulse windows of {n} steps and {len(steps) - windows} free segments "
             f"need {nodes} grid nodes, more than {MAX_ORACLE_NODES}; lower steps_per_segment"
         )
+    return breakpoints, steps
 
 
 def _window_steps(cfg: OracleConfig) -> int:
@@ -277,9 +277,14 @@ def _raised_cosine(cfg: OracleConfig) -> _Profile | None:
     return profile
 
 
-def _build_grid(seq: PulseSequence, cfg: OracleConfig, profile: _Profile | None) -> _Grid:
-    """The grid, in this thread's oracle arena; profile is _raised_cosine(cfg)'s."""
-    breakpoints, steps = _layout(seq, cfg)
+def _build_grid(
+    seq: PulseSequence, cfg: OracleConfig, layout: _Layout, profile: _Profile | None
+) -> _Grid:
+    """The grid of _layout(seq, cfg)'s layout, in this thread's oracle arena.
+
+    profile is _raised_cosine(cfg)'s.
+    """
+    breakpoints, steps = layout
     offsets = [0, *itertools.accumulate(steps)]
     arena = _Arena(offsets[-1] + 1)
     ts = arena("ts", arena.nodes)
@@ -412,9 +417,10 @@ def _march(grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float, 
 
 
 def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
+    """One call's grid: seq's structure is checked, then cfg laid out, then the profile formed."""
     require_valid(seq, structural_only=True)
-    _check_config(seq, cfg)
-    return _build_grid(seq, cfg, _raised_cosine(cfg))
+    layout = _layout(seq, cfg)
+    return _build_grid(seq, cfg, layout, _raised_cosine(cfg))
 
 
 def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, float]:
@@ -502,20 +508,6 @@ def _window_terms(
     return factors, averages
 
 
-def _gravito_sum(grid: _Grid, seq: PulseSequence, z_g: np.ndarray) -> float:
-    """sum of delta_k * (window average of z_g).
-
-    math.fsum of the rounded products (PulseTable.gravito_sum sums Dekker's
-    exact products instead), through _exactsum.fsum_or_exact: where fsum
-    raises or is not finite, the products are summed exactly, and a sum
-    beyond the float range raises NonFiniteResultError.
-    """
-    factors, averages = _window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
-    products = [k * a for k, a in zip(factors, averages)]
-    what = "oracle gravito-recoil sum of k * window average of z_g"
-    return fsum_or_exact(products, lambda: (factors, averages), what, "rad")
-
-
 def _closed_form(seq: PulseSequence, species: Species) -> tuple[float, float]:
     """Closed-form delta_tau, and the least denominator of a residual against it.
 
@@ -525,8 +517,7 @@ def _closed_form(seq: PulseSequence, species: Species) -> tuple[float, float]:
     """
     s, table = _closed_sum(seq, species)
     dtau = recoil_parts(s, species.mass)[0]
-    times = seq.times
-    span = max(seq.duration, times[-1]) - min(0.0, times[0]) if times else seq.duration
+    span = seq.duration - min(0.0, seq.times[0])  # require_valid: 2 pulses, none after duration
     vr = constants.HBAR * table.scales()[0] / (species.mass * constants.C)
     return dtau, vr * vr * span
 
@@ -550,7 +541,15 @@ def oracle_report(
     dtau_closed, scale = _closed_form(seq, species)  # an open sequence is refused unmarched
     dtau_num, dz_end, dv_end = _proper_time(grid, seq, species, env, ics)
     z_g, _ = _march(grid, (), species.mass, env.g, ics.z0, ics.v0, "z_g", "v_g")  # pulse-free
-    gravito_num = _gravito_sum(grid, seq, z_g)
+    # math.fsum of the rounded products k * (window average of z_g)
+    # (PulseTable.gravito_sum sums Dekker's exact products instead), through
+    # _exactsum.fsum_or_exact: where fsum raises or is not finite, the
+    # products are summed exactly, and a sum beyond the float range raises
+    # NonFiniteResultError
+    factors, averages = _window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
+    products = [k * a for k, a in zip(factors, averages)]
+    what = "oracle gravito-recoil sum of k * window average of z_g"
+    gravito_num = fsum_or_exact(products, lambda: (factors, averages), what, "rad")
 
     total_num = compton_frequency(species) * dtau_num + gravito_num + _laser_sum(seq)
     if not math.isfinite(total_num):
@@ -572,24 +571,6 @@ def oracle_report(
     )
 
 
-def _width_residual(
-    seq: PulseSequence,
-    species: Species,
-    env: GravityEnv,
-    ics: InitialConditions,
-    cfg: OracleConfig,
-    closed: tuple[float, float],
-    profile: _Profile | None,
-) -> float:
-    """One width of a convergence study: the grid, the numeric delta_tau and its residual.
-
-    closed is _closed_form's (delta_tau, scale) and profile _raised_cosine's;
-    seq and cfg are already checked.
-    """
-    dtau_num = _proper_time(_build_grid(seq, cfg, profile), seq, species, env, ics)[0]
-    return _residual(dtau_num, *closed)
-
-
 def convergence_study(
     seq: PulseSequence,
     species: Species,
@@ -602,12 +583,13 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Residual versus closed form over a strictly decreasing list of widths.
 
-    Every width's config and node budget is checked first, then the closed
-    form (delta_tau and the residual scale) is taken once; so an invalid
-    width or an open sequence is refused before anything is marched.  Each
-    width then builds its grid and integrates the proper time only (three
-    impulse-checked marches and one Simpson sum); its residual is
-    oracle_report's residual_vs_closed_form at that width, bit for bit.
+    Every width is laid out first (_layout: its spacing, resolution and
+    node budget), then the closed form (delta_tau and the residual scale) is
+    taken once; so an invalid width or an open sequence is refused before
+    anything is formed or marched.  Each width then builds its grid from its
+    layout and integrates the proper time only (three impulse-checked
+    marches and one Simpson sum); its residual is oracle_report's
+    residual_vs_closed_form at that width, bit for bit.
 
     Raises OracleAccuracyError if the residual grows between two widths that
     both sit above the rounding floor; fits log residual against log width
@@ -622,12 +604,18 @@ def convergence_study(
 
     require_valid(seq, structural_only=True)
     cfgs = [OracleConfig(w, steps_per_segment, pulse_shape) for w in widths]
-    for cfg in cfgs:
-        _check_config(seq, cfg)
-        _layout(seq, cfg)
-    closed = _closed_form(seq, species)
+    layouts = [_layout(seq, cfg) for cfg in cfgs]
+    dtau_closed, scale = _closed_form(seq, species)
     profile = _raised_cosine(cfgs[0])  # every width's windows take the same steps
-    residuals = [_width_residual(seq, species, env, ics, cfg, closed, profile) for cfg in cfgs]
+    # each grid is freed before the next width builds its own
+    residuals = [
+        _residual(
+            _proper_time(_build_grid(seq, cfg, layout, profile), seq, species, env, ics)[0],
+            dtau_closed,
+            scale,
+        )
+        for cfg, layout in zip(cfgs, layouts)
+    ]
 
     for (w_a, r_a), (w_b, r_b) in zip(zip(widths, residuals), zip(widths[1:], residuals[1:])):
         if r_a > _RESIDUAL_FLOOR and r_b > _RESIDUAL_FLOOR and r_b >= r_a:

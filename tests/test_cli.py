@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpai
-from lpai import cli
+from lpai import cli, oracle
 from lpai import (
     GravityEnv,
     InitialConditions,
@@ -770,6 +770,20 @@ class TestOracle:
         code, _, err = run(capsys, *self.BASE, "--sigma", "0.2")
         assert code == 1
         assert "half the minimum" in err
+
+    def test_a_cosine_grid_over_the_node_budget_is_a_config_error(self, capsys, monkeypatch):
+        # the profile of 1e12 window steps alone would need terabytes: the
+        # budget refuses the config before the profile is formed
+        def formed(cfg):
+            raise AssertionError("the cosine profile was formed before the budget check")
+
+        monkeypatch.setattr(oracle, "_raised_cosine", formed)
+        code, out, err = run(
+            capsys, "oracle", "--geometry", "rbi-asym", "--k", "1e7", "--T", "0.1",
+            "--mass", SR_MASS, "--sigma", "1e-6", "--steps", "1000000000000", "--shape", "cosine",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("oracle config error:") and "grid nodes" in err
 
     def test_sweep_reports_the_fitted_exponent(self, capsys):
         code, out, _ = run(

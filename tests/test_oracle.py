@@ -64,6 +64,41 @@ def window_velocity_jump(ts, v, t_pulse, sigma):
     return v[i1] - v[i0], ts[i1] - ts[i0]
 
 
+def study_from(seq, species, env, ics, cfg):
+    """convergence_study of cfg's steps and shape from cfg's width down to half of it."""
+    widths = [cfg.pulse_width, cfg.pulse_width / 2.0]
+    return convergence_study(
+        seq, species, env, ics, widths,
+        steps_per_segment=cfg.steps_per_segment, pulse_shape=cfg.pulse_shape,
+    )
+
+
+# the three library entries and a branch march on _quadrature_grid: each lays
+# a config out before it forms anything
+ENTRIES = [
+    oracle_report, proper_time_numeric, study_from, lambda seq, *rest: march_branch(seq, 1, *rest)
+]
+ENTRY_IDS = ["report", "proper-time", "study", "branch"]
+
+
+def assert_refused_unformed(monkeypatch, entry, seq, cfg, message):
+    """entry refuses cfg on seq with exactly message, before any profile, grid or march."""
+    calls = []
+    march = _kernels.march_rk4
+    monkeypatch.setattr(
+        _kernels, "march_rk4", lambda *args, **kw: calls.append(1) or march(*args, **kw)
+    )
+    for name in ("_raised_cosine", "_build_grid"):
+        def formed(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran before the config was refused")
+
+        monkeypatch.setattr(oracle, name, formed)
+    with pytest.raises(OracleConfigError) as refused:
+        entry(seq, SR, GravityEnv(9.81), REST, cfg)
+    assert str(refused.value) == message
+    assert calls == []
+
+
 class TestConfig:
     @pytest.mark.parametrize("width", [0.0, -1e-6, math.nan, math.inf])
     def test_bad_width_is_rejected(self, width):
@@ -87,24 +122,25 @@ class TestConfig:
         with pytest.raises(OracleConfigError, match="pulse_shape"):
             OracleConfig(pulse_width=1e-6, pulse_shape="gaussian")
 
-    def test_width_must_fit_between_pulses(self):
+    @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+    def test_width_must_fit_between_pulses(self, monkeypatch, entry):
+        message = "pulse_width 0.06 must be smaller than half the minimum pulse spacing 0.1"
         cfg = OracleConfig(pulse_width=0.06)
-        with pytest.raises(OracleConfigError, match="half the minimum"):
-            march_branch(build_rbi_asymmetric(1e7, 0.1), 1, SR, FLAT, REST, cfg)
+        assert_refused_unformed(monkeypatch, entry, build_rbi_asymmetric(1e7, 0.1), cfg, message)
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            oracle_report,
-            proper_time_numeric,
-            lambda seq, *rest: march_branch(seq, 1, *rest),
-        ],
-    )
-    def test_grid_over_the_node_budget_is_refused_before_allocating(self, entry):
-        # 1e12 steps per segment would need petabytes
-        cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=10**12)
-        with pytest.raises(OracleConfigError, match="grid nodes"):
-            entry(build_rbi_asymmetric(1e7, 0.1), SR, FLAT, REST, cfg)
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+    def test_grid_over_the_node_budget_is_refused_before_allocating(
+        self, monkeypatch, entry, shape
+    ):
+        # 1e12 steps per segment would need petabytes, and a profile of
+        # 1e12 nodes terabytes: neither may be formed
+        message = (
+            "3 pulse windows of 1000000000000 steps and 2 free segments need 3000000000005 "
+            "grid nodes, more than 8000000; lower steps_per_segment"
+        )
+        cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=10**12, pulse_shape=shape)
+        assert_refused_unformed(monkeypatch, entry, build_rbi_asymmetric(1e7, 0.1), cfg, message)
 
     def test_node_budget_boundary(self, monkeypatch):
         seq = build_rbi_asymmetric(1e7, 0.1)  # 3 windows and the 2 free segments between them
@@ -120,20 +156,20 @@ class TestConfig:
         with pytest.raises(OracleConfigError, match=message):
             march_branch(seq, 1, SR, FLAT, REST, cfg)
 
-    @pytest.mark.parametrize("entry", [oracle_report, proper_time_numeric])
-    def test_width_below_the_time_resolution_is_refused(self, entry):
+    @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+    def test_width_below_the_time_resolution_is_refused(self, monkeypatch, entry):
         # 1e20 + 1.0 rounds back to 1e20: the window would have no width
         seq = PulseSequence(
             (Pulse(1e20, 1e7, 0.0), Pulse(2e20, -2e7, 0.0), Pulse(3e20, 1e7, 0.0))
         )
-        with pytest.raises(OracleConfigError, match="below the time resolution at t = 1e\\+20"):
-            entry(seq, SR, GravityEnv(9.81), REST, OracleConfig(pulse_width=1.0))
+        message = "pulse_width 1.0 is below the time resolution at t = 1e+20"
+        assert_refused_unformed(monkeypatch, entry, seq, OracleConfig(pulse_width=1.0), message)
 
     def test_study_checks_the_budget_before_the_first_width(self, monkeypatch):
         def width(*args, **kwargs):
             raise AssertionError("a width ran before the budget check")
 
-        monkeypatch.setattr(oracle, "_width_residual", width)
+        monkeypatch.setattr(oracle, "_build_grid", width)
         with pytest.raises(OracleConfigError, match="grid nodes"):
             convergence_study(
                 build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 1e-6], steps_per_segment=10**9
@@ -430,7 +466,7 @@ class TestConvergence:
     )
     def test_a_residual_that_does_not_decrease_is_refused(self, monkeypatch, residuals, raises):
         per_width = iter(residuals)
-        monkeypatch.setattr(oracle, "_width_residual", lambda *args: next(per_width))
+        monkeypatch.setattr(oracle, "_residual", lambda *args: next(per_width))
         study = lambda: convergence_study(build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 5e-6])
         if raises:
             message = rf"residual failed to decrease from width 1e-05 \({residuals[0]:.3e}\) to 5e-06"

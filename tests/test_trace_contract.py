@@ -14,6 +14,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lpai import (
     GravityEnv,
@@ -23,7 +24,6 @@ from lpai import (
     _kernels,
     build_rbi_double_loop,
     oracle,
-    oracle_report,
 )
 from lpai.cli import main
 
@@ -60,20 +60,44 @@ def test_march_rk4_takes_the_step_array_first():
     assert moved == 8 * (4 * h.size + 2 * nodes)
 
 
-def test_every_oracle_march_goes_through_march_rk4():
+STUDY_WIDTHS = (4e-4, 2e-4, 1e-4, 5e-5)
+
+
+# each entry is called through lpai.oracle, whose binding the recorder wraps
+def run_report(seq, species, env, ics):
+    oracle.oracle_report(seq, species, env, ics, OracleConfig(1e-6, 100, "cosine"))
+
+
+def run_study(seq, species, env, ics):
+    oracle.convergence_study(
+        seq, species, env, ics, STUDY_WIDTHS, steps_per_segment=100, pulse_shape="cosine"
+    )
+
+
+@pytest.mark.parametrize(
+    "run, entry, widths, marches",
+    [
+        # two branches, the branch-difference system and the pulse-free launch
+        pytest.param(run_report, "oracle.oracle_report", (1e-6,), 4, id="report"),
+        # per width the two branches and the branch difference; no oracle_report
+        pytest.param(run_study, "oracle.convergence_study", STUDY_WIDTHS, 3, id="study"),
+    ],
+)
+def test_every_oracle_march_goes_through_march_rk4(run, entry, widths, marches):
     spans = load_spans()
     seq = build_rbi_double_loop(1e7, 0.1)
-    cfg = OracleConfig(1e-6, 100, "cosine")
     recorder = spans.Recorder()
     restore = spans.install(recorder)
     try:
-        oracle_report(seq, Species(1.443157e-25), GravityEnv(9.81), InitialConditions(0.1), cfg)
+        run(seq, Species(1.443157e-25), GravityEnv(9.81), InitialConditions(0.1))
     finally:
         restore()
     counts = {name: calls for name, (calls, _) in spans.self_times(recorder.spans).items()}
-    # two branches, the branch-difference system and the pulse-free launch
-    assert counts["kernels.march_rk4"] == 4
-    assert recorder.nodes == 4 * oracle._quadrature_grid(seq, cfg).ts.size
+    assert counts[entry] == 1
+    assert counts.get("oracle.oracle_report", 0) == (entry == "oracle.oracle_report")
+    assert counts["kernels.march_rk4"] == marches * len(widths)
+    nodes = [oracle._quadrature_grid(seq, OracleConfig(w, 100, "cosine")).ts.size for w in widths]
+    assert recorder.nodes == marches * sum(nodes)
 
 
 def test_a_scan_runs_one_beat_per_row(capsys):
