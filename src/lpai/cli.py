@@ -23,9 +23,10 @@ value.  Each run reads one set of flags, and its manifest records exactly
 that set.  The geometry decides the builder flags: mzi and rbi-double read
 --k and --T, rbi-sym and rbi-asym also --Tprime, a file:<path> none, and
 scan takes no file.  The mode then removes flags: `scan --vary X` X's flag,
---sweep-sigma --sigma and --tol, and --dump-dt is read only with
---dump-trajectory.  A given flag outside the set, or a missing one that the
-set needs, exits 1 before anything is computed.
+--sweep-sigma --sigma and --tol, --shape tophat --steps (a top-hat window
+takes one Simpson pair), and --dump-dt is read only with --dump-trajectory.
+A given flag outside the set, or a missing one that the set needs, exits 1
+before anything is computed.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ _BUILDERS = {
 # refused with its message here.  Every other flag is required or has a
 # default in argparse, or selects a mode by being given (--omega,
 # --sweep-sigma, --dump-trajectory).
-_DEFAULTS = {"Tprime": 0.0, "tol": 1e-6}
+_DEFAULTS = {"Tprime": 0.0, "tol": 1e-6, "steps": 400}
 _NEEDS = {
     "k": "geometry {geometry!r} needs --k or --k-in-km",
     "T": "geometry {geometry!r} needs --T",
@@ -204,7 +205,10 @@ def build_parser() -> _Parser:
     _add_geometry_flags(orc)
     _add_environment_flags(orc, require_mass=True)
     orc.add_argument("--sigma", type=float, default=None, help="pulse width (s)")
-    orc.add_argument("--steps", type=int, default=400, help="integration steps per pulse window")
+    orc.add_argument(
+        "--steps", type=int, default=None,
+        help="integration steps per pulse window, default 400 (cosine windows only)",
+    )
     orc.add_argument("--shape", choices=("tophat", "cosine"), default="tophat")
     orc.add_argument(
         "--tol", type=float, default=None,
@@ -247,6 +251,8 @@ def _read(args) -> dict:
         unread[args.vary] = f"with --vary {args.vary}"
     if "sweep_sigma" in values:
         unread.update(sigma="with --sweep-sigma", tol="with --sweep-sigma")
+    if getattr(args, "shape", None) == "tophat":  # a top-hat window takes one Simpson pair
+        unread["steps"] = "with --shape tophat"
     if getattr(args, "dump_trajectory", None) is None:
         unread["dump_dt"] = "without --dump-trajectory"
     for name in values:
@@ -437,13 +443,12 @@ def cmd_oracle(args, params: dict) -> tuple[int, dict]:
         raise _UsageError(f"--tol must be a non-negative number, got {params['tol']!r}")
     seq = _sequence(params)
     species, env, ics = _environment(params)
-    steps, shape = params["steps"], params["shape"]
+    window = {"pulse_shape": params["shape"]}
+    if "steps" in params:  # read with cosine windows only
+        window["steps_per_segment"] = params["steps"]
 
     if "sweep_sigma" in params:
-        study = convergence_study(
-            seq, species, env, ics, params["sweep_sigma"],
-            steps_per_segment=steps, pulse_shape=shape,
-        )
+        study = convergence_study(seq, species, env, ics, params["sweep_sigma"], **window)
         fit = study.fitted_exponent
         # nan (fewer than two residuals above the floor) is not JSON
         payload = {**asdict(study), "fitted_exponent": fit if math.isfinite(fit) else None}
@@ -453,7 +458,7 @@ def cmd_oracle(args, params: dict) -> tuple[int, dict]:
         table = list(_csv(["sigma", "rel_residual"], [*rows, fitted]))
         return 0, {"json": payload, "text": table, "csv": table}
 
-    cfg = OracleConfig(pulse_width=params["sigma"], steps_per_segment=steps, pulse_shape=shape)
+    cfg = OracleConfig(pulse_width=params["sigma"], **window)
     result = oracle_report(seq, species, env, ics, cfg)
     report = result.as_report()
     # one column per float field of the report; steps, shape and the

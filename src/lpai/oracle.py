@@ -16,25 +16,25 @@ averages and no total phase.
 Accuracy notes, which the tests lean on:
 
 - The grid places breakpoints at every window edge and an even number of
-  steps per segment, so Simpson pairs never straddle a discontinuity.  For
-  top-hat windows the acceleration is constant on every step (edge samples
-  take the one-sided value belonging to the step), which makes both the RK4
-  march and the quadrature exact up to rounding; what remains in the residual
-  is genuinely the physics of the finite width.
-- Only the pulse windows take steps_per_segment steps; every other segment
-  (free flight) takes one Simpson pair.  There every march has a constant
-  acceleration (-g, or 0 for the branch difference), on which RK4 is exact,
-  and the proper-time integrand is linear in t, which Simpson integrates
-  exactly; so a free segment's step count moves results at rounding level
-  only.
+  steps per segment, so Simpson pairs never straddle a discontinuity.  On
+  every segment but a cosine window each march has a constant acceleration
+  (-g or amp - g on a branch, 0 or amp for the branch difference; edge
+  samples take the one-sided value belonging to the step), on which RK4 is
+  exact, and the proper-time integrand and the launch trajectory are at
+  most quadratic in t, which one Simpson pair integrates exactly.  So free
+  flight and top-hat windows take one Simpson pair, 2 steps, and a top-hat
+  grid has at most 4 * pulses + 3 nodes; what remains in a top-hat residual
+  is, up to rounding, genuinely the physics of the finite width.
+- Only cosine windows take steps_per_segment steps (rounded up to even);
+  top-hat configs accept the argument and read nothing of it.
 - The proper-time integrand is evaluated from a separately integrated
   branch-difference system (initial conditions zero, kick-difference forcing,
   gravity cancels), as -dv*(v1+v2)/2 + g*dz.  Forming v1 - v2 from the two
   branch solutions instead would inherit the rounding of the large common
   free-fall signal and ruin the gravity-independence of the result.
-- Every window takes the same even step count n, so one raised cosine per
-  call, sampled at the window fractions j/n and (j + 1/2)/n, serves every
-  window of every width.  The nodes sit eps * t off those fractions, so a
+- Every cosine window takes the same even step count n, so one raised
+  cosine per call, sampled at the window fractions j/n and (j + 1/2)/n,
+  serves every window of every width.  The nodes sit eps * t off those fractions, so a
   cosine kick is scaled by the profile's integral under the march's step
   weights, and a window average by its Simpson integral on the grid.
 - Pulse windows span [t_ell, t_ell + sigma].  For sequences closed in phase
@@ -90,10 +90,10 @@ from .phase import _closed_sum, _laser_sum, recoil_parts
 _SHAPES = ("tophat", "cosine")
 _IMPULSE_HARD_LIMIT = 1e-6
 _RESIDUAL_FLOOR = 1e-12
-# Grid nodes one call may allocate.  Peak resident set of a whole process at
-# this budget (cosine windows, the largest case; mzi, x86-64, numpy 2.4):
-# 724 MB for oracle_report, proper_time_numeric and `lpai oracle`; 529 MB
-# with top-hat windows.
+# Grid nodes one call may allocate.  Only cosine windows come near it (a
+# top-hat grid has at most 4 * pulses + 3 nodes).  Peak resident set of a
+# whole process at this budget (cosine windows; mzi, x86-64, numpy 2.4):
+# 724 MB for oracle_report, proper_time_numeric and `lpai oracle`.
 MAX_ORACLE_NODES = 8_000_000
 
 
@@ -101,13 +101,16 @@ MAX_ORACLE_NODES = 8_000_000
 class OracleConfig:
     """Finite-pulse-width integration parameters.
 
-    ``steps_per_segment`` is the RK4 step count of each pulse window, rounded
-    up to even on the grid; the free flight between windows takes 2 steps per
-    segment, so a grid has windows * steps + 2 * free segments + 1 nodes.  It
-    takes any integer type (``operator.index``) and is stored as a Python int;
-    a float or a string is refused.  What depends on the sequence too (the
-    width against the pulse spacing and the time resolution, and the node
-    budget) is checked where the config is laid out, before anything is formed.
+    ``steps_per_segment`` is the RK4 step count of each cosine window, rounded
+    up to even on the grid.  A top-hat window, on which the march and the
+    quadrature are exact, takes one Simpson pair, 2 steps, whatever
+    ``steps_per_segment`` says, and so does the free flight between windows:
+    a grid has windows * window steps + 2 * free segments + 1 nodes.
+    ``steps_per_segment`` takes any integer type (``operator.index``) and is
+    stored as a Python int; a float or a string is refused, with top-hat
+    windows too.  What depends on the sequence too (the width against the
+    pulse spacing and the time resolution, and the node budget) is checked
+    where the config is laid out, before anything is formed.
     """
 
     pulse_width: float
@@ -139,7 +142,7 @@ class OracleResult:
     """Numeric-versus-closed-form comparison for one configuration."""
 
     sigma: float
-    steps_per_segment: int
+    steps_per_segment: int  # top-hat: the 2 steps each window took; cosine: the config's count
     pulse_shape: str
     delta_tau_numeric: float
     delta_tau_closed: float
@@ -224,8 +227,8 @@ def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
     formed, a width not below half the least pulse spacing, a width below
     the time resolution at a pulse and a grid of more than MAX_ORACLE_NODES
     nodes, sum(steps) + 1.  A pulse window [t, t + sigma] takes
-    steps_per_segment rounded up to even; every other segment is free flight
-    and takes one Simpson pair, 2 steps.
+    _window_steps(cfg); every other segment is free flight and takes one
+    Simpson pair, 2 steps.
     """
     times, sigma = seq.times, cfg.pulse_width
     if len(times) >= 2:
@@ -247,15 +250,19 @@ def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
     steps = [n if ends.get(a) == b else 2 for a, b in zip(breakpoints[:-1], breakpoints[1:])]
     nodes, windows = sum(steps) + 1, len(times)
     if nodes > MAX_ORACLE_NODES:
+        hint = "; lower steps_per_segment" if cfg.pulse_shape == "cosine" else ""
         raise OracleConfigError(
             f"{windows} pulse windows of {n} steps and {len(steps) - windows} free segments "
-            f"need {nodes} grid nodes, more than {MAX_ORACLE_NODES}; lower steps_per_segment"
+            f"need {nodes} grid nodes, more than {MAX_ORACLE_NODES}{hint}"
         )
     return breakpoints, steps
 
 
 def _window_steps(cfg: OracleConfig) -> int:
-    """The step count of every pulse window: steps_per_segment rounded up to even."""
+    """The step count of every pulse window: one exact Simpson pair for top-hat
+    (see the accuracy notes), steps_per_segment rounded up to even for cosine."""
+    if cfg.pulse_shape == "tophat":
+        return 2
     return cfg.steps_per_segment + cfg.steps_per_segment % 2
 
 
@@ -394,9 +401,11 @@ def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float,
         expected = constants.HBAR * k / mass - g * width
         worst = max(worst, abs((v[i1] - v[i0]) - expected))
     if worst > _IMPULSE_HARD_LIMIT * scale:
+        # a top-hat march is exact: only rounding can put its kicks off
+        steps = "too few steps_per_segment, or " if grid.profile is not None else ""
         raise OracleAccuracyError(
             f"velocity change per pulse off by {worst / scale:.3e} relative "
-            f"(limit {_IMPULSE_HARD_LIMIT:.0e}): too few steps_per_segment, or a kick "
+            f"(limit {_IMPULSE_HARD_LIMIT:.0e}): {steps}a kick "
             "hbar*k/m below the float rounding of the free-fall velocity g*t"
         )
 
@@ -560,7 +569,9 @@ def oracle_report(
 
     return OracleResult(
         sigma=cfg.pulse_width,
-        steps_per_segment=cfg.steps_per_segment,
+        # top-hat windows took 2 steps whatever the config says; cosine echoes the
+        # config, odd counts included, though its windows round them up to even
+        steps_per_segment=cfg.steps_per_segment if grid.profile is not None else _window_steps(cfg),
         pulse_shape=cfg.pulse_shape,
         delta_tau_numeric=dtau_num,
         delta_tau_closed=dtau_closed,

@@ -139,18 +139,24 @@ def float_bits(x: float) -> bytes:
 # The finite-width oracle as it stood before its stage arrays were shared: a
 # separate stage array per stage and forcing, four full marches per run, numpy
 # scalars into fsum.  Its grid follows the oracle's layout rule, written out
-# again in _ref_grid.  A cosine window evaluates its profile at the window
+# again in _ref_grid and _ref_window_steps: a top-hat window and every free
+# segment take one Simpson pair, a cosine window steps_per_segment rounded up
+# to even.  A cosine window evaluates its profile at the window
 # fractions j/n of its nodes and (j + 1/2)/n of its step midpoints, window by
 # window (_ref_cosine), and scales its kick and its average by the profile's
 # integral on the grid.  The tests hold lpai.oracle to these values bit for bit.
+
+
+def _ref_window_steps(cfg) -> int:
+    """The steps a pulse window of cfg takes, before rounding up to even."""
+    return cfg.steps_per_segment if cfg.pulse_shape == "cosine" else 2
 
 
 def _ref_grid(seq: PulseSequence, sigma: float, steps: int, uniform: bool = False):
     """Node times, steps and window node spans.
 
     A pulse window takes steps rounded up to even, every other segment 2
-    steps; uniform=True gives every segment the window's count, the grid the
-    oracle used before free flight took one Simpson pair.
+    steps; uniform=True gives every segment the window's count.
     """
     times = seq.times
     window_ends = [t + sigma for t in times]
@@ -230,8 +236,13 @@ def _ref_window_integral(grid, shape: str, span, values) -> float:
 
 
 def ref_run(seq: PulseSequence, species, env, ics, cfg, uniform: bool = False) -> dict:
-    """Grid and all four marches (branches, difference system, launch) of one oracle run."""
-    grid = _ref_grid(seq, cfg.pulse_width, cfg.steps_per_segment, uniform)
+    """Grid and all four marches (branches, difference system, launch) of one oracle run.
+
+    uniform=True is the grid the oracle used before free flight and top-hat
+    windows took one Simpson pair: steps_per_segment on every segment.
+    """
+    steps = cfg.steps_per_segment if uniform else _ref_window_steps(cfg)
+    grid = _ref_grid(seq, cfg.pulse_width, steps, uniform)
     m, shape = species.mass, cfg.pulse_shape
     k1 = [p.k_upper for p in seq.pulses]
     k2 = [p.k_lower for p in seq.pulses]
@@ -276,7 +287,7 @@ def ref_gravito_terms(seq: PulseSequence, run: dict, shape: str) -> list[float]:
 
 
 def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg, uniform: bool = False) -> dict:
-    """OracleResult fields, as the frozen pipeline computes them; uniform as in _ref_grid."""
+    """OracleResult fields, as the frozen pipeline computes them; uniform as in ref_run."""
     from lpai import proper_time_difference
 
     run = ref_run(seq, species, env, ics, cfg, uniform)
@@ -291,7 +302,7 @@ def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg, uniform: bool 
     denom = max(abs(dtau_closed), vr * vr * _ref_time_span(seq))
     return {
         "sigma": cfg.pulse_width,
-        "steps_per_segment": cfg.steps_per_segment,
+        "steps_per_segment": _ref_window_steps(cfg),
         "pulse_shape": cfg.pulse_shape,
         "delta_tau_numeric": dtau_num,
         "delta_tau_closed": dtau_closed,

@@ -272,8 +272,7 @@ def test_criterion_11_geometry_round_trip_and_exit_codes(tmp_path, capsys):
         cli_main(
             [
                 "oracle", "--geometry", "rbi-asym", "--k", "1.8e10", "--T", "0.325",
-                "--mass", "1.443157e-25", "--steps", "100",
-                "--sigma", "3.25e-4", "--tol", "1e-12",
+                "--mass", "1.443157e-25", "--sigma", "3.25e-4", "--tol", "1e-12",
             ]
         )
         == 3

@@ -42,8 +42,7 @@ GOLDEN_RUNS = [
 GOLDEN_OUTPUTS = {path: load_golden(path) for path in (CLI_GOLDEN, SCAN_GOLDEN)}
 
 ORACLE_MZI = (
-    "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", "--mass", SR_MASS,
-    "--g", "9.81", "--steps", "100",
+    "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", "--mass", SR_MASS, "--g", "9.81",
 )
 # one run of each command, run in each format it offers
 STAMPED = {
@@ -662,7 +661,7 @@ class TestCheck:
 class TestOracle:
     BASE = (
         "oracle", "--geometry", "rbi-asym", "--k", "1.8e10", "--T", "0.325",
-        "--mass", SR_MASS, "--g", "9.81", "--steps", "100",
+        "--mass", SR_MASS, "--g", "9.81",
     )
 
     def test_single_width_report(self, capsys):
@@ -685,14 +684,23 @@ class TestOracle:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
-    def test_a_failed_impulse_check_exits_with_three(self, capsys):
+    @pytest.mark.parametrize(
+        "shape, cause",
+        [
+            (("--shape", "tophat"), "(limit 1e-06): a kick"),
+            (("--shape", "cosine", "--steps", "100"), "(limit 1e-06): too few steps_per_segment"),
+        ],
+        ids=["tophat", "cosine"],
+    )
+    def test_a_failed_impulse_check_exits_with_three(self, capsys, shape, cause):
+        # a top-hat march is exact, so only the cosine message names the steps
         code, out, err = run(
             capsys, "oracle", "--geometry", "mzi", "--k", "1e-3", "--T", "10", "--mass", SR_MASS,
-            "--g", "9.81", "--sigma", "1e-2", "--steps", "100",
+            "--g", "9.81", "--sigma", "1e-2", *shape,
         )
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: velocity change per pulse off by")
-        assert "too few steps_per_segment, or a kick" in err
+        assert cause in err
 
     def test_a_proper_time_whose_product_overflows_is_reported(self, capsys):
         # At 1e-183 kg, -0.5 * dv * (v1 + v2) overflows before its division
@@ -700,7 +708,7 @@ class TestOracle:
         # residual does not depend on the mass
         argv = (
             "oracle", "--geometry", "rbi-asym", "--k", "1e7", "--T", "0.1", "--g", "0",
-            "--sigma", "1e-6", "--steps", "100", "--format", "json",
+            "--sigma", "1e-6", "--format", "json",
         )
         residuals = []
         for mass in ("1e-183", "1e-25"):
@@ -738,7 +746,7 @@ class TestOracle:
             code, out, _ = run(
                 capsys, "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1",
                 "--mass", SR_MASS, "--g", "0", "--z0", z0, "--sweep-sigma", "1e-4", "5e-5",
-                "--steps", "100", "--format", "json",
+                "--format", "json",
             )
             assert code == 0
             return json.loads(out)["residuals"]
@@ -816,12 +824,32 @@ class TestOracle:
 
     @pytest.mark.parametrize("width", [("--sigma", "3.25e-7"), ("--sweep-sigma", "1e-4", "1e-5")])
     def test_grid_over_the_node_budget_is_refused(self, capsys, width):
-        # 3 windows of 4e6 steps and 2 free segments: 1.2e7 nodes, about 1 GB
-        code, out, err = run(capsys, *self.BASE, "--steps", "4000000", *width)
+        # 3 cosine windows of 4e6 steps and 2 free segments: 1.2e7 nodes, about 1 GB
+        code, out, err = run(capsys, *self.BASE, "--shape", "cosine", "--steps", "4000000", *width)
         assert code == 1
         assert out == ""
         assert "error:" in err and "grid nodes" in err
 
+    @pytest.mark.parametrize("shape", [(), ("--shape", "tophat")], ids=["default", "tophat"])
+    @pytest.mark.parametrize("width", [("--sigma", "3.25e-7"), ("--sweep-sigma", "1e-4", "1e-5")])
+    def test_a_tophat_run_refuses_steps(self, capsys, tmp_path, shape, width):
+        # a top-hat window takes one Simpson pair whatever --steps says
+        path = tmp_path / "out"
+        code, out, err = run(
+            capsys, *self.BASE, *shape, "--steps", "100", *width, "--output", str(path)
+        )
+        assert (code, out, err) == (1, "", "error: --steps is not read with --shape tophat\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape, steps", [("tophat", None), ("cosine", 400)])
+    def test_the_manifest_records_steps_for_cosine_windows_only(self, capsys, shape, steps):
+        code, out, _ = run(
+            capsys, *self.BASE, "--sigma", "3.25e-7", "--shape", shape, "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["manifest"]["parameters"].get("steps") == steps
+        assert doc["oracle"]["steps"] == (steps or 2)  # the steps each window took
 
 class TestHarness:
     def test_no_subcommand_is_a_usage_error(self, capsys):
@@ -1026,7 +1054,9 @@ def read_defaults(argv):
     names, command = flag_names(argv), argv[0]
     defaults = {"mass"} if command == "check" else {"g", "z0", "v0"}
     if command == "oracle":
-        defaults |= {"steps", "shape"} | (set() if "sweep_sigma" in names else {"tol"})
+        defaults |= {"shape"} | (set() if "sweep_sigma" in names else {"tol"})
+        if "cosine" in argv:  # a top-hat run reads no --steps
+            defaults.add("steps")
     if argv[argv.index("--geometry") + 1] in ("rbi-sym", "rbi-asym"):
         defaults.add("Tprime")
     if "k_in_km" in names:

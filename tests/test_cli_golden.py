@@ -26,11 +26,11 @@ RBI_SYM = ("--geometry", "rbi-sym", "--k-in-km", "580", "--T", "0.3", "--Tprime"
 PHASES_FILE = ("--geometry", "file:laser-phases.geom")
 OPEN_FILE = ("--geometry", "file:open.geom")
 ORACLE_MZI = ("oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", *SR, *GRAVITY,
-              "--sigma", "1e-6", "--steps", "100")
+              "--sigma", "1e-6")
 ORACLE_RBI = ("oracle", *RBI_SYM, *SR, "--g", "9.81", "--sigma", "3e-7", "--steps", "100",
               "--shape", "cosine")
 SWEEP_FITTED = ("oracle", "--geometry", "rbi-asym", "--k", "1.8e10", "--T", "0.325", *SR,
-                "--g", "9.81", "--sweep-sigma", "3.25e-4", "3.25e-5", "3.25e-6", "--steps", "100")
+                "--g", "9.81", "--sweep-sigma", "3.25e-4", "3.25e-5", "3.25e-6")
 # every residual of this sweep sits below the 1e-12 floor, so no exponent is fitted
 SWEEP_UNFITTED = ("oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", *SR, "--g", "9.81",
                   "--sweep-sigma", "1e-4", "5e-5", "2.5e-5")
@@ -59,7 +59,7 @@ CASES = {
     "oracle-sweep-unfitted-csv": (*SWEEP_UNFITTED, "--format", "csv"),
     "oracle-residual-above-tol": ("oracle", "--geometry", "rbi-asym", "--k", "1.8e10",
                                   "--T", "0.325", *SR, "--g", "9.81", "--sigma", "1e-2",
-                                  "--steps", "100", "--tol", "1e-9"),
+                                  "--tol", "1e-9"),
     "oracle-without-sigma": ("oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", *SR),
 }
 

@@ -128,33 +128,49 @@ class TestConfig:
         cfg = OracleConfig(pulse_width=0.06)
         assert_refused_unformed(monkeypatch, entry, build_rbi_asymmetric(1e7, 0.1), cfg, message)
 
-    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
     @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
-    def test_grid_over_the_node_budget_is_refused_before_allocating(
-        self, monkeypatch, entry, shape
-    ):
-        # 1e12 steps per segment would need petabytes, and a profile of
+    def test_grid_over_the_node_budget_is_refused_before_allocating(self, monkeypatch, entry):
+        # 1e12 steps per cosine window would need petabytes, and a profile of
         # 1e12 nodes terabytes: neither may be formed
         message = (
             "3 pulse windows of 1000000000000 steps and 2 free segments need 3000000000005 "
             "grid nodes, more than 8000000; lower steps_per_segment"
         )
-        cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=10**12, pulse_shape=shape)
+        cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=10**12, pulse_shape="cosine")
         assert_refused_unformed(monkeypatch, entry, build_rbi_asymmetric(1e7, 0.1), cfg, message)
 
     def test_node_budget_boundary(self, monkeypatch):
         seq = build_rbi_asymmetric(1e7, 0.1)  # 3 windows and the 2 free segments between them
-        cfg = OracleConfig(pulse_width=1e-6, steps_per_segment=101)  # rounds up to 102
+        cfg = OracleConfig(1e-6, 101, "cosine")  # rounds up to 102
         nodes = 3 * 102 + 2 * 2 + 1
         monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes)
         assert march_branch(seq, 1, SR, FLAT, REST, cfg)[0].size == nodes
         monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes - 1)
         message = (
             f"3 pulse windows of 102 steps and 2 free segments need {nodes} grid nodes, "
-            f"more than {nodes - 1}"
+            f"more than {nodes - 1}; lower steps_per_segment"
         )
         with pytest.raises(OracleConfigError, match=message):
             march_branch(seq, 1, SR, FLAT, REST, cfg)
+
+    @pytest.mark.parametrize("steps", [100, 10**12])
+    def test_a_tophat_window_takes_one_simpson_pair(self, monkeypatch, steps):
+        # steps_per_segment is accepted and unread: 3 windows and 2 free
+        # segments of 2 steps, at most 4 * pulses + 3 nodes
+        seq, cfg = build_rbi_asymmetric(1e7, 0.1), OracleConfig(1e-6, steps)
+        nodes = 3 * 2 + 2 * 2 + 1
+        assert nodes <= 4 * len(seq.pulses) + 3
+        assert march_branch(seq, 1, SR, FLAT, REST, cfg)[0].size == nodes
+        assert oracle_report(seq, SR, FLAT, REST, cfg).steps_per_segment == 2
+        # the budget still holds; more steps would not lower the node count
+        monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", nodes - 1)
+        message = (
+            f"3 pulse windows of 2 steps and 2 free segments need {nodes} grid nodes, "
+            f"more than {nodes - 1}"
+        )
+        with pytest.raises(OracleConfigError) as refused:
+            march_branch(seq, 1, SR, FLAT, REST, cfg)
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
     def test_width_below_the_time_resolution_is_refused(self, monkeypatch, entry):
@@ -172,7 +188,8 @@ class TestConfig:
         monkeypatch.setattr(oracle, "_build_grid", width)
         with pytest.raises(OracleConfigError, match="grid nodes"):
             convergence_study(
-                build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 1e-6], steps_per_segment=10**9
+                build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5, 1e-6],
+                steps_per_segment=10**9, pulse_shape="cosine",
             )
 
     @pytest.mark.parametrize("steps", [100.5, "400"])
@@ -200,7 +217,7 @@ class TestConfig:
 
 
 class TestWindowedGrid:
-    """Only the pulse windows take steps_per_segment steps; free flight takes one Simpson pair."""
+    """Only cosine windows take steps_per_segment steps; the rest take one Simpson pair."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -224,7 +241,7 @@ class TestWindowedGrid:
         env, ics = GravityEnv(g), InitialConditions(z0, v0)
         # the same pulses with a free flight after the last window
         later = PulseSequence(seq.pulses, duration=seq.times[-1] + cfg.pulse_width + tail)
-        windows, n = len(seq.pulses), steps + steps % 2
+        windows, n = len(seq.pulses), (steps + steps % 2 if shape == "cosine" else 2)
         nodes = windows * n + 2 * (windows - 1) + 1  # the first pulse is at t = 0
         assert oracle._quadrature_grid(seq, cfg).ts.size == nodes
         assert oracle._quadrature_grid(later, cfg).ts.size == nodes + 2
@@ -522,6 +539,70 @@ class TestConvergence:
             convergence_study(build_mzi(1e7, 0.1), SR, FLAT, REST, [1e-5])
 
 
+class TestTopHatWindows:
+    """A top-hat window takes one Simpson pair, on which the march and the quadrature are exact."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_steps_per_segment_is_not_read(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        seq = random_closed_sequence(rng, k_scale=1e7, with_common_mode=True, with_phases=True)
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        reports = [
+            asdict(oracle_report(seq, SR, env, ics, OracleConfig(spacing / 50.0, steps)))
+            for steps in (100, 4000)
+        ]
+        # the config echo states the steps the windows took, 2 at both
+        assert reports[0]["steps_per_segment"] == 2
+        assert {k: _hex(v) for k, v in reports[0].items()} == {
+            k: _hex(v) for k, v in reports[1].items()
+        }
+        widths = [spacing / 50.0, spacing / 100.0]
+        studies = [
+            convergence_study(seq, SR, env, ics, widths, steps_per_segment=steps)
+            for steps in (100, 4000)
+        ]
+        assert _hex(list(studies[0].residuals)) == _hex(list(studies[1].residuals))
+
+    @pytest.mark.parametrize("sigma", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("pause, coefficient", [(0.0, 1 / 16), (0.5, 2 / 15)])
+    def test_asymmetric_residual_is_the_closed_form_of_the_ramps(self, sigma, pause, coefficient):
+        """rel_residual * T / sigma of rbi-asym is 1/16 at Tp = 0 and 2/15 at Tp = T/2.
+
+        Only the upper branch is kicked, so the branch-difference velocity u
+        is the upper branch's recoil velocity, and the proper-time integrand
+        is -(u * v_g + u**2 / 2 - g * dz) / c**2.  Its launch terms integrate
+        to a multiple of dz(t_end), zero for a closed sequence, so
+        delta_tau = -integral(u**2) / (2 c**2).  With vr = hbar*k/m and
+        instantaneous kicks, u is vr on [0, T] and -vr on [T + Tp, 2T + Tp]:
+        integral(u**2) = 2 vr**2 T.  A top-hat window of width sigma turns
+        each jump of u from a to b into a linear ramp, whose sigma * (a**2 +
+        a*b + b**2) / 3 replaces sigma * b**2.
+
+        Tp = T/2 > sigma: the ramps 0 -> vr and 0 -> -vr each give
+        vr**2 sigma / 3 for vr**2 sigma, and vr -> 0 and -vr -> 0 each give
+        vr**2 sigma / 3 for 0: integral(u**2) = vr**2 (2T - 2 sigma / 3), so
+        |delta_tau_num - delta_tau_closed| = vr**2 sigma / (3 c**2).  The
+        residual's scale is max(|delta_tau_closed|, (vr_max / c)**2 * span)
+        with vr_max = vr and span = 2T + Tp = 5T/2, so the residual is
+        sigma / (3 * 5T/2) = 2 sigma / (15 T).
+
+        Tp = 0: the two central pulses merge into one -2k kick.  The ramps
+        0 -> vr and vr -> -vr each give vr**2 sigma / 3 for vr**2 sigma, and
+        -vr -> 0 gives vr**2 sigma / 3 for 0: integral(u**2) =
+        vr**2 (2T - sigma), a difference of vr**2 sigma / (2 c**2).  Now
+        vr_max = 2 vr and span = 2T, a scale of 8 vr**2 T / c**2 above
+        |delta_tau_closed| = vr**2 T / c**2, so the residual is
+        sigma / (16 T).
+        """
+        k, T = 1.8e10, 0.325
+        seq = build_rbi_asymmetric(k, T, pause * T)
+        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        # steps_per_segment is unread: the default
+        report = oracle_report(seq, SR, env, ics, OracleConfig(sigma))
+        assert report.residual_vs_closed_form * T / sigma == pytest.approx(coefficient, rel=1e-9)
+
+
 def march_rk4(h, a_left, a_mid, a_right, z0, v0):
     """_kernels.march_rk4 into fresh arrays; z and work are passed when z0 is."""
     n = h.size
@@ -667,19 +748,29 @@ class TestOracleArena:
         nodes = oracle._quadrature_grid(seq, cfg).ts.size
         assert len(oracle._ROLES) * nodes <= _exactsum._SCRATCH_MAX
         oracle_report(seq, SR, env, ics, cfg)  # grows this thread's arena
+        kept = _exactsum._scratch.buffers["oracle"]
         tracemalloc.start()
         try:
             oracle_report(seq, SR, env, ics, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < nodes * 8
+        assert _exactsum._scratch.buffers["oracle"] is kept
+        grid = oracle._quadrature_grid(seq, cfg)
+        stages = oracle._stage_accels(grid, [p.k_upper for p in seq.pulses], SR.mass, env.g)
+        assert all(np.shares_memory(a, kept) for a in (grid.ts, grid.h, grid.h6, *stages))
+        # a top-hat grid, at most 4 * pulses + 3 nodes, holds fewer bytes than
+        # the report's per-pulse Python objects: the peak tells only cosine apart
+        if shape == "cosine":
+            assert peak < nodes * 8
 
     def test_a_grid_above_the_arena_bound_gets_fresh_arrays(self, shape, monkeypatch):
         seq, env, ics, cfg = _arena_case(shape, steps=100)
         oracle_report(seq, SR, env, ics, cfg)
         kept = _exactsum._scratch.buffers["oracle"]
-        monkeypatch.setattr(_exactsum, "_SCRATCH_MAX", 1000)
+        nodes = oracle._quadrature_grid(seq, cfg).ts.size
+        # one element short of the grid's slots
+        monkeypatch.setattr(_exactsum, "_SCRATCH_MAX", len(oracle._ROLES) * nodes - 1)
         grid = oracle._quadrature_grid(seq, cfg)
         assert grid.arena.buffer is None
         assert not np.shares_memory(grid.ts, kept)
