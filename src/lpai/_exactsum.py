@@ -72,9 +72,11 @@ _scratch = _Scratch()
 def scratch(use: str, size: int) -> np.ndarray:
     """size uninitialised float64 elements of this thread's buffer for use.
 
-    The next request for the same use in the same thread returns the same
-    memory, so a caller must be done with the array by then.  Requests above
-    _SCRATCH_MAX get a fresh array that nothing keeps.
+    A request larger than the buffer replaces it with one of exactly size
+    elements; a smaller one gets a view of its head.  The next request for
+    the same use in the same thread returns the same memory, so a caller
+    must be done with the array by then.  Requests above _SCRATCH_MAX get a
+    fresh array that nothing keeps.
     """
     buffer = _scratch.buffers.get(use)
     if buffer is not None and size <= buffer.size:
@@ -83,10 +85,8 @@ def scratch(use: str, size: int) -> np.ndarray:
 
     if size > _SCRATCH_MAX:
         return np.empty(size)
-    # Powers of two keep regrowing rare; np.empty leaves the unused tail
-    # untouched, so it costs address space, not memory.
-    buffer = _scratch.buffers[use] = np.empty(min(1 << (size - 1).bit_length(), _SCRATCH_MAX))
-    return buffer[:size]
+    buffer = _scratch.buffers[use] = np.empty(size)
+    return buffer
 
 
 # Below this many terms math.fsum is faster than the extraction passes.  On

@@ -42,25 +42,25 @@ Accuracy notes, which the tests lean on:
   quantity, so no recentering is needed.
 
 Every grid-sized array of a call (the grid, h / 6, the stage accelerations,
-the four marches, the integrand and the Simpson terms) is a view of one
-arena per thread, _exactsum.scratch("oracle"), one slot per role, so a
-repeated call allocates nothing grid-sized.  The arena holds at most
-_SCRATCH_MAX elements (8 MiB); a grid whose slots would not fit gets fresh
-arrays instead.  A view is valid until the next oracle call in the same
-thread, and nothing returned to a caller is one.  Only what a result reads is
-marched: the proper time reads the two branches' velocities, so their marches
-form no positions.  Top-hat windows leave the three RK4 stage accelerations
-equal, so one array serves all three.  A cosine forcing has two, its
-accelerations on the nodes and on the step midpoints; the left and right
-stages are views of the node array.  _layout is the one function that
-relates a config to a sequence, and every entry point lays its config out
-first: a width too wide for the pulse spacing or below the time resolution
-at a pulse, and a grid over MAX_ORACLE_NODES, are refused before anything is
-allocated, the cosine profile included.  Every march, through _march, checks
-each window's velocity change against hbar*k/m - g*width (g = 0 for the
-branch difference).  Every Simpson sum, through _simpson, is nan beyond the
-float range; that, and a kick amplitude or a proper-time integrand beyond
-it, raises NonFiniteResultError.
+the four marches, the integrand and the Simpson terms) is a view of one arena
+per thread, _exactsum.scratch("oracle"), exactly one slot of the grid's nodes
+per role, so a repeated call allocates nothing grid-sized.  A grid whose
+slots would not fit in _SCRATCH_MAX elements (8 MiB) gets fresh arrays
+instead.  A view is valid until the next oracle call in the same thread, and
+nothing returned to a caller is one.  Only what a result reads is marched:
+the proper time reads the two branches' velocities, so their marches form no
+positions.  Top-hat windows leave the three RK4 stage accelerations equal, so
+one array serves all three.  A cosine forcing has two, its accelerations on
+the nodes and on the step midpoints; the left and right stages are views of
+the node array.  _layout is the one function that relates a config to a
+sequence: it places the breakpoints and the windows' node spans.  Every entry
+point lays its config out first: a width too wide for the pulse spacing or
+below the time resolution at a pulse, and a grid over MAX_ORACLE_NODES, are
+refused before anything is allocated, the cosine profile included.  Every
+march, through _march, checks each window's velocity change against
+hbar*k/m - g*width (g = 0 for the branch difference).  Every Simpson sum,
+through _simpson, is nan beyond the float range; that, and a kick amplitude
+or a proper-time integrand beyond it, raises NonFiniteResultError.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ _IMPULSE_HARD_LIMIT = 1e-6
 _RESIDUAL_FLOOR = 1e-12
 # Grid nodes one call may allocate.  Only cosine windows come near it (a
 # top-hat grid has at most 4 * pulses + 3 nodes).  Peak resident set of a
-# whole process at this budget (cosine windows; mzi, x86-64, numpy 2.4):
-# 724 MB for oracle_report, proper_time_numeric and `lpai oracle`.
+# process at 7,998,005 nodes (mzi, 2,666,000 steps; x86-64, numpy 2.4.6):
+# 619 MB for oracle_report and `lpai oracle`, 618 MB for proper_time_numeric.
 MAX_ORACLE_NODES = 8_000_000
 
 
@@ -142,7 +142,7 @@ class OracleResult:
     """Numeric-versus-closed-form comparison for one configuration."""
 
     sigma: float
-    steps_per_segment: int  # top-hat: the 2 steps each window took; cosine: the config's count
+    steps_per_segment: int  # the steps each pulse window took, _window_steps(cfg)
     pulse_shape: str
     delta_tau_numeric: float
     delta_tau_closed: float
@@ -186,8 +186,8 @@ _ROLES = (
 class _Arena:
     """Grid-sized work arrays of one oracle call: one slot of `nodes` elements per role.
 
-    The slots are views of this thread's scratch("oracle") when all of them
-    fit in _SCRATCH_MAX elements; otherwise every request gets a fresh array.
+    The slots are views of this thread's scratch("oracle"), len(_ROLES) * nodes
+    elements, if that fits in _SCRATCH_MAX; else every request gets a fresh array.
     """
 
     def __init__(self, nodes: int) -> None:
@@ -204,7 +204,7 @@ class _Arena:
 
 
 _Profile = tuple[np.ndarray, np.ndarray]  # a cosine window's profile: (nodes, step midpoints)
-_Layout = tuple[list[float], list[int]]  # _layout's grid breakpoints and segment step counts
+_Layout = tuple[list[float], list[int], tuple[tuple[int, int], ...]]  # see _layout
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,13 @@ class _Grid:
 
 
 def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
-    """Sorted grid breakpoints and each segment's step count: the one rule relating cfg to seq.
+    """Where the grid's breakpoints and windows fall: the one rule relating cfg to seq.
 
-    Refuses, in this order and before anything grid- or profile-sized is
-    formed, a width not below half the least pulse spacing, a width below
-    the time resolution at a pulse and a grid of more than MAX_ORACLE_NODES
-    nodes, sum(steps) + 1.  A pulse window [t, t + sigma] takes
+    Returns the sorted breakpoints, the node index of each and the node span
+    (i0, i1) of each pulse's window [t, t + sigma].  Refuses, in this order
+    and before anything grid- or profile-sized is formed, a width not below
+    half the least pulse spacing, a width below the time resolution at a
+    pulse and a grid of more than MAX_ORACLE_NODES nodes.  A window takes
     _window_steps(cfg); every other segment is free flight and takes one
     Simpson pair, 2 steps.
     """
@@ -244,18 +245,23 @@ def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
             raise OracleConfigError(
                 f"pulse_width {sigma!r} is below the time resolution at t = {t!r}"
             )
-    t_stop = max([seq.duration, *ends.values()])
-    breakpoints = sorted({min([0.0, *times]), t_stop, *times, *ends.values()})
+    edges = {*times, *ends.values()}
+    lo, hi = min(edges, default=0.0), max(edges, default=0.0)
+    # free flight from t = 0 and on to the duration, left out where no float splits its 2 steps
+    free = ((0.0, lo, 0.0), (hi, seq.duration, seq.duration))
+    breakpoints = sorted({lo, hi, *edges, *(t for a, b, t in free if a < a + (b - a) / 2 < b)})
     n = _window_steps(cfg)
     steps = [n if ends.get(a) == b else 2 for a, b in zip(breakpoints[:-1], breakpoints[1:])]
-    nodes, windows = sum(steps) + 1, len(times)
+    offsets = [0, *itertools.accumulate(steps)]
+    nodes, windows = offsets[-1] + 1, len(times)
     if nodes > MAX_ORACLE_NODES:
         hint = "; lower steps_per_segment" if cfg.pulse_shape == "cosine" else ""
         raise OracleConfigError(
             f"{windows} pulse windows of {n} steps and {len(steps) - windows} free segments "
             f"need {nodes} grid nodes, more than {MAX_ORACLE_NODES}{hint}"
         )
-    return breakpoints, steps
+    node = dict(zip(breakpoints, offsets))
+    return breakpoints, offsets, tuple((node[t], node[end]) for t, end in ends.items())
 
 
 def _window_steps(cfg: OracleConfig) -> int:
@@ -284,15 +290,9 @@ def _raised_cosine(cfg: OracleConfig) -> _Profile | None:
     return profile
 
 
-def _build_grid(
-    seq: PulseSequence, cfg: OracleConfig, layout: _Layout, profile: _Profile | None
-) -> _Grid:
-    """The grid of _layout(seq, cfg)'s layout, in this thread's oracle arena.
-
-    profile is _raised_cosine(cfg)'s.
-    """
-    breakpoints, steps = layout
-    offsets = [0, *itertools.accumulate(steps)]
+def _build_grid(layout: _Layout, profile: _Profile | None) -> _Grid:
+    """The grid of a _layout in this thread's oracle arena, with _raised_cosine's profile."""
+    breakpoints, offsets, windows = layout
     arena = _Arena(offsets[-1] + 1)
     ts = arena("ts", arena.nodes)
     for a, b, i0, i1 in zip(breakpoints, breakpoints[1:], offsets, offsets[1:]):
@@ -300,8 +300,6 @@ def _build_grid(
     ts[-1] = breakpoints[-1]
     h = np.subtract(ts[1:], ts[:-1], out=arena("h", ts.size - 1))
 
-    start = dict(zip(breakpoints, offsets))
-    windows = tuple((start[t], start[t + cfg.pulse_width]) for t in seq.times)
     widths = tuple(float(ts[i1] - ts[i0]) for i0, i1 in windows)
     h6 = np.divide(h, 6.0, out=arena("h6", h.size))
     kick_areas = widths
@@ -429,7 +427,7 @@ def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     """One call's grid: seq's structure is checked, then cfg laid out, then the profile formed."""
     require_valid(seq, structural_only=True)
     layout = _layout(seq, cfg)
-    return _build_grid(seq, cfg, layout, _raised_cosine(cfg))
+    return _build_grid(layout, _raised_cosine(cfg))
 
 
 def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, float]:
@@ -520,9 +518,10 @@ def _window_terms(
 def _closed_form(seq: PulseSequence, species: Species) -> tuple[float, float]:
     """Closed-form delta_tau, and the least denominator of a residual against it.
 
-    That scale is (largest recoil velocity / c)^2 times the time span the
-    grid covers.  Both read the one PulseTable of _closed_sum; an open
-    sequence raises OpenSequenceError.
+    That scale is (largest recoil velocity / c)^2 times the span from
+    min(0, t_0) to seq.duration (the grid runs on to the last window's end).
+    Both read the one PulseTable of _closed_sum; an open sequence raises
+    OpenSequenceError.
     """
     s, table = _closed_sum(seq, species)
     dtau = recoil_parts(s, species.mass)[0]
@@ -569,9 +568,7 @@ def oracle_report(
 
     return OracleResult(
         sigma=cfg.pulse_width,
-        # top-hat windows took 2 steps whatever the config says; cosine echoes the
-        # config, odd counts included, though its windows round them up to even
-        steps_per_segment=cfg.steps_per_segment if grid.profile is not None else _window_steps(cfg),
+        steps_per_segment=_window_steps(cfg),
         pulse_shape=cfg.pulse_shape,
         delta_tau_numeric=dtau_num,
         delta_tau_closed=dtau_closed,
@@ -621,11 +618,11 @@ def convergence_study(
     # each grid is freed before the next width builds its own
     residuals = [
         _residual(
-            _proper_time(_build_grid(seq, cfg, layout, profile), seq, species, env, ics)[0],
+            _proper_time(_build_grid(layout, profile), seq, species, env, ics)[0],
             dtau_closed,
             scale,
         )
-        for cfg, layout in zip(cfgs, layouts)
+        for layout in layouts
     ]
 
     for (w_a, r_a), (w_b, r_b) in zip(zip(widths, residuals), zip(widths[1:], residuals[1:])):

@@ -148,8 +148,9 @@ def float_bits(x: float) -> bytes:
 
 
 def _ref_window_steps(cfg) -> int:
-    """The steps a pulse window of cfg takes, before rounding up to even."""
-    return cfg.steps_per_segment if cfg.pulse_shape == "cosine" else 2
+    """The steps a pulse window of cfg takes, cosine counts rounded up to even."""
+    steps = cfg.steps_per_segment
+    return steps + steps % 2 if cfg.pulse_shape == "cosine" else 2
 
 
 def _ref_grid(seq: PulseSequence, sigma: float, steps: int, uniform: bool = False):

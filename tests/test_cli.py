@@ -851,6 +851,23 @@ class TestOracle:
         assert doc["manifest"]["parameters"].get("steps") == steps
         assert doc["oracle"]["steps"] == (steps or 2)  # the steps each window took
 
+    def test_an_odd_cosine_count_reports_the_even_steps_its_windows_took(self, capsys):
+        # the library and the CLI both report the 102 steps a window of 101 took
+        report = lpai.oracle_report(
+            lpai.build_rbi_asymmetric(1.8e10, 0.325), Species(float(SR_MASS)), GravityEnv(9.81),
+            InitialConditions(), lpai.OracleConfig(3.25e-7, 101, "cosine"),
+        )
+        assert report.steps_per_segment == 102
+        code, out, _ = run(
+            capsys, *self.BASE, "--sigma", "3.25e-7", "--shape", "cosine", "--steps", "101",
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["manifest"]["parameters"]["steps"] == 101
+        assert doc["oracle"]["steps"] == 102
+        assert doc["oracle"] == json.loads(json.dumps(report.as_report()))
+
 class TestHarness:
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 1

@@ -278,3 +278,21 @@ def test_the_pass_cap_hands_the_exact_remainder_to_fsum(monkeypatch, passes):
 def test_errors_above_the_threshold_are_fsums(x, error):
     terms = np.concatenate((np.array(x), np.ones(THRESHOLD)))
     assert fsum_outcome(array_fsum, terms) == error
+
+
+# --- the per-thread scratch ---------------------------------------------------
+
+
+def test_scratch_grows_to_exactly_the_size_asked_and_keeps_it(monkeypatch):
+    monkeypatch.setattr(_exactsum._scratch, "buffers", {})
+    first = _exactsum.scratch("test", 1000)
+    kept = _exactsum._scratch.buffers["test"]
+    assert first.size == kept.size == 1000  # no rounding up to a power of two
+    smaller = _exactsum.scratch("test", 10)
+    assert smaller.size == 10 and np.shares_memory(smaller, kept)
+    assert _exactsum._scratch.buffers["test"] is kept
+    larger = _exactsum.scratch("test", 1001)
+    assert larger.size == _exactsum._scratch.buffers["test"].size == 1001
+    above = _exactsum.scratch("test", _exactsum._SCRATCH_MAX + 1)
+    assert above.size == _exactsum._SCRATCH_MAX + 1
+    assert _exactsum._scratch.buffers["test"].size == 1001  # nothing keeps what is above the bound

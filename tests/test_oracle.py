@@ -4,11 +4,11 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpai import (
@@ -249,6 +249,51 @@ class TestWindowedGrid:
             new = oracle_report(s, SR, env, ics, cfg).residual_vs_closed_form
             uniform = ref_oracle_report(s, SR, env, ics, cfg, uniform=True)
             assert abs(new - uniform["residual_vs_closed_form"]) <= 1e-10
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["tophat", "cosine"]),
+        steps=st.integers(100, 401),
+        fraction=st.floats(1e-9, 0.49),
+        offset=st.floats(-10.0, 10.0),
+        tail=st.floats(0.0, 1.0),
+    )
+    @example(seed=0, shape="tophat", steps=100, fraction=0.25, offset=5e-324, tail=0.0)
+    @settings(max_examples=100, deadline=None)
+    def test_each_window_spans_the_nodes_of_its_pulse_and_its_end(
+        self, seed, shape, steps, fraction, offset, tail
+    ):
+        base = random_closed_sequence(
+            np.random.default_rng(seed), k_scale=1e7, with_common_mode=True
+        )
+        pulses = tuple(replace(p, t=p.t + offset) for p in base.pulses)
+        seq = PulseSequence(pulses, duration=pulses[-1].t + tail)
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        cfg = OracleConfig(fraction * spacing, steps, shape)
+        grid = oracle._quadrature_grid(seq, cfg)
+        ts = grid.ts.tolist()
+        assert all(a < b for a, b in zip(ts[:-1], ts[1:]))
+        assert len(grid.windows) == len(seq.times)
+        for (i0, i1), t in zip(grid.windows, seq.times):
+            assert (ts[i0], ts[i1]) == (t, t + cfg.pulse_width)
+            assert i1 - i0 == oracle._window_steps(cfg)
+
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    def test_a_free_flight_no_float_splits_is_left_out(self, shape):
+        # 0 + 5e-324 / 2 rounds to 0, and no float lies between the last
+        # window's end and one ulp past it: two steps would repeat a node
+        base = build_mzi(1e7, 0.1)
+        pulses = tuple(replace(p, t=p.t + 5e-324) for p in base.pulses)
+        cfg = OracleConfig(1e-5, 100, shape)
+        end = pulses[-1].t + cfg.pulse_width
+        seq = PulseSequence(pulses, duration=math.nextafter(end, math.inf))
+        ts = oracle._quadrature_grid(seq, cfg).ts.tolist()
+        assert all(a < b for a, b in zip(ts[:-1], ts[1:]))
+        assert (ts[0], ts[-1]) == (5e-324, end)
+        # a free flight a float splits keeps its two steps
+        seq = PulseSequence(pulses, duration=math.nextafter(end, math.inf) + 1e-9)
+        ts = oracle._quadrature_grid(seq, cfg).ts.tolist()
+        assert ts[-3:] == [end, end + (seq.duration - end) / 2, seq.duration]
 
 
 class TestImpulseInvariant:
@@ -743,8 +788,9 @@ def _arena_case(shape, steps=2000, seed=5):
 class TestOracleArena:
     """Grid-sized arrays live in one per-thread arena, or fresh above _SCRATCH_MAX."""
 
-    def test_a_second_report_allocates_nothing_grid_sized(self, shape):
+    def test_a_second_report_allocates_nothing_grid_sized(self, shape, monkeypatch):
         seq, env, ics, cfg = _arena_case(shape)
+        monkeypatch.setattr(_exactsum._scratch, "buffers", {})  # no arena from earlier tests
         nodes = oracle._quadrature_grid(seq, cfg).ts.size
         assert len(oracle._ROLES) * nodes <= _exactsum._SCRATCH_MAX
         oracle_report(seq, SR, env, ics, cfg)  # grows this thread's arena
@@ -756,6 +802,7 @@ class TestOracleArena:
         finally:
             tracemalloc.stop()
         assert _exactsum._scratch.buffers["oracle"] is kept
+        assert kept.size == len(oracle._ROLES) * nodes  # exactly its slots, no spare tail
         grid = oracle._quadrature_grid(seq, cfg)
         stages = oracle._stage_accels(grid, [p.k_upper for p in seq.pulses], SR.mass, env.g)
         assert all(np.shares_memory(a, kept) for a in (grid.ts, grid.h, grid.h6, *stages))
