@@ -18,10 +18,10 @@ Accuracy notes, which the tests lean on:
 - The grid places breakpoints at every window edge and an even number of
   steps per segment, so Simpson pairs never straddle a discontinuity.  On
   every segment but a cosine window each march has a constant acceleration
-  (-g or amp - g on a branch, 0 or amp for the branch difference; edge
-  samples take the one-sided value belonging to the step), on which RK4 is
-  exact, and the proper-time integrand and the launch trajectory are at
-  most quadratic in t, which one Simpson pair integrates exactly.  So free
+  (-g or amp - g; -2g or amp - 2g for the branch sum, 0 or amp for the
+  branch difference), on which RK4 is exact, and the proper-time integrand
+  and the launch trajectory are at most quadratic in t, which one Simpson
+  pair integrates exactly.  So free
   flight and top-hat windows take one Simpson pair, 2 steps, and a top-hat
   grid has at most 4 * pulses + 3 nodes; what remains in a top-hat residual
   is, up to rounding, genuinely the physics of the finite width.
@@ -31,7 +31,10 @@ Accuracy notes, which the tests lean on:
   branch-difference system (initial conditions zero, kick-difference forcing,
   gravity cancels), as -dv*(v1+v2)/2 + g*dz.  Forming v1 - v2 from the two
   branch solutions instead would inherit the rounding of the large common
-  free-fall signal and ruin the gravity-independence of the result.
+  free-fall signal and ruin the gravity-independence of the result.  v1 +
+  v2 is marched as one forcing: kicks k1 + k2, gravity 2g, start 2 v0.
+  The Simpson sum ends at the last window's end node, since after it dv is
+  the closure residual and free flight would integrate only rounding.
 - Every cosine window takes the same even step count n, so one raised
   cosine per call, sampled at the window fractions j/n and (j + 1/2)/n,
   serves every window of every width.  The nodes sit eps * t off those fractions, so a
@@ -41,24 +44,24 @@ Accuracy notes, which the tests lean on:
   space the common sigma/2 centroid shift drops out of every closed-form
   quantity, so no recentering is needed.
 
-Every grid-sized array of a call (the grid, h / 6, the stage accelerations,
-the four marches, the integrand and the Simpson terms) is a view of one arena
-per thread, _exactsum.scratch("oracle"), exactly one slot of the grid's nodes
-per role, so a repeated call allocates nothing grid-sized.  A grid whose
-slots would not fit in _SCRATCH_MAX elements (8 MiB) gets fresh arrays
-instead.  A view is valid until the next oracle call in the same thread, and
-nothing returned to a caller is one.  Only what a result reads is marched:
-the proper time reads the two branches' velocities, so their marches form no
-positions.  Top-hat windows leave the three RK4 stage accelerations equal, so
-one array serves all three.  A cosine forcing has two, its accelerations on
-the nodes and on the step midpoints; the left and right stages are views of
-the node array.  _layout is the one function that relates a config to a
+Every grid-sized array of a call (the node times, the step widths, the step
+weights u and p, the three marches, the integrand and the Simpson terms) is
+a view of one arena per thread, _exactsum.scratch("oracle"), exactly one slot
+of the grid's nodes per role, so a repeated call allocates nothing
+grid-sized.  A grid whose slots would not fit in _SCRATCH_MAX elements
+(8 MiB) gets fresh arrays instead.  A view is valid until the next oracle
+call in the same thread, and nothing returned to a caller is one.  The RK4
+step weights u and p (_kernels) depend on the grid alone, so the grid forms
+them once for all its marches.  Only what a result reads is marched: the
+proper time reads the velocity sum, so its march forms no positions.
+_layout is the one function that relates a config to a
 sequence: it places the breakpoints and the windows' node spans.  Every entry
-point lays its config out first: a width too wide for the pulse spacing or
-below the time resolution at a pulse, and a grid over MAX_ORACLE_NODES, are
-refused before anything is allocated, the cosine profile included.  Every
-march, through _march, checks each window's velocity change against
-hbar*k/m - g*width (g = 0 for the branch difference).  Every Simpson sum,
+point lays its config out first: a width too wide for the pulse spacing, a
+grid over MAX_ORACLE_NODES and a window whose steps the time resolution at
+its pulse cannot split are refused before anything is allocated, the
+cosine profile included.  Every march, through _march, checks each window's
+velocity change against hbar*k/m - g*width; the branch sum's and the branch
+difference's checks together pin each branch's kicks.  Every Simpson sum,
 through _simpson, is nan beyond the float range; that, and a kick amplitude
 or a proper-time integrand beyond it, raises NonFiniteResultError.
 """
@@ -93,7 +96,7 @@ _RESIDUAL_FLOOR = 1e-12
 # Grid nodes one call may allocate.  Only cosine windows come near it (a
 # top-hat grid has at most 4 * pulses + 3 nodes).  Peak resident set of a
 # process at 7,998,005 nodes (mzi, 2,666,000 steps; x86-64, numpy 2.4.6):
-# 619 MB for oracle_report and `lpai oracle`, 618 MB for proper_time_numeric.
+# 598 MB for oracle_report, proper_time_numeric and `lpai oracle`.
 MAX_ORACLE_NODES = 8_000_000
 
 
@@ -177,10 +180,7 @@ class ConvergenceStudy:
 
 
 # The grid-sized roles of the oracle's per-thread arena, in slot order (see _Arena).
-_ROLES = (
-    "ts", "h", "h6", "a_node", "a_mid",
-    "v1", "v2", "dz", "dv", "z_g", "v_g", "f", "work", "simpson",
-)
+_ROLES = ("ts", "h", "u", "p", "v_sum", "dz", "dv", "z_g", "v_g", "f", "work", "simpson")
 
 
 class _Arena:
@@ -203,7 +203,7 @@ class _Arena:
         return self.buffer[start : start + size]
 
 
-_Profile = tuple[np.ndarray, np.ndarray]  # a cosine window's profile: (nodes, step midpoints)
+_Profile = tuple[np.ndarray, np.ndarray, np.ndarray]  # see _raised_cosine
 _Layout = tuple[list[float], list[int], tuple[tuple[int, int], ...]]  # see _layout
 
 
@@ -211,12 +211,12 @@ _Layout = tuple[list[float], list[int], tuple[tuple[int, int], ...]]  # see _lay
 class _Grid:
     ts: np.ndarray
     h: np.ndarray
-    h6: np.ndarray  # h / 6, formed once for the grid's marches
+    u: np.ndarray  # RK4 step weights per unit kick amplitude (_kernels), read
+    p: np.ndarray  # on the windows' steps only; top-hat: h and h^2/2
     windows: tuple[tuple[int, int], ...]  # node index span of each pulse window
     widths: tuple[float, ...]  # realized width ts[i1] - ts[i0] of each window
-    profile: _Profile | None  # _raised_cosine's, None for top-hat
-    # each window's profile integrated by the march's step rule; top-hat: widths
-    kick_areas: tuple[float, ...]
+    node_profile: np.ndarray | None  # _raised_cosine's P on the nodes, None for top-hat
+    kick_areas: tuple[float, ...]  # each window's sum of u; top-hat: widths
     arena: _Arena
 
 
@@ -226,10 +226,10 @@ def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
     Returns the sorted breakpoints, the node index of each and the node span
     (i0, i1) of each pulse's window [t, t + sigma].  Refuses, in this order
     and before anything grid- or profile-sized is formed, a width not below
-    half the least pulse spacing, a width below the time resolution at a
-    pulse and a grid of more than MAX_ORACLE_NODES nodes.  A window takes
-    _window_steps(cfg); every other segment is free flight and takes one
-    Simpson pair, 2 steps.
+    half the least pulse spacing, a grid of more than MAX_ORACLE_NODES nodes
+    and a window whose steps the time resolution at its pulse cannot split.
+    A window takes _window_steps(cfg); every other segment is free flight and
+    takes one Simpson pair, 2 steps.
     """
     times, sigma = seq.times, cfg.pulse_width
     if len(times) >= 2:
@@ -240,11 +240,6 @@ def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
                 f"pulse spacing {spacing!r}"
             )
     ends = {t: t + sigma for t in times}  # each window's end, by its start
-    for t, end in ends.items():
-        if end <= t:
-            raise OracleConfigError(
-                f"pulse_width {sigma!r} is below the time resolution at t = {t!r}"
-            )
     edges = {*times, *ends.values()}
     lo, hi = min(edges, default=0.0), max(edges, default=0.0)
     # free flight from t = 0 and on to the duration, left out where no float splits its 2 steps
@@ -260,6 +255,13 @@ def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
             f"{windows} pulse windows of {n} steps and {len(steps) - windows} free segments "
             f"need {nodes} grid nodes, more than {MAX_ORACLE_NODES}{hint}"
         )
+    for t, end in ends.items():
+        # end - t, its n-th part and each node t + j * step round by at most
+        # ulp(4 max(|t|, |end|)) / 2 apiece: above 8 ulps a step, nodes rise
+        if not (end - t) / n > 8.0 * math.ulp(max(abs(t), abs(end))):
+            raise OracleConfigError(
+                f"pulse_width {sigma!r} is below the time resolution at t = {t!r}"
+            )
     node = dict(zip(breakpoints, offsets))
     return breakpoints, offsets, tuple((node[t], node[end]) for t, end in ends.items())
 
@@ -273,83 +275,61 @@ def _window_steps(cfg: OracleConfig) -> int:
 
 
 def _raised_cosine(cfg: OracleConfig) -> _Profile | None:
-    """1 - cos(2 pi x) on a window's n + 1 nodes and n step midpoints; None for top-hat.
+    """1 - cos(2 pi x) on a window's n + 1 nodes, with its step weights; None for top-hat.
 
-    x = j/n or (j + 1/2)/n, correctly rounded.  Both ends are exactly 0.0 (x = 1
-    gives fl(2 pi)), so edge nodes read -g.  The two arrays are read-only.
+    x = j/n on the nodes and (j + 1/2)/n on the step midpoints, correctly
+    rounded.  Both ends are exactly 0.0 (x = 1 gives fl(2 pi)).  The step
+    weights are (PL + 4 PM) + PR and PL + 2 PM, P at a step's left edge,
+    midpoint and right edge.  The three arrays are read-only.
     """
     if cfg.pulse_shape != "cosine":
         return None
     n = _window_steps(cfg)
-    profile = (np.arange(n + 1, dtype=float), np.arange(n, dtype=float) + 0.5)
-    for x in profile:
+    nodes, mids = np.arange(n + 1, dtype=float), np.arange(n, dtype=float) + 0.5
+    for x in (nodes, mids):
         x /= n
         x *= 2.0 * np.pi
         np.subtract(1.0, np.cos(x, out=x), out=x)
+    u_weights = nodes[:-1] + 4.0 * mids
+    u_weights += nodes[1:]
+    p_weights = np.multiply(mids, 2.0, out=mids)
+    p_weights += nodes[:-1]
+    for x in (nodes, u_weights, p_weights):
         x.flags.writeable = False
-    return profile
+    return nodes, u_weights, p_weights
 
 
 def _build_grid(layout: _Layout, profile: _Profile | None) -> _Grid:
-    """The grid of a _layout in this thread's oracle arena, with _raised_cosine's profile."""
+    """The grid of a _layout in this thread's oracle arena, with _raised_cosine's profile.
+
+    Node j of a segment [a, b] of n steps is a + j * ((b - a) / n), as in
+    np.linspace(a, b, n + 1).  On a cosine window u = (h / 6) * (PL + 4 PM +
+    PR) and p = (h * h / 6) * (PL + 2 PM); a kick's area is the window's sum
+    of u (pairwise, np.sum: a scale, not a result).
+    """
     breakpoints, offsets, windows = layout
     arena = _Arena(offsets[-1] + 1)
     ts = arena("ts", arena.nodes)
+    index = np.arange(max((b - a for a, b in zip(offsets, offsets[1:])), default=0), dtype=float)
     for a, b, i0, i1 in zip(breakpoints, breakpoints[1:], offsets, offsets[1:]):
-        ts[i0:i1] = np.linspace(a, b, i1 - i0 + 1)[:-1]
+        np.multiply(index[: i1 - i0], (b - a) / (i1 - i0), out=ts[i0:i1])
+        ts[i0:i1] += a
     ts[-1] = breakpoints[-1]
     h = np.subtract(ts[1:], ts[:-1], out=arena("h", ts.size - 1))
 
     widths = tuple(float(ts[i1] - ts[i0]) for i0, i1 in windows)
-    h6 = np.divide(h, 6.0, out=arena("h6", h.size))
-    kick_areas = widths
-    if profile is not None:  # pairwise sums (np.sum): a scale, not a result
-        nodes, mids = profile
-        weights = nodes[:-1] + 4.0 * mids  # left + 4 mid + right, per step
-        weights += nodes[1:]
-        kick_areas = tuple(
-            float(np.multiply(h6[i0:i1], weights, out=arena("work", i1 - i0)).sum())
-            for i0, i1 in windows
-        )
-    return _Grid(ts, h, h6, windows, widths, profile, kick_areas, arena)
-
-
-def _stage_accels(grid: _Grid, ks: Sequence[float], mass: float, g: float):
-    """Acceleration arrays (left, mid, right) for one forcing: -g plus windows.
-
-    Steps are assigned to windows by index through grid.windows rather than
-    by comparing stage times against the window edges: t_ell + sigma - t_ell
-    does not round back to sigma in general, and one misassigned edge sample
-    costs a whole Simpson weight of impulse.  For the same reason the
-    amplitude is normalized by the realized kick area (ts[i1] - ts[i0] for
-    top-hat) instead of the nominal width; otherwise every kick is off by a
-    relative eps * t/sigma and gravity couples to the broken closure.
-
-    Top-hat windows, and a forcing without kicks, leave the three stages
-    equal, so one array is returned three times.  A cosine window adds amp
-    times the profile to the node and the midpoint arrays; the left and right
-    stages are the node array without its last and its first node.  The
-    stages are the arena's; the next forcing overwrites them.
-    """
-    areas = grid.kick_areas
-    kicks = [(i, _kick_amplitude(k, mass, areas[i])) for i, k in enumerate(ks) if k != 0.0]
-    if grid.profile is None or not kicks:
-        base = grid.arena("a_node", grid.h.size)
-        base.fill(-float(g))
-        for i, amp in kicks:
-            i0, i1 = grid.windows[i]
-            base[i0:i1] += amp
-        return base, base, base
-    nodes, mids = grid.arena("a_node", grid.ts.size), grid.arena("a_mid", grid.h.size)
-    nodes.fill(-float(g))
-    mids.fill(-float(g))
-    node_profile, mid_profile = grid.profile
-    for i, amp in kicks:  # amp * P - g: the bits of -g + amp * P, with no temporary
-        i0, i1 = grid.windows[i]
-        for stage, profile in ((nodes[i0 : i1 + 1], node_profile), (mids[i0:i1], mid_profile)):
-            np.multiply(profile, amp, out=stage)
-            stage -= g
-    return nodes[:-1], mids, nodes[1:]
+    p = np.multiply(h, h, out=arena("p", h.size))
+    if profile is None:
+        p *= 0.5
+        return _Grid(ts, h, h, p, windows, widths, None, widths, arena)
+    node_profile, u_weights, p_weights = profile
+    u = np.divide(h, 6.0, out=arena("u", h.size))
+    p /= 6.0
+    for i0, i1 in windows:
+        u[i0:i1] *= u_weights
+        p[i0:i1] *= p_weights
+    kick_areas = tuple(float(u[i0:i1].sum()) for i0, i1 in windows)
+    return _Grid(ts, h, u, p, windows, widths, node_profile, kick_areas, arena)
 
 
 def _kick_amplitude(k: float, mass: float, area: float) -> float:
@@ -390,8 +370,9 @@ def _simpson(f: np.ndarray, ts: np.ndarray, work: np.ndarray) -> float:
     return total if math.isfinite(total) else math.nan
 
 
-def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float, g: float) -> None:
-    scale = max((constants.HBAR * abs(k) / mass for k in ks), default=0.0)
+def _impulse_check(grid: _Grid, v, ks: Sequence[float], mass: float, g: float, scale_ks) -> None:
+    """v's change per window against hbar*k/m - g*width, to the limit times scale_ks' hbar*|k|/m."""
+    scale = max((constants.HBAR * abs(k) / mass for k in scale_ks), default=0.0)
     if scale == 0.0:
         return
     worst = 0.0
@@ -400,7 +381,7 @@ def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float,
         worst = max(worst, abs((v[i1] - v[i0]) - expected))
     if worst > _IMPULSE_HARD_LIMIT * scale:
         # a top-hat march is exact: only rounding can put its kicks off
-        steps = "too few steps_per_segment, or " if grid.profile is not None else ""
+        steps = "too few steps_per_segment, or " if grid.node_profile is not None else ""
         raise OracleAccuracyError(
             f"velocity change per pulse off by {worst / scale:.3e} relative "
             f"(limit {_IMPULSE_HARD_LIMIT:.0e}): {steps}a kick "
@@ -408,18 +389,25 @@ def _impulse_check(grid: _Grid, v: np.ndarray, ks: Sequence[float], mass: float,
         )
 
 
-def _march(grid: _Grid, ks, mass: float, g: float, z0: float | None, v0: float, z: str, v: str):
+def _march(grid: _Grid, ks, mass: float, g: float, z0, v0: float, z: str, v: str, scale_ks=None):
     """Impulse-checked march_rk4 of one forcing: (z, v) on the grid nodes, z None when z0 is.
 
-    z and v land in the arena roles named by z and v.
+    Window i kicks with hbar*ks[i]/(m * kick area): by node index, and by the
+    realized area rather than sigma, since t + sigma - t does not round back
+    to sigma and gravity would couple to the broken closure.  The check
+    scales with scale_ks (ks by default); z and v name the arena roles.
     """
+    kicks = [
+        (i0, i1, _kick_amplitude(k, mass, area))
+        for (i0, i1), k, area in zip(grid.windows, ks, grid.kick_areas)
+        if k != 0.0
+    ]
     arena, nodes = grid.arena, grid.ts.size
     z_out, v_out = _kernels.march_rk4(
-        grid.h, *_stage_accels(grid, ks, mass, g), z0, v0, h6=grid.h6, v=arena(v, nodes),
-        z=None if z0 is None else arena(z, nodes),
-        work=None if z0 is None else arena("work", nodes - 1),
+        grid.h, grid.u, grid.p, kicks, g, z0, v0, v=arena(v, nodes),
+        work=arena("work", nodes - 1), z=None if z0 is None else arena(z, nodes),
     )
-    _impulse_check(grid, v_out, ks, mass, g)
+    _impulse_check(grid, v_out, ks, mass, g, ks if scale_ks is None else scale_ks)
     return z_out, v_out
 
 
@@ -433,25 +421,27 @@ def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
 def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, float]:
     """Numeric delta_tau, and the end point (dz, dv) of the branch-difference system.
 
-    The integrand reads the branch velocities only, so the branch marches
-    form no positions.  Nodes where -0.5 * dv * (v1 + v2) overflows are
-    formed again with dv and dz divided by c**2 first; an integrand beyond
-    the float range even so (a subnormal mass or a huge k) raises
-    NonFiniteResultError, and so does an integral beyond it.
+    v1 + v2 is one march, with no positions, whose check scales with the
+    larger branch kick (a near-cancelling sum is not below rounding); the
+    integral ends at the last window's end node.  Nodes where -0.5 * dv *
+    (v1 + v2) overflows are formed again with dv and dz divided by c**2
+    first; an integrand beyond the float range even so (a subnormal mass or
+    a huge k) raises NonFiniteResultError, and so does an integral beyond it.
     """
     m = species.mass
+    k1, k2 = _branch_ks(seq, 1), _branch_ks(seq, 2)
     dk = [p.delta_k for p in seq.pulses]
-    arena, nodes = grid.arena, grid.ts.size
+    k_sum = [a + b for a, b in zip(k1, k2)]
+    end = max((i1 for _, i1 in grid.windows), default=0) + 1  # nodes integrated
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        # v1 + v2 in v1's array, before the third march: a grid too large
-        # for the arena then holds one fresh array less at its peak
-        _, v_sum = _march(grid, _branch_ks(seq, 1), m, env.g, None, ics.v0, "z_g", "v1")
-        v_sum += _march(grid, _branch_ks(seq, 2), m, env.g, None, ics.v0, "z_g", "v2")[1]
+        _, v_sum = _march(grid, k_sum, m, 2.0 * env.g, None, 2.0 * ics.v0, "z_g", "v_sum", k1 + k2)
         dz, dv = _march(grid, dk, m, 0.0, 0.0, 0.0, "dz", "dv")
+        dz_end, dv_end = float(dz[-1]), float(dv[-1])
+        v_sum, dz, dv = v_sum[:end], dz[:end], dv[:end]
         # f = (-0.5 * dv * (v1 + v2) + g * dz) / c**2, one operation at a time
-        f = np.multiply(dv, -0.5, out=arena("f", nodes))
+        f = np.multiply(dv, -0.5, out=grid.arena("f", end))
         f *= v_sum
-        f += np.multiply(dz, env.g, out=arena("work", nodes))
+        f += np.multiply(dz, env.g, out=grid.arena("work", end))
         f /= constants.C**2
         finite = np.isfinite(f)
         if not finite.all():
@@ -461,11 +451,10 @@ def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, flo
             bad, c2 = ~finite, constants.C**2
             f[bad] = -0.5 * (dv[bad] / c2) * v_sum[bad] + env.g * (dz[bad] / c2)
             finite = np.isfinite(f)
-    dz_end, dv_end = float(dz[-1]), float(dv[-1])
     del v_sum, dz, dv  # fresh arrays, on a grid too large for the arena, go before the sum
     if not finite.all():
         raise NonFiniteResultError("the proper-time integrand is not finite on the oracle grid")
-    dtau = _simpson(f, grid.ts, arena("simpson", nodes - 1))
+    dtau = _simpson(f, grid.ts[:end], grid.arena("simpson", end - 1))
     if not math.isfinite(dtau):
         raise NonFiniteResultError("the proper-time integral is not finite on the oracle grid")
     return dtau, dz_end, dv_end
@@ -498,11 +487,11 @@ def _window_terms(
             continue
         ts, weighted = grid.ts[i0 : i1 + 1], grid.arena("f", i1 - i0 + 1, i0)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            if grid.profile is None:
+            if grid.node_profile is None:
                 np.multiply(1.0 / width, z[i0 : i1 + 1], out=weighted)
             else:
-                area = _simpson(grid.profile[0], ts, grid.arena("simpson", i1 - i0))
-                np.divide(grid.profile[0], area, out=weighted)
+                area = _simpson(grid.node_profile, ts, grid.arena("simpson", i1 - i0))
+                np.divide(grid.node_profile, area, out=weighted)
                 weighted *= z[i0 : i1 + 1]
         average = _simpson(weighted, ts, grid.arena("simpson", i1 - i0))
         if not math.isfinite(average):
@@ -595,9 +584,10 @@ def convergence_study(
     node budget), then the closed form (delta_tau and the residual scale) is
     taken once; so an invalid width or an open sequence is refused before
     anything is formed or marched.  Each width then builds its grid from its
-    layout and integrates the proper time only (three impulse-checked
-    marches and one Simpson sum); its residual is oracle_report's
-    residual_vs_closed_form at that width, bit for bit.
+    layout and integrates the proper time only (two impulse-checked marches,
+    the branch sum and the branch difference, and one Simpson sum); its
+    residual is oracle_report's residual_vs_closed_form at that width, bit
+    for bit.
 
     Raises OracleAccuracyError if the residual grows between two widths that
     both sit above the rounding floor; fits log residual against log width

@@ -110,19 +110,27 @@ def rounded(x: Fraction) -> bytes | str:
         return "overflow"
 
 
-def march_rk4_loop(h, a_left, a_mid, a_right, z0, v0):
+def march_rk4_loop(h, u, p, kicks, g, z0, v0):
     """The reduced RK4 march of lpai._kernels as a plain step-by-step loop.
 
-    The bit reference for march_rk4's cumulative sums.
+    The bit reference for march_rk4's cumulative sums: kicks holds
+    (i0, i1, amp), which adds amp * u and amp * p on the steps i0 .. i1 - 1.
     """
     n = h.size
+    amps = [None] * n
+    for i0, i1, amp in kicks:
+        amps[i0:i1] = [amp] * (i1 - i0)
     z = np.empty(n + 1)
     v = np.empty(n + 1)
     z[0] = z0
     v[0] = v0
     for i in range(n):
-        dv = (h[i] / 6.0) * (a_left[i] + 4.0 * a_mid[i] + a_right[i])
-        dz = h[i] * v[i] + (h[i] * h[i] / 6.0) * (a_left[i] + 2.0 * a_mid[i])
+        dv = h[i] * -g
+        dz = (h[i] * h[i]) * (-0.5 * g)
+        if amps[i] is not None:
+            dv += u[i] * amps[i]
+            dz += p[i] * amps[i]
+        dz += h[i] * v[i]
         z[i + 1] = z[i] + dz
         v[i + 1] = v[i] + dv
     return z, v
@@ -136,15 +144,19 @@ def float_bits(x: float) -> bytes:
 
 # --- frozen oracle pipeline ---------------------------------------------------
 #
-# The finite-width oracle as it stood before its stage arrays were shared: a
-# separate stage array per stage and forcing, four full marches per run, numpy
-# scalars into fsum.  Its grid follows the oracle's layout rule, written out
-# again in _ref_grid and _ref_window_steps: a top-hat window and every free
-# segment take one Simpson pair, a cosine window steps_per_segment rounded up
-# to even.  A cosine window evaluates its profile at the window
+# The finite-width oracle written out again in plain numpy, apart from
+# lpai.oracle: every march of the velocity increments -g*h plus amp*u on its
+# kicked windows and the position increments h**2*(-g/2), plus amp*p, plus
+# h*v, each march on fresh arrays, numpy scalars into fsum.  Its grid follows
+# the oracle's layout rule, written out again in _ref_grid and
+# _ref_window_steps: a top-hat window and every free segment take one Simpson
+# pair, a cosine window steps_per_segment rounded up to even, each segment
+# through np.linspace.  A cosine window evaluates its profile at the window
 # fractions j/n of its nodes and (j + 1/2)/n of its step midpoints, window by
-# window (_ref_cosine), and scales its kick and its average by the profile's
-# integral on the grid.  The tests hold lpai.oracle to these values bit for bit.
+# window (_ref_cosine), and scales its kick by the sum of its u and its average
+# by the profile's Simpson integral on the grid.  The proper time reads the
+# march of the branch sum and integrates up to the last window's end node.  The
+# tests hold lpai.oracle to these values bit for bit.
 
 
 def _ref_window_steps(cfg) -> int:
@@ -180,39 +192,48 @@ def _ref_cosine(n: int, j0: float, count: int):
     return 1.0 - np.cos(2.0 * np.pi * ((np.arange(count) + j0) / n))
 
 
-def ref_stage_accels(grid, ks, shape: str, mass: float, g: float):
-    """Acceleration arrays (left, mid, right) of one forcing, one array per stage."""
+def ref_step_weights(grid, shape: str):
+    """Per step velocity and position increments per unit kick amplitude: (u, p).
+
+    Top-hat: h and h**2/2.  Cosine: (h/6) (PL + 4 PM + PR) and (h**2/6)
+    (PL + 2 PM) on the windows' steps, zero elsewhere (no march reads them).
+    """
     ts, h, windows = grid
-    a_left = np.full(h.size, -float(g))
-    a_mid = np.full(h.size, -float(g))
-    a_right = np.full(h.size, -float(g))
+    if shape == "tophat":
+        return h, h * h / 2.0
+    u, p = np.zeros(h.size), np.zeros(h.size)
+    for i0, i1 in windows:
+        n = i1 - i0
+        left, mid, right = (_ref_cosine(n, j0, n) for j0 in (0.0, 0.5, 1.0))
+        u[i0:i1] = (h[i0:i1] / 6.0) * (left + 4.0 * mid + right)
+        p[i0:i1] = (h[i0:i1] * h[i0:i1] / 6.0) * (left + 2.0 * mid)
+    return u, p
+
+
+def ref_kicks(grid, u, ks, shape: str, mass: float):
+    """(i0, i1, amp) per window with k != 0: amp = hbar*k/(m * area).
+
+    The area is the window's realized width for top-hat and the sum of its
+    u, the profile's integral under the march's own step rule, for cosine.
+    """
+    ts, _, windows = grid
+    kicks = []
     for (i0, i1), k in zip(windows, ks):
         if k == 0.0:
             continue
-        width = ts[i1] - ts[i0]
-        amp = constants.HBAR * k / (mass * width)
-        steps = slice(i0, i1)
-        if shape == "tophat":
-            a_left[steps] += amp
-            a_mid[steps] += amp
-            a_right[steps] += amp
-        else:
-            n = i1 - i0
-            left, mid, right = (_ref_cosine(n, j0, n) for j0 in (0.0, 0.5, 1.0))
-            # scaled by the profile's integral under the march's own step rule
-            area = float(np.sum((h[steps] / 6.0) * (left + 4.0 * mid + right)))
-            amp = constants.HBAR * k / (mass * area)
-            a_left[steps] += amp * left
-            a_mid[steps] += amp * mid
-            a_right[steps] += amp * right
-    return a_left, a_mid, a_right
+        area = ts[i1] - ts[i0] if shape == "tophat" else float(np.sum(u[i0:i1]))
+        kicks.append((i0, i1, constants.HBAR * k / (mass * area)))
+    return kicks
 
 
-def _ref_march(h, accels, z0: float, v0: float):
-    a_left, a_mid, a_right = accels
-    dv = (h / 6.0) * (a_left + 4.0 * a_mid + a_right)
+def _ref_march(h, u, p, kicks, g: float, z0: float, v0: float):
+    dv = -g * h
+    dz = (h * h) * (-0.5 * g)
+    for i0, i1, amp in kicks:
+        dv[i0:i1] += amp * u[i0:i1]
+        dz[i0:i1] += amp * p[i0:i1]
     v = np.concatenate(([v0], dv)).cumsum()
-    dz = h * v[:-1] + (h * h / 6.0) * (a_left + 2.0 * a_mid)
+    dz += h * v[:-1]
     z = np.concatenate(([z0], dz)).cumsum()
     return z, v
 
@@ -237,30 +258,39 @@ def _ref_window_integral(grid, shape: str, span, values) -> float:
 
 
 def ref_run(seq: PulseSequence, species, env, ics, cfg, uniform: bool = False) -> dict:
-    """Grid and all four marches (branches, difference system, launch) of one oracle run.
+    """Grid and marches (branch sum, branches, difference system, launch) of one oracle run.
 
     uniform=True is the grid the oracle used before free flight and top-hat
     windows took one Simpson pair: steps_per_segment on every segment.
     """
     steps = cfg.steps_per_segment if uniform else _ref_window_steps(cfg)
     grid = _ref_grid(seq, cfg.pulse_width, steps, uniform)
-    m, shape = species.mass, cfg.pulse_shape
+    m, shape, h = species.mass, cfg.pulse_shape, grid[1]
+    u, p = ref_step_weights(grid, shape)
     k1 = [p.k_upper for p in seq.pulses]
     k2 = [p.k_lower for p in seq.pulses]
     dk = [a - b for a, b in zip(k1, k2)]
+    k_sum = [a + b for a, b in zip(k1, k2)]
+    march = lambda ks, g, z0, v0: _ref_march(h, u, p, ref_kicks(grid, u, ks, shape, m), g, z0, v0)
     run = {"grid": grid}
-    run["z1"], run["v1"] = _ref_march(grid[1], ref_stage_accels(grid, k1, shape, m, env.g), ics.z0, ics.v0)
-    run["z2"], run["v2"] = _ref_march(grid[1], ref_stage_accels(grid, k2, shape, m, env.g), ics.z0, ics.v0)
-    run["dz"], run["dv"] = _ref_march(grid[1], ref_stage_accels(grid, dk, shape, m, 0.0), 0.0, 0.0)
-    zero = [0.0] * len(k1)
-    run["zg"], run["vg"] = _ref_march(grid[1], ref_stage_accels(grid, zero, shape, m, env.g), ics.z0, ics.v0)
+    run["vsum"] = march(k_sum, 2.0 * env.g, 0.0, 2.0 * ics.v0)[1]
+    run["z1"], run["v1"] = march(k1, env.g, ics.z0, ics.v0)
+    run["z2"], run["v2"] = march(k2, env.g, ics.z0, ics.v0)
+    run["dz"], run["dv"] = march(dk, 0.0, 0.0, 0.0)
+    run["zg"], run["vg"] = march([], env.g, ics.z0, ics.v0)
     return run
 
 
+def _ref_dtau(run: dict, g: float) -> float:
+    """Simpson integral of the proper-time integrand up to the last window's end node."""
+    ts, _, windows = run["grid"]
+    end = max((i1 for _, i1 in windows), default=0) + 1
+    f = (-0.5 * run["dv"] * run["vsum"] + g * run["dz"]) / constants.C**2
+    return _ref_simpson(f[:end], ts[:end])
+
+
 def ref_proper_time_numeric(seq: PulseSequence, species, env, ics, cfg) -> float:
-    run = ref_run(seq, species, env, ics, cfg)
-    f = (-0.5 * run["dv"] * (run["v1"] + run["v2"]) + env.g * run["dz"]) / constants.C**2
-    return _ref_simpson(f, run["grid"][0])
+    return _ref_dtau(ref_run(seq, species, env, ics, cfg), env.g)
 
 
 def _ref_laser(seq: PulseSequence) -> float:
@@ -292,9 +322,7 @@ def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg, uniform: bool 
     from lpai import proper_time_difference
 
     run = ref_run(seq, species, env, ics, cfg, uniform)
-    grid = run["grid"]
-    f = (-0.5 * run["dv"] * (run["v1"] + run["v2"]) + env.g * run["dz"]) / constants.C**2
-    dtau_num = _ref_simpson(f, grid[0])
+    dtau_num = _ref_dtau(run, env.g)
     gravito_num = math.fsum(ref_gravito_terms(seq, run, cfg.pulse_shape))
     dtau_closed = proper_time_difference(seq, species)
     omega_c = species.mass * constants.C**2 / constants.HBAR

@@ -779,6 +779,22 @@ class TestOracle:
         assert code == 1
         assert "half the minimum" in err
 
+    @pytest.mark.parametrize(
+        "shape", [("--shape", "tophat"), ("--shape", "cosine", "--steps", "100")],
+        ids=["tophat", "cosine"],
+    )
+    def test_a_window_its_steps_cannot_split_is_a_config_error(self, capsys, shape):
+        # pulses at 0, 1 and 2 s: the window at 1 s spans one ulp, which
+        # neither 2 top-hat steps nor 100 cosine steps split into rising nodes
+        sigma = repr(1.2 * math.ulp(1.0))
+        code, out, err = run(
+            capsys, "oracle", "--geometry", "mzi", "--k", "1e7", "--T", "1", "--mass", SR_MASS,
+            "--sigma", sigma, *shape,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("oracle config error:")
+        assert f"pulse_width {sigma} is below the time resolution at t = 1.0" in err
+
     def test_a_cosine_grid_over_the_node_budget_is_a_config_error(self, capsys, monkeypatch):
         # the profile of 1e12 window steps alone would need terabytes: the
         # budget refuses the config before the profile is formed

@@ -4,9 +4,11 @@ tests/golden/cli.json was written by running this module as a script
 (`PYTHONPATH=src python tests/test_cli_golden.py`) before the numba path, the
 gravity-gradient stepper and the per-type serializers were removed, so every
 case but the oracle ones pins the output they produced.  The oracle cases were
-regenerated since, at rounding level, three times: when free flight took one
-Simpson pair, when a call formed one raised-cosine profile, and when top-hat
-windows took one Simpson pair.  Cases run with tests/golden as the working
+regenerated since, at rounding level, four times: when free flight took one
+Simpson pair, when a call formed one raised-cosine profile, when top-hat
+windows took one Simpson pair, and when the marches read step weights formed
+once per grid, the proper time marched the branch sum and its Simpson sum
+ended at the last window.  Cases run with tests/golden as the working
 directory, which keeps the `file:` paths in the manifests fixed.  Regenerate
 the file only for a change that is meant to alter these outputs, and say so
 in CHANGES.md.

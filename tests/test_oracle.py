@@ -181,6 +181,27 @@ class TestConfig:
         message = "pulse_width 1.0 is below the time resolution at t = 1e+20"
         assert_refused_unformed(monkeypatch, entry, seq, OracleConfig(pulse_width=1.0), message)
 
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+    def test_a_window_its_steps_cannot_split_is_refused(self, monkeypatch, entry, shape):
+        # 1 + 1.2 ulp(1) rounds to 1 + ulp(1): neither 2 top-hat steps nor 100
+        # cosine steps split that window into rising nodes
+        seq = PulseSequence((Pulse(1.0, 1e7, 0.0), Pulse(2.0, -2e7, 0.0), Pulse(3.0, 1e7, 0.0)))
+        width = 1.2 * math.ulp(1.0)
+        message = f"pulse_width {width!r} is below the time resolution at t = 1.0"
+        assert_refused_unformed(monkeypatch, entry, seq, OracleConfig(width, 100, shape), message)
+
+    @pytest.mark.parametrize("shape, steps", [("tophat", 2), ("cosine", 100)])
+    def test_the_narrowest_accepted_window_has_rising_nodes(self, shape, steps):
+        # floats are spaced widest at the last window, at 1 s: a width of
+        # m ulp(1) gives steps of m / steps ulps, refused up to 8, accepted above
+        seq = PulseSequence((Pulse(0.25, 2e7, 0.0), Pulse(0.5, -3e7, 0.0), Pulse(1.0, 1e7, 0.0)))
+        ulp = math.ulp(1.0)
+        with pytest.raises(OracleConfigError, match="below the time resolution at t = 1.0"):
+            oracle._quadrature_grid(seq, OracleConfig(8 * steps * ulp, 100, shape))
+        ts = oracle._quadrature_grid(seq, OracleConfig((8 * steps + 1) * ulp, 100, shape)).ts
+        assert (np.diff(ts) > 0.0).all()
+
     def test_study_checks_the_budget_before_the_first_width(self, monkeypatch):
         def width(*args, **kwargs):
             raise AssertionError("a width ran before the budget check")
@@ -257,20 +278,32 @@ class TestWindowedGrid:
         fraction=st.floats(1e-9, 0.49),
         offset=st.floats(-10.0, 10.0),
         tail=st.floats(0.0, 1.0),
+        ulps=st.one_of(st.none(), st.integers(1, 20 * 402)),
     )
-    @example(seed=0, shape="tophat", steps=100, fraction=0.25, offset=5e-324, tail=0.0)
-    @settings(max_examples=100, deadline=None)
+    @example(seed=0, shape="tophat", steps=100, fraction=0.25, offset=5e-324, tail=0.0, ulps=None)
+    @example(seed=0, shape="cosine", steps=100, fraction=0.25, offset=1.0, tail=0.0, ulps=2)
+    @example(seed=0, shape="tophat", steps=100, fraction=0.25, offset=-7.0, tail=0.0, ulps=40)
+    @settings(max_examples=150, deadline=None)
     def test_each_window_spans_the_nodes_of_its_pulse_and_its_end(
-        self, seed, shape, steps, fraction, offset, tail
+        self, seed, shape, steps, fraction, offset, tail, ulps
     ):
+        """Every accepted layout has strictly rising nodes, few-ulp widths included."""
         base = random_closed_sequence(
             np.random.default_rng(seed), k_scale=1e7, with_common_mode=True
         )
         pulses = tuple(replace(p, t=p.t + offset) for p in base.pulses)
         seq = PulseSequence(pulses, duration=pulses[-1].t + tail)
         spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
-        cfg = OracleConfig(fraction * spacing, steps, shape)
-        grid = oracle._quadrature_grid(seq, cfg)
+        ulp = math.ulp(max(abs(t) for t in seq.times))
+        cfg = OracleConfig(fraction * spacing if ulps is None else ulps * ulp, steps, shape)
+        try:
+            grid = oracle._quadrature_grid(seq, cfg)
+        except OracleConfigError as refused:
+            # only a window of at most 8 ulps a step, at the largest |t|
+            # (twice that ulp past a power of two), is refused
+            assert "below the time resolution" in str(refused)
+            assert ulps is not None and ulps <= 16 * oracle._window_steps(cfg) + 2
+            return
         ts = grid.ts.tolist()
         assert all(a < b for a, b in zip(ts[:-1], ts[1:]))
         assert len(grid.windows) == len(seq.times)
@@ -322,20 +355,105 @@ class TestImpulseInvariant:
         checked = []
         check = oracle._impulse_check
 
-        def recorded(grid, v, ks, mass, g):
-            checked.append((list(ks), g))
-            check(grid, v, ks, mass, g)
+        def recorded(grid, v, ks, mass, g, scale_ks):
+            checked.append((list(ks), g, list(scale_ks)))
+            check(grid, v, ks, mass, g, scale_ks)
 
         monkeypatch.setattr(oracle, "_impulse_check", recorded)
         seq, env = build_rbi_double_loop(1e7, 0.1), GravityEnv(9.81)
         oracle_report(seq, SR, env, InitialConditions(0.4, -1.3), OracleConfig(1e-4, 100))
-        # the two branches, the branch difference at g = 0, and the pulse-free launch
+        k1, k2 = [p.k_upper for p in seq.pulses], [p.k_lower for p in seq.pulses]
+        dk = [p.delta_k for p in seq.pulses]
+        # the branch sum at 2g, scaled by both branches' kicks, the branch
+        # difference at g = 0, and the pulse-free launch
         assert checked == [
-            ([p.k_upper for p in seq.pulses], env.g),
-            ([p.k_lower for p in seq.pulses], env.g),
-            ([p.delta_k for p in seq.pulses], 0.0),
-            ([], env.g),
+            ([a + b for a, b in zip(k1, k2)], 2.0 * env.g, k1 + k2),
+            (dk, 0.0, dk),
+            ([], env.g, []),
         ]
+
+    # four pulses: both branches kicked at 0, k1 = -k2 at 0.1 (no branch-sum
+    # kick), k1 = k2 at 0.2 (no branch-difference kick), one branch at 0.3
+    PINNED = PulseSequence(
+        (
+            Pulse(0.0, 3e7, 1e7),
+            Pulse(0.1, -1.5e7, 1.5e7),
+            Pulse(0.2, 5e6, 5e6),
+            Pulse(0.3, 1e7, 0.0),
+        )
+    )
+
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    @pytest.mark.parametrize("window", [0, 1, 2], ids=["both", "sum-free", "difference-free"])
+    @pytest.mark.parametrize(
+        "errors", [(1, 0), (0, 1), (1, -1), (1, 1)], ids=["upper", "lower", "opposite", "alike"]
+    )
+    def test_no_branch_kick_escapes_the_impulse_checks(self, monkeypatch, shape, window, errors):
+        # a kick off by 1e-4 of the largest kick on the upper branch, the
+        # lower one or both: the branch sum carries e1 + e2 of it and the
+        # branch difference e1 - e2, so one check or both see it
+        seq, env, ics = self.PINNED, GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        cfg = OracleConfig(1e-4, 100, shape)
+        oracle_report(seq, SR, env, ics, cfg)  # passes as it stands
+        grid = oracle._quadrature_grid(seq, cfg)
+        span = grid.windows[window]
+        extra = 1e-4 * constants.HBAR * 3e7 / (SR.mass * grid.kick_areas[window])
+        e1, e2 = errors
+        march = _kernels.march_rk4
+
+        def mis_scaled(h, u, p, kicks, g, z0, v0, **buffers):
+            # the branch sum forms no positions; the difference starts at z = 0
+            share = {None: e1 + e2, 0.0: e1 - e2}.get(z0, 0)
+            amps = {(i0, i1): amp for i0, i1, amp in kicks}
+            amps[span] = amps.get(span, 0.0) + share * extra
+            kicks = [(i0, i1, amp) for (i0, i1), amp in amps.items() if amp != 0.0]
+            return march(h, u, p, kicks, g, z0, v0, **buffers)
+
+        monkeypatch.setattr(_kernels, "march_rk4", mis_scaled)
+        with pytest.raises(OracleAccuracyError, match="velocity change per pulse off by"):
+            oracle_report(seq, SR, env, ics, cfg)
+
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    def test_a_branch_sum_that_nearly_cancels_is_checked_at_the_branch_scale(self, shape):
+        # k1 + k2 = 2**-10 /m at every pulse against branch kicks of 2**23 /m
+        # and more (all exact): the sum's kicks lie below the rounding of its
+        # free-fall velocity 2g*t, each branch's do not
+        k, c = 2.0**23, 2.0**-10
+        upper = (k + c / 2, -2 * k + c / 2, k + c / 2)
+        seq = PulseSequence(tuple(Pulse(0.1 * i, ku, c - ku) for i, ku in enumerate(upper)))
+        assert [p.k_upper + p.k_lower for p in seq.pulses] == [c] * 3
+        report = oracle_report(seq, SR, GravityEnv(9.81), REST, OracleConfig(1e-4, 100, shape))
+        assert report.residual_vs_closed_form <= 1e-6
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["tophat", "cosine"]),
+        steps=st.sampled_from([100, 401]),
+        g=st.floats(0.0, 20.0),
+        v0=st.floats(-10.0, 10.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_the_branch_sum_march_is_the_sum_of_the_branch_marches(self, seed, shape, steps, g, v0):
+        seq = random_closed_sequence(
+            np.random.default_rng(seed), k_scale=1e7, with_common_mode=True
+        )
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        grid = oracle._quadrature_grid(seq, OracleConfig(spacing / 50.0, steps, shape))
+        k1, k2 = [p.k_upper for p in seq.pulses], [p.k_lower for p in seq.pulses]
+        v1 = oracle._march(grid, k1, SR.mass, g, None, v0, "z_g", "v_g")[1].copy()
+        v2 = oracle._march(grid, k2, SR.mass, g, None, v0, "z_g", "v_g")[1].copy()
+        k_sum = [a + b for a, b in zip(k1, k2)]
+        _, v_sum = oracle._march(
+            grid, k_sum, SR.mass, 2.0 * g, None, 2.0 * v0, "z_g", "v_sum", scale_ks=k1 + k2
+        )
+        # V bounds every partial sum and every increment's size in all three
+        # marches: each of the N steps rounds a cumulative sum by eps/2 * V
+        # per march, and the increments and kick amplitudes round by a few
+        # eps relative; 4 N eps V covers all of it
+        kicks = sum(constants.HBAR * (abs(a) + abs(b)) / SR.mass for a, b in zip(k1, k2))
+        V = 2.0 * abs(v0) + 2.0 * g * (grid.ts[-1] - grid.ts[0]) + kicks
+        bound = 4.0 * grid.h.size * np.finfo(float).eps * V
+        assert np.abs(v_sum - (v1 + v2)).max() <= bound
 
     def test_free_fall_matches_the_closed_form(self):
         seq = PulseSequence((), duration=2.0)
@@ -414,6 +532,29 @@ class TestProperTimeNumeric:
         seq, cfg = build_rbi_asymmetric(1e7, 10.0), OracleConfig(1e-3, 100)
         with pytest.raises(NonFiniteResultError, match="proper-time integral is not finite"):
             proper_time_numeric(seq, Species(mass), GravityEnv(9.81), REST, cfg)
+
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_free_flight_after_the_last_window_leaves_the_proper_time_alone(self, shape, seed):
+        # the Simpson sum ends at the last window's end node; the closure
+        # residuals still read the grid's last node, at the duration
+        seq = random_closed_sequence(
+            np.random.default_rng(200 + seed), k_scale=1e7, with_common_mode=True, with_phases=True
+        )
+        spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
+        env, ics = GravityEnv(9.81), InitialConditions(0.4, -1.3)
+        cfg = OracleConfig(spacing / 50.0, 400, shape)
+        dtau = oracle_report(seq, SR, env, ics, cfg).delta_tau_numeric
+        dk = [p.delta_k for p in seq.pulses]
+        for tail in (0.1, 1.0, 10.0):
+            later = PulseSequence(seq.pulses, duration=seq.times[-1] + cfg.pulse_width + tail)
+            report = oracle_report(later, SR, env, ics, cfg)
+            assert report.delta_tau_numeric.hex() == dtau.hex()
+            assert proper_time_numeric(later, SR, env, ics, cfg).hex() == dtau.hex()
+            grid = oracle._quadrature_grid(later, cfg)
+            assert grid.ts[-1] == later.duration
+            dz, dv = oracle._march(grid, dk, SR.mass, 0.0, 0.0, 0.0, "dz", "dv")
+            assert report.closure_residuals == (float(dz[-1]), float(dv[-1]))
 
     def test_report_serializes_with_stable_keys(self):
         cfg = OracleConfig(pulse_width=1e-7, steps_per_segment=100)
@@ -558,9 +699,9 @@ class TestConvergence:
         calls = []
         march, recoil = _kernels.march_rk4, phase.recoil_double_sum
 
-        def recorded(h, a_left, a_mid, a_right, z0, v0, **buffers):
+        def recorded(h, u, p, kicks, g, z0, v0, **buffers):
             calls.append(z0)
-            return march(h, a_left, a_mid, a_right, z0, v0, **buffers)
+            return march(h, u, p, kicks, g, z0, v0, **buffers)
 
         def report(*args):
             raise AssertionError("a study ran oracle_report")
@@ -571,9 +712,9 @@ class TestConvergence:
         seq, ics = build_rbi_double_loop(1e7, 0.1), InitialConditions(0.4, -1.3)
         widths = [1e-4, 5e-5, 2.5e-5, 1.25e-5]
         convergence_study(seq, SR, GravityEnv(9.81), ics, widths, steps_per_segment=100)
-        # the closed form once, then per width the two branches and the
-        # branch difference; the pulse-free launch march (z0 = 0.4) never runs
-        assert calls == ["S"] + [None, None, 0.0] * 4
+        # the closed form once, then per width the branch sum and the branch
+        # difference; the pulse-free launch march (z0 = 0.4) never runs
+        assert calls == ["S"] + [None, 0.0] * 4
 
     def test_non_decreasing_widths_are_rejected(self):
         with pytest.raises(OracleConfigError, match="strictly decreasing"):
@@ -648,12 +789,12 @@ class TestTopHatWindows:
         assert report.residual_vs_closed_form * T / sigma == pytest.approx(coefficient, rel=1e-9)
 
 
-def march_rk4(h, a_left, a_mid, a_right, z0, v0):
-    """_kernels.march_rk4 into fresh arrays; z and work are passed when z0 is."""
+def march_rk4(h, u, p, kicks, g, z0, v0):
+    """_kernels.march_rk4 into fresh arrays; z is passed when z0 is."""
     n = h.size
-    positions = {} if z0 is None else {"z": np.empty(n + 1), "work": np.empty(n)}
+    positions = {} if z0 is None else {"z": np.empty(n + 1)}
     return _kernels.march_rk4(
-        h, a_left, a_mid, a_right, z0, v0, h6=h / 6.0, v=np.empty(n + 1), **positions
+        h, u, p, kicks, g, z0, v0, v=np.empty(n + 1), work=np.empty(n), **positions
     )
 
 
@@ -661,20 +802,33 @@ class TestKernels:
     def rand_problem(self, n=5000, seed=2):
         rng = np.random.default_rng(seed)
         h = rng.uniform(1e-5, 1e-3, n)
-        return (h, rng.normal(size=n), rng.normal(size=n), rng.normal(size=n), 0.3, -1.7)
+        u, p = rng.normal(size=n), rng.normal(size=n)
+        # three windows of kicks, and free steps before, between and after them
+        kicks = [(100, 1100, 3.5), (2000, 2002, -40.0), (3000, 4900, 0.7)]
+        return (h, u, p, kicks, 9.81, 0.3, -1.7)
 
     def test_loop_and_cumsum_paths_are_bitwise_identical(self):
-        h, al, am, ar, z0, v0 = self.rand_problem()
-        z_np, v_np = march_rk4(h, al, am, ar, z0, v0)
-        z_py, v_py = march_rk4_loop(h, al, am, ar, z0, v0)
+        problem = self.rand_problem()
+        z_np, v_np = march_rk4(*problem)
+        z_py, v_py = march_rk4_loop(*problem)
         np.testing.assert_array_equal(z_np, z_py)
         np.testing.assert_array_equal(v_np, v_py)
 
     def test_without_a_start_position_only_velocities_are_formed(self):
-        h, al, am, ar, z0, v0 = self.rand_problem()
-        z, v = march_rk4(h, al, am, ar, None, v0)
+        h, u, p, kicks, g, z0, v0 = self.rand_problem()
+        z, v = march_rk4(h, u, p, kicks, g, None, v0)
         assert z is None
-        assert v.tobytes() == march_rk4(h, al, am, ar, z0, v0)[1].tobytes()
+        assert v.tobytes() == march_rk4(h, u, p, kicks, g, z0, v0)[1].tobytes()
+
+    def test_u_and_p_are_read_on_the_kicked_steps_only(self):
+        h, u, p, kicks, g, z0, v0 = self.rand_problem()
+        want = march_rk4(h, u, p, kicks, g, z0, v0)
+        free = np.ones(h.size, dtype=bool)
+        for i0, i1, _ in kicks:
+            free[i0:i1] = False
+        u[free], p[free] = np.nan, np.nan
+        got = march_rk4(h, u, p, kicks, g, z0, v0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestMarchedWork:
@@ -682,8 +836,8 @@ class TestMarchedWork:
         calls = []
         march = _kernels.march_rk4
 
-        def recorded(h, a_left, a_mid, a_right, z0, v0, **buffers):
-            z, v = march(h, a_left, a_mid, a_right, z0, v0, **buffers)
+        def recorded(h, u, p, kicks, g, z0, v0, **buffers):
+            z, v = march(h, u, p, kicks, g, z0, v0, **buffers)
             calls.append((z0, z))
             return z, v
 
@@ -691,10 +845,10 @@ class TestMarchedWork:
         cfg = OracleConfig(1e-4, 100, "cosine")
         seq = build_rbi_double_loop(1e7, 0.1)
         proper_time_numeric(seq, SR, GravityEnv(9.81), InitialConditions(0.4, -1.3), cfg)
-        # the two branches, then the branch-difference system, whose dz is read
-        assert [z0 for z0, _ in calls] == [None, None, 0.0]
-        assert calls[0][1] is None and calls[1][1] is None
-        assert calls[2][1].size == oracle._quadrature_grid(seq, cfg).ts.size
+        # the branch sum, then the branch-difference system, whose dz is read
+        assert [z0 for z0, _ in calls] == [None, 0.0]
+        assert calls[0][1] is None
+        assert calls[1][1].size == oracle._quadrature_grid(seq, cfg).ts.size
 
     def test_a_study_forms_the_cosine_profile_once(self, monkeypatch):
         calls = []
@@ -707,10 +861,15 @@ class TestMarchedWork:
 
     @given(n=st.integers(50, 5000).map(lambda half: 2 * half))
     def test_the_cosine_profile_is_zero_at_both_window_edges(self, n):
-        nodes, mids = oracle._raised_cosine(OracleConfig(1.0, n, "cosine"))
-        assert (nodes.size, mids.size) == (n + 1, n)
-        assert not (nodes.flags.writeable or mids.flags.writeable)  # shared by every window
+        profile = oracle._raised_cosine(OracleConfig(1.0, n, "cosine"))
+        nodes, u_weights, p_weights = profile
+        assert (nodes.size, u_weights.size, p_weights.size) == (n + 1, n, n)
+        assert not any(x.flags.writeable for x in profile)  # shared by every window
         assert float.hex(float(nodes[0])) == float.hex(float(nodes[-1])) == float.hex(0.0)
+        # the RK4 step weights of the profile, at the midpoints (j + 1/2)/n
+        mids = 1.0 - np.cos(2.0 * np.pi * ((np.arange(n) + 0.5) / n))
+        assert u_weights.tobytes() == (nodes[:-1] + 4.0 * mids + nodes[1:]).tobytes()
+        assert p_weights.tobytes() == (nodes[:-1] + 2.0 * mids).tobytes()
 
     @pytest.mark.parametrize("g", [0.0, 9.81])
     @pytest.mark.parametrize("steps", [100, 101, 1000])
@@ -721,27 +880,27 @@ class TestMarchedWork:
             tuple(Pulse(p.t + 1e3, p.k_upper, p.k_lower) for p in base.pulses),
             duration=base.duration + 1e3,
         )
-        grid = oracle._quadrature_grid(seq, OracleConfig(1e-6, steps, "cosine"))
-        node_profile, mid_profile = grid.profile
+        cfg = OracleConfig(1e-6, steps, "cosine")
+        grid = oracle._quadrature_grid(seq, cfg)
+        nodes, u_weights, p_weights = oracle._raised_cosine(cfg)
+        assert grid.node_profile.tobytes() == nodes.tobytes()
+        for (i0, i1), area in zip(grid.windows, grid.kick_areas):
+            h = grid.h[i0:i1]
+            assert grid.u[i0:i1].tobytes() == ((h / 6.0) * u_weights).tobytes()
+            assert grid.p[i0:i1].tobytes() == ((h * h / 6.0) * p_weights).tobytes()
+            assert area == float(grid.u[i0:i1].sum())
         forcings = [
             ([p.k_upper for p in seq.pulses], g),
             ([p.k_lower for p in seq.pulses], g),
+            ([p.k_upper + p.k_lower for p in seq.pulses], 2.0 * g),
             ([p.delta_k for p in seq.pulses], 0.0),
         ]
         for ks, g_forcing in forcings:
-            left, mid, right = oracle._stage_accels(grid, ks, SR.mass, g_forcing)
-            assert right.ctypes.data == left.ctypes.data + left.itemsize  # one node array
-            for (i0, i1), k, area in zip(grid.windows, ks, grid.kick_areas):
-                amp = oracle._kick_amplitude(k, SR.mass, area)
-                nodes = -g_forcing + amp * node_profile
-                assert left[i0:i1].tobytes() == nodes[:-1].tobytes()
-                assert right[i0:i1].tobytes() == nodes[1:].tobytes()
-                assert mid[i0:i1].tobytes() == (-g_forcing + amp * mid_profile).tobytes()
             # the impulse check passes on every window
             oracle._march(grid, ks, SR.mass, g_forcing, None, -1.3, "z_g", "v_g")
         # marched from rest, the branch difference carries hbar*dk/m per window
         # to rounding: each kick is scaled by its profile's area on the grid
-        dk = forcings[2][0]
+        dk = forcings[3][0]
         _, dv = oracle._march(grid, dk, SR.mass, 0.0, None, 0.0, "z_g", "v_g")
         for (i0, i1), k in zip(grid.windows, dk):
             impulse = constants.HBAR * k / SR.mass
@@ -804,8 +963,7 @@ class TestOracleArena:
         assert _exactsum._scratch.buffers["oracle"] is kept
         assert kept.size == len(oracle._ROLES) * nodes  # exactly its slots, no spare tail
         grid = oracle._quadrature_grid(seq, cfg)
-        stages = oracle._stage_accels(grid, [p.k_upper for p in seq.pulses], SR.mass, env.g)
-        assert all(np.shares_memory(a, kept) for a in (grid.ts, grid.h, grid.h6, *stages))
+        assert all(np.shares_memory(a, kept) for a in (grid.ts, grid.h, grid.u, grid.p))
         # a top-hat grid, at most 4 * pulses + 3 nodes, holds fewer bytes than
         # the report's per-pulse Python objects: the peak tells only cosine apart
         if shape == "cosine":
@@ -820,9 +978,7 @@ class TestOracleArena:
         monkeypatch.setattr(_exactsum, "_SCRATCH_MAX", len(oracle._ROLES) * nodes - 1)
         grid = oracle._quadrature_grid(seq, cfg)
         assert grid.arena.buffer is None
-        assert not np.shares_memory(grid.ts, kept)
-        stages = oracle._stage_accels(grid, [p.k_upper for p in seq.pulses], SR.mass, env.g)
-        assert not any(np.shares_memory(stage, kept) for stage in stages)
+        assert not any(np.shares_memory(a, kept) for a in (grid.ts, grid.h, grid.u, grid.p))
         report = asdict(oracle_report(seq, SR, env, ics, cfg))
         ref = ref_oracle_report(seq, SR, env, ics, cfg)
         assert {k: _hex(v) for k, v in report.items()} == {k: _hex(v) for k, v in ref.items()}

@@ -51,11 +51,9 @@ def test_march_rk4_takes_the_step_array_first():
     first = next(iter(inspect.signature(_kernels.march_rk4).parameters))
     assert first == "h"
     h = np.full(7, 0.1)
-    a = np.zeros(7)
-    z, v = _kernels.march_rk4(
-        h, a, a, a, 0.0, 1.0, h6=h / 6.0, v=np.empty(8), z=np.empty(8), work=np.empty(7)
-    )
-    nodes, moved = spans.march_work((h, a, a, a, 0.0, 1.0))
+    args = (h, h, h * h / 2.0, [(2, 4, 3.0)], 9.81, 0.0, 1.0)
+    z, v = _kernels.march_rk4(*args, v=np.empty(8), work=np.empty(7), z=np.empty(8))
+    nodes, moved = spans.march_work(args)
     assert nodes == z.size == v.size
     assert moved == 8 * (4 * h.size + 2 * nodes)
 
@@ -77,10 +75,10 @@ def run_study(seq, species, env, ics):
 @pytest.mark.parametrize(
     "run, entry, widths, marches",
     [
-        # two branches, the branch-difference system and the pulse-free launch
-        pytest.param(run_report, "oracle.oracle_report", (1e-6,), 4, id="report"),
-        # per width the two branches and the branch difference; no oracle_report
-        pytest.param(run_study, "oracle.convergence_study", STUDY_WIDTHS, 3, id="study"),
+        # the branch sum, the branch-difference system and the pulse-free launch
+        pytest.param(run_report, "oracle.oracle_report", (1e-6,), 3, id="report"),
+        # per width the branch sum and the branch difference; no oracle_report
+        pytest.param(run_study, "oracle.convergence_study", STUDY_WIDTHS, 2, id="study"),
     ],
 )
 def test_every_oracle_march_goes_through_march_rk4(run, entry, widths, marches):
