@@ -12,21 +12,21 @@ space, 3 numeric failure (oracle residual above tolerance, accuracy or
 consistency errors, a nan or infinite result, an exact sum whose partial
 sums overflow).
 
-Each output is one run manifest plus one payload, written by one writer:
-'#'-prefixed key = value lines then the payload lines in text and CSV, a
-"manifest" object next to the payload fields in JSON.  Outputs are
-byte-identical for identical invocations; --stamp opts into a timestamp
-line in the manifest, taken once per run, so the --dump-trajectory file
-shares it.  Numeric flags are SI; --k-in-km gives the wave number as a
-multiple of K_MAGIC = 1.5e7 /m and the manifest records the resolved SI
-value.  Each run reads one set of flags, and its manifest records exactly
-that set.  The geometry decides the builder flags: mzi and rbi-double read
---k and --T, rbi-sym and rbi-asym also --Tprime, a file:<path> none, and
-scan takes no file.  The mode then removes flags: `scan --vary X` X's flag,
---sweep-sigma --sigma and --tol, --shape tophat --steps (a top-hat window
-takes one Simpson pair), and --dump-dt is read only with --dump-trajectory.
-A given flag outside the set, or a missing one that the set needs, exits 1
-before anything is computed.
+Each output is one run manifest plus one payload, written by _write, which
+holds the manifest's format: '#'-prefixed key = value lines then the
+payload lines in text and CSV, a "manifest" object next to the payload
+fields in JSON.  Outputs are byte-identical for identical invocations;
+--stamp opts into a timestamp line in the manifest, taken once per run, so
+the --dump-trajectory file shares it.  Numeric flags are SI; --k-in-km
+gives the wave number as a multiple of K_MAGIC = 1.5e7 /m and the manifest
+records the resolved SI value.  Each run reads one set of flags, and its
+manifest records exactly that set.  The geometry decides the builder flags:
+mzi and rbi-double read --k and --T, rbi-sym and rbi-asym also --Tprime, a
+file:<path> none, and scan takes no file.  The mode then removes flags:
+`scan --vary X` X's flag, --sweep-sigma --sigma and --tol, --shape tophat
+--steps (a top-hat window takes one Simpson pair), and --dump-dt is read
+only with --dump-trajectory.  A given flag outside the set, or a missing
+one that the set needs, exits 1 before anything is computed.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Iterable
 
 from . import __version__, constants
@@ -97,47 +97,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: it would take -5e-05 for an option
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message: str) -> None:  # argparse would exit(2) here
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every output."""
-
-    command: str
-    parameters: dict
-    output_format: str = "text"
-    stamp: str | None = None
-
-    def as_dict(self) -> dict:
-        """The manifest's fields; a list parameter is recorded as its comma-joined reprs."""
-        parameters = {
-            name: ",".join(map(repr, v)) if isinstance(v, list) else v
-            for name, v in sorted(self.parameters.items())
-        }
-        out = {
-            "command": self.command,
-            "version": __version__,
-            "format": self.output_format,
-            "deterministic": self.stamp is None,
-            "parameters": parameters,
-        }
-        if self.stamp is not None:
-            out["stamp"] = self.stamp
-        return out
-
-    def header_lines(self) -> list[str]:
-        """as_dict as '# key = value' lines, one '# parameter.<name> = ...' per parameter."""
-        fields = self.as_dict()
-        fields["deterministic"] = str(fields["deterministic"]).lower()
-        lines = []
-        for key, value in fields.items():
-            if key == "parameters":
-                lines += [f"# parameter.{name} = {v}" for name, v in value.items()]
-            else:
-                lines.append(f"# {key} = {value}")
-        return lines
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -157,8 +123,8 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_environment_flags(p: argparse.ArgumentParser, *, require_mass: bool) -> None:
-    p.add_argument("--mass", type=float, required=require_mass, default=None, help="rest mass (kg)")
+def _add_environment_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mass", type=float, required=True, help="rest mass (kg)")
     p.add_argument("--g", type=float, default=0.0, help="gravitational acceleration (m/s^2)")
     p.add_argument("--z0", type=float, default=0.0, help="initial position (m)")
     p.add_argument("--v0", type=float, default=0.0, help="initial velocity (m/s)")
@@ -177,7 +143,7 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="phase decomposition for one geometry")
     _add_geometry_flags(sim)
-    _add_environment_flags(sim, require_mass=True)
+    _add_environment_flags(sim)
     sim.add_argument("--omega", type=float, default=None, help="clock splitting (rad/s); enables beat output")
     sim.add_argument("--dump-trajectory", help="write t,z1,v1,z2,v2,zg CSV here")
     sim.add_argument("--dump-dt", type=float, help="sampling step for the dump (s)")
@@ -186,7 +152,7 @@ def build_parser() -> _Parser:
 
     scan = sub.add_parser("scan", help="sweep T or k, one CSV row per grid point")
     _add_geometry_flags(scan)
-    _add_environment_flags(scan, require_mass=True)
+    _add_environment_flags(scan)
     scan.add_argument("--omega", type=float, default=None, help="clock splitting (rad/s); beat columns")
     scan.add_argument("--vary", choices=("T", "k"), required=True)
     scan.add_argument("--from", type=float, required=True)
@@ -203,7 +169,7 @@ def build_parser() -> _Parser:
 
     orc = sub.add_parser("oracle", help="numeric comparison against the closed form")
     _add_geometry_flags(orc)
-    _add_environment_flags(orc, require_mass=True)
+    _add_environment_flags(orc)
     orc.add_argument("--sigma", type=float, default=None, help="pulse width (s)")
     orc.add_argument(
         "--steps", type=int, default=None,
@@ -278,7 +244,8 @@ def _sequence(params: dict) -> PulseSequence:
         return build(*(params[name] for name in reads))
     path = geo[len("file:") :]
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise _UsageError(f"cannot read geometry file {path!r}: {exc}") from exc
     return parse_geometry(text)
@@ -289,33 +256,48 @@ def _environment(params: dict) -> tuple[Species, GravityEnv, InitialConditions]:
     return Species(params["mass"]), GravityEnv(params["g"]), ics
 
 
-def _emit_lines(lines: Iterable[str], output: str | None) -> None:
-    """Write the lines, each ending in a newline, one after another without joining them."""
-    if output is None:
-        sys.stdout.writelines(lines)
-    else:
-        try:
-            with open(output, "w", encoding="utf-8") as f:
-                f.writelines(lines)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {output!r}: {exc}") from exc
-
-
 def _write(
     command: str, params: dict, output_format: str, stamp: str | None, payloads: dict, output
 ) -> None:
     """Write one output: its run manifest, then the payload of the manifest's format.
 
-    payloads maps each format the command offers to its payload: the JSON
-    fields beside the manifest, or the text or CSV lines after it.
+    The manifest is command, version, format, deterministic (no stamp), the
+    parameters by name (a list as its comma-joined reprs) and any stamp: the
+    "manifest" object beside the JSON payload fields, or '# key = value' and
+    '# parameter.<name> = value' lines before the text and CSV payload lines,
+    written as they come.  payloads maps each format offered to its payload.
     """
-    manifest = RunManifest(command, params, output_format, stamp)
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "format": output_format,
+        "deterministic": stamp is None,
+        "parameters": {
+            name: ",".join(map(repr, v)) if isinstance(v, list) else v
+            for name, v in sorted(params.items())
+        },
+    }
+    if stamp is not None:
+        manifest["stamp"] = stamp
     payload = payloads[output_format]
     if output_format == "json":
-        lines = [json.dumps({"manifest": manifest.as_dict(), **payload}, indent=2) + "\n"]
+        lines = [json.dumps({"manifest": manifest, **payload}, indent=2) + "\n"]
     else:
-        lines = itertools.chain((f"{line}\n" for line in manifest.header_lines()), payload)
-    _emit_lines(lines, output)
+        header = []
+        for key, value in manifest.items():
+            if key == "parameters":
+                header += [f"# parameter.{name} = {v}\n" for name, v in value.items()]
+            else:  # deterministic is spelled as in JSON: true or false
+                header.append(f"# {key} = {json.dumps(value) if key == 'deterministic' else value}\n")
+        lines = itertools.chain(header, payload)
+    if output is None:
+        sys.stdout.writelines(lines)
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as f:
+            f.writelines(lines)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output!r}: {exc}") from exc
 
 
 def _table(entries: dict) -> str:

@@ -219,8 +219,7 @@ def _parse_number(token: str, line_no: int, col: int) -> float:
 
 def parse_geometry(text: str) -> PulseSequence:
     """Parse the geometry file format; raises GeometryParseError with line/column."""
-    name: str | None = None
-    tend: float | None = None
+    directives: dict[str, str | float] = {}  # 'name' and 'tend', each read once
     pulses: list[Pulse] = []
     where: dict[int | None, tuple[int, int]] = {}  # time token by pulse index; None: 'tend'
 
@@ -230,27 +229,21 @@ def parse_geometry(text: str) -> PulseSequence:
             continue
         col0, head = tokens[0]
         args = tokens[1:]
-        if head == "name":
-            if name is not None:
+        if head in ("name", "tend"):
+            if head in directives:
                 raise GeometryParseError(
-                    "duplicate 'name' directive", line=line_no, column=col0, rule="duplicate directive"
+                    f"duplicate {head!r} directive", line=line_no, column=col0, rule="duplicate directive"
                 )
             if len(args) != 1:
+                what = "number" if head == "tend" else "token"
                 raise GeometryParseError(
-                    f"'name' takes one token, got {len(args)}", line=line_no, column=col0, rule="syntax"
+                    f"{head!r} takes one {what}, got {len(args)}", line=line_no, column=col0, rule="syntax"
                 )
-            name = args[0][1]
-        elif head == "tend":
-            if tend is not None:
-                raise GeometryParseError(
-                    "duplicate 'tend' directive", line=line_no, column=col0, rule="duplicate directive"
-                )
-            if len(args) != 1:
-                raise GeometryParseError(
-                    f"'tend' takes one number, got {len(args)}", line=line_no, column=col0, rule="syntax"
-                )
-            tend = _parse_number(args[0][1], line_no, args[0][0])
-            where[None] = (line_no, col0)
+            col, token = args[0]
+            if head == "tend":
+                token = _parse_number(token, line_no, col)
+                where[None] = (line_no, col0)
+            directives[head] = token
         elif head == "pulse":
             if len(args) not in (3, 5):
                 raise GeometryParseError(
@@ -264,7 +257,7 @@ def parse_geometry(text: str) -> PulseSequence:
                 f"unknown directive {head!r}", line=line_no, column=col0, rule="syntax"
             )
 
-    seq = PulseSequence(tuple(pulses), duration=tend, name=name)
+    seq = PulseSequence(tuple(pulses), duration=directives.get("tend"), name=directives.get("name"))
     for v in validate_sequence(seq):
         if v.rule in STRUCTURAL_RULES:
             # a sequence-level finding needs a 'tend': the default duration is the last time

@@ -318,7 +318,8 @@ def _build_grid(layout: _Layout, profile: _Profile | None) -> _Grid:
     h = np.subtract(ts[1:], ts[:-1], out=arena("h", ts.size - 1))
 
     widths = tuple(float(ts[i1] - ts[i0]) for i0, i1 in windows)
-    p = np.multiply(h, h, out=arena("p", h.size))
+    with np.errstate(over="ignore"):  # steps above ~1.3e154 s give inf; typed checks refuse it
+        p = np.multiply(h, h, out=arena("p", h.size))
     if profile is None:
         p *= 0.5
         return _Grid(ts, h, h, p, windows, widths, None, widths, arena)

@@ -753,6 +753,15 @@ class TestOracle:
 
         assert residuals("1e308") == residuals("0")
 
+    def test_a_step_whose_square_overflows_is_one_line_of_numeric_failure(self, capsys):
+        # a numpy overflow warning would be raised here: pytest turns warnings into errors
+        code, out, err = run(
+            capsys, "oracle", "--geometry", "rbi-asym", "--k", "1e7", "--T", "1e300",
+            "--mass", "1e-25", "--sigma", "1e290", "--g", "9.81",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
     def test_tight_tolerance_exits_with_three(self, capsys):
         code, _, _ = run(capsys, *self.BASE, "--sigma", "3.25e-7", "--tol", "1e-12")
         assert code == 3
@@ -895,6 +904,28 @@ class TestHarness:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--z0", "-5e-05"), ("--v0", "-1e3"), ("--z0", "-.5e1")]
+    )
+    def test_a_negative_value_in_any_float_spelling_is_read_as_a_value(self, capsys, flag, value):
+        argv = ("simulate", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", "--mass", SR_MASS)
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, *argv, f"{flag}={value}")
+
+    def test_a_negative_width_in_a_sweep_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, *ORACLE_MZI, "--sweep-sigma", "1e-4", "-5e-5")
+        assert (code, out) == (1, "")
+        assert err.startswith("oracle config error: pulse_width must be positive")
+
+    def test_a_dash_word_after_a_flag_is_still_an_option(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--geometry", "mzi", "--k", "1e7", "--T", "0.1",
+            "--mass", SR_MASS, "--z0", "-x",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: argument --z0: expected one argument\n"
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -999,6 +1030,20 @@ class TestOneWriter:
             assert "".join(lines) == unstamped != plain
             stamp = stamps[0][len("# stamp = ") :].rstrip("\n")
         assert datetime.fromisoformat(stamp).tzinfo is not None
+
+    def test_a_stamped_manifest_keeps_its_order(self, capsys):
+        argv = STAMPED["simulate"][0]
+        code, text, _ = run(capsys, *argv, "--stamp")
+        assert code == 0
+        header = [line.partition(" = ")[0] for line in text.splitlines() if line.startswith("# ")]
+        names = [f"# parameter.{name}" for name in sorted(manifest_params(text))]
+        assert header == ["# command", "# version", "# format", "# deterministic", *names, "# stamp"]
+        assert "# deterministic = false" in text.splitlines()
+        code, out, _ = run(capsys, *argv, "--stamp", "--format", "json")
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        keys = ["command", "version", "format", "deterministic", "parameters", "stamp"]
+        assert list(manifest) == keys and manifest["deterministic"] is False
 
 
 # The refusal cases: each argv gives one flag outside its run's read set, or

@@ -534,6 +534,36 @@ class TestProperTimeNumeric:
             proper_time_numeric(seq, Species(mass), GravityEnv(9.81), REST, cfg)
 
     @pytest.mark.parametrize("shape", ["tophat", "cosine"])
+    @pytest.mark.parametrize(
+        "entry, k",
+        [(proper_time_numeric, 1e7), (oracle_report, 1e-300)],
+        ids=["proper_time_numeric", "oracle_report"],
+    )
+    def test_a_step_whose_square_overflows_is_a_numeric_failure(self, shape, entry, k):
+        # the free-flight steps, near 5e159 s, square beyond the float range
+        # while the grid is built; a numpy overflow warning would be an error
+        # here, as pytest turns warnings into errors
+        seq, cfg = build_rbi_asymmetric(k, 1e160), OracleConfig(1e150, pulse_shape=shape)
+        with pytest.raises(NonFiniteResultError):
+            entry(seq, Species(1e-25), FLAT, REST, cfg)
+
+    @pytest.mark.parametrize("pairs", [2, _exactsum._FSUM_MAX_TERMS + 1])
+    @pytest.mark.parametrize(
+        "fill, first, last",
+        [(2.5e307, 2.5e307, 2.5e307), (0.0, math.inf, -math.inf)],
+        ids=["overflowing-sum", "opposite-infinities"],
+    )
+    def test_a_simpson_sum_that_fsum_refuses_is_nan(self, pairs, fill, first, last):
+        # pair widths 6, so each term is f0 + 4 f1 + f2: 1.5e308 each, whose
+        # sum fsum refuses with OverflowError, or +inf in the first pair and
+        # -inf in the last, which it refuses with ValueError; below and above
+        # the term count from which array_fsum takes its array path
+        ts = np.arange(2 * pairs + 1) * 3.0
+        f = np.full(ts.size, fill)
+        f[1], f[-2] = first, last
+        assert math.isnan(oracle._simpson(f, ts, np.empty(ts.size - 1)))
+
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
     @pytest.mark.parametrize("seed", range(3))
     def test_free_flight_after_the_last_window_leaves_the_proper_time_alone(self, shape, seed):
         # the Simpson sum ends at the last window's end node; the closure
