@@ -65,8 +65,9 @@ from .clock import (
     visibility_scan,
 )
 
-# The oracle, and with it numpy, loads on the first use of one of its names
-# (PEP 562), so the closed forms and the CLI start without them.
+# The oracle loads on the first use of one of its names (PEP 562), so the
+# closed forms and the CLI start without it; numpy loads with its cosine
+# windows and sweep fits only, as a top-hat grid is Python floats.
 _ORACLE_NAMES = (
     "ConvergenceStudy",
     "OracleConfig",

@@ -206,15 +206,18 @@ def _tokenize(line: str) -> list[tuple[int, str]]:
 
 
 def _parse_number(token: str, line_no: int, col: int) -> float:
-    if _NONFINITE_RE.match(token):
-        raise GeometryParseError(
-            f"non-finite number {token!r}", line=line_no, column=col, rule="non-finite number"
-        )
-    if not _NUMBER_RE.match(token):
+    """The token's float; nan, inf and a decimal beyond the float range (1e400)
+    are a non-finite number at the token's own column."""
+    if not (_NUMBER_RE.match(token) or _NONFINITE_RE.match(token)):
         raise GeometryParseError(
             f"bad numeric token {token!r}", line=line_no, column=col, rule="syntax"
         )
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise GeometryParseError(
+            f"non-finite number {token!r}", line=line_no, column=col, rule="non-finite number"
+        )
+    return value
 
 
 def parse_geometry(text: str) -> PulseSequence:

@@ -44,22 +44,28 @@ Accuracy notes, which the tests lean on:
   space the common sigma/2 centroid shift drops out of every closed-form
   quantity, so no recentering is needed.
 
-Every grid-sized array of a call (the node times, the step widths, the step
-weights u and p, the three marches, the integrand and the Simpson terms) is
-a view of one arena per thread, _exactsum.scratch("oracle"), exactly one slot
-of the grid's nodes per role, so a repeated call allocates nothing
-grid-sized.  A grid whose slots would not fit in _SCRATCH_MAX elements
-(8 MiB) gets fresh arrays instead.  A view is valid until the next oracle
-call in the same thread, and nothing returned to a caller is one.  The RK4
-step weights u and p (_kernels) depend on the grid alone, so the grid forms
-them once for all its marches.  Only what a result reads is marched: the
-proper time reads the velocity sum, so its march forms no positions.
-_layout is the one function that relates a config to a
-sequence: it places the breakpoints and the windows' node spans.  Every entry
-point lays its config out first: a width too wide for the pulse spacing, a
-grid over MAX_ORACLE_NODES and a window whose steps the time resolution at
-its pulse cannot split are refused before anything is allocated, the
-cosine profile included.  Every march, through _march, checks each window's
+Which of two representations a grid takes is read from the profile: a
+top-hat grid (no profile), at most 4 * pulses + 3 nodes, is lists of Python
+floats, and its marches, integrand, window averages and Simpson sums run in
+plain floats, so a top-hat call imports no numpy.  A cosine grid, O(pulses x
+steps_per_segment) nodes, is numpy arrays: every grid-sized array of a
+cosine call (the node times, the step widths, the step weights u and p, the
+three marches, the integrand and the Simpson terms) is a view of one arena
+per thread, _exactsum.scratch("oracle"), exactly one slot of the grid's
+nodes per role, so a repeated call allocates nothing grid-sized.  A grid
+whose slots would not fit in _SCRATCH_MAX elements (8 MiB) gets fresh arrays
+instead.  A view is valid until the next oracle call in the same thread, and
+nothing returned to a caller is one.  Both representations apply the same
+float operations in the same order, so a top-hat result has the bits the
+array pipeline gives it.  The RK4 step weights u and p (_kernels) depend on
+the grid alone, so the grid forms them once for all its marches.  Only what
+a result reads is marched: the proper time reads the velocity sum, so its
+march forms no positions.  _layout is the one function that relates a
+config to a sequence: it places the breakpoints and the windows' node
+spans.  Every entry point lays its config out first: a width too wide for
+the pulse spacing, a grid over MAX_ORACLE_NODES and a window whose steps
+the time resolution at its pulse cannot split are refused before anything
+is allocated, the cosine profile included.  Every march, through _march, checks each window's
 velocity change against hbar*k/m - g*width; the branch sum's and the branch
 difference's checks together pin each branch's kicks.  Every Simpson sum,
 through _simpson, is nan beyond the float range; that, and a kick amplitude
@@ -68,13 +74,12 @@ or a proper-time integrand beyond it, raises NonFiniteResultError.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import constants, _exactsum, _kernels
 from ._exactsum import array_fsum, fsum_or_exact
@@ -89,6 +94,11 @@ from .core import (
 from .errors import NonFiniteResultError, OracleAccuracyError, OracleConfigError
 from .kinematics import _branch_ks
 from .phase import _closed_sum, _laser_sum, recoil_parts
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    _Profile = tuple[np.ndarray, np.ndarray, np.ndarray]  # see _raised_cosine
 
 _SHAPES = ("tophat", "cosine")
 _IMPULSE_HARD_LIMIT = 1e-6
@@ -179,12 +189,12 @@ class ConvergenceStudy:
     floor: float
 
 
-# The grid-sized roles of the oracle's per-thread arena, in slot order (see _Arena).
+# The grid-sized roles of a cosine call's per-thread arena, in slot order (see _Arena).
 _ROLES = ("ts", "h", "u", "p", "v_sum", "dz", "dv", "z_g", "v_g", "f", "work", "simpson")
 
 
 class _Arena:
-    """Grid-sized work arrays of one oracle call: one slot of `nodes` elements per role.
+    """Grid-sized work arrays of one cosine oracle call: one slot of `nodes` elements per role.
 
     The slots are views of this thread's scratch("oracle"), len(_ROLES) * nodes
     elements, if that fits in _SCRATCH_MAX; else every request gets a fresh array.
@@ -198,26 +208,28 @@ class _Arena:
     def __call__(self, role: str, size: int, start: int = 0) -> np.ndarray:
         """size uninitialised elements of role's slot from index start, start + size <= nodes."""
         if self.buffer is None:
+            import numpy as np
+
             return np.empty(size)
         start += _ROLES.index(role) * self.nodes
         return self.buffer[start : start + size]
 
 
-_Profile = tuple[np.ndarray, np.ndarray, np.ndarray]  # see _raised_cosine
 _Layout = tuple[list[float], list[int], tuple[tuple[int, int], ...]]  # see _layout
 
 
 @dataclass(frozen=True)
 class _Grid:
-    ts: np.ndarray
-    h: np.ndarray
-    u: np.ndarray  # RK4 step weights per unit kick amplitude (_kernels), read
-    p: np.ndarray  # on the windows' steps only; top-hat: h and h^2/2
+    # float lists for top-hat, arrays in the arena for cosine
+    ts: list[float] | np.ndarray
+    h: list[float] | np.ndarray
+    u: list[float] | np.ndarray  # RK4 step weights per unit kick amplitude (_kernels),
+    p: list[float] | np.ndarray  # read on the windows' steps only; top-hat: h and h^2/2
     windows: tuple[tuple[int, int], ...]  # node index span of each pulse window
     widths: tuple[float, ...]  # realized width ts[i1] - ts[i0] of each window
     node_profile: np.ndarray | None  # _raised_cosine's P on the nodes, None for top-hat
     kick_areas: tuple[float, ...]  # each window's sum of u; top-hat: widths
-    arena: _Arena
+    arena: _Arena | None  # None for top-hat
 
 
 def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Layout:
@@ -284,6 +296,8 @@ def _raised_cosine(cfg: OracleConfig) -> _Profile | None:
     """
     if cfg.pulse_shape != "cosine":
         return None
+    import numpy as np
+
     n = _window_steps(cfg)
     nodes, mids = np.arange(n + 1, dtype=float), np.arange(n, dtype=float) + 0.5
     for x in (nodes, mids):
@@ -300,14 +314,30 @@ def _raised_cosine(cfg: OracleConfig) -> _Profile | None:
 
 
 def _build_grid(layout: _Layout, profile: _Profile | None) -> _Grid:
-    """The grid of a _layout in this thread's oracle arena, with _raised_cosine's profile.
+    """The grid of a _layout: float lists for top-hat (profile None), else arrays
+    in this thread's oracle arena with _raised_cosine's profile.
 
     Node j of a segment [a, b] of n steps is a + j * ((b - a) / n), as in
-    np.linspace(a, b, n + 1).  On a cosine window u = (h / 6) * (PL + 4 PM +
-    PR) and p = (h * h / 6) * (PL + 2 PM); a kick's area is the window's sum
-    of u (pairwise, np.sum: a scale, not a result).
+    np.linspace(a, b, n + 1).  On a top-hat window u = h and p = h * h / 2.
+    On a cosine window u = (h / 6) * (PL + 4 PM + PR) and p = (h * h / 6) *
+    (PL + 2 PM); a kick's area is the window's sum of u (pairwise, np.sum: a
+    scale, not a result).
     """
     breakpoints, offsets, windows = layout
+    if profile is None:
+        ts = [
+            j * ((b - a) / (i1 - i0)) + a
+            for a, b, i0, i1 in zip(breakpoints, breakpoints[1:], offsets, offsets[1:])
+            for j in range(i1 - i0)
+        ]
+        ts.append(breakpoints[-1])
+        h = [b - a for a, b in zip(ts, ts[1:])]
+        widths = tuple(ts[i1] - ts[i0] for i0, i1 in windows)
+        p = [step * step * 0.5 for step in h]
+        return _Grid(ts, h, h, p, windows, widths, None, widths, None)
+
+    import numpy as np
+
     arena = _Arena(offsets[-1] + 1)
     ts = arena("ts", arena.nodes)
     index = np.arange(max((b - a for a, b in zip(offsets, offsets[1:])), default=0), dtype=float)
@@ -320,9 +350,6 @@ def _build_grid(layout: _Layout, profile: _Profile | None) -> _Grid:
     widths = tuple(float(ts[i1] - ts[i0]) for i0, i1 in windows)
     with np.errstate(over="ignore"):  # steps above ~1.3e154 s give inf; typed checks refuse it
         p = np.multiply(h, h, out=arena("p", h.size))
-    if profile is None:
-        p *= 0.5
-        return _Grid(ts, h, h, p, windows, widths, None, widths, arena)
     node_profile, u_weights, p_weights = profile
     u = np.divide(h, 6.0, out=arena("u", h.size))
     p /= 6.0
@@ -345,27 +372,38 @@ def _kick_amplitude(k: float, mass: float, area: float) -> float:
     return amp
 
 
-def _simpson(f: np.ndarray, ts: np.ndarray, work: np.ndarray) -> float:
+def _simpson(f, ts, work=None) -> float:
     """Composite Simpson over consecutive node pairs, correctly rounded, or nan.
 
     f spans whole grid segments of an even step count, so its node count is
-    odd.  The per-pair widths and terms are formed in work (f.size - 1
-    elements) and the terms reduced by array_fsum, which returns math.fsum's
-    value bit for bit.  A sum that fsum refuses (opposite infinities, or
-    beyond the float range) or that is not finite is nan, which the callers
-    refuse with NonFiniteResultError.
+    odd.  Each pair's term is ((f0 + 4 f1) + f2) * ((t2 - t0) / 6).  Float
+    lists (work None) sum their terms with math.fsum; arrays form the
+    per-pair widths and terms in work (len(f) - 1 elements) and reduce them
+    by array_fsum, which returns math.fsum's value bit for bit.  A sum that
+    fsum refuses (opposite infinities, or beyond the float range) or that is
+    not finite is nan, which the callers refuse with NonFiniteResultError.
     """
-    pairs = (f.size - 1) // 2
-    widths, terms = work[:pairs], work[pairs : 2 * pairs]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(ts[2::2], ts[:-2:2], out=widths)
-        widths /= 6.0
-        np.multiply(f[1:-1:2], 4.0, out=terms)
-        np.add(f[:-2:2], terms, out=terms)
-        terms += f[2::2]
-        terms *= widths
+    if work is None:
+        fsum = math.fsum
+        terms = [
+            ((f[i] + f[i + 1] * 4.0) + f[i + 2]) * ((ts[i + 2] - ts[i]) / 6.0)
+            for i in range(0, len(f) - 1, 2)
+        ]
+    else:
+        import numpy as np
+
+        fsum = array_fsum
+        pairs = (f.size - 1) // 2
+        widths, terms = work[:pairs], work[pairs : 2 * pairs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(ts[2::2], ts[:-2:2], out=widths)
+            widths /= 6.0
+            np.multiply(f[1:-1:2], 4.0, out=terms)
+            np.add(f[:-2:2], terms, out=terms)
+            terms += f[2::2]
+            terms *= widths
     try:
-        total = array_fsum(terms)
+        total = fsum(terms)
     except (ValueError, OverflowError):
         return math.nan
     return total if math.isfinite(total) else math.nan
@@ -396,18 +434,23 @@ def _march(grid: _Grid, ks, mass: float, g: float, z0, v0: float, z: str, v: str
     Window i kicks with hbar*ks[i]/(m * kick area): by node index, and by the
     realized area rather than sigma, since t + sigma - t does not round back
     to sigma and gravity would couple to the broken closure.  The check
-    scales with scale_ks (ks by default); z and v name the arena roles.
+    scales with scale_ks (ks by default); z and v name the arena roles a
+    cosine grid's march fills (a top-hat march returns fresh lists).
     """
     kicks = [
         (i0, i1, _kick_amplitude(k, mass, area))
         for (i0, i1), k, area in zip(grid.windows, ks, grid.kick_areas)
         if k != 0.0
     ]
-    arena, nodes = grid.arena, grid.ts.size
-    z_out, v_out = _kernels.march_rk4(
-        grid.h, grid.u, grid.p, kicks, g, z0, v0, v=arena(v, nodes),
-        work=arena("work", nodes - 1), z=None if z0 is None else arena(z, nodes),
-    )
+    buffers = {}
+    if grid.arena is not None:  # a cosine march fills its arena slots
+        arena, nodes = grid.arena, len(grid.ts)
+        buffers = {
+            "v": arena(v, nodes),
+            "work": arena("work", nodes - 1),
+            "z": None if z0 is None else arena(z, nodes),
+        }
+    z_out, v_out = _kernels.march_rk4(grid.h, grid.u, grid.p, kicks, g, z0, v0, **buffers)
     _impulse_check(grid, v_out, ks, mass, g, ks if scale_ks is None else scale_ks)
     return z_out, v_out
 
@@ -419,43 +462,70 @@ def _quadrature_grid(seq: PulseSequence, cfg: OracleConfig) -> _Grid:
     return _build_grid(layout, _raised_cosine(cfg))
 
 
+def _quiet(grid: _Grid):
+    """numpy's overflow and invalid warnings off on a cosine grid; a top-hat grid raises none.
+
+    What would warn is refused by a typed check instead.
+    """
+    if grid.arena is None:
+        return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _integrand(grid: _Grid, dv, v_sum, dz, g: float):
+    """f = (-0.5 * dv * (v1 + v2) + g * dz) / c**2 on the nodes given; None if a node is not finite.
+
+    One operation at a time, in plain floats for a top-hat grid and in the
+    arena's "f" slot for a cosine one.  Where -0.5 * dv * (v1 + v2)
+    overflows before the division but the integrand is still a float (a
+    tiny mass), the node is formed again with dv and dz divided by c**2
+    first, there and only there, so finite nodes keep their bits.
+    """
+    c2 = constants.C**2
+    if grid.arena is None:
+        f = []
+        for d, s, z in zip(dv, v_sum, dz):
+            x = (d * -0.5 * s + z * g) / c2
+            f.append(x if math.isfinite(x) else -0.5 * (d / c2) * s + g * (z / c2))
+        return f if all(map(math.isfinite, f)) else None
+    import numpy as np
+
+    f = np.multiply(dv, -0.5, out=grid.arena("f", dv.size))
+    f *= v_sum
+    f += np.multiply(dz, g, out=grid.arena("work", dv.size))
+    f /= c2
+    bad = ~np.isfinite(f)
+    if bad.any():
+        f[bad] = -0.5 * (dv[bad] / c2) * v_sum[bad] + g * (dz[bad] / c2)
+    return f if np.isfinite(f).all() else None
+
+
 def _proper_time(grid: _Grid, seq, species, env, ics) -> tuple[float, float, float]:
     """Numeric delta_tau, and the end point (dz, dv) of the branch-difference system.
 
     v1 + v2 is one march, with no positions, whose check scales with the
     larger branch kick (a near-cancelling sum is not below rounding); the
-    integral ends at the last window's end node.  Nodes where -0.5 * dv *
-    (v1 + v2) overflows are formed again with dv and dz divided by c**2
-    first; an integrand beyond the float range even so (a subnormal mass or
-    a huge k) raises NonFiniteResultError, and so does an integral beyond it.
+    integral of _integrand ends at the last window's end node.  An
+    integrand beyond the float range (a subnormal mass or a huge k) raises
+    NonFiniteResultError, and so does an integral beyond it.
     """
     m = species.mass
     k1, k2 = _branch_ks(seq, 1), _branch_ks(seq, 2)
     dk = [p.delta_k for p in seq.pulses]
     k_sum = [a + b for a, b in zip(k1, k2)]
     end = max((i1 for _, i1 in grid.windows), default=0) + 1  # nodes integrated
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+    with _quiet(grid):
         _, v_sum = _march(grid, k_sum, m, 2.0 * env.g, None, 2.0 * ics.v0, "z_g", "v_sum", k1 + k2)
         dz, dv = _march(grid, dk, m, 0.0, 0.0, 0.0, "dz", "dv")
         dz_end, dv_end = float(dz[-1]), float(dv[-1])
-        v_sum, dz, dv = v_sum[:end], dz[:end], dv[:end]
-        # f = (-0.5 * dv * (v1 + v2) + g * dz) / c**2, one operation at a time
-        f = np.multiply(dv, -0.5, out=grid.arena("f", end))
-        f *= v_sum
-        f += np.multiply(dz, env.g, out=grid.arena("work", end))
-        f /= constants.C**2
-        finite = np.isfinite(f)
-        if not finite.all():
-            # -0.5 * dv * (v1 + v2) overflows before the division where the
-            # integrand is still a float (a tiny mass): divide by c**2 first
-            # there, and only there, so finite nodes keep their bits
-            bad, c2 = ~finite, constants.C**2
-            f[bad] = -0.5 * (dv[bad] / c2) * v_sum[bad] + env.g * (dz[bad] / c2)
-            finite = np.isfinite(f)
+        f = _integrand(grid, dv[:end], v_sum[:end], dz[:end], env.g)
     del v_sum, dz, dv  # fresh arrays, on a grid too large for the arena, go before the sum
-    if not finite.all():
+    if f is None:
         raise NonFiniteResultError("the proper-time integrand is not finite on the oracle grid")
-    dtau = _simpson(f, grid.ts[:end], grid.arena("simpson", end - 1))
+    work = None if grid.arena is None else grid.arena("simpson", end - 1)
+    dtau = _simpson(f, grid.ts[:end], work)
     if not math.isfinite(dtau):
         raise NonFiniteResultError("the proper-time integral is not finite on the oracle grid")
     return dtau, dz_end, dv_end
@@ -472,29 +542,30 @@ def proper_time_numeric(
     return _proper_time(_quadrature_grid(seq, cfg), seq, species, env, ics)[0]
 
 
-def _window_terms(
-    grid: _Grid, ks: Sequence[float], z: np.ndarray
-) -> tuple[list[float], list[float]]:
+def _window_terms(grid: _Grid, ks: Sequence[float], z) -> tuple[list[float], list[float]]:
     """The factors k and the window averages of z, for every window with k != 0.
 
-    Top-hat weights are 1/width; cosine weights are the node profile over
-    its Simpson integral on the window.  A window average beyond the float
-    range raises NonFiniteResultError.
+    Top-hat weights are 1/width, in plain floats; cosine weights are the
+    node profile over its Simpson integral on the window.  A window average
+    beyond the float range raises NonFiniteResultError.
     """
     factors: list[float] = []
     averages: list[float] = []
     for i, ((i0, i1), width) in enumerate(zip(grid.windows, grid.widths)):
         if ks[i] == 0.0:
             continue
-        ts, weighted = grid.ts[i0 : i1 + 1], grid.arena("f", i1 - i0 + 1, i0)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            if grid.node_profile is None:
-                np.multiply(1.0 / width, z[i0 : i1 + 1], out=weighted)
-            else:
-                area = _simpson(grid.node_profile, ts, grid.arena("simpson", i1 - i0))
+        ts, window_z = grid.ts[i0 : i1 + 1], z[i0 : i1 + 1]
+        if grid.arena is None:
+            average = _simpson([(1.0 / width) * x for x in window_z], ts)
+        else:
+            import numpy as np
+
+            weighted, work = grid.arena("f", i1 - i0 + 1, i0), grid.arena("simpson", i1 - i0)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+                area = _simpson(grid.node_profile, ts, work)
                 np.divide(grid.node_profile, area, out=weighted)
-                weighted *= z[i0 : i1 + 1]
-        average = _simpson(weighted, ts, grid.arena("simpson", i1 - i0))
+                weighted *= window_z
+            average = _simpson(weighted, ts, work)
         if not math.isfinite(average):
             raise NonFiniteResultError(
                 f"the window average of the launch trajectory is not finite "
@@ -625,6 +696,8 @@ def convergence_study(
 
     above = [(w, r) for w, r in zip(widths, residuals) if r > _RESIDUAL_FLOOR]
     if len(above) >= 2:
+        import numpy as np
+
         logs_w = np.log([w for w, _ in above])
         logs_r = np.log([r for _, r in above])
         exponent = float(np.polyfit(logs_w, logs_r, 1)[0])

@@ -486,10 +486,13 @@ class TestParseErrors:
         text = "pulse 1.0 1.0 0.0\npulse 0.5 -1.0 0.0\npulse 2.0 bogus 0.0\n"
         self.check(text, "syntax", 3, 11)
 
-    def test_a_decimal_beyond_the_float_range_is_a_non_finite_field(self):
-        # the time token stands for the pulse, whichever field overflowed
-        self.check("pulse 0.0 1.0 0.0\npulse 1.0 -1e400 0.0\n", "non-finite field", 2, 7)
-        self.check("tend 1e999\npulse 0.0 1.0 0.0\n", "non-finite field", 1, 1)
+    def test_a_decimal_beyond_the_float_range_is_a_non_finite_number(self):
+        # as nan and inf are: at the overflowing token's own column, in any field
+        self.check("pulse 0.0 1.0 0.0\npulse 1.0 -1e400 0.0\n", "non-finite number", 2, 11)
+        self.check("tend 1e999\npulse 0.0 1.0 0.0\n", "non-finite number", 1, 6)
+        self.check("pulse 0.0 1.0 0.0\npulse 1e309 -1.0 0.0\n", "non-finite number", 2, 7)
+        with pytest.raises(GeometryParseError, match="non-finite number '-1e400'"):
+            parse_geometry("pulse 0.0 1.0 0.0\npulse 1.0 -1e400 0.0\n")
 
     def test_duplicate_name(self):
         self.check("name a\nname b\n", "duplicate directive", 2, 1)

@@ -1,10 +1,12 @@
-"""Short-sequence closed forms and the simulate/check/scan commands run without numpy.
+"""Short-sequence closed forms, the simulate/check/scan commands and the top-hat
+oracle run without numpy.
 
-numpy is imported by the array paths only: long sequences, dumps and the
-oracle, whose names the package resolves on first use.  A scan of a builder
-geometry spaces its grid in plain floats, as np.linspace would, and runs
-short sequences only.  Each check runs in a fresh interpreter, since this
-test process has numpy loaded already.
+numpy is imported by the array paths only: long sequences, dumps, cosine
+oracle windows and a sweep's exponent fit.  A scan of a builder geometry
+spaces its grid in plain floats, as np.linspace would, and runs short
+sequences only; a top-hat oracle grid, at most 4 * pulses + 3 nodes, is
+marched and integrated in plain floats.  Each check runs in a fresh
+interpreter, since this test process has numpy loaded already.
 """
 
 import os
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lpai
 from lpai import _exactsum, serialize_geometry
@@ -68,6 +71,36 @@ print("numpy" in sys.modules)
 """
 
 
+ORACLE = """
+import contextlib, io, sys
+import lpai.cli
+from lpai import (
+    GravityEnv, InitialConditions, OracleConfig, Species, build_mzi, build_rbi_asymmetric,
+    build_rbi_double_loop, build_rbi_symmetric, oracle_report, proper_time_numeric,
+)
+
+species, env, ics = Species(1.443157e-25), GravityEnv(9.81), InitialConditions(0.4, -1.3)
+for seq in (
+    build_mzi(1.6e7, 0.1),
+    build_rbi_symmetric(1.6e7, 0.1, 0.05),
+    build_rbi_asymmetric(1.6e7, 0.1, 0.05),
+    build_rbi_double_loop(1.6e7, 0.1),
+):
+    oracle_report(seq, species, env, ics, OracleConfig(1e-6))
+    proper_time_numeric(seq, species, env, ics, OracleConfig(1e-6))
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for fmt in ("text", "json", "csv"):
+        codes.append(lpai.cli.main([
+            "oracle", "--geometry", "rbi-asym", "--k", "1.8e10", "--T", "0.325",
+            "--mass", "1.443157e-25", "--g", "9.81", "--format", fmt,
+            *(sys.argv[1:] or ["--sigma", "1e-6"]),
+        ]))
+assert codes == [0, 0, 0], codes
+print("numpy" in sys.modules)
+"""
+
+
 STAR = """
 import lpai
 from lpai import *
@@ -104,6 +137,23 @@ def test_a_long_beat_loads_numpy(tmp_path):
 
 def test_a_beat_one_pulse_shorter_does_not(tmp_path):
     assert not numpy_loaded(LONG, closed_file(tmp_path, _exactsum._ARRAY_MIN_PULSES - 1))
+
+
+def test_a_tophat_oracle_does_not_load_numpy():
+    assert run_fresh(ORACLE) == "False\n"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--sigma", "1e-6", "--steps", "100", "--shape", "cosine"],
+        # top-hat, but the exponent fit over three residuals above the floor
+        ["--sweep-sigma", "3.25e-4", "3.25e-5", "3.25e-6"],
+    ],
+    ids=["cosine", "sweep"],
+)
+def test_a_cosine_oracle_and_a_sweep_load_numpy(extra):
+    assert run_fresh(ORACLE, *extra) == "True\n"
 
 
 def test_every_public_name_resolves():

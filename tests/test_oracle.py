@@ -49,11 +49,15 @@ REST = InitialConditions()
 
 
 def march_branch(seq, branch, species, env, ics, cfg):
-    """One impulse-checked branch on the oracle's grid: node times, positions, velocities."""
+    """One impulse-checked branch on the oracle's grid: node times, positions, velocities.
+
+    As float64 arrays for both shapes: a top-hat grid and its marches are
+    float lists, which np.asarray takes over bit for bit.
+    """
     grid = oracle._quadrature_grid(seq, cfg)
     ks = [p.k_upper if branch == 1 else p.k_lower for p in seq.pulses]
     z, v = oracle._march(grid, ks, species.mass, env.g, ics.z0, ics.v0, "z_g", "v_g")
-    return grid.ts, z, v
+    return np.asarray(grid.ts), np.asarray(z), np.asarray(v)
 
 
 def window_velocity_jump(ts, v, t_pulse, sigma):
@@ -264,8 +268,8 @@ class TestWindowedGrid:
         later = PulseSequence(seq.pulses, duration=seq.times[-1] + cfg.pulse_width + tail)
         windows, n = len(seq.pulses), (steps + steps % 2 if shape == "cosine" else 2)
         nodes = windows * n + 2 * (windows - 1) + 1  # the first pulse is at t = 0
-        assert oracle._quadrature_grid(seq, cfg).ts.size == nodes
-        assert oracle._quadrature_grid(later, cfg).ts.size == nodes + 2
+        assert len(oracle._quadrature_grid(seq, cfg).ts) == nodes
+        assert len(oracle._quadrature_grid(later, cfg).ts) == nodes + 2
         for s in (seq, later):
             new = oracle_report(s, SR, env, ics, cfg).residual_vs_closed_form
             uniform = ref_oracle_report(s, SR, env, ics, cfg, uniform=True)
@@ -304,7 +308,7 @@ class TestWindowedGrid:
             assert "below the time resolution" in str(refused)
             assert ulps is not None and ulps <= 16 * oracle._window_steps(cfg) + 2
             return
-        ts = grid.ts.tolist()
+        ts = np.asarray(grid.ts).tolist()
         assert all(a < b for a, b in zip(ts[:-1], ts[1:]))
         assert len(grid.windows) == len(seq.times)
         for (i0, i1), t in zip(grid.windows, seq.times):
@@ -320,12 +324,12 @@ class TestWindowedGrid:
         cfg = OracleConfig(1e-5, 100, shape)
         end = pulses[-1].t + cfg.pulse_width
         seq = PulseSequence(pulses, duration=math.nextafter(end, math.inf))
-        ts = oracle._quadrature_grid(seq, cfg).ts.tolist()
+        ts = np.asarray(oracle._quadrature_grid(seq, cfg).ts).tolist()
         assert all(a < b for a, b in zip(ts[:-1], ts[1:]))
         assert (ts[0], ts[-1]) == (5e-324, end)
         # a free flight a float splits keeps its two steps
         seq = PulseSequence(pulses, duration=math.nextafter(end, math.inf) + 1e-9)
-        ts = oracle._quadrature_grid(seq, cfg).ts.tolist()
+        ts = np.asarray(oracle._quadrature_grid(seq, cfg).ts).tolist()
         assert ts[-3:] == [end, end + (seq.duration - end) / 2, seq.duration]
 
 
@@ -440,8 +444,8 @@ class TestImpulseInvariant:
         spacing = min(b - a for a, b in zip(seq.times[:-1], seq.times[1:]))
         grid = oracle._quadrature_grid(seq, OracleConfig(spacing / 50.0, steps, shape))
         k1, k2 = [p.k_upper for p in seq.pulses], [p.k_lower for p in seq.pulses]
-        v1 = oracle._march(grid, k1, SR.mass, g, None, v0, "z_g", "v_g")[1].copy()
-        v2 = oracle._march(grid, k2, SR.mass, g, None, v0, "z_g", "v_g")[1].copy()
+        v1 = np.array(oracle._march(grid, k1, SR.mass, g, None, v0, "z_g", "v_g")[1])
+        v2 = np.array(oracle._march(grid, k2, SR.mass, g, None, v0, "z_g", "v_g")[1])
         k_sum = [a + b for a, b in zip(k1, k2)]
         _, v_sum = oracle._march(
             grid, k_sum, SR.mass, 2.0 * g, None, 2.0 * v0, "z_g", "v_sum", scale_ks=k1 + k2
@@ -452,8 +456,8 @@ class TestImpulseInvariant:
         # eps relative; 4 N eps V covers all of it
         kicks = sum(constants.HBAR * (abs(a) + abs(b)) / SR.mass for a, b in zip(k1, k2))
         V = 2.0 * abs(v0) + 2.0 * g * (grid.ts[-1] - grid.ts[0]) + kicks
-        bound = 4.0 * grid.h.size * np.finfo(float).eps * V
-        assert np.abs(v_sum - (v1 + v2)).max() <= bound
+        bound = 4.0 * len(grid.h) * np.finfo(float).eps * V
+        assert np.abs(np.asarray(v_sum) - (v1 + v2)).max() <= bound
 
     def test_free_fall_matches_the_closed_form(self):
         seq = PulseSequence((), duration=2.0)
@@ -557,11 +561,13 @@ class TestProperTimeNumeric:
         # pair widths 6, so each term is f0 + 4 f1 + f2: 1.5e308 each, whose
         # sum fsum refuses with OverflowError, or +inf in the first pair and
         # -inf in the last, which it refuses with ValueError; below and above
-        # the term count from which array_fsum takes its array path
+        # the term count from which array_fsum takes its array path, and on
+        # the float lists of a top-hat grid
         ts = np.arange(2 * pairs + 1) * 3.0
         f = np.full(ts.size, fill)
         f[1], f[-2] = first, last
         assert math.isnan(oracle._simpson(f, ts, np.empty(ts.size - 1)))
+        assert math.isnan(oracle._simpson(f.tolist(), ts.tolist()))
 
     @pytest.mark.parametrize("shape", ["tophat", "cosine"])
     @pytest.mark.parametrize("seed", range(3))
@@ -860,6 +866,37 @@ class TestKernels:
         got = march_rk4(h, u, p, kicks, g, z0, v0)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        edges=st.lists(st.integers(0, 40), unique=True, max_size=6).map(sorted),
+        positions=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float_lists_march_as_the_arrays_and_the_loop(self, seed, n, edges, positions):
+        # a top-hat grid marches float lists: it must give the array branch's
+        # bits, and the loop's; up to three disjoint kicked windows (none
+        # included) between free steps, with and without positions
+        rng = np.random.default_rng(seed)
+        h = 10.0 ** rng.uniform(-9.0, 1.0, n)
+        u, p = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, 1e3, n)
+        edges = [e for e in edges if e <= n]
+        kicks = [
+            (i0, i1, float(rng.uniform(-1e6, 1e6))) for i0, i1 in zip(edges[::2], edges[1::2])
+        ]
+        g, v0, z0 = (float(x) for x in rng.uniform(-20.0, 20.0, 3) * [1.0, 50.0, 50.0])
+        z0 = z0 if positions else None
+        z, v = _kernels.march_rk4(h.tolist(), u.tolist(), p.tolist(), kicks, g, z0, v0)
+        assert type(v) is list and len(v) == n + 1
+        z_np, v_np = march_rk4(h, u, p, kicks, g, z0, v0)
+        z_loop, v_loop = march_rk4_loop(h, u, p, kicks, g, 0.0 if z0 is None else z0, v0)
+        assert np.array(v).tobytes() == v_np.tobytes() == v_loop.tobytes()
+        if z0 is None:
+            assert z is None and z_np is None
+        else:
+            assert type(z) is list
+            assert np.array(z).tobytes() == z_np.tobytes() == z_loop.tobytes()
+
 
 class TestMarchedWork:
     def test_proper_time_branch_marches_form_no_positions(self, monkeypatch):
@@ -973,12 +1010,12 @@ def _arena_case(shape, steps=2000, seed=5):
     return seq, GravityEnv(9.81), InitialConditions(0.4, -1.3), OracleConfig(spacing / 50.0, steps, shape)
 
 
-@pytest.mark.parametrize("shape", ["tophat", "cosine"])
 class TestOracleArena:
-    """Grid-sized arrays live in one per-thread arena, or fresh above _SCRATCH_MAX."""
+    """A cosine call's grid-sized arrays live in one per-thread arena, or fresh above
+    _SCRATCH_MAX; a top-hat call's grid is float lists and leaves the arena alone."""
 
-    def test_a_second_report_allocates_nothing_grid_sized(self, shape, monkeypatch):
-        seq, env, ics, cfg = _arena_case(shape)
+    def test_a_second_report_allocates_nothing_grid_sized(self, monkeypatch):
+        seq, env, ics, cfg = _arena_case("cosine")
         monkeypatch.setattr(_exactsum._scratch, "buffers", {})  # no arena from earlier tests
         nodes = oracle._quadrature_grid(seq, cfg).ts.size
         assert len(oracle._ROLES) * nodes <= _exactsum._SCRATCH_MAX
@@ -994,13 +1031,28 @@ class TestOracleArena:
         assert kept.size == len(oracle._ROLES) * nodes  # exactly its slots, no spare tail
         grid = oracle._quadrature_grid(seq, cfg)
         assert all(np.shares_memory(a, kept) for a in (grid.ts, grid.h, grid.u, grid.p))
-        # a top-hat grid, at most 4 * pulses + 3 nodes, holds fewer bytes than
-        # the report's per-pulse Python objects: the peak tells only cosine apart
-        if shape == "cosine":
-            assert peak < nodes * 8
+        assert peak < nodes * 8
 
-    def test_a_grid_above_the_arena_bound_gets_fresh_arrays(self, shape, monkeypatch):
-        seq, env, ics, cfg = _arena_case(shape, steps=100)
+    def test_a_tophat_report_leaves_the_arena_untouched(self, monkeypatch):
+        seq, env, ics, cfg = _arena_case("tophat")
+        grid = oracle._quadrature_grid(seq, cfg)
+        assert grid.arena is None
+        assert all(type(a) is list for a in (grid.ts, grid.h, grid.u, grid.p))
+        monkeypatch.setattr(_exactsum._scratch, "buffers", {})  # no arena from earlier tests
+        oracle_report(seq, SR, env, ics, cfg)
+        proper_time_numeric(seq, SR, env, ics, cfg)
+        assert "oracle" not in _exactsum._scratch.buffers
+        # an arena a cosine call left keeps its bytes
+        cosine, *rest = _arena_case("cosine")
+        oracle_report(cosine, SR, *rest)
+        kept = _exactsum._scratch.buffers["oracle"]
+        before = kept.tobytes()
+        oracle_report(seq, SR, env, ics, cfg)
+        assert _exactsum._scratch.buffers["oracle"] is kept
+        assert kept.tobytes() == before
+
+    def test_a_grid_above_the_arena_bound_gets_fresh_arrays(self, monkeypatch):
+        seq, env, ics, cfg = _arena_case("cosine", steps=100)
         oracle_report(seq, SR, env, ics, cfg)
         kept = _exactsum._scratch.buffers["oracle"]
         nodes = oracle._quadrature_grid(seq, cfg).ts.size
@@ -1014,6 +1066,7 @@ class TestOracleArena:
         assert {k: _hex(v) for k, v in report.items()} == {k: _hex(v) for k, v in ref.items()}
         assert _exactsum._scratch.buffers["oracle"] is kept
 
+    @pytest.mark.parametrize("shape", ["tophat", "cosine"])
     def test_threads_reporting_at_once_get_their_single_thread_bits(self, shape):
         cases = [_arena_case(shape, steps=400, seed=seed) for seed in range(20, 24)]
         want = [_hex(list(asdict(oracle_report(seq, SR, *rest)).values())) for seq, *rest in cases]
@@ -1099,7 +1152,7 @@ class TestFrozenPipeline:
         run = ref_run(seq, SR, env, ics, cfg)
         grid = oracle._quadrature_grid(seq, cfg)
         z_g, _ = oracle._march(grid, (), SR.mass, env.g, ics.z0, ics.v0, "z_g", "v_g")
-        assert z_g.tobytes() == run["zg"].tobytes()
+        assert np.asarray(z_g).tobytes() == run["zg"].tobytes()
         factors, averages = oracle._window_terms(grid, [p.delta_k for p in seq.pulses], z_g)
         terms = [k * average for k, average in zip(factors, averages)]
         assert _hex(terms) == _hex(ref_gravito_terms(seq, run, cfg.pulse_shape))

@@ -62,39 +62,46 @@ STUDY_WIDTHS = (4e-4, 2e-4, 1e-4, 5e-5)
 
 
 # each entry is called through lpai.oracle, whose binding the recorder wraps
-def run_report(seq, species, env, ics):
-    oracle.oracle_report(seq, species, env, ics, OracleConfig(1e-6, 100, "cosine"))
+def run_report(seq, species, env, ics, shape):
+    oracle.oracle_report(seq, species, env, ics, OracleConfig(1e-6, 100, shape))
 
 
-def run_study(seq, species, env, ics):
+def run_study(seq, species, env, ics, shape):
     oracle.convergence_study(
-        seq, species, env, ics, STUDY_WIDTHS, steps_per_segment=100, pulse_shape="cosine"
+        seq, species, env, ics, STUDY_WIDTHS, steps_per_segment=100, pulse_shape=shape
     )
 
 
+# a cosine grid is arrays and a top-hat grid float lists: the recorder sees both
 @pytest.mark.parametrize(
-    "run, entry, widths, marches",
+    "run, entry, widths, marches, shape",
     [
         # the branch sum, the branch-difference system and the pulse-free launch
-        pytest.param(run_report, "oracle.oracle_report", (1e-6,), 3, id="report"),
+        pytest.param(run_report, "oracle.oracle_report", (1e-6,), 3, "cosine", id="report"),
         # per width the branch sum and the branch difference; no oracle_report
-        pytest.param(run_study, "oracle.convergence_study", STUDY_WIDTHS, 2, id="study"),
+        pytest.param(run_study, "oracle.convergence_study", STUDY_WIDTHS, 2, "cosine", id="study"),
+        pytest.param(
+            run_report, "oracle.oracle_report", (1e-6,), 3, "tophat", id="report-tophat"
+        ),
+        pytest.param(
+            run_study, "oracle.convergence_study", STUDY_WIDTHS, 2, "tophat", id="study-tophat"
+        ),
     ],
 )
-def test_every_oracle_march_goes_through_march_rk4(run, entry, widths, marches):
+def test_every_oracle_march_goes_through_march_rk4(run, entry, widths, marches, shape):
     spans = load_spans()
     seq = build_rbi_double_loop(1e7, 0.1)
     recorder = spans.Recorder()
     restore = spans.install(recorder)
     try:
-        run(seq, Species(1.443157e-25), GravityEnv(9.81), InitialConditions(0.1))
+        run(seq, Species(1.443157e-25), GravityEnv(9.81), InitialConditions(0.1), shape)
     finally:
         restore()
     counts = {name: calls for name, (calls, _) in spans.self_times(recorder.spans).items()}
     assert counts[entry] == 1
     assert counts.get("oracle.oracle_report", 0) == (entry == "oracle.oracle_report")
     assert counts["kernels.march_rk4"] == marches * len(widths)
-    nodes = [oracle._quadrature_grid(seq, OracleConfig(w, 100, "cosine")).ts.size for w in widths]
+    nodes = [len(oracle._quadrature_grid(seq, OracleConfig(w, 100, shape)).ts) for w in widths]
     assert recorder.nodes == marches * sum(nodes)
 
 
