@@ -66,8 +66,8 @@ from .clock import (
 )
 
 # The oracle loads on the first use of one of its names (PEP 562), so the
-# closed forms and the CLI start without it; numpy loads with its cosine
-# windows and sweep fits only, as a top-hat grid is Python floats.
+# closed forms and the CLI start without it; it marches Python floats and
+# loads no numpy.
 _ORACLE_NAMES = (
     "ConvergenceStudy",
     "OracleConfig",

@@ -20,13 +20,10 @@ unless a split or the product overflows or a*b of nonzero a and b falls
 below 2**-968 in magnitude; on float64 arrays it runs the same float
 operations elementwise.
 
-array_fsum returns math.fsum's value for large arrays in a few numpy passes
-of error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
-2008, parts I and II).  The array passes work in a float64 scratch that each
-thread keeps, one buffer per use (the oracle keeps its grid-sized arrays in
-one more): freshly allocated temporaries would be faulted in again on every
-call, and threads sharing a buffer would race, as numpy releases the GIL
-inside its loops.
+The array passes of a long table work in a float64 scratch that each
+thread keeps, one buffer per use: freshly allocated temporaries would be
+faulted in again on every call, and threads sharing a buffer would race, as
+numpy releases the GIL inside its loops.
 """
 
 from __future__ import annotations
@@ -87,62 +84,6 @@ def scratch(use: str, size: int) -> np.ndarray:
         return np.empty(size)
     buffer = _scratch.buffers[use] = np.empty(size)
     return buffer
-
-
-# Below this many terms math.fsum is faster than the extraction passes.  On
-# the pair terms of random closed sequences the two cross near 730 terms, 14
-# pulses (2-CPU x86-64 machine, numpy 2.4, best of 9 alternating rounds:
-# math.fsum 14.7/22.3/35.1/85.3 us, extraction 21.8/22.6/25.9/28.6 us at
-# 528/728/960/2024 terms), with or without the scratch.
-_FSUM_MAX_TERMS = 1024
-# Extraction passes before the remainder goes to math.fsum with the pass
-# totals.  The pair terms of 100 pulses settle after two or three; the cap
-# bounds the cost of sums that sit on a rounding tie down to their last bit.
-_MAX_PASSES = 8
-
-
-def array_fsum(x: np.ndarray) -> float:
-    """math.fsum(memoryview(x)) for a contiguous 1-D float64 array, bit for bit.
-
-    Each pass splits every term r into q = (sigma + r) - sigma and r - q,
-    with sigma = 2**(e + bits), max|r| < 2**e and 2**bits >= n + 2.  Both
-    parts are exact and the q lie on the spacing at sigma, so q.sum() is
-    exact; the remainders go to the next pass, and math.fsum of the pass
-    totals is math.fsum(x).  The next sigma also bounds the remainders' sum,
-    so once math.fsum rounds the totals plus and minus sigma alike, that
-    float is the result and the passes stop.  Short arrays, arrays with an
-    inf or a nan, all-zero arrays and arrays whose largest term reaches
-    2**(1021 - bits) go to math.fsum itself, with its exceptions, its
-    handling of special values and its sign of zero.
-    """
-    import numpy as np
-
-    n = x.size
-    if n < _FSUM_MAX_TERMS:
-        return math.fsum(memoryview(x))
-    bits = (n + 1).bit_length()
-    m = max(x.max(), -x.min())  # nan propagates through both
-    if not 0.0 < m < math.ldexp(1.0, 1021 - bits):
-        return math.fsum(memoryview(x))
-    totals: list[float] = []
-    work = scratch("array_fsum", 2 * n)
-    r, q = work[:n], work[n:]
-    np.copyto(r, x)  # the passes work in place
-    sigma = math.ldexp(1.0, math.frexp(m)[1] + bits)
-    for _ in range(_MAX_PASSES):
-        np.add(r, sigma, out=q)
-        q -= sigma
-        totals.append(float(q.sum()))
-        r -= q
-        m = max(r.max(), -r.min())
-        if m == 0.0:
-            return math.fsum(totals)
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + bits)
-        above = math.fsum([*totals, sigma])
-        if above == math.fsum([*totals, -sigma]):
-            return above
-    totals.extend(memoryview(r))
-    return math.fsum(totals)
 
 
 # --- exact integer sums over a pulse table -----------------------------------

@@ -23,10 +23,9 @@ records the resolved SI value.  Each run reads one set of flags, and its
 manifest records exactly that set.  The geometry decides the builder flags:
 mzi and rbi-double read --k and --T, rbi-sym and rbi-asym also --Tprime, a
 file:<path> none, and scan takes no file.  The mode then removes flags:
-`scan --vary X` X's flag, --sweep-sigma --sigma and --tol, --shape tophat
---steps (a top-hat window takes one Simpson pair), and --dump-dt is read
-only with --dump-trajectory.  A given flag outside the set, or a missing
-one that the set needs, exits 1 before anything is computed.
+`scan --vary X` X's flag, --sweep-sigma --sigma and --tol, and --dump-dt
+is read only with --dump-trajectory.  A given flag outside the set, or a
+missing one that the set needs, exits 1 before anything is computed.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ _BUILDERS = {
 # refused with its message here.  Every other flag is required or has a
 # default in argparse, or selects a mode by being given (--omega,
 # --sweep-sigma, --dump-trajectory).
-_DEFAULTS = {"Tprime": 0.0, "tol": 1e-6, "steps": 400}
+_DEFAULTS = {"Tprime": 0.0, "tol": 1e-6}
 _NEEDS = {
     "k": "geometry {geometry!r} needs --k or --k-in-km",
     "T": "geometry {geometry!r} needs --T",
@@ -171,10 +170,6 @@ def build_parser() -> _Parser:
     _add_geometry_flags(orc)
     _add_environment_flags(orc)
     orc.add_argument("--sigma", type=float, default=None, help="pulse width (s)")
-    orc.add_argument(
-        "--steps", type=int, default=None,
-        help="integration steps per pulse window, default 400 (cosine windows only)",
-    )
     orc.add_argument("--shape", choices=("tophat", "cosine"), default="tophat")
     orc.add_argument(
         "--tol", type=float, default=None,
@@ -217,8 +212,6 @@ def _read(args) -> dict:
         unread[args.vary] = f"with --vary {args.vary}"
     if "sweep_sigma" in values:
         unread.update(sigma="with --sweep-sigma", tol="with --sweep-sigma")
-    if getattr(args, "shape", None) == "tophat":  # a top-hat window takes one Simpson pair
-        unread["steps"] = "with --shape tophat"
     if getattr(args, "dump_trajectory", None) is None:
         unread["dump_dt"] = "without --dump-trajectory"
     for name in values:
@@ -425,12 +418,11 @@ def cmd_oracle(args, params: dict) -> tuple[int, dict]:
         raise _UsageError(f"--tol must be a non-negative number, got {params['tol']!r}")
     seq = _sequence(params)
     species, env, ics = _environment(params)
-    window = {"pulse_shape": params["shape"]}
-    if "steps" in params:  # read with cosine windows only
-        window["steps_per_segment"] = params["steps"]
 
     if "sweep_sigma" in params:
-        study = convergence_study(seq, species, env, ics, params["sweep_sigma"], **window)
+        study = convergence_study(
+            seq, species, env, ics, params["sweep_sigma"], pulse_shape=params["shape"]
+        )
         fit = study.fitted_exponent
         # nan (fewer than two residuals above the floor) is not JSON
         payload = {**asdict(study), "fitted_exponent": fit if math.isfinite(fit) else None}
@@ -440,11 +432,11 @@ def cmd_oracle(args, params: dict) -> tuple[int, dict]:
         table = list(_csv(["sigma", "rel_residual"], [*rows, fitted]))
         return 0, {"json": payload, "text": table, "csv": table}
 
-    cfg = OracleConfig(pulse_width=params["sigma"], **window)
+    cfg = OracleConfig(pulse_width=params["sigma"], pulse_shape=params["shape"])
     result = oracle_report(seq, species, env, ics, cfg)
     report = result.as_report()
-    # one column per float field of the report; steps, shape and the
-    # closure residual pair are in the manifest or not a single number
+    # one column per float field of the report; the shape and the closure
+    # residual pair are in the manifest or not a single number
     fields = {name: v for name, v in report.items() if isinstance(v, float)}
     payloads = {
         "json": {"oracle": report},

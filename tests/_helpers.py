@@ -142,21 +142,22 @@ def float_bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-# --- frozen oracle pipeline ---------------------------------------------------
+# --- RK4 reference pipeline ----------------------------------------------------
 #
-# The finite-width oracle written out again in plain numpy, apart from
-# lpai.oracle: every march of the velocity increments -g*h plus amp*u on its
-# kicked windows and the position increments h**2*(-g/2), plus amp*p, plus
-# h*v, each march on fresh arrays, numpy scalars into fsum.  Its grid follows
-# the oracle's layout rule, written out again in _ref_grid and
-# _ref_window_steps: a top-hat window and every free segment take one Simpson
-# pair, a cosine window steps_per_segment rounded up to even, each segment
-# through np.linspace.  A cosine window evaluates its profile at the window
-# fractions j/n of its nodes and (j + 1/2)/n of its step midpoints, window by
-# window (_ref_cosine), and scales its kick by the sum of its u and its average
-# by the profile's Simpson integral on the grid.  The proper time reads the
-# march of the branch sum and integrates up to the last window's end node.  The
-# tests hold lpai.oracle to these values bit for bit.
+# The finite-width oracle integrated numerically, in plain numpy and apart
+# from lpai.oracle, which integrates every segment in closed form: every march
+# of the velocity increments -g*h plus amp*u on its kicked windows and the
+# position increments h**2*(-g/2), plus amp*p, plus h*v, each march on fresh
+# arrays, numpy scalars into fsum.  A top-hat window and every free segment
+# take one Simpson pair, a cosine window steps_per_segment rounded up to even,
+# each segment through np.linspace.  A cosine window evaluates its profile at
+# the window fractions j/n of its nodes and (j + 1/2)/n of its step midpoints,
+# window by window (_ref_cosine), forms RK4's step weights from them, and
+# scales its kick by the sum of its u and its average by the profile's Simpson
+# integral on the grid.  The proper time reads the march of the branch sum and
+# integrates up to the last window's end node.  The tests hold lpai.oracle to
+# these values within bounds: RK4 and Simpson are exact on top-hat windows and
+# fourth order in the steps of cosine ones.
 
 
 def _ref_window_steps(cfg) -> int:
@@ -331,7 +332,6 @@ def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg, uniform: bool 
     denom = max(abs(dtau_closed), vr * vr * _ref_time_span(seq))
     return {
         "sigma": cfg.pulse_width,
-        "steps_per_segment": _ref_window_steps(cfg),
         "pulse_shape": cfg.pulse_shape,
         "delta_tau_numeric": dtau_num,
         "delta_tau_closed": dtau_closed,
@@ -342,3 +342,17 @@ def ref_oracle_report(seq: PulseSequence, species, env, ics, cfg, uniform: bool 
         "total_phase_numeric": omega_c * dtau_num + gravito_num + _ref_laser(seq),
         "closure_residuals": (float(run["dz"][-1]), float(run["dv"][-1])),
     }
+
+
+# --- the finite-width shift ---------------------------------------------------
+
+# kappa of each window shape: delta_tau_numeric - delta_tau_closed = kappa*sigma*Q
+# on a closed sequence (Bertoldi, Minardi & Prevedelli, PRA 99, 033619, 2019)
+KAPPA = {"tophat": 1.0 / 12.0, "cosine": (1.0 - 15.0 / (4.0 * math.pi**2)) / 12.0}
+
+
+def finite_width_shift(seq: PulseSequence, mass: float, sigma: float, shape: str) -> float:
+    """kappa*sigma*Q, Q = hbar**2 * sum(k_upper**2 - k_lower**2) / (m*c)**2, from Fractions."""
+    q = sum(Fraction(p.k_upper) ** 2 - Fraction(p.k_lower) ** 2 for p in seq.pulses)
+    hbar, mc = Fraction(constants.HBAR), Fraction(mass) * Fraction(constants.C)
+    return float(Fraction(KAPPA[shape]) * Fraction(sigma) * hbar * hbar * q / (mc * mc))

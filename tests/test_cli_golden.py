@@ -8,7 +8,11 @@ regenerated since, at rounding level, four times: when free flight took one
 Simpson pair, when a call formed one raised-cosine profile, when top-hat
 windows took one Simpson pair, and when the marches read step weights formed
 once per grid, the proper time marched the branch sum and its Simpson sum
-ended at the last window.  Cases run with tests/golden as the working
+ended at the last window.  They were regenerated once more when every
+segment was integrated in closed form: top-hat outputs moved at rounding
+level, cosine ones by the RK4 and Simpson error of 100 steps, the report
+lost its steps and the fitted exponent its numpy fit.  Cases run with
+tests/golden as the working
 directory, which keeps the `file:` paths in the manifests fixed.  Regenerate
 the file only for a change that is meant to alter these outputs, and say so
 in CHANGES.md.
@@ -32,8 +36,7 @@ PHASES_FILE = ("--geometry", "file:laser-phases.geom")
 OPEN_FILE = ("--geometry", "file:open.geom")
 ORACLE_MZI = ("oracle", "--geometry", "mzi", "--k", "1e7", "--T", "0.1", *SR, *GRAVITY,
               "--sigma", "1e-6")
-ORACLE_RBI = ("oracle", *RBI_SYM, *SR, "--g", "9.81", "--sigma", "3e-7", "--steps", "100",
-              "--shape", "cosine")
+ORACLE_RBI = ("oracle", *RBI_SYM, *SR, "--g", "9.81", "--sigma", "3e-7", "--shape", "cosine")
 SWEEP_FITTED = ("oracle", "--geometry", "rbi-asym", "--k", "1.8e10", "--T", "0.325", *SR,
                 "--g", "9.81", "--sweep-sigma", "3.25e-4", "3.25e-5", "3.25e-6")
 # every residual of this sweep sits below the 1e-12 floor, so no exponent is fitted

@@ -1,6 +1,7 @@
-"""The exact pulse-table sums against Fractions, and array sums against math.fsum."""
+"""The exact pulse-table sums and fsum_or_exact against Fractions, and the per-thread scratch."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpai import NonFiniteResultError, Pulse, PulseSequence, _exactsum
-from lpai._exactsum import PulseTable, array_fsum
+from lpai._exactsum import PulseTable
 
 from _helpers import (
     float_bits,
@@ -134,110 +135,26 @@ def test_non_finite_fields_are_refused(bad, min_pulses, monkeypatch):
             PulseTable(seq.pulses)
 
 
-# --- array_fsum against math.fsum -------------------------------------------
-
-THRESHOLD = _exactsum._FSUM_MAX_TERMS
-
-
-def fsum_outcome(f, x):
-    """The float's hex, or the exception's type and message."""
-    try:
-        return float.hex(f(x))
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
-
-
-def spread(rng, n, lo=-330.0, hi=308.0):
-    return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(lo, hi, size=n)
-
-
-def subnormals(rng, n):
-    x = rng.integers(-(2**20), 2**20, size=n) * 2.0**-1074
-    x[rng.random(n) < 0.1] = spread(rng, 1, -310.0, -300.0)[0]
-    return x
-
-
-def signed_zeros(rng, n):
-    x = rng.choice([0.0, -0.0], size=n)
-    if n and rng.random() < 0.3:
-        x[:] = -0.0
-    return x
-
-
-def cancellation(rng, n):
-    """Pairs v, -v in random order, plus at most one small leftover."""
-    y = spread(rng, n // 2, -20.0, 20.0)
-    x = np.concatenate((y, -y, spread(rng, n % 2, -330.0, -300.0)))
-    return rng.permutation(x)
-
-
-def ties(rng, n):
-    """An odd or even significand plus exactly half an ulp in pieces, with or
-    without a tie-breaker, padded with cancelling pairs."""
-    big = (1.0 + rng.choice([0.0, 2.0**-52])) * 2.0 ** int(rng.integers(-900, 900))
-    pieces = 2 ** int(rng.integers(0, 6))
-    half_ulp = np.spacing(big) / 2.0
-    tail = [rng.choice([-1.0, 1.0]) * half_ulp / pieces] * pieces
-    breaker = [float(rng.choice([-1.0, 1.0])) * half_ulp * 2.0 ** -int(rng.integers(1, 60))]
-    head = np.array([big, *tail, *breaker[: int(rng.integers(0, 2))]])
-    pad = cancellation(rng, max(n - head.size, 0) // 2 * 2) * half_ulp
-    return rng.permutation(np.concatenate((head, pad)))
-
-
-def specials(rng, n):
-    x = spread(rng, n, -10.0, 10.0)
-    for value in rng.choice([np.inf, -np.inf, np.nan], size=int(rng.integers(1, 4))):
-        x[rng.integers(0, n)] = value
-    return x
-
-
-def near_overflow(rng, n):
-    return rng.choice([-1.0, 1.0], size=n) * 2.0 ** rng.uniform(1000.0, 1024.0, size=n)
-
-
-KINDS = {
-    "spread": spread,
-    "subnormals": subnormals,
-    "signed zeros": signed_zeros,
-    "cancellation": cancellation,
-    "ties": ties,
-    "specials": specials,
-    "near overflow": near_overflow,
-}
-
-
-@st.composite
-def term_arrays(draw):
-    n = draw(st.sampled_from([1, 2, 64, THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, 3 * THRESHOLD + 7]))
-    kind = draw(st.sampled_from(sorted(KINDS)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return np.ascontiguousarray(KINDS[kind](rng, n), dtype=float)
-
-
-@given(x=term_arrays())
-@settings(max_examples=300, deadline=None)
-def test_array_fsum_is_math_fsum_bit_for_bit(x):
-    assert fsum_outcome(array_fsum, x) == fsum_outcome(lambda y: math.fsum(memoryview(y)), x)
+# --- fsum_or_exact: fsum, or the exact sum where fsum fails ---------------------
 
 
 def near_tie(rng, n, *, sign, odd, breaker, exponent=0, depth=150):
     """sign * 2**exponent, with an odd or even significand, plus half an ulp
     away from zero in pieces, the tie broken by breaker * 2**-depth half-ulps
     (no breaker when it is 0), padded to n terms with cancelling pairs between
-    2**-depth and 1 half-ulps.
+    2**-depth and 1 half-ulps, as a list of floats in random order.
 
-    The sum sits so close to a rounding tie that the passes cannot stop
-    before their remainder falls below the breaker, about 40 bits deeper per
-    pass, and the pairs leave a remainder at every depth on the way.
+    The sum sits so close to a rounding tie that only a sum that is exact to
+    below the breaker rounds it right.
     """
     big = sign * (1.0 + (2.0**-52 if odd else 0.0)) * 2.0**exponent
-    half_ulp = sign * np.spacing(abs(big)) / 2.0
+    half_ulp = sign * math.ulp(big) / 2.0
     head = [big, *[half_ulp / 4.0] * 4]
     if breaker:
         head.append(breaker * half_ulp * 2.0**-depth)
     rest = n - len(head)
     pairs = abs(half_ulp) * 2.0 ** -rng.uniform(0.0, depth, size=rest // 2)
-    return rng.permutation(np.concatenate((head, pairs, -pairs, np.zeros(rest % 2))))
+    return rng.permutation(np.concatenate((head, pairs, -pairs, np.zeros(rest % 2)))).tolist()
 
 
 @pytest.mark.parametrize("breaker", [1.0, -1.0, 0.0])
@@ -245,39 +162,34 @@ def near_tie(rng, n, *, sign, odd, breaker, exponent=0, depth=150):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("exponent", [-700, 0, 900])
 def test_sums_on_a_rounding_tie_are_fsums(sign, odd, breaker, exponent):
+    # the fsum and the exact sum (terms None) both round the rational sum once,
+    # ties to even
     rng = np.random.default_rng(exponent + 1000)
-    for n in (THRESHOLD, 2 * THRESHOLD + 1):
+    for n in (64, 2049):
         x = near_tie(rng, n, sign=sign, odd=odd, breaker=breaker, exponent=exponent)
-        assert x.size == n
-        assert float.hex(array_fsum(x)) == float.hex(math.fsum(memoryview(x)))
-
-
-@pytest.mark.parametrize("passes", [1, 2, _exactsum._MAX_PASSES])
-def test_the_pass_cap_hands_the_exact_remainder_to_fsum(monkeypatch, passes):
-    monkeypatch.setattr(_exactsum, "_MAX_PASSES", passes)
-    rng = np.random.default_rng(passes)
-    # spread arrays settle after two passes; the near-tie ones need about
-    # six (depth 150) or twelve (depth 400), so they reach every cap
-    arrays = [spread(rng, 2 * THRESHOLD, -300.0, 290.0) for _ in range(20)]
-    for depth in (150, 400):
-        for sign, odd, breaker in ((1.0, False, 1.0), (-1.0, True, -1.0), (1.0, True, 1.0)):
-            arrays.append(
-                near_tie(rng, 2 * THRESHOLD, sign=sign, odd=odd, breaker=breaker, depth=depth)
-            )
-    for x in arrays:
-        assert float.hex(array_fsum(x)) == float.hex(math.fsum(memoryview(x)))
+        assert len(x) == n
+        by_fsum = _exactsum.fsum_or_exact(x, lambda: pytest.fail("summed exactly"), "tie", "1")
+        by_exact = _exactsum.fsum_or_exact(None, lambda: (x, [1.0] * n), "tie", "1")
+        exact = rounded(sum(map(Fraction, x), Fraction(0)))
+        assert float_bits(by_fsum) == float_bits(by_exact) == exact
 
 
 @pytest.mark.parametrize(
-    "x, error",
+    "terms, message",
     [
-        ([np.inf, -np.inf], (ValueError, "-inf + inf in fsum")),
-        ([1e308, 1e308], (OverflowError, "intermediate overflow in fsum")),
+        ([1e308, 1e308, -1e308], None),  # fsum's partial sums overflow, the sum does not
+        ([1e308, 1e308], "tie overflows: its magnitude is at least 2\\*\\*1024 1"),
+        ([math.inf, -math.inf], "tie has a factor that is not finite"),
     ],
+    ids=["intermediate", "overflow", "inf-inf"],
 )
-def test_errors_above_the_threshold_are_fsums(x, error):
-    terms = np.concatenate((np.array(x), np.ones(THRESHOLD)))
-    assert fsum_outcome(array_fsum, terms) == error
+def test_a_sum_that_fsum_refuses_is_summed_exactly(terms, message):
+    factors = lambda: (terms, [1.0] * len(terms))  # noqa: E731
+    if message is None:
+        assert _exactsum.fsum_or_exact(terms, factors, "tie", "1") == 1e308
+    else:
+        with pytest.raises(NonFiniteResultError, match=message):
+            _exactsum.fsum_or_exact(terms, factors, "tie", "1")
 
 
 # --- the per-thread scratch ---------------------------------------------------

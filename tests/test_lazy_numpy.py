@@ -1,11 +1,11 @@
-"""Short-sequence closed forms, the simulate/check/scan commands and the top-hat
-oracle run without numpy.
+"""Short-sequence closed forms, the simulate/check/scan commands and the oracle
+run without numpy.
 
-numpy is imported by the array paths only: long sequences, dumps, cosine
-oracle windows and a sweep's exponent fit.  A scan of a builder geometry
-spaces its grid in plain floats, as np.linspace would, and runs short
-sequences only; a top-hat oracle grid, at most 4 * pulses + 3 nodes, is
-marched and integrated in plain floats.  Each check runs in a fresh
+numpy is imported by the array paths only: long sequences and dumps.  A scan
+of a builder geometry spaces its grid in plain floats, as np.linspace would,
+and runs short sequences only; the oracle marches and integrates one step
+per segment in plain floats, for both window shapes, and fits a sweep's
+exponent by a closed-form least-squares slope.  Each check runs in a fresh
 interpreter, since this test process has numpy loaded already.
 """
 
@@ -76,7 +76,8 @@ import contextlib, io, sys
 import lpai.cli
 from lpai import (
     GravityEnv, InitialConditions, OracleConfig, Species, build_mzi, build_rbi_asymmetric,
-    build_rbi_double_loop, build_rbi_symmetric, oracle_report, proper_time_numeric,
+    build_rbi_double_loop, build_rbi_symmetric, convergence_study, oracle_report,
+    proper_time_numeric,
 )
 
 species, env, ics = Species(1.443157e-25), GravityEnv(9.81), InitialConditions(0.4, -1.3)
@@ -86,8 +87,10 @@ for seq in (
     build_rbi_asymmetric(1.6e7, 0.1, 0.05),
     build_rbi_double_loop(1.6e7, 0.1),
 ):
-    oracle_report(seq, species, env, ics, OracleConfig(1e-6))
-    proper_time_numeric(seq, species, env, ics, OracleConfig(1e-6))
+    for shape in ("tophat", "cosine"):
+        oracle_report(seq, species, env, ics, OracleConfig(1e-6, pulse_shape=shape))
+        proper_time_numeric(seq, species, env, ics, OracleConfig(1e-6, pulse_shape=shape))
+        convergence_study(seq, species, env, ics, [1e-4, 1e-5], pulse_shape=shape)
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for fmt in ("text", "json", "csv"):
@@ -139,21 +142,19 @@ def test_a_beat_one_pulse_shorter_does_not(tmp_path):
     assert not numpy_loaded(LONG, closed_file(tmp_path, _exactsum._ARRAY_MIN_PULSES - 1))
 
 
-def test_a_tophat_oracle_does_not_load_numpy():
-    assert run_fresh(ORACLE) == "False\n"
-
-
 @pytest.mark.parametrize(
     "extra",
     [
-        ["--sigma", "1e-6", "--steps", "100", "--shape", "cosine"],
-        # top-hat, but the exponent fit over three residuals above the floor
+        [],
+        ["--sigma", "1e-6", "--shape", "cosine"],
+        # the exponent fit over three residuals above the floor
         ["--sweep-sigma", "3.25e-4", "3.25e-5", "3.25e-6"],
+        ["--sweep-sigma", "3.25e-4", "3.25e-5", "3.25e-6", "--shape", "cosine"],
     ],
-    ids=["cosine", "sweep"],
+    ids=["tophat", "cosine", "sweep", "cosine-sweep"],
 )
-def test_a_cosine_oracle_and_a_sweep_load_numpy(extra):
-    assert run_fresh(ORACLE, *extra) == "True\n"
+def test_no_oracle_entry_point_loads_numpy(extra):
+    assert run_fresh(ORACLE, *extra) == "False\n"
 
 
 def test_every_public_name_resolves():

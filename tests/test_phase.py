@@ -38,7 +38,7 @@ from lpai import (
     total_phase,
 )
 from lpai import _exactsum, phase
-from lpai._exactsum import PulseTable, array_fsum
+from lpai._exactsum import PulseTable
 
 from _helpers import float_bits, random_closed_sequence, recoil_sum_by_fractions, rounded
 
@@ -332,22 +332,20 @@ class TestRecoilSumScratch:
         assert peak < 100 * 99 * 8
 
     def test_threads_summing_at_once_get_their_single_thread_bits(self):
-        rng = np.random.default_rng(12)
         seqs = [
             random_closed_sequence(np.random.default_rng(seed), 100, k_scale=1e7, with_common_mode=True)
             for seed in range(40, 46)
         ]
-        arrays = [rng.standard_normal(40_000) * 10.0 ** rng.uniform(-8, 8, 40_000) for _ in seqs]
-        want = [(float.hex(recoil_double_sum(seq)), float.hex(array_fsum(x))) for seq, x in zip(seqs, arrays)]
+        want = [float.hex(recoil_double_sum(seq)) for seq in seqs]
         threads = 3 * len(seqs)  # more threads than cores, three per input
         start = threading.Barrier(threads)
-        got: list[list[tuple[str, str]]] = [[] for _ in range(threads)]
+        got: list[list[str]] = [[] for _ in range(threads)]
 
         def work(i: int) -> None:
-            seq, x = seqs[i % len(seqs)], arrays[i % len(seqs)]
+            seq = seqs[i % len(seqs)]
             start.wait(timeout=30)
             for _ in range(20):
-                got[i].append((float.hex(recoil_double_sum(seq)), float.hex(array_fsum(x))))
+                got[i].append(float.hex(recoil_double_sum(seq)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -13,7 +13,6 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from lpai import (
@@ -50,12 +49,12 @@ def test_march_rk4_takes_the_step_array_first():
     assert ("_kernels", "march_rk4") in spans.TRACED
     first = next(iter(inspect.signature(_kernels.march_rk4).parameters))
     assert first == "h"
-    h = np.full(7, 0.1)
-    args = (h, h, h * h / 2.0, [(2, 4, 3.0)], 9.81, 0.0, 1.0)
-    z, v = _kernels.march_rk4(*args, v=np.empty(8), work=np.empty(7), z=np.empty(8))
+    h = [0.1] * 7
+    args = (h, h, [0.005] * 7, [(2, 4, 3.0)], 9.81, 0.0, 1.0)
+    z, v = _kernels.march_rk4(*args)
     nodes, moved = spans.march_work(args)
-    assert nodes == z.size == v.size
-    assert moved == 8 * (4 * h.size + 2 * nodes)
+    assert nodes == len(z) == len(v)
+    assert moved == 8 * (4 * len(h) + 2 * nodes)
 
 
 STUDY_WIDTHS = (4e-4, 2e-4, 1e-4, 5e-5)
@@ -72,7 +71,7 @@ def run_study(seq, species, env, ics, shape):
     )
 
 
-# a cosine grid is arrays and a top-hat grid float lists: the recorder sees both
+# both shapes march one step per segment: the recorder sees both
 @pytest.mark.parametrize(
     "run, entry, widths, marches, shape",
     [
@@ -101,7 +100,7 @@ def test_every_oracle_march_goes_through_march_rk4(run, entry, widths, marches, 
     assert counts[entry] == 1
     assert counts.get("oracle.oracle_report", 0) == (entry == "oracle.oracle_report")
     assert counts["kernels.march_rk4"] == marches * len(widths)
-    nodes = [len(oracle._quadrature_grid(seq, OracleConfig(w, 100, shape)).ts) for w in widths]
+    nodes = [len(oracle._layout(seq, OracleConfig(w, 100, shape)).ts) for w in widths]
     assert recorder.nodes == marches * sum(nodes)
 
 
