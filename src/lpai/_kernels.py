@@ -1,20 +1,18 @@
-"""March of free fall plus pulse windows over precomputed step weights.
+"""March of free fall plus pulse windows, one exact step per segment.
 
-The acceleration is -g plus, on each pulse window, an amplitude amp times
-the window's profile P.  The acceleration does not depend on the state, so
-a step of width h from (z, v) ends at
+The acceleration is -g plus, on a kicked step, an amplitude amp times the
+window's profile P.  It does not depend on the state, so a step of width h
+from (z, v) ends at
 
-  v + integral(a) = v - g h + amp u
-  z + h v + double integral(a) = z + h v - g h^2/2 + amp p
+  v - g h + amp u,   z + h v - g h^2/2 + amp p
 
-with the step weights per unit amplitude u, the integral of P over the
-step, and p, the integral of that integral.  Classic RK4 reduces to this
-form, with u = (h/6) (PL + 4 PM + PR) and p = (h^2/6) (PL + 2 PM); the
-oracle, the one caller, takes one step per segment with the exact weights
-u = h and p = h^2/2, which hold for both of its window profiles, so every
-step ends on the exact state up to rounding.  The updates are running sums
-over Python floats; the velocity sum does not read the positions, so a
-caller that needs only v skips the second.
+with u the integral of P over the step and p the integral of that integral;
+classic RK4 reduces to this form.  The oracle, the one caller, takes one step
+per segment, a whole window or free flight, and both of its window profiles
+have mean 1, so u = h and p = h^2/2 exactly and every step ends on the exact
+state up to rounding.  The updates are running sums over Python floats; the
+velocity sum does not read the positions, so a caller that needs only v
+skips the second.
 """
 
 from __future__ import annotations
@@ -25,31 +23,26 @@ from typing import Sequence
 
 def march_rk4(
     h: list[float],
-    u: list[float],
-    p: list[float],
-    kicks: Sequence[tuple[int, int, float]],
+    kicks: Sequence[tuple[int, float]],
     g: float,
     z0: float | None,
     v0: float,
 ) -> tuple[list[float] | None, list[float]]:
     """The march as running sums; returns (z, v) on the n + 1 step edges.
 
-    h, u and p hold one element per step; kicks holds (i0, i1, amp) per
-    kicked window, and u and p are read on its steps i0 .. i1 - 1 only.
-    Each increment is formed in the order -g h, + amp u (and h^2 (-g/2),
-    + amp p, + h v), then summed up.  With z0 None no position is formed
-    and z is None.
+    h holds one width per step and kicks one (i, amp) per kicked step, whose
+    weights are u = h[i] and p = h[i] * h[i] * 0.5.  Each increment is
+    formed in the order -g h, + amp u (and h^2 (-g/2), + amp p, + h v), then
+    summed up.  With z0 None no position is formed and z is None.
     """
     dv = [step * -g for step in h]
-    for i0, i1, amp in kicks:
-        for i in range(i0, i1):
-            dv[i] += u[i] * amp
+    for i, amp in kicks:
+        dv[i] += h[i] * amp
     v = list(itertools.accumulate(dv, initial=v0))
     if z0 is None:
         return None, v
     dz = [step * step * (-0.5 * g) for step in h]
-    for i0, i1, amp in kicks:
-        for i in range(i0, i1):
-            dz[i] += p[i] * amp
+    for i, amp in kicks:
+        dz[i] += h[i] * h[i] * 0.5 * amp
     dz = [d + step * vi for d, step, vi in zip(dz, h, v)]
     return list(itertools.accumulate(dz, initial=z0)), v

@@ -317,10 +317,7 @@ def cmd_simulate(args, params: dict) -> tuple[int, dict]:
         payload["beat"] = asdict(beat(seq, ClockPair(params["mass"], params["omega"]), env, ics))
 
     if args.dump_trajectory is not None:
-        table = trajectory_table(seq, species, env, ics, params["dump_dt"])
-        # Rows become lists of floats a block at a time and each line is
-        # written as it is formed: the table is the only full copy held.
-        rows = (row for i in range(0, len(table), 4096) for row in table[i : i + 4096].tolist())
+        rows = trajectory_table(seq, species, env, ics, params["dump_dt"])
         lines = _csv(["t", "z1", "v1", "z2", "v2", "zg"], map(_csv_line, rows))
         _write(
             "simulate --dump-trajectory", params, "csv", args.stamp, {"csv": lines},

@@ -173,11 +173,10 @@ class ConvergenceStudy:
 
 @dataclass(frozen=True)
 class _Segments:
-    """A laid-out config: the breakpoints, and each segment's width and step weights."""
+    """A laid-out config: the breakpoints and each segment's width."""
 
     ts: list[float]
-    h: list[float]  # b - a, also the step weight u
-    p: list[float]  # h * h / 2
+    h: list[float]  # b - a
     windows: tuple[int, ...]  # the segment of each pulse's window [t, t + sigma]
 
 
@@ -206,7 +205,7 @@ def _layout(seq: PulseSequence, cfg: OracleConfig) -> _Segments:
     ts = sorted({min(0.0, lo), *edges, max(hi, seq.duration)})
     h = [b - a for a, b in zip(ts, ts[1:])]
     index = {t: i for i, t in enumerate(ts)}
-    return _Segments(ts, h, [w * w * 0.5 for w in h], tuple(index[t] for t in times))
+    return _Segments(ts, h, tuple(index[t] for t in times))
 
 
 def _kick_amplitude(k: float, mass: float, width: float) -> float:
@@ -228,8 +227,8 @@ def _march(seg: _Segments, ks: Sequence[float], mass: float, g: float, z0, v0: f
     for i, k in zip(seg.windows, ks):
         if k != 0.0:
             amps[i] = _kick_amplitude(k, mass, seg.h[i])
-            kicks.append((i, i + 1, amps[i]))
-    z, v = _kernels.march_rk4(seg.h, seg.h, seg.p, kicks, g, z0, v0)
+            kicks.append((i, amps[i]))
+    z, v = _kernels.march_rk4(seg.h, kicks, g, z0, v0)
     return z, v, amps
 
 

@@ -160,17 +160,19 @@ class TestSample:
 class TestTrajectoryTable:
     def test_columns_and_grid(self):
         seq = build_mzi(1e7, 0.4)
-        table = trajectory_table(seq, ATOM, GravityEnv(9.81), InitialConditions(1.0, 0.5), 0.1)
-        assert table.shape == (9, 6)
-        assert table[0, 0] == 0.0
-        assert table[-1, 0] == seq.duration
-        np.testing.assert_allclose(np.diff(table[:, 0]), 0.1, rtol=1e-12)
+        table = list(
+            trajectory_table(seq, ATOM, GravityEnv(9.81), InitialConditions(1.0, 0.5), 0.1)
+        )
+        assert np.shape(table) == (9, 6)
+        assert table[0][0] == 0.0
+        assert table[-1][0] == seq.duration
+        np.testing.assert_allclose(np.diff([row[0] for row in table]), 0.1, rtol=1e-12)
 
     def test_final_row_is_appended_when_dt_misses_the_end(self):
         seq = build_mzi(1e7, 0.4)  # duration 0.8
-        table = trajectory_table(seq, ATOM, FLAT, REST, 0.3)
-        assert table[-1, 0] == seq.duration
-        assert table[-2, 0] == pytest.approx(0.6)
+        table = list(trajectory_table(seq, ATOM, FLAT, REST, 0.3))
+        assert table[-1][0] == seq.duration
+        assert table[-2][0] == pytest.approx(0.6)
 
     def test_row_budget_is_checked_before_allocating(self):
         with pytest.raises(ValueError, match="rows"):
@@ -179,18 +181,17 @@ class TestTrajectoryTable:
     def test_row_budget_boundary(self, monkeypatch):
         seq = build_mzi(1e7, 0.4)  # 0.8 / 0.1 gives 9 rows
         monkeypatch.setattr(kinematics, "MAX_TRAJECTORY_ROWS", 9)
-        assert trajectory_table(seq, ATOM, FLAT, REST, 0.1).shape == (9, 6)
+        assert np.shape(list(trajectory_table(seq, ATOM, FLAT, REST, 0.1))) == (9, 6)
         monkeypatch.setattr(kinematics, "MAX_TRAJECTORY_ROWS", 8)
         with pytest.raises(ValueError, match="more than 8 rows"):
             trajectory_table(seq, ATOM, FLAT, REST, 0.1)
 
     @staticmethod
     def assert_rows_equal_sample(seq, env, ics, dt):
-        table = trajectory_table(seq, ATOM, env, ics, dt)
-        for row in table.tolist():
+        for row in trajectory_table(seq, ATOM, env, ics, dt):
             t = row[0]
-            assert row[1:3] == list(sample(seq, 1, ATOM, env, ics, t))
-            assert row[3:5] == list(sample(seq, 2, ATOM, env, ics, t))
+            assert row[1:3] == sample(seq, 1, ATOM, env, ics, t)
+            assert row[3:5] == sample(seq, 2, ATOM, env, ics, t)
 
     def test_rows_match_scalar_sampling(self):
         seq = build_rbi_double_loop(1e7, 0.25)
@@ -209,30 +210,32 @@ class TestTrajectoryTable:
 
     def test_pre_kick_convention_on_grid_points(self):
         k, T = 1e7, 0.2
-        table = trajectory_table(build_mzi(k, T), ATOM, FLAT, REST, T)
+        table = list(trajectory_table(build_mzi(k, T), ATOM, FLAT, REST, T))
         # rows at t = 0, T, 2T; the velocity column shows the pre-kick value
-        assert table[0, 2] == 0.0
-        assert table[1, 2] == recoil_velocity(k)
-        assert table[2, 2] == 0.0
+        assert table[0][2] == 0.0
+        assert table[1][2] == recoil_velocity(k)
+        assert table[2][2] == 0.0
 
     def test_launch_column_matches_the_closed_form(self):
         env = GravityEnv(3.7)
         ics = InitialConditions(0.3, 1.1)
-        table = trajectory_table(build_mzi(1e7, 0.4), ATOM, env, ics, 0.1)
-        zg, _ = gravity_trajectory(env, ics, table[:, 0])
-        np.testing.assert_array_equal(table[:, 5], zg)
+        table = list(trajectory_table(build_mzi(1e7, 0.4), ATOM, env, ics, 0.1))
+        zg = [gravity_trajectory(env, ics, row[0])[0] for row in table]
+        assert [row[5] for row in table] == zg
 
     def test_memory_does_not_grow_with_rows_times_pulses(self):
         seq = random_closed_sequence(np.random.default_rng(3), 100, k_scale=1e7)
         tracemalloc.start()
         try:
-            table = trajectory_table(seq, ATOM, FLAT, REST, seq.duration / 20000)
+            rows = sum(1 for _ in trajectory_table(seq, ATOM, FLAT, REST, seq.duration / 20000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one (rows, pulses) float temporary alone would be 16 MB, 17x the table
-        assert table.shape == (20001, 6)
-        assert peak < 4 * table.nbytes
+        # the rows are formed one at a time and none is held, so the peak (~20 KB,
+        # mostly the two segment tables) does not grow with their count; the
+        # 20,001 rows held as floats would be 960 KB
+        assert rows == 20001
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
     def test_bad_dt_is_rejected(self, dt):

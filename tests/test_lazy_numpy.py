@@ -1,10 +1,11 @@
-"""Short-sequence closed forms, the simulate/check/scan commands and the oracle
-run without numpy.
+"""Short-sequence closed forms, the simulate/check/scan commands, the oracle
+and the trajectories run without numpy.
 
-numpy is imported by the array paths only: long sequences and dumps.  A scan
-of a builder geometry spaces its grid in plain floats, as np.linspace would,
-and runs short sequences only; the oracle marches and integrates one step
-per segment in plain floats, for both window shapes, and fits a sweep's
+numpy is imported by the array paths only: the exact sums of long sequences.
+Trajectories, samples and dumps are formed in plain floats at any length.  A
+scan of a builder geometry spaces its grid in plain floats, as np.linspace
+would, and runs short sequences only; the oracle marches and integrates one
+step per segment in plain floats, for both window shapes, and fits a sweep's
 exponent by a closed-form least-squares slope.  Each check runs in a fresh
 interpreter, since this test process has numpy loaded already.
 """
@@ -104,6 +105,31 @@ print("numpy" in sys.modules)
 """
 
 
+TRAJECTORIES = """
+import contextlib, io, sys
+from pathlib import Path
+import lpai.cli
+from lpai import (
+    GravityEnv, InitialConditions, Species, kick_trajectory, parse_geometry, sample,
+    trajectory_table,
+)
+
+seq = parse_geometry(Path(sys.argv[1]).read_text(encoding="utf-8"))
+species, env, ics = Species(1.443157e-25), GravityEnv(9.81), InitialConditions(0.4, -1.3)
+kick_trajectory(seq, 1, species).position(seq.duration / 3)
+sample(seq, 2, species, env, ics, seq.duration / 2)
+assert len(list(trajectory_table(seq, species, env, ics, seq.duration / 999.5))) == 1001
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lpai.cli.main([
+        "simulate", "--geometry", "rbi-double", "--k", "1.6e7", "--T", "0.1",
+        "--mass", "1.443157e-25", "--g", "9.81", "--dump-trajectory", sys.argv[2],
+        "--dump-dt", "1e-4",
+    ])
+assert code == 0, code
+print("numpy" in sys.modules)
+"""
+
+
 STAR = """
 import lpai
 from lpai import *
@@ -155,6 +181,14 @@ def test_a_beat_one_pulse_shorter_does_not(tmp_path):
 )
 def test_no_oracle_entry_point_loads_numpy(extra):
     assert run_fresh(ORACLE, *extra) == "False\n"
+
+
+def test_trajectories_and_a_dump_do_not_load_numpy(tmp_path):
+    # a 100-pulse sequence's trajectories, then a CLI dump of a short one,
+    # whose phases do not need the array paths either
+    dump = tmp_path / "traj.csv"
+    assert run_fresh(TRAJECTORIES, str(closed_file(tmp_path, 100)), str(dump)) == "False\n"
+    assert len(dump.read_text(encoding="utf-8").splitlines()) > 4000
 
 
 def test_every_public_name_resolves():

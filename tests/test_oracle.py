@@ -333,13 +333,13 @@ class TestImpulseInvariant:
         e1, e2 = errors
         march = _kernels.march_rk4
 
-        def mis_scaled(h, u, p, kicks, g, z0, v0):
+        def mis_scaled(h, kicks, g, z0, v0):
             # the branch sum forms no positions; the difference starts at z = 0
             share = {None: e1 + e2, 0.0: e1 - e2}.get(z0, 0)
-            amps = {(i0, i1): amp for i0, i1, amp in kicks}
-            amps[i, i + 1] = amps.get((i, i + 1), 0.0) + share * extra
-            kicks = [(i0, i1, amp) for (i0, i1), amp in amps.items() if amp != 0.0]
-            return march(h, u, p, kicks, g, z0, v0)
+            amps = dict(kicks)
+            amps[i] = amps.get(i, 0.0) + share * extra
+            kicks = [(j, amp) for j, amp in amps.items() if amp != 0.0]
+            return march(h, kicks, g, z0, v0)
 
         monkeypatch.setattr(_kernels, "march_rk4", mis_scaled)
         gap = finite_width_gap(seq, env, ics, cfg)
@@ -764,9 +764,9 @@ class TestConvergence:
         calls = []
         march, recoil = _kernels.march_rk4, phase.recoil_double_sum
 
-        def recorded(h, u, p, kicks, g, z0, v0):
+        def recorded(h, kicks, g, z0, v0):
             calls.append(z0)
-            return march(h, u, p, kicks, g, z0, v0)
+            return march(h, kicks, g, z0, v0)
 
         def report(*args):
             raise AssertionError("a study ran oracle_report")
@@ -829,36 +829,32 @@ class TestTopHatWindows:
         assert report.residual_vs_closed_form * T / sigma == pytest.approx(coefficient, rel=1e-9)
 
 
+def march_loop(h, kicks, g, z0, v0):
+    """march_rk4_loop with the exact weights u = h and p = h*h*0.5 on each kicked step."""
+    h = np.asarray(h, dtype=float)
+    return march_rk4_loop(h, h, h * h * 0.5, [(i, i + 1, amp) for i, amp in kicks], g, z0, v0)
+
+
 class TestKernels:
     def rand_problem(self, n=5000, seed=2):
-        rng = np.random.default_rng(seed)
-        h = rng.uniform(1e-5, 1e-3, n).tolist()
-        u, p = rng.normal(size=n).tolist(), rng.normal(size=n).tolist()
-        # three windows of kicks, and free steps before, between and after them
-        kicks = [(100, 1100, 3.5), (2000, 2002, -40.0), (3000, 4900, 0.7)]
-        return (h, u, p, kicks, 9.81, 0.3, -1.7)
+        h = np.random.default_rng(seed).uniform(1e-5, 1e-3, n).tolist()
+        # three runs of kicked steps, and free steps before, between and after them
+        runs = [(100, 1100, 3.5), (2000, 2002, -40.0), (3000, 4900, 0.7)]
+        kicks = [(i, amp) for i0, i1, amp in runs for i in range(i0, i1)]
+        return (h, kicks, 9.81, 0.3, -1.7)
 
     def test_the_running_sums_are_the_loop_bit_for_bit(self):
-        h, u, p, kicks, g, z0, v0 = self.rand_problem()
-        z, v = _kernels.march_rk4(h, u, p, kicks, g, z0, v0)
-        z_loop, v_loop = march_rk4_loop(np.array(h), u, p, kicks, g, z0, v0)
+        h, kicks, g, z0, v0 = self.rand_problem()
+        z, v = _kernels.march_rk4(h, kicks, g, z0, v0)
+        z_loop, v_loop = march_loop(h, kicks, g, z0, v0)
         assert np.array(z).tobytes() == z_loop.tobytes()
         assert np.array(v).tobytes() == v_loop.tobytes()
 
     def test_without_a_start_position_only_velocities_are_formed(self):
-        h, u, p, kicks, g, z0, v0 = self.rand_problem()
-        z, v = _kernels.march_rk4(h, u, p, kicks, g, None, v0)
+        h, kicks, g, z0, v0 = self.rand_problem()
+        z, v = _kernels.march_rk4(h, kicks, g, None, v0)
         assert z is None
-        assert v == _kernels.march_rk4(h, u, p, kicks, g, z0, v0)[1]
-
-    def test_u_and_p_are_read_on_the_kicked_steps_only(self):
-        h, u, p, kicks, g, z0, v0 = self.rand_problem()
-        want = _kernels.march_rk4(h, u, p, kicks, g, z0, v0)
-        kicked = {i for i0, i1, _ in kicks for i in range(i0, i1)}
-        u = [x if i in kicked else math.nan for i, x in enumerate(u)]
-        p = [x if i in kicked else math.nan for i, x in enumerate(p)]
-        got = _kernels.march_rk4(h, u, p, kicks, g, z0, v0)
-        assert _hex(list(got)) == _hex(list(want))
+        assert v == _kernels.march_rk4(h, kicks, g, z0, v0)[1]
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -868,20 +864,22 @@ class TestKernels:
     )
     @settings(max_examples=200, deadline=None)
     def test_float_lists_march_as_the_loop(self, seed, n, edges, positions):
-        # up to three disjoint kicked windows (none included) between free
-        # steps, with and without positions
+        # up to three disjoint runs of kicked steps (none included) between
+        # free steps, with and without positions
         rng = np.random.default_rng(seed)
-        h = 10.0 ** rng.uniform(-9.0, 1.0, n)
-        u, p = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, 1e3, n)
+        h = (10.0 ** rng.uniform(-9.0, 1.0, n)).tolist()
         edges = [e for e in edges if e <= n]
         kicks = [
-            (i0, i1, float(rng.uniform(-1e6, 1e6))) for i0, i1 in zip(edges[::2], edges[1::2])
+            (i, amp)
+            for i0, i1 in zip(edges[::2], edges[1::2])
+            for amp in [float(rng.uniform(-1e6, 1e6))]
+            for i in range(i0, i1)
         ]
         g, v0, z0 = (float(x) for x in rng.uniform(-20.0, 20.0, 3) * [1.0, 50.0, 50.0])
         z0 = z0 if positions else None
-        z, v = _kernels.march_rk4(h.tolist(), u.tolist(), p.tolist(), kicks, g, z0, v0)
+        z, v = _kernels.march_rk4(h, kicks, g, z0, v0)
         assert type(v) is list and len(v) == n + 1
-        z_loop, v_loop = march_rk4_loop(h, u, p, kicks, g, 0.0 if z0 is None else z0, v0)
+        z_loop, v_loop = march_loop(h, kicks, g, 0.0 if z0 is None else z0, v0)
         assert np.array(v).tobytes() == v_loop.tobytes()
         if z0 is None:
             assert z is None
@@ -895,8 +893,8 @@ class TestMarchedWork:
         calls = []
         march = _kernels.march_rk4
 
-        def recorded(h, u, p, kicks, g, z0, v0):
-            z, v = march(h, u, p, kicks, g, z0, v0)
+        def recorded(h, kicks, g, z0, v0):
+            z, v = march(h, kicks, g, z0, v0)
             calls.append((z0, z))
             return z, v
 

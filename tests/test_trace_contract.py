@@ -50,7 +50,7 @@ def test_march_rk4_takes_the_step_array_first():
     first = next(iter(inspect.signature(_kernels.march_rk4).parameters))
     assert first == "h"
     h = [0.1] * 7
-    args = (h, h, [0.005] * 7, [(2, 4, 3.0)], 9.81, 0.0, 1.0)
+    args = (h, [(2, 3.0), (3, 3.0)], 9.81, 0.0, 1.0)
     z, v = _kernels.march_rk4(*args)
     nodes, moved = spans.march_work(args)
     assert nodes == len(z) == len(v)
