@@ -19,18 +19,12 @@ two_product is Dekker's error-free product (Numer. Math. 18, 1971), exact
 unless a split or the product overflows or a*b of nonzero a and b falls
 below 2**-968 in magnitude; on float64 arrays it runs the same float
 operations elementwise.
-
-The array passes of a long table work in a float64 scratch that each
-thread keeps, one buffer per use: freshly allocated temporaries would be
-faulted in again on every call, and threads sharing a buffer would race, as
-numpy releases the GIL inside its loops.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from typing import TYPE_CHECKING, Callable
 
 from .errors import NonFiniteResultError
@@ -54,46 +48,14 @@ def two_product(a: float, b: float) -> tuple[float, float]:
     return p, e
 
 
-# Largest buffer, in float64 elements (8 MiB), that a thread keeps for one use.
-_SCRATCH_MAX = 1 << 20
-
-
-class _Scratch(threading.local):
-    def __init__(self) -> None:
-        self.buffers: dict[str, np.ndarray] = {}
-
-
-_scratch = _Scratch()
-
-
-def scratch(use: str, size: int) -> np.ndarray:
-    """size uninitialised float64 elements of this thread's buffer for use.
-
-    A request larger than the buffer replaces it with one of exactly size
-    elements; a smaller one gets a view of its head.  The next request for
-    the same use in the same thread returns the same memory, so a caller
-    must be done with the array by then.  Requests above _SCRATCH_MAX get a
-    fresh array that nothing keeps.
-    """
-    buffer = _scratch.buffers.get(use)
-    if buffer is not None and size <= buffer.size:
-        return buffer[:size]
-    import numpy as np
-
-    if size > _SCRATCH_MAX:
-        return np.empty(size)
-    buffer = _scratch.buffers[use] = np.empty(size)
-    return buffer
-
-
 # --- exact integer sums over a pulse table -----------------------------------
 
 # Pulse count from which PulseTable reads its fields with np.frexp and
 # estimates the recoil correction in array passes; the scalar conversion and
 # the exact correction loop are faster below it.
 _ARRAY_MIN_PULSES = 20
-# Pair-matrix elements per row block of _correction_array: its five blocks
-# (at most 2.5 MiB) sit in the thread's scratch; 100 pulses are one block.
+# Pair-matrix elements per row block of _correction_array: its five blocks,
+# allocated once per call, take at most 2.5 MiB; 100 pulses are one block.
 _CORRECTION_CHUNK = 1 << 16
 _NOT_FINITE = "exact sums need finite pulse times and wave numbers"
 _MOMENT_NAMES = (("closure moment sum(dk)", "/m"), ("closure moment sum(t dk)", "s/m"),
@@ -176,7 +138,7 @@ def _correction_array(t: np.ndarray, k: np.ndarray) -> tuple[float, float, bool]
 
     n = t.size
     rows = max(1, min(n, _CORRECTION_CHUNK // n))
-    work = scratch("_correction_array", 5 * rows * n)
+    work = np.empty(5 * rows * n)
     index, abs_k = np.arange(n, dtype=float), np.abs(k)
     y, y_abs = np.empty((n, 2)), np.empty((n, 2))
     inexact = False

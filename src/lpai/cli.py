@@ -305,7 +305,7 @@ def _csv(columns: list[str], lines: Iterable[str]) -> Iterable[str]:
 
 
 def _csv_line(row: Iterable[float]) -> str:
-    return ",".join(_fmt(x) for x in row) + "\n"
+    return ",".join(map(_fmt, row)) + "\n"
 
 
 def cmd_simulate(args, params: dict) -> tuple[int, dict]:

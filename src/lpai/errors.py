@@ -43,7 +43,8 @@ class NonFiniteResultError(ArithmeticError):
     """A result came out nan or infinite.
 
     Raised in place of returning it: a PhaseBreakdown field, delta_tau and
-    the recoil phase derived from S, a beat's carrier and half-beat, or the
-    oracle's kick amplitude and proper-time integrand.  A mass of 5e-324 kg,
+    the recoil phase derived from S, a beat's carrier and half-beat, a
+    trajectory's position or velocity, or the oracle's kick amplitude and
+    proper-time integrand.  A mass of 5e-324 kg,
     for one, makes hbar*S/m overflow.
     """

@@ -167,8 +167,7 @@ _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 _NONFINITE_RE = re.compile(r"[+-]?(nan|inf|infinity)\Z", re.IGNORECASE)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+_fmt = "{:.16e}".format
 
 
 def _phase_worth_writing(x: float) -> bool:

@@ -25,6 +25,7 @@ from typing import Iterator
 
 from . import constants
 from .core import GravityEnv, InitialConditions, PulseSequence, Species, require_valid
+from .errors import NonFiniteResultError
 
 # Row budget of trajectory_table, checked before any row is formed.  It bounds
 # the output, not the memory: a CLI dump of 1e6 rows of the 3-pulse mzi is
@@ -94,6 +95,24 @@ def gravity_trajectory(env: GravityEnv, ics: InitialConditions, t: float) -> tup
     return z, v
 
 
+def _full(
+    traj: BranchTrajectory, branch: int, zg: float, vg: float, t: float
+) -> tuple[float, float]:
+    """(position, velocity) at t: launch state (zg, vg) plus traj's kick part.
+
+    NonFiniteResultError, naming branch and t, when either is inf or nan; a
+    sum of floats is finite only where both terms are, so zg and vg are
+    checked too.
+    """
+    zk, vk = traj._at(t)
+    z, v = zg + zk, vg + vk
+    if not (math.isfinite(z) and math.isfinite(v)):
+        raise NonFiniteResultError(
+            f"branch {branch} at t = {t!r} s is not finite: position {z!r} m, velocity {v!r} m/s"
+        )
+    return z, v
+
+
 def sample(
     seq: PulseSequence,
     branch: int,
@@ -109,14 +128,14 @@ def sample(
     BranchTrajectory.position on a table built once (x86-64, 2 CPUs, Python
     3.11).  A caller that samples many times should build kick_trajectory
     once and add gravity_trajectory to its position and velocity, which
-    gives the same bits.
+    gives the same bits.  NonFiniteResultError when the position or the
+    velocity is not finite.
     """
     require_valid(seq, structural_only=True)
     if not 0.0 <= t <= seq.duration:
         raise ValueError(f"t = {t!r} outside the interferometer interval [0, {seq.duration!r}]")
-    zk, vk = _kick_trajectory(seq, branch, species)._at(t)
-    zg, vg = gravity_trajectory(env, ics, t)
-    return zg + zk, vg + vk
+    traj = _kick_trajectory(seq, branch, species)
+    return _full(traj, branch, *gravity_trajectory(env, ics, t), t)
 
 
 def trajectory_table(
@@ -132,7 +151,8 @@ def trajectory_table(
     the grid does not land on it exactly; each row equals sample at its
     time.  Raises ValueError when called, before any row is formed, when dt
     is not positive and finite, the sequence ends before t = 0 or the grid
-    needs more than MAX_TRAJECTORY_ROWS rows.
+    needs more than MAX_TRAJECTORY_ROWS rows; a row whose position or
+    velocity is not finite raises NonFiniteResultError when it is formed.
     """
     require_valid(seq, structural_only=True)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -153,8 +173,6 @@ def trajectory_table(
 
     def row(t: float) -> tuple[float, ...]:
         zg, vg = gravity_trajectory(env, ics, t)
-        z1, v1 = branch1._at(t)
-        z2, v2 = branch2._at(t)
-        return t, zg + z1, vg + v1, zg + z2, vg + v2, zg
+        return t, *_full(branch1, 1, zg, vg, t), *_full(branch2, 2, zg, vg, t), zg
 
     return map(row, ts)

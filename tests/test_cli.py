@@ -308,6 +308,18 @@ class TestSimulate:
         assert err.startswith("error: ") and "before" in err
         assert not dump.exists()
 
+    def test_trajectory_dump_that_overflows_is_a_numeric_failure(self, capsys, tmp_path):
+        path = tmp_path / "far.geom"
+        path.write_text(
+            "tend 1e300\npulse 0 1e7 0\npulse 1 -1e7 1e7\npulse 2 0 -1e7\n", encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "simulate", "--geometry", f"file:{path}", "--mass", SR_MASS, "--v0", "1e10",
+            "--dump-trajectory", str(tmp_path / "t.csv"), "--dump-dt", "1e299",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: branch 1 at t = 1e+299 s is not finite")
+
     def test_trajectory_dump_over_the_row_budget_is_an_error(self, capsys, tmp_path):
         dump = tmp_path / "t.csv"
         code, out, err = run(

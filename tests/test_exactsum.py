@@ -1,4 +1,4 @@
-"""The exact pulse-table sums and fsum_or_exact against Fractions, and the per-thread scratch."""
+"""The exact pulse-table sums and fsum_or_exact against Fractions."""
 
 import math
 from fractions import Fraction
@@ -90,24 +90,17 @@ def test_a_sum_on_a_rounding_tie_reaches_the_exact_correction(min_pulses, monkey
     assert calls == [1, 1]
 
 
-@pytest.mark.parametrize("chunk, rows", [(64, 1), (400, 10)])
+@pytest.mark.parametrize("chunk", [64, 400])
 @pytest.mark.parametrize("path", ["array", "array, exact"])
 @pytest.mark.parametrize("seed", range(3))
-def test_a_correction_in_several_row_blocks_is_the_rational_sum(
-    seed, path, chunk, rows, monkeypatch
-):
+def test_a_correction_in_several_row_blocks_is_the_rational_sum(seed, path, chunk, monkeypatch):
     # 40 pulses are one row block at the default chunk; these chunks cut the
     # pair matrix into 40 blocks of one row and into 4 of ten rows
     monkeypatch.setattr(_exactsum, "_CORRECTION_CHUNK", chunk)
-    sizes, exact_calls = [], []
-    scratch, exact = _exactsum.scratch, PulseTable._exact_correction
-    monkeypatch.setattr(
-        _exactsum, "scratch", lambda use, size: sizes.append((use, size)) or scratch(use, size)
-    )
+    exact_calls, exact = [], PulseTable._exact_correction
     monkeypatch.setattr(PulseTable, "_exact_correction", lambda t: exact_calls.append(1) or exact(t))
     seq = random_closed_sequence(np.random.default_rng(seed), 40, k_scale=1e7)
     assert table_outcome(seq, path)[0] == reference_outcome(seq)[0]
-    assert ("_correction_array", 5 * rows * 40) in sizes
     # the estimate settles S; the forced-exact path sums the correction once
     assert len(exact_calls) == (0 if path == "array" else 1)
 
@@ -190,21 +183,3 @@ def test_a_sum_that_fsum_refuses_is_summed_exactly(terms, message):
     else:
         with pytest.raises(NonFiniteResultError, match=message):
             _exactsum.fsum_or_exact(terms, factors, "tie", "1")
-
-
-# --- the per-thread scratch ---------------------------------------------------
-
-
-def test_scratch_grows_to_exactly_the_size_asked_and_keeps_it(monkeypatch):
-    monkeypatch.setattr(_exactsum._scratch, "buffers", {})
-    first = _exactsum.scratch("test", 1000)
-    kept = _exactsum._scratch.buffers["test"]
-    assert first.size == kept.size == 1000  # no rounding up to a power of two
-    smaller = _exactsum.scratch("test", 10)
-    assert smaller.size == 10 and np.shares_memory(smaller, kept)
-    assert _exactsum._scratch.buffers["test"] is kept
-    larger = _exactsum.scratch("test", 1001)
-    assert larger.size == _exactsum._scratch.buffers["test"].size == 1001
-    above = _exactsum.scratch("test", _exactsum._SCRATCH_MAX + 1)
-    assert above.size == _exactsum._SCRATCH_MAX + 1
-    assert _exactsum._scratch.buffers["test"].size == 1001  # nothing keeps what is above the bound

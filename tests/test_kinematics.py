@@ -9,6 +9,7 @@ import pytest
 from lpai import (
     GravityEnv,
     InitialConditions,
+    NonFiniteResultError,
     Pulse,
     PulseSequence,
     Species,
@@ -105,16 +106,6 @@ class TestGravityTrajectory:
         z, v = gravity_trajectory(env, ics, 1.0)
         assert z == 3.0 + 1.0 * (2.0 - 0.5 * 9.81)
         assert v == 2.0 - 9.81
-
-    def test_array_input_matches_scalar_loop(self):
-        env = GravityEnv(9.81)
-        ics = InitialConditions(1.0, -2.0)
-        ts = np.linspace(0.0, 2.0, 7)
-        z_arr, v_arr = gravity_trajectory(env, ics, ts)
-        for i, t in enumerate(ts):
-            z, v = gravity_trajectory(env, ics, float(t))
-            assert z_arr[i] == z
-            assert v_arr[i] == v
 
 
 class TestSample:
@@ -241,6 +232,41 @@ class TestTrajectoryTable:
     def test_bad_dt_is_rejected(self, dt):
         with pytest.raises(ValueError, match="dt"):
             trajectory_table(build_mzi(1.0, 1.0), ATOM, FLAT, REST, dt)
+
+
+class TestNonFiniteTrajectory:
+    """A position or velocity beyond the floats is refused, naming its time, not returned."""
+
+    # closed; tend 1e300 lets t (v0 - g t / 2) overflow on the launch part
+    FAR = PulseSequence(
+        (Pulse(0.0, 1e7, 0.0), Pulse(1.0, -1e7, 1e7), Pulse(2.0, 0.0, -1e7)), duration=1e300
+    )
+    FAST = InitialConditions(0.0, 1e10)
+
+    def test_sample_refuses_an_overflowing_launch_position(self):
+        # the launch part alone is (-inf, -9.81e300) here
+        with pytest.raises(NonFiniteResultError, match=r"^branch 1 at t = 1e\+300 s .*-inf m"):
+            sample(self.FAR, 1, ATOM, GravityEnv(9.81), self.FAST, 1e300)
+        z, v = sample(self.FAR, 1, ATOM, GravityEnv(9.81), self.FAST, 1e150)
+        assert math.isfinite(z) and math.isfinite(v)
+
+    def test_sample_refuses_an_overflowing_kick_velocity(self):
+        # hbar k / m overflows; branch 2 is kicked at t = 1 only
+        seq = PulseSequence(
+            (Pulse(0.0, 1e40, 0.0), Pulse(1.0, -1e40, 1e40), Pulse(2.0, 0.0, -1e40))
+        )
+        light = Species(5e-324)
+        assert sample(seq, 2, light, FLAT, REST, 0.5) == (0.0, 0.0)
+        with pytest.raises(NonFiniteResultError, match=r"^branch 1 at t = 0\.5 s .*velocity inf"):
+            sample(seq, 1, light, FLAT, REST, 0.5)
+        with pytest.raises(NonFiniteResultError, match=r"^branch 2 at t = 1\.5 s"):
+            sample(seq, 2, light, FLAT, REST, 1.5)
+
+    def test_a_table_row_that_overflows_raises_when_it_is_formed(self):
+        rows = trajectory_table(self.FAR, ATOM, FLAT, self.FAST, 1e299)
+        assert next(rows) == (0.0, 0.0, 1e10, 0.0, 1e10, 0.0)
+        with pytest.raises(NonFiniteResultError, match=r"^branch 1 at t = 1e\+299 s .*inf m"):
+            next(rows)
 
 
 class TestValidatesOnce:

@@ -393,7 +393,7 @@ class TestImpulseInvariant:
         env = GravityEnv(9.81)
         ics = InitialConditions(z0=3.0, v0=-1.0)
         ts, z, v = march_branch(seq, 1, SR, env, ics, OracleConfig(pulse_width=1e-3))
-        zg, vg = gravity_trajectory(env, ics, ts)
+        zg, vg = zip(*(gravity_trajectory(env, ics, t) for t in ts.tolist()))
         np.testing.assert_allclose(z, zg, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(v, vg, rtol=1e-12, atol=1e-12)
 

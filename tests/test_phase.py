@@ -314,22 +314,23 @@ class TestRecoilDoubleSumPaths:
         assert len(calls) == (n >= THRESHOLD)
 
 
-class TestRecoilSumScratch:
-    """Long recoil sums reuse their thread's scratch and nothing else."""
+class TestLongRecoilSum:
+    """Long recoil sums work in row blocks of the pair matrix, on every call and in every thread."""
 
-    def test_a_second_long_sum_allocates_no_pair_sized_array(self):
+    def test_a_long_sum_allocates_row_blocks_not_the_pair_matrix(self, monkeypatch):
+        # one row of 400 pulses per block; the default chunk would take 2.7 MB
+        monkeypatch.setattr(_exactsum, "_CORRECTION_CHUNK", 400)
         seq = random_closed_sequence(
-            np.random.default_rng(11), 100, k_scale=1e7, with_common_mode=True
+            np.random.default_rng(11), 400, k_scale=1e7, with_common_mode=True
         )
-        recoil_double_sum(seq)  # grows this thread's scratch
         tracemalloc.start()
         try:
             recoil_double_sum(seq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One float per pulse pair and branch would be 79,200 bytes.
-        assert peak < 100 * 99 * 8
+        # One float per pulse pair would be 1.28 MB; about 146 KB is measured.
+        assert peak < 400 * 400 * 8 // 4
 
     def test_threads_summing_at_once_get_their_single_thread_bits(self):
         seqs = [
